@@ -5,8 +5,6 @@ engine that cross-validates every closed form."""
 
 from .analytic import (
     CancellationError,
-    OutageResult,
-    ThroughputResult,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
@@ -20,7 +18,6 @@ from .analytic import (
     outage_from_cdf,
     outage_probability,
     outage_probability_imperfect,
-    outage_summary,
     worst_case_rank_prob,
 )
 from .model import (
@@ -29,7 +26,6 @@ from .model import (
     LinkBudget,
     NetworkTopology,
     db_to_linear,
-    linear_to_db,
     relay_power,
     sample_estimated_realization,
     sample_realization,
@@ -45,11 +41,7 @@ from .montecarlo import (
     wilson_interval,
 )
 from .selection import (
-    Assignment,
     RankPlacementDistribution,
-    maxmin_assign,
-    naive_assign,
-    random_assign,
     rank_placement_probs,
 )
 

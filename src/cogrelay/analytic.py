@@ -11,7 +11,6 @@ of exponential-type integrals evaluated by closed recursions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .specfun import (
 
 __all__ = [
     "CancellationError",
-    "OutageResult",
-    "ThroughputResult",
     "cdf_min_snr",
     "cdf_kth_largest",
     "outage_probability",
@@ -47,24 +44,6 @@ __all__ = [
 
 class CancellationError(ArithmeticError):
     """The alternating order-statistic sum lost too many digits."""
-
-
-@dataclass(frozen=True)
-class OutageResult:
-    """Bundle of exact and asymptotic outage figures for one operating
-    point.  The asymptotic entries are None when the corresponding
-    high-SNR regime does not apply to the sweep at hand."""
-
-    exact: float
-    asymptotic_case1: float | None
-    asymptotic_case2: float | None
-    diversity_order: int
-    array_gain: float
-
-
-@dataclass(frozen=True)
-class ThroughputResult:
-    average_bpcu: float
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +281,6 @@ def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
     return outage_from_cdf(point, topology.num_users, topology.num_relays, pk)
 
 
-def outage_summary(gamma_th: float, topology: NetworkTopology,
-                   budget: LinkBudget, pk, common_snr: float | None = None,
-                   include_floor: bool = False) -> OutageResult:
-    """Exact outage plus whichever asymptotes apply to the sweep."""
-    case1 = (asymptotic_outage_case1(gamma_th, common_snr, topology)
-             if common_snr is not None else None)
-    case2 = (asymptotic_outage_case2(gamma_th, topology, budget, pk)
-             if include_floor else None)
-    return OutageResult(
-        exact=outage_probability(gamma_th, topology, budget, pk),
-        asymptotic_case1=case1,
-        asymptotic_case2=case2,
-        diversity_order=topology.nakagami_m * topology.num_relays,
-        array_gain=array_gain(gamma_th, topology),
-    )
-
-
 # ---------------------------------------------------------------------------
 # average throughput (Rayleigh fading)
 # ---------------------------------------------------------------------------
@@ -417,7 +379,7 @@ def cdf_min_snr_rayleigh(x: float, topology: NetworkTopology,
 
 
 def average_throughput(topology: NetworkTopology, budget: LinkBudget,
-                       pk) -> ThroughputResult:
+                       pk) -> float:
     """Average per-user throughput (bits per channel use) under Rayleigh
     fading, including the 1/(2M) half-duplex orthogonal-slot penalty.
 
@@ -448,4 +410,4 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
             )
             pieces.append(sign * p * math.exp(log_coeff) * inner)
     value = math.fsum(pieces) / (2.0 * num_users * math.log(2.0))
-    return ThroughputResult(average_bpcu=max(0.0, value))
+    return max(0.0, value)

@@ -17,10 +17,12 @@ function of the config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,14 @@ import numpy as np
 from . import analytic, montecarlo
 from .model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from .selection import (
+    _MAX_ASSIGNMENT_TABLE,
     EXACT_ENUM_LIMIT,
     RankPlacementDistribution,
     rank_placement_probs,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_sweep",
-           "run_validate", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "PointResult", "load_config",
+           "evaluate_point", "run_sweep", "run_validate", "main"]
 
 CSV_HEADER = ("sweep_db,user,outage_exact,outage_asym1,outage_asym2,"
               "outage_mc,mc_ci_low,mc_ci_high,throughput_exact,throughput_mc")
@@ -64,6 +67,15 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class CsiSpec:
+    """Error-to-total variance ratio of each channel estimate."""
+
+    error_ratio_h1: float
+    error_ratio_h2: float
+    error_ratio_f: float
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     num_users: int
     num_relays: int
@@ -78,13 +90,12 @@ class ExperimentConfig:
     d3: float = 1.0
     path_loss_exp: float = 2.0
     lambda1_db: float | None = None
-    lambda2_db: float | None = None
     lambda3_db: float | None = None
     scheme: str = "maxmin"
     mode: str = "outage"
     trials: int = 100_000
     seed: int = 0
-    csi: dict | None = None
+    csi: CsiSpec | None = None
     output: str | None = None
 
     def topology(self) -> NetworkTopology:
@@ -101,8 +112,8 @@ class ExperimentConfig:
         if self.csi is None:
             return None
         return CsiErrorModel.from_error_ratios(
-            self.topology(), self.csi["error_ratio_h1"],
-            self.csi["error_ratio_h2"], self.csi["error_ratio_f"],
+            self.topology(), self.csi.error_ratio_h1,
+            self.csi.error_ratio_h2, self.csi.error_ratio_f,
         )
 
     def budget_at(self, sweep_db: float) -> LinkBudget:
@@ -115,85 +126,63 @@ class ExperimentConfig:
                           db_to_linear(self.lambda3_db), gamma_th)
 
 
-_TOP_KEYS = {
-    "num_users": int, "num_relays": int, "nakagami_m": int,
-    "gamma_th_db": (int, float),
-    "omega_h1": (int, float), "omega_h2": (int, float), "omega_f": (int, float),
-    "d1": (int, float), "d2": (int, float), "d3": (int, float),
-    "path_loss_exp": (int, float),
-    "lambda1_db": (int, float), "lambda2_db": (int, float),
-    "lambda3_db": (int, float),
-    "scheme": str, "mode": str, "sweep": dict, "trials": int, "seed": int,
-    "csi": dict, "output": str,
-}
-_SWEEP_KEYS = {"variable": str, "start_db": (int, float),
-               "stop_db": (int, float), "step_db": (int, float)}
-_CSI_KEYS = {"error_ratio_h1": (int, float), "error_ratio_h2": (int, float),
-             "error_ratio_f": (int, float)}
-_REQUIRED = ("num_users", "num_relays", "nakagami_m", "gamma_th_db", "sweep")
+def _field_schema(cls) -> dict[str, tuple[type, bool]]:
+    """key -> (value type, required) from the dataclass fields; an
+    optional ``X | None`` field takes an X value."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        kind = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+        schema[f.name] = (kind, f.default is dataclasses.MISSING)
+    return schema
 
 
-def _typed(block: dict, schema: dict, where: str) -> dict:
+_SCHEMA = {cls: _field_schema(cls) for cls in (ExperimentConfig, SweepSpec, CsiSpec)}
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _build(cls, block: dict, where: str):
+    """Check one JSON object against the fields of ``cls`` and build it;
+    a nested dataclass field takes a JSON object named after the field."""
+    schema = _SCHEMA[cls]
     for key in block:
         if key not in schema:
             raise ConfigError(f"unknown {where} key: {key!r}")
     for key, value in block.items():
-        want = schema[key]
+        kind = schema[key][0]
+        want = dict if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"{where} key {key!r} has invalid type "
                               f"{type(value).__name__}")
-    return block
+        # json.loads admits NaN and Infinity
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} key {key!r} must be finite, got {value}")
+    for key, (_, required) in schema.items():
+        if required and key not in block:
+            raise ConfigError(f"missing required {where} key: {key!r}")
+    return cls(**{key: _build(schema[key][0], value, key)
+                  if isinstance(value, dict) else value
+                  for key, value in block.items()})
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _typed(raw, _TOP_KEYS, "config")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"missing required config key: {key!r}")
-    sweep_raw = _typed(raw["sweep"], _SWEEP_KEYS, "sweep")
-    for key in _SWEEP_KEYS:
-        if key not in sweep_raw:
-            raise ConfigError(f"missing required sweep key: {key!r}")
-    if sweep_raw["variable"] not in SWEEP_VARIABLES:
-        raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
-                          f"got {sweep_raw['variable']!r}")
-    for key in ("start_db", "stop_db", "step_db"):
-        if not math.isfinite(sweep_raw[key]):
-            raise ConfigError(f"sweep {key} must be finite")
-    if sweep_raw["step_db"] <= 0:
-        raise ConfigError("sweep step_db must be > 0")
-    if sweep_raw["stop_db"] < sweep_raw["start_db"]:
-        raise ConfigError("sweep stop_db must be >= start_db")
-    sweep = SweepSpec(**sweep_raw)
-
-    csi = raw.get("csi")
-    if csi is not None:
-        csi = dict(_typed(csi, _CSI_KEYS, "csi"))
-        for key in _CSI_KEYS:
-            if key not in csi:
-                raise ConfigError(f"missing required csi key: {key!r}")
-
-    config = ExperimentConfig(
-        num_users=raw["num_users"], num_relays=raw["num_relays"],
-        nakagami_m=raw["nakagami_m"], gamma_th_db=raw["gamma_th_db"],
-        sweep=sweep,
-        omega_h1=raw.get("omega_h1", 1.0), omega_h2=raw.get("omega_h2", 1.0),
-        omega_f=raw.get("omega_f", 1.0),
-        d1=raw.get("d1", 1.0), d2=raw.get("d2", 1.0), d3=raw.get("d3", 1.0),
-        path_loss_exp=raw.get("path_loss_exp", 2.0),
-        lambda1_db=raw.get("lambda1_db"), lambda2_db=raw.get("lambda2_db"),
-        lambda3_db=raw.get("lambda3_db"),
-        scheme=raw.get("scheme", "maxmin"), mode=raw.get("mode", "outage"),
-        trials=raw.get("trials", 100_000), seed=raw.get("seed", 0),
-        csi=csi, output=raw.get("output"),
-    )
+    config = _build(ExperimentConfig, raw, "config")
     _validate(config)
     return config
 
 
 def _validate(config: ExperimentConfig):
+    sweep = config.sweep
+    if sweep.variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
+                          f"got {sweep.variable!r}")
+    if sweep.step_db <= 0:
+        raise ConfigError("sweep step_db must be > 0")
+    if sweep.stop_db < sweep.start_db:
+        raise ConfigError("sweep stop_db must be >= start_db")
     if config.num_relays < config.num_users:
         raise ConfigError(
             f"num_relays must be >= num_users, got num_relays="
@@ -211,7 +200,7 @@ def _validate(config: ExperimentConfig):
         if config.nakagami_m != 1:
             raise ConfigError("csi block requires nakagami_m == 1 "
                               "(the imperfect-CSI model is Rayleigh only)")
-        for key, value in config.csi.items():
+        for key, value in asdict(config.csi).items():
             if not 0 <= value < 1:
                 raise ConfigError(f"csi {key} must be in [0, 1), got {value}")
     if config.mode == "throughput":
@@ -219,14 +208,24 @@ def _validate(config: ExperimentConfig):
             raise ConfigError("throughput mode requires nakagami_m == 1")
         if config.csi is not None:
             raise ConfigError("throughput mode does not support a csi block")
-    if config.sweep.variable == "lambda2":
-        if config.lambda1_db is None or config.lambda3_db is None:
+    for key in ("lambda1_db", "lambda3_db"):
+        if sweep.variable == "lambda2" and getattr(config, key) is None:
             raise ConfigError("a lambda2 sweep requires lambda1_db and "
                               "lambda3_db to be set")
+        if sweep.variable == "lambda_all" and getattr(config, key) is not None:
+            raise ConfigError(f"{key} does not apply to a lambda_all sweep, "
+                              f"which sets every power level to the swept value")
     try:
         config.topology()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    maps = math.perm(config.num_relays, config.num_users)
+    if config.scheme == "maxmin" and maps > _MAX_ASSIGNMENT_TABLE:
+        raise ConfigError(
+            f"max-min selection for num_users={config.num_users} and "
+            f"num_relays={config.num_relays} enumerates {maps} injective maps, "
+            f"above the cap of {_MAX_ASSIGNMENT_TABLE}"
+        )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -262,86 +261,86 @@ def _rank_distribution(config: ExperimentConfig) -> RankPlacementDistribution:
     )
 
 
-def _output_path(config: ExperimentConfig, override=None) -> Path:
-    if override is not None:
-        return Path(override)
-    if config.output is not None:
-        return Path(config.output)
-    return Path(f"{config.mode}_{config.scheme}.csv")
+@dataclass(frozen=True)
+class PointResult:
+    """One sweep point.  ``exact`` holds the per-user closed form of the
+    mode (outage or throughput) and ``mc`` the matching per-user Monte
+    Carlo estimates; an asymptote that does not apply is None."""
+
+    exact: list[float]
+    asym1: float | None
+    asym2: float | None
+    mc: list[montecarlo.McEstimate]
+
+
+def evaluate_point(config: ExperimentConfig, index: int, point_db: float,
+                   pk: RankPlacementDistribution, z: float = 1.96) -> PointResult:
+    """Closed forms and their Monte Carlo cross-check (interval at ``z``)
+    at sweep point ``index``, ``point_db``; ``pk`` is the run's
+    rank-placement distribution."""
+    topology, csi = config.topology(), config.csi_model()
+    budget = config.budget_at(point_db)
+    seed = _point_seed(config.seed, index)
+    if config.mode == "throughput":
+        exact = [analytic.average_throughput(topology, budget, row)
+                 for row in pk.per_user]
+        mc = montecarlo.estimate_throughput(topology, budget, config.scheme,
+                                            config.trials, seed, z=z)
+        return PointResult(exact, None, None, mc)
+    gamma_th = budget.threshold_snr
+    if csi is None:
+        exact = [analytic.outage_probability(gamma_th, topology, budget, row)
+                 for row in pk.per_user]
+    else:
+        exact = [analytic.outage_probability_imperfect(gamma_th, topology,
+                                                       budget, csi, row)
+                 for row in pk.per_user]
+    lambda_all = config.sweep.variable == "lambda_all"
+    asym1 = asym2 = None
+    if lambda_all and csi is None and config.scheme == "maxmin":
+        asym1 = analytic.asymptotic_outage_case1(
+            gamma_th, db_to_linear(point_db), topology)
+    if not lambda_all and csi is None:
+        asym2 = analytic.asymptotic_outage_case2(gamma_th, topology, budget, pk)
+    if lambda_all and csi is not None:
+        asym2 = analytic.outage_floor_imperfect(
+            gamma_th, csi, config.num_users, config.num_relays, pk)
+    mc = montecarlo.estimate_outage(topology, budget, config.scheme, gamma_th,
+                                    config.trials, seed, z=z, csi=csi)
+    return PointResult(exact, asym1, asym2, mc)
+
+
+def _write(config: ExperimentConfig, output, lines: list[str]) -> Path:
+    path = Path(output or config.output or f"{config.mode}_{config.scheme}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
 
 
 def run_sweep(config: ExperimentConfig, output=None) -> Path:
     """Run the configured sweep and write one CSV row per (point, user)."""
     if config.mode == "pk":
         return _run_pk(config, output)
-    topology = config.topology()
-    csi = config.csi_model()
     pk = _rank_distribution(config)
-    gamma_th = db_to_linear(config.gamma_th_db)
-    lambda_all = config.sweep.variable == "lambda_all"
-    rows = []
+    throughput = config.mode == "throughput"
+    lines = [CSV_HEADER]
     for index, point_db in enumerate(config.sweep.points()):
-        budget = config.budget_at(point_db)
-        seed = _point_seed(config.seed, index)
-        exact = asym1 = asym2 = mc = ci = tp_exact = tp_mc = None
-        per_user_exact = []
-        if config.mode == "outage":
-            for u in range(config.num_users):
-                pk_u = pk.per_user[u]
-                if csi is None:
-                    per_user_exact.append(analytic.outage_probability(
-                        gamma_th, topology, budget, pk_u))
-                else:
-                    per_user_exact.append(analytic.outage_probability_imperfect(
-                        gamma_th, topology, budget, csi, pk_u))
-            if lambda_all and csi is None and config.scheme == "maxmin":
-                asym1 = analytic.asymptotic_outage_case1(
-                    gamma_th, db_to_linear(point_db), topology)
-            if not lambda_all and csi is None:
-                asym2 = analytic.asymptotic_outage_case2(
-                    gamma_th, topology, budget, pk)
-            if lambda_all and csi is not None:
-                asym2 = analytic.outage_floor_imperfect(
-                    gamma_th, csi, config.num_users, config.num_relays, pk)
-            estimates = montecarlo.estimate_outage(
-                topology, budget, config.scheme, gamma_th, config.trials,
-                seed, csi=csi)
-        else:  # throughput
-            for u in range(config.num_users):
-                per_user_exact.append(analytic.average_throughput(
-                    topology, budget, pk.per_user[u]).average_bpcu)
-            estimates = montecarlo.estimate_throughput(
-                topology, budget, config.scheme, config.trials, seed)
-        for u, est in enumerate(estimates):
-            if config.mode == "outage":
-                exact, mc = per_user_exact[u], est.mean
-                ci = (est.ci_low, est.ci_high)
-                tp_exact = tp_mc = None
-            else:
-                tp_exact, tp_mc = per_user_exact[u], est.mean
-                ci = (est.ci_low, est.ci_high)
-                exact = mc = None
-            rows.append((point_db, u + 1, exact, asym1, asym2, mc,
-                         ci[0], ci[1], tp_exact, tp_mc))
-    path = _output_path(config, output)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            point_db, user = row[0], row[1]
-            cells = [_fmt(point_db), str(user)] + [_fmt(v) for v in row[2:]]
-            fh.write(",".join(cells) + "\n")
-    return path
+        point = evaluate_point(config, index, point_db, pk)
+        for user, (exact, est) in enumerate(zip(point.exact, point.mc), start=1):
+            outage = (None, None) if throughput else (exact, est.mean)
+            tp = (exact, est.mean) if throughput else (None, None)
+            cells = (outage[0], point.asym1, point.asym2, outage[1],
+                     est.ci_low, est.ci_high, *tp)
+            lines.append(",".join([_fmt(point_db), str(user)]
+                                  + [_fmt(v) for v in cells]))
+    return _write(config, output, lines)
 
 
 def _run_pk(config: ExperimentConfig, output=None) -> Path:
     pk = _rank_distribution(config)
-    path = _output_path(config, output)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user,k,prob\n")
-        for u in range(config.num_users):
-            for k in range(pk.per_user.shape[1]):
-                fh.write(f"{u + 1},{k + 1},{_fmt(pk.per_user[u, k])}\n")
-    return path
+    return _write(config, output, ["user,k,prob"] + [
+        f"{u + 1},{k + 1},{_fmt(prob)}"
+        for u, row in enumerate(pk.per_user) for k, prob in enumerate(row)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,6 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     pk = _rank_distribution(config)
     gamma_th = db_to_linear(config.gamma_th_db)
     num_users, num_relays = config.num_users, config.num_relays
-    mn = num_users * num_relays
 
     # rank machinery
     total = float(pk.per_user.sum())
@@ -404,28 +402,12 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
             report.add("worst-rank-probability", status,
                        f"enumeration={enum!r} product-formula={formula!r}")
 
-    # analytic vs Monte Carlo along the sweep
-    points = config.sweep.points()
+    # analytic vs Monte Carlo along the sweep (user 0)
     curve = []
-    for index, point_db in enumerate(points):
-        budget = config.budget_at(point_db)
-        seed = _point_seed(config.seed, index)
-        if config.mode == "throughput":
-            exact = analytic.average_throughput(
-                topology, budget, pk.per_user[0]).average_bpcu
-            est = montecarlo.estimate_throughput(
-                topology, budget, config.scheme, config.trials, seed, z=3.0)[0]
-        else:
-            exact = (analytic.outage_probability(gamma_th, topology, budget,
-                                                 pk.per_user[0])
-                     if csi is None else
-                     analytic.outage_probability_imperfect(
-                         gamma_th, topology, budget, csi, pk.per_user[0]))
-            est = montecarlo.estimate_outage(
-                topology, budget, config.scheme, gamma_th, config.trials,
-                seed, z=3.0, csi=csi)[0]
-        curve.append((point_db, exact))
-        status, detail = _mc_verdict(exact, est)
+    for index, point_db in enumerate(config.sweep.points()):
+        point = evaluate_point(config, index, point_db, pk, z=3.0)
+        curve.append((point_db, point.exact[0]))
+        status, detail = _mc_verdict(point.exact[0], point.mc[0])
         report.add(f"analytic-vs-mc@{point_db:g}dB", status, detail)
 
     # per-user fairness of the max-min scheme (outage modes only)
@@ -465,8 +447,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     if (config.sweep.variable == "lambda2" and csi is None
             and config.mode != "throughput"):
         top_db, top_exact = curve[-1]
-        floor = analytic.asymptotic_outage_case2(
-            gamma_th, topology, config.budget_at(top_db), pk)
+        floor = point.asym2  # the relay-cap floor at the last sweep point
         rel = abs(top_exact - floor) / floor
         if top_db >= 55:
             report.add("outage-floor", "PASS" if rel <= 1e-3 else "FAIL",
@@ -515,29 +496,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        overrides = {}
+        overrides = {key: getattr(args, key)
+                     for key in ("mode", "trials", "seed", "output")
+                     if getattr(args, key) is not None}
         # a validate override keeps the config's own mode as the payload
-        if args.mode is not None and args.mode != "validate":
-            overrides["mode"] = args.mode
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.output is not None:
-            overrides["output"] = args.output
+        if overrides.get("mode") == "validate":
+            del overrides["mode"]
         if overrides:
-            raw = asdict(config)
-            raw["sweep"] = asdict(config.sweep)
-            raw = {k: v for k, v in raw.items() if v is not None}
-            raw.update(overrides)
-            config = parse_config(raw)
+            config = replace(config, **overrides)
+            _validate(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     if args.dump_config:
-        dump = asdict(config)
-        print(json.dumps(dump, indent=2, sort_keys=True))
+        print(json.dumps(asdict(config), indent=2, sort_keys=True))
         return 0
 
     try:

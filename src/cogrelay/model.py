@@ -18,7 +18,6 @@ __all__ = [
     "ChannelRealization",
     "CsiErrorModel",
     "db_to_linear",
-    "linear_to_db",
     "sample_realization",
     "sample_estimated_realization",
     "relay_power",
@@ -29,10 +28,6 @@ __all__ = [
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    return 10.0 * np.log10(value)
 
 
 @dataclass(frozen=True)

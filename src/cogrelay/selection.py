@@ -25,11 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Assignment",
     "RankPlacementDistribution",
-    "maxmin_assign",
-    "naive_assign",
-    "random_assign",
     "maxmin_assign_batch",
     "naive_assign_batch",
     "random_assign_batch",
@@ -45,133 +41,8 @@ _MAX_ASSIGNMENT_TABLE = 40320
 EXACT_ENUM_LIMIT = 10  # enumerate (M*N)! rank permutations only up to here
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Result of a relay-selection scheme on one SNR matrix.
-
-    ``relay_for_user[u]`` is the relay serving user u (injective),
-    ``effective_snr[u]`` the selected end-to-end SNR and
-    ``global_rank[u]`` its 1-based rank among all matrix entries
-    (1 = largest).
-    """
-
-    relay_for_user: tuple[int, ...]
-    effective_snr: tuple[float, ...]
-    global_rank: tuple[int, ...]
-
-
-def _check_shape(gamma) -> tuple[np.ndarray, int, int]:
-    g = np.asarray(gamma, dtype=float)
-    if g.ndim != 2:
-        raise ValueError(f"SNR matrix must be 2-D, got shape {g.shape}")
-    num_users, num_relays = g.shape
-    if num_users > num_relays:
-        raise ValueError(
-            f"need at least as many relays as users, got {num_users} users "
-            f"and {num_relays} relays"
-        )
-    return g, num_users, num_relays
-
-
-def _global_ranks(g: np.ndarray, values: np.ndarray) -> tuple[int, ...]:
-    flat = g.ravel()
-    return tuple(int(1 + np.sum(flat > v)) for v in values)
-
-
-def _has_saturating_matching(g, users, relays, threshold) -> bool:
-    """Can every listed user be matched to a distinct relay using only
-    edges with SNR >= threshold?  Standard augmenting-path search."""
-    relay_owner: dict[int, int] = {}
-
-    def try_assign(u, visited):
-        for r in relays:
-            if r in visited or g[u, r] < threshold:
-                continue
-            visited.add(r)
-            if r not in relay_owner or try_assign(relay_owner[r], visited):
-                relay_owner[r] = u
-                return True
-        return False
-
-    return all(try_assign(u, set()) for u in users)
-
-
-def _bottleneck_value(g, users, relays) -> float:
-    """Largest threshold at which all users can still be matched."""
-    values = sorted({float(g[u, r]) for u in users for r in relays})
-    lo, hi = 0, len(values) - 1
-    # values[lo] always feasible (full bipartite graph, M <= N)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _has_saturating_matching(g, users, relays, values[mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return values[lo]
-
-
-def maxmin_assign(gamma) -> Assignment:
-    """Max-min fair assignment of relays to users.
-
-    Repeatedly binary-searches the bottleneck threshold with a bipartite
-    matching feasibility test, pins the pair attaining it, and recurses
-    on the reduced problem; ties (zero-probability under continuous
-    fading) are broken toward the lower user, then lower relay index.
-    """
-    g, num_users, _ = _check_shape(gamma)
-    users = list(range(num_users))
-    relays = list(range(g.shape[1]))
-    chosen = [-1] * num_users
-    while users:
-        value = _bottleneck_value(g, users, relays)
-        pinned = None
-        for u in users:
-            for r in relays:
-                if g[u, r] != value:
-                    continue
-                rest_users = [x for x in users if x != u]
-                rest_relays = [x for x in relays if x != r]
-                if _has_saturating_matching(g, rest_users, rest_relays, value):
-                    pinned = (u, r)
-                    break
-            if pinned:
-                break
-        u, r = pinned
-        chosen[u] = r
-        users.remove(u)
-        relays.remove(r)
-    values = g[np.arange(num_users), chosen]
-    return Assignment(tuple(chosen), tuple(map(float, values)),
-                      _global_ranks(g, values))
-
-
-def naive_assign(gamma) -> Assignment:
-    """Greedy assignment in fixed user order: user u takes its best
-    relay among those not already taken by users 0..u-1."""
-    g, num_users, num_relays = _check_shape(gamma)
-    taken = np.zeros(num_relays, dtype=bool)
-    chosen = []
-    for u in range(num_users):
-        row = np.where(taken, -np.inf, g[u])
-        r = int(np.argmax(row))
-        chosen.append(r)
-        taken[r] = True
-    values = g[np.arange(num_users), chosen]
-    return Assignment(tuple(chosen), tuple(map(float, values)),
-                      _global_ranks(g, values))
-
-
-def random_assign(gamma, rng: np.random.Generator) -> Assignment:
-    """Uniformly random injective user-to-relay map, blind to the SNRs."""
-    g, num_users, num_relays = _check_shape(gamma)
-    chosen = rng.permutation(num_relays)[:num_users]
-    values = g[np.arange(num_users), chosen]
-    return Assignment(tuple(int(r) for r in chosen), tuple(map(float, values)),
-                      _global_ranks(g, values))
-
-
 # ---------------------------------------------------------------------------
-# batched variants (vectorised across trials; used by the Monte Carlo
+# schemes, vectorised across a stack of trials (used by the Monte Carlo
 # engine and the rank-placement estimators)
 # ---------------------------------------------------------------------------
 
@@ -200,9 +71,8 @@ def maxmin_assign_batch(gammas: np.ndarray):
     """Vectorised max-min fair assignment for a stack of SNR matrices.
 
     Enumerates every injective map and keeps, per matrix, the one whose
-    ascending profile of assigned SNRs is lexicographically largest --
-    the same selection rule as :func:`maxmin_assign`, which refines the
-    bottleneck recursively.
+    ascending profile of assigned SNRs is lexicographically largest:
+    the bottleneck is maximised, then the next smallest SNR, and so on.
 
     Returns ``(relay_for_user, effective_snr, global_rank)`` arrays of
     shape (trials, num_users).
@@ -223,7 +93,8 @@ def maxmin_assign_batch(gammas: np.ndarray):
 
 
 def naive_assign_batch(gammas: np.ndarray):
-    """Vectorised greedy assignment (see :func:`naive_assign`)."""
+    """Vectorised greedy assignment in fixed user order: user u takes its
+    best relay among those not already taken by users 0..u-1."""
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
     masked = g.copy()

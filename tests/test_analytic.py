@@ -24,7 +24,6 @@ from cogrelay.analytic import (
     outage_floor_imperfect,
     outage_probability,
     outage_probability_imperfect,
-    outage_summary,
     worst_case_rank_prob,
 )
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
@@ -160,18 +159,6 @@ class TestOutageProbability:
         uniform = np.full(6, 1 / 6)
         assert outage_probability(GAMMA_TH, t, b, uniform) == pytest.approx(
             cdf_min_snr(GAMMA_TH, t, b), rel=1e-12)
-
-    def test_summary_fields(self):
-        t = topo()
-        b = budget_db(20, 20, 20)
-        pk = rank_placement_probs(2, 3, "maxmin", "exact")
-        res = outage_summary(GAMMA_TH, t, b, pk, common_snr=b.source_snr,
-                             include_floor=True)
-        assert 0.0 <= res.exact <= 1.0
-        assert res.diversity_order == 6
-        assert res.array_gain > 0
-        assert res.asymptotic_case1 is not None
-        assert res.asymptotic_case2 is not None
 
 
 class TestGFactor:
@@ -362,7 +349,7 @@ class TestAverageThroughput:
     def test_single_link_vs_quadrature(self):
         t = topo(1, 1, 1)
         b = budget_db(25, 10, 10)
-        closed = average_throughput(t, b, [1.0]).average_bpcu
+        closed = average_throughput(t, b, [1.0])
 
         def integrand(x):
             return (1 - cdf_min_snr_rayleigh(x, t, b)) / (1 + x)
@@ -376,7 +363,7 @@ class TestAverageThroughput:
         t = topo(2, 2, 1)
         b = budget_db(20, 12, 6)
         pk = rank_placement_probs(2, 2, "maxmin", "exact")
-        closed = average_throughput(t, b, pk).average_bpcu
+        closed = average_throughput(t, b, pk)
 
         def ccdf(x):
             f = cdf_min_snr_rayleigh(x, t, b)
@@ -395,4 +382,4 @@ class TestAverageThroughput:
     def test_nonnegative(self):
         t = topo(1, 1, 1)
         b = LinkBudget(1e-6, 1e-6, 1e-6, 1.0)
-        assert average_throughput(t, b, [1.0]).average_bpcu >= 0.0
+        assert average_throughput(t, b, [1.0]) >= 0.0

@@ -93,6 +93,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trials"):
             load_config(path)
 
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "gamma_th_db", math.nan),
+        (None, "d1", math.inf),
+        ("sweep", "start_db", -math.inf),
+        ("csi", "error_ratio_h1", math.nan),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, block, key, value):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["nakagami_m"] = 1
+        raw["csi"] = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
+                      "error_ratio_f": 0.05}
+        (raw[block] if block else raw)[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")  # emits NaN/Infinity
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+            load_config(path)
+        assert main(["--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_maxmin_map_table_cap(self):
+        raw = dict(MINIMAL, num_users=5, num_relays=11)
+        with pytest.raises(ConfigError, match="num_users=5 and num_relays=11"):
+            parse_config(raw)
+        assert parse_config(dict(raw, scheme="naive")).num_relays == 11
+
+    @pytest.mark.parametrize("key", ["lambda1_db", "lambda3_db"])
+    def test_fixed_level_rejected_on_lambda_all_sweep(self, key):
+        with pytest.raises(ConfigError, match=f"{key} does not apply"):
+            parse_config(dict(MINIMAL, **{key: 10.0}))
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -181,6 +211,28 @@ class TestValidateMode:
         assert "CI too wide" in report.render() or not any(
             status == "INCONCLUSIVE" for _, status, _ in report.checks)
 
+    @pytest.mark.parametrize("overrides, check, absent", [
+        ({"mode": "throughput", "lambda1_db": 25.0, "lambda3_db": 10.0,
+          "sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 20.0,
+                    "step_db": 10.0}},
+         "analytic-vs-mc@20dB", "user-fairness-ztest"),
+        ({"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.1,
+                  "error_ratio_f": 0.05}},
+         "imperfect-csi-floor", "diversity-order-slope"),
+        ({"lambda1_db": 25.0, "lambda3_db": 10.0,
+          "sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 60.0,
+                    "step_db": 30.0}},
+         "outage-floor", "diversity-order-slope"),
+    ], ids=["throughput", "csi-floor", "relay-cap-floor"])
+    def test_mode_specific_checks_pass(self, tmp_path, overrides, check, absent):
+        path = write_config(tmp_path, {"nakagami_m": 1, "trials": 5000,
+                                       **overrides})
+        report = run_validate(load_config(path))
+        assert not report.failed
+        statuses = {name: status for name, status, _ in report.checks}
+        assert statuses[check] == "PASS"
+        assert absent not in statuses
+
 
 class TestMainEntry:
     def test_success_exit_code(self, tmp_path, capsys):
@@ -210,6 +262,8 @@ class TestMainEntry:
         dumped = json.loads(capsys.readouterr().out)
         assert dumped["trials"] == 3000
         assert dumped["seed"] == 11
+        assert main(["--config", str(path), "--trials", "10"]) == 1
+        assert "trials" in capsys.readouterr().err
 
     def test_validate_mode_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"trials": 5000})

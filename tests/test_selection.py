@@ -7,13 +7,11 @@ import itertools
 import numpy as np
 import pytest
 
+from assign_oracles import maxmin_assign, naive_assign, random_assign
 from cogrelay.analytic import worst_case_rank_prob
 from cogrelay.selection import (
-    maxmin_assign,
     maxmin_assign_batch,
-    naive_assign,
     naive_assign_batch,
-    random_assign,
     random_assign_batch,
     rank_placement_probs,
 )
