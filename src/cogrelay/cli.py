@@ -47,6 +47,7 @@ MODES = ("outage", "throughput", "pk", "validate")
 SWEEP_VARIABLES = ("lambda_all", "lambda2")
 
 MIN_TRIALS = 1000
+MAX_SWEEP_POINTS = 10_000
 PK_MC_TRIALS = 1_000_000
 
 
@@ -174,6 +175,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return config
 
 
+def _finite_linear(value_db: float) -> bool:
+    try:
+        return math.isfinite(db_to_linear(value_db))
+    except OverflowError:
+        return False
+
+
 def _validate(config: ExperimentConfig):
     sweep = config.sweep
     if sweep.variable not in SWEEP_VARIABLES:
@@ -183,6 +191,19 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("sweep step_db must be > 0")
     if sweep.stop_db < sweep.start_db:
         raise ConfigError("sweep stop_db must be >= start_db")
+    for key, value in (("gamma_th_db", config.gamma_th_db),
+                       ("lambda1_db", config.lambda1_db),
+                       ("lambda3_db", config.lambda3_db),
+                       ("sweep start_db", sweep.start_db),
+                       ("sweep stop_db", sweep.stop_db)):
+        if value is not None and not _finite_linear(value):
+            raise ConfigError(f"{key}={value} is too large: its linear value "
+                              f"overflows a float")
+    # multiply rather than divide: a tiny step would overflow the count
+    if sweep.stop_db - sweep.start_db >= MAX_SWEEP_POINTS * sweep.step_db:
+        raise ConfigError(
+            f"sweep step_db={sweep.step_db} gives more than {MAX_SWEEP_POINTS} "
+            f"points from {sweep.start_db} to {sweep.stop_db} dB")
     if config.num_relays < config.num_users:
         raise ConfigError(
             f"num_relays must be >= num_users, got num_relays="

@@ -34,11 +34,15 @@ __all__ = [
 ]
 
 # Batched assignment enumerates every injective user->relay map; cap
-# the table size so a pathological shape fails loudly instead of eating
-# memory.  P(N, M) for every configuration studied here is <= 24.
+# the table size so a pathological shape fails loudly instead of running
+# for hours.  P(N, M) for every configuration studied here is <= 24.
 _MAX_ASSIGNMENT_TABLE = 40320
 
 EXACT_ENUM_LIMIT = 10  # enumerate (M*N)! rank permutations only up to here
+
+# Max-min keys are computed for at most this many (trial, map) pairs at
+# a time; a 65536-trial block at 3x4 (24 maps) is one chunk.
+_CHUNK_ELEMENTS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -67,29 +71,84 @@ def _effective_and_ranks(g: np.ndarray, chosen: np.ndarray):
     return eff, ranks
 
 
+def _larger_counts(flat: np.ndarray) -> np.ndarray:
+    """Per entry of each row, the number of entries of that row that are
+    strictly larger: 0 for the largest, shared by tied entries."""
+    order = np.argsort(-flat, axis=1)
+    ordered = np.take_along_axis(flat, order, axis=1)
+    group_start = np.empty(ordered.shape, dtype=bool)
+    group_start[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=group_start[:, 1:])
+    first = np.where(group_start, np.arange(flat.shape[1]), 0)
+    counts = np.empty_like(order)
+    np.put_along_axis(counts, order, np.maximum.accumulate(first, axis=1), axis=1)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _key_words(num_users: int, num_relays: int) -> np.ndarray:
+    """``words[w, d]``: the key bit, inside int64 word w (0 = least
+    significant), of an entry with d strictly larger entries."""
+    size = num_users * num_relays
+    # Each word holds M terms below 2**width, so sums stay below 2**63.
+    width = 63 - num_users.bit_length()
+    # At most (M-1)N entries exceed the max-min bottleneck, or they would
+    # hold a better matching (Koenig), so a selected entry has d <= (M-1)N
+    # and M of them sum below 2**clip.  Clipping d at ``clip`` keeps every
+    # map that uses a larger d losing, and bounds the word count.
+    clip = (num_users - 1) * num_relays + num_users.bit_length()
+    words = np.zeros((clip // width + 1, size), dtype=np.int64)
+    for d in range(size):
+        word, shift = divmod(min(d, clip), width)
+        words[word, d] = 1 << shift
+    return words
+
+
 def maxmin_assign_batch(gammas: np.ndarray):
     """Vectorised max-min fair assignment for a stack of SNR matrices.
 
-    Enumerates every injective map and keeps, per matrix, the one whose
-    ascending profile of assigned SNRs is lexicographically largest:
-    the bottleneck is maximised, then the next smallest SNR, and so on.
+    Keeps, per matrix, the injective map whose ascending profile of
+    assigned SNRs is lexicographically largest: the bottleneck is
+    maximised, then the next smallest SNR, and so on; among equal
+    profiles the first map in table order wins.
+
+    The profile depends only on the rank order of the entries.  An entry
+    with d strictly larger entries gets the key bit ``1 << d`` (tied
+    entries share it, and the d gap below the next smaller value leaves
+    room for their multiplicity), so the best map is the first argmin of
+    its summed key bits, and equal sums mean equal profiles.  Keys too
+    wide for one int64 are split into words compared most significant
+    first.  Trials are processed in chunks of at most ``_CHUNK_ELEMENTS``
+    map keys, so memory is bounded for every shape.
 
     Returns ``(relay_for_user, effective_snr, global_rank)`` arrays of
-    shape (trials, num_users).
+    shape (trials, num_users); ``global_rank`` is 1 + d.
     """
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
+    size = num_users * num_relays
     table = _assignment_table(num_users, num_relays)
-    vals = g[:, np.arange(num_users)[None, :], table]  # (trials, maps, users)
-    sorted_vals = np.sort(vals, axis=2)
-    alive = np.ones((trials, table.shape[0]), dtype=bool)
-    for col in range(num_users):
-        v = np.where(alive, sorted_vals[:, :, col], -np.inf)
-        best = v.max(axis=1, keepdims=True)
-        alive &= v == best
-    chosen = table[alive.argmax(axis=1)]
-    eff, ranks = _effective_and_ranks(g, chosen)
-    return chosen, eff, ranks
+    cols = table + num_relays * np.arange(num_users)  # flat entry per (map, user)
+    key_words = _key_words(num_users, num_relays)
+    chunk = max(1, _CHUNK_ELEMENTS // max(table.shape[0], size))
+    chosen = np.empty((trials, num_users), dtype=np.intp)
+    global_rank = np.empty((trials, num_users), dtype=np.intp)
+    for lo in range(0, trials, chunk):
+        larger = _larger_counts(g[lo:lo + chunk].reshape(-1, size))
+        key = None
+        for bits_of in key_words[::-1]:
+            bits = bits_of.take(larger)
+            total = bits.take(cols[:, 0], axis=1)
+            for u in range(1, num_users):
+                total += bits.take(cols[:, u], axis=1)
+            if key is not None:
+                total[key != key.min(axis=1, keepdims=True)] = np.iinfo(np.int64).max
+            key = total
+        best = key.argmin(axis=1)
+        chosen[lo:lo + chunk] = table[best]
+        global_rank[lo:lo + chunk] = 1 + np.take_along_axis(larger, cols[best], axis=1)
+    eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
+    return chosen, eff, global_rank
 
 
 def naive_assign_batch(gammas: np.ndarray):

@@ -1,13 +1,16 @@
-"""Scalar relay-selection schemes, one SNR matrix at a time.
+"""Reference relay-selection schemes.
 
 Independent oracles for the batched schemes in ``cogrelay.selection``:
 max-min fair assignment by bottleneck binary search over bipartite
-matchings, greedy assignment in user order, and a uniformly random
-injective map.
+matchings, greedy assignment in user order and a uniformly random
+injective map, one SNR matrix at a time; and a batched max-min that
+compares sorted float profiles of every injective map, which fixes the
+tie-breaking of the rank-keyed batch on matrices with tied entries.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,3 +139,25 @@ def random_assign(gamma, rng: np.random.Generator) -> Assignment:
     values = g[np.arange(num_users), chosen]
     return Assignment(tuple(int(r) for r in chosen), tuple(map(float, values)),
                       _global_ranks(g, values))
+
+
+def maxmin_assign_sorted_batch(gammas):
+    """Batched max-min by enumeration: sort each injective map's assigned
+    SNRs and filter the maps column by column for the lexicographically
+    largest ascending profile; the first such map in table order wins.
+    Returns ``(relay_for_user, effective_snr, global_rank)``."""
+    g = np.asarray(gammas, dtype=float)
+    trials, num_users, num_relays = g.shape
+    table = np.array(list(itertools.permutations(range(num_relays), num_users)),
+                     dtype=np.intp)
+    vals = g[:, np.arange(num_users)[None, :], table]  # (trials, maps, users)
+    sorted_vals = np.sort(vals, axis=2)
+    alive = np.ones((trials, table.shape[0]), dtype=bool)
+    for col in range(num_users):
+        v = np.where(alive, sorted_vals[:, :, col], -np.inf)
+        alive &= v == v.max(axis=1, keepdims=True)
+    chosen = table[alive.argmax(axis=1)]
+    eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
+    flat = g.reshape(trials, 1, num_users * num_relays)
+    ranks = 1 + (flat > eff[:, :, None]).sum(axis=2)
+    return chosen, eff, ranks

@@ -9,6 +9,7 @@ import pytest
 from cogrelay.cli import (
     CSV_HEADER,
     ConfigError,
+    SweepSpec,
     load_config,
     main,
     parse_config,
@@ -122,6 +123,29 @@ class TestConfigParsing:
     def test_fixed_level_rejected_on_lambda_all_sweep(self, key):
         with pytest.raises(ConfigError, match=f"{key} does not apply"):
             parse_config(dict(MINIMAL, **{key: 10.0}))
+
+    def test_sweep_point_cap(self, monkeypatch):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["sweep"].update(start_db=0.0, stop_db=60.0, step_db=1e-9)
+        # the check must refuse the config before any point list is built
+        monkeypatch.setattr(SweepSpec, "points", None)
+        with pytest.raises(ConfigError, match="step_db"):
+            parse_config(raw)
+        raw["sweep"]["step_db"] = 0.25  # 241 points, as in a fine sweep
+        assert parse_config(raw).sweep.step_db == 0.25
+
+    @pytest.mark.parametrize("key", ["gamma_th_db", "lambda1_db", "lambda3_db",
+                                     "start_db", "stop_db"])
+    def test_overflowing_db_rejected(self, key):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw.update(lambda1_db=10.0, lambda3_db=10.0)
+        raw["sweep"]["variable"] = "lambda2"
+        if key in raw["sweep"]:
+            raw["sweep"].update({"stop_db": 4000.0, key: 4000.0})
+        else:
+            raw[key] = 4000.0
+        with pytest.raises(ConfigError, match=f"{key}=4000.0 is too large"):
+            parse_config(raw)
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,11 +3,20 @@ greedy and random behaviour, batch/single agreement, and the
 rank-placement machinery."""
 
 import itertools
+import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from assign_oracles import maxmin_assign, naive_assign, random_assign
+from assign_oracles import (
+    maxmin_assign,
+    maxmin_assign_sorted_batch,
+    naive_assign,
+    random_assign,
+)
 from cogrelay.analytic import worst_case_rank_prob
 from cogrelay.selection import (
     maxmin_assign_batch,
@@ -74,6 +83,73 @@ class TestMaxminAssign:
         chosen_a, _, _ = naive_assign_batch(g)
         chosen_b, _, _ = naive_assign_batch(np.log1p(g))
         assert np.array_equal(chosen_a, chosen_b)
+
+
+@st.composite
+def snr_stacks(draw, tied):
+    """A few SNR matrices of one small shape, M = 1 and M = N included.
+    Tied stacks take values from {0, 1/4, 1/2, 3/4}; untied ones hold
+    distinct entries."""
+    num_users = draw(st.integers(1, 3))
+    num_relays = draw(st.integers(num_users, 4))
+    shape = (draw(st.integers(1, 4)), num_users, num_relays)
+    if tied:
+        return draw(hnp.arrays(float, shape,
+                               elements=st.integers(0, 3).map(lambda k: k / 4)))
+    return draw(hnp.arrays(float, shape, unique=True, elements=st.floats(
+        0.0, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)))
+
+
+def assert_batches_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def scalar_maxmin_batch(g):
+    picks = [maxmin_assign(m) for m in g]
+    return (np.array([a.relay_for_user for a in picks], dtype=np.intp),
+            np.array([a.effective_snr for a in picks]),
+            np.array([a.global_rank for a in picks], dtype=np.intp))
+
+
+class TestMaxminBatchOracles:
+    """The rank-keyed batch against the scalar bottleneck oracle on
+    tie-free matrices, and against sorted-profile enumeration on tied
+    ones (where the first map in table order must win)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(snr_stacks(tied=False))
+    def test_tie_free_matches_scalar_oracle(self, g):
+        assert_batches_equal(maxmin_assign_batch(g), scalar_maxmin_batch(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(snr_stacks(tied=True))
+    def test_tied_matches_sorted_enumeration(self, g):
+        assert_batches_equal(maxmin_assign_batch(g), maxmin_assign_sorted_batch(g))
+
+    @pytest.mark.parametrize("shape", [(1, 70), (2, 64), (3, 30)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_wide_keys(self, shape):
+        # M*N > 63: 1x70 fits one key word, 2x64 and 3x30 need two
+        rng = np.random.default_rng(sum(shape))
+        g = rng.random((4, *shape))
+        assert_batches_equal(maxmin_assign_batch(g), scalar_maxmin_batch(g))
+        tied = np.floor(4 * g) / 4
+        assert_batches_equal(maxmin_assign_batch(tied),
+                             maxmin_assign_sorted_batch(tied))
+
+    def test_memory_bounded(self):
+        # 1680 maps: a (trials, maps, users) float64 profile array of one
+        # 65536-trial block would take 3.5 GB
+        g = np.random.default_rng(18).random((65536, 4, 8))
+        tracemalloc.start()
+        try:
+            maxmin_assign_batch(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
 
 
 class TestNaiveAssign:
