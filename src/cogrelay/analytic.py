@@ -50,6 +50,16 @@ class CancellationError(ArithmeticError):
 # single-link CDFs
 # ---------------------------------------------------------------------------
 
+def _share_ksum(a: float, b: float, weights) -> float:
+    """sum over k < m of a^m b^k weights[k] / (k! (a+b)^(k+m)), with
+    m = len(weights), taken as (a/(a+b))^m (b/(a+b))^k weights[k] / k!:
+    both ratios are at most 1, so no power overflows for huge a or b."""
+    m = len(weights)
+    share_a, share_b = a / (a + b), b / (a + b)
+    return math.fsum(share_a ** m * share_b ** k * weight / math.factorial(k)
+                     for k, weight in enumerate(weights))
+
+
 def cdf_min_snr(x: float, topology: NetworkTopology, budget: LinkBudget) -> float:
     """CDF of the end-to-end SNR of one user-relay link.
 
@@ -72,13 +82,9 @@ def cdf_min_snr(x: float, topology: NetworkTopology, budget: LinkBudget) -> floa
     term1 = lower_incomplete_gamma(m, m * x / (o1 * l1)) / gam_m
     term2 = (up1 * lower_incomplete_gamma(m, m * x / (o2 * l2))
              * lower_incomplete_gamma(m, m * l3 / (o3 * l2)) / gam_m ** 3)
-    shifted = o3 * x + o2 * l3
-    ksum = math.fsum(
-        (o2 * l3) ** m * (o3 * x) ** k
-        * upper_incomplete_gamma(k + m, m * shifted / (o2 * o3 * l2))
-        / (math.factorial(k) * shifted ** (k + m))
-        for k in range(m)
-    )
+    tail = m * (o3 * x + o2 * l3) / (o2 * o3 * l2)
+    ksum = _share_ksum(o2 * l3, o3 * x, [upper_incomplete_gamma(k + m, tail)
+                                         for k in range(m)])
     term3 = -up1 / gam_m ** 2 * ksum
     term4 = up1 / gam_m ** 2 * upper_incomplete_gamma(m, m * l3 / (o3 * l2))
     value = math.fsum((term1, term2, term3, term4))
@@ -98,12 +104,8 @@ def _cdf_min_snr_floor(x: float, topology: NetworkTopology,
     l1, l3 = budget.source_snr, budget.interference_snr_cap
     gam_m = float(math.factorial(m - 1))
     up1 = upper_incomplete_gamma(m, m * x / (o1 * l1))
-    shifted = o3 * x + o2 * l3
-    ksum = math.fsum(
-        (o2 * l3) ** m * (o3 * x) ** k * math.factorial(k + m - 1)
-        / (math.factorial(k) * shifted ** (k + m))
-        for k in range(m)
-    )
+    ksum = _share_ksum(o2 * l3, o3 * x, [math.factorial(k + m - 1)
+                                         for k in range(m)])
     return min(1.0, max(0.0, 1.0 - up1 * ksum / gam_m ** 2))
 
 
@@ -261,16 +263,20 @@ def array_gain(gamma_th: float, topology: NetworkTopology) -> float:
     lead = (math.factorial(mn)
             / (num_relays * math.factorial((num_users - 1) * num_relays)
                * math.factorial(num_relays - 1)))
-    return (worst_case_rank_prob(num_users, num_relays) * lead
-            * (g_factor(topology) * gamma_th ** m) ** num_relays)
+    try:
+        power = (g_factor(topology) * gamma_th ** m) ** num_relays
+    except OverflowError:  # the gain itself is beyond the float range
+        power = math.inf
+    return worst_case_rank_prob(num_users, num_relays) * lead * power
 
 
 def asymptotic_outage_case1(gamma_th: float, snr: float,
                             topology: NetworkTopology) -> float:
     """High-SNR outage when source, relay-cap and interference-cap SNRs
-    grow together: array_gain * snr^-(m N), i.e. full diversity m N."""
-    mn_order = topology.nakagami_m * topology.num_relays
-    return array_gain(gamma_th, topology) * snr ** (-mn_order)
+    grow together: array_gain * snr^-(m N), i.e. full diversity m N.
+    The gain is homogeneous of degree m N in the threshold, so this is
+    the gain at gamma_th / snr, which overflows only if the law does."""
+    return array_gain(gamma_th / snr, topology)
 
 
 def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,

@@ -12,6 +12,13 @@ cap, and a mode:
 The sweep CSV column set is fixed (see ``CSV_HEADER``); cells that do
 not apply to the mode at hand stay empty.  Output bytes are a pure
 function of the config and seed.
+
+Sweep and validate read every point from one evaluator,
+:func:`evaluate_sweep`.  A common-SNR (``lambda_all``) sweep without CSI
+draws its Monte Carlo trials once, at unit power on the stream of point
+0, and reads every point from them, so its Monte Carlo cells are
+correlated between points; every other sweep draws fresh trials per
+point from a stream derived from (seed, point index).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .selection import (
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "PointResult", "load_config",
-           "evaluate_point", "run_sweep", "run_validate", "main"]
+           "evaluate_sweep", "run_sweep", "run_validate", "main"]
 
 CSV_HEADER = ("sweep_db,user,outage_exact,outage_asym1,outage_asym2,"
               "outage_mc,mc_ci_low,mc_ci_high,throughput_exact,throughput_mc")
@@ -288,26 +295,65 @@ class PointResult:
     mode (outage or throughput) and ``mc`` the matching per-user Monte
     Carlo estimates; an asymptote that does not apply is None."""
 
+    sweep_db: float
     exact: list[float]
     asym1: float | None
     asym2: float | None
     mc: list[montecarlo.McEstimate]
 
 
-def evaluate_point(config: ExperimentConfig, index: int, point_db: float,
-                   pk: RankPlacementDistribution, z: float = 1.96) -> PointResult:
-    """Closed forms and their Monte Carlo cross-check (interval at ``z``)
-    at sweep point ``index``, ``point_db``; ``pk`` is the run's
-    rank-placement distribution."""
+def _mc_passes(config: ExperimentConfig, points: list[float]):
+    """(budget, seed, levels) of each Monte Carlo pass of the sweep, one
+    level per sweep point it serves.
+
+    Without CSI every SNR of a ``lambda_all`` sweep is the swept level
+    times the SNR at unit power, and every scheme depends only on the
+    rank order of the SNRs.  So one pass at unit power, on the stream of
+    point 0, serves the whole sweep: outage at level λ counts the
+    unit-power SNRs at or below γ_th/λ, and throughput takes the rate at
+    λ times them.  Every other sweep runs one pass per point, on that
+    point's stream, at level 1.
+    """
+    if config.sweep.variable == "lambda_all" and config.csi is None:
+        unit = LinkBudget(1.0, 1.0, 1.0, db_to_linear(config.gamma_th_db))
+        return [(unit, _point_seed(config.seed, 0),
+                 [db_to_linear(point_db) for point_db in points])]
+    return [(config.budget_at(point_db), _point_seed(config.seed, index), [1.0])
+            for index, point_db in enumerate(points)]
+
+
+def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
+                   z: float = 1.96) -> list[PointResult]:
+    """Closed forms and their Monte Carlo cross-check (interval at
+    ``z``) at every sweep point; ``pk`` is the run's rank-placement
+    distribution."""
+    topology, csi = config.topology(), config.csi_model()
+    gamma_th = db_to_linear(config.gamma_th_db)
+    points = config.sweep.points()
+    mc = []
+    for budget, seed, levels in _mc_passes(config, points):
+        if config.mode == "throughput":
+            mc += montecarlo.estimate_throughput(
+                topology, budget, config.scheme, config.trials, seed, z=z,
+                scales=levels)
+        else:
+            mc += montecarlo.estimate_outage(
+                topology, budget, config.scheme,
+                [gamma_th / level for level in levels], config.trials, seed,
+                z=z, csi=csi)
+    return [_closed_forms(config, point_db, pk, estimates)
+            for point_db, estimates in zip(points, mc)]
+
+
+def _closed_forms(config: ExperimentConfig, point_db: float,
+                  pk: RankPlacementDistribution,
+                  mc: list[montecarlo.McEstimate]) -> PointResult:
     topology, csi = config.topology(), config.csi_model()
     budget = config.budget_at(point_db)
-    seed = _point_seed(config.seed, index)
     if config.mode == "throughput":
         exact = [analytic.average_throughput(topology, budget, row)
                  for row in pk.per_user]
-        mc = montecarlo.estimate_throughput(topology, budget, config.scheme,
-                                            config.trials, seed, z=z)
-        return PointResult(exact, None, None, mc)
+        return PointResult(point_db, exact, None, None, mc)
     gamma_th = budget.threshold_snr
     if csi is None:
         exact = [analytic.outage_probability(gamma_th, topology, budget, row)
@@ -326,9 +372,7 @@ def evaluate_point(config: ExperimentConfig, index: int, point_db: float,
     if lambda_all and csi is not None:
         asym2 = analytic.outage_floor_imperfect(
             gamma_th, csi, config.num_users, config.num_relays, pk)
-    mc = montecarlo.estimate_outage(topology, budget, config.scheme, gamma_th,
-                                    config.trials, seed, z=z, csi=csi)
-    return PointResult(exact, asym1, asym2, mc)
+    return PointResult(point_db, exact, asym1, asym2, mc)
 
 
 def _write(config: ExperimentConfig, output, lines: list[str]) -> Path:
@@ -345,14 +389,13 @@ def run_sweep(config: ExperimentConfig, output=None) -> Path:
     pk = _rank_distribution(config)
     throughput = config.mode == "throughput"
     lines = [CSV_HEADER]
-    for index, point_db in enumerate(config.sweep.points()):
-        point = evaluate_point(config, index, point_db, pk)
+    for point in evaluate_sweep(config, pk):
         for user, (exact, est) in enumerate(zip(point.exact, point.mc), start=1):
             outage = (None, None) if throughput else (exact, est.mean)
             tp = (exact, est.mean) if throughput else (None, None)
             cells = (outage[0], point.asym1, point.asym2, outage[1],
                      est.ci_low, est.ci_high, *tp)
-            lines.append(",".join([_fmt(point_db), str(user)]
+            lines.append(",".join([_fmt(point.sweep_db), str(user)]
                                   + [_fmt(v) for v in cells]))
     return _write(config, output, lines)
 
@@ -424,12 +467,11 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
                        f"enumeration={enum!r} product-formula={formula!r}")
 
     # analytic vs Monte Carlo along the sweep (user 0)
-    curve = []
-    for index, point_db in enumerate(config.sweep.points()):
-        point = evaluate_point(config, index, point_db, pk, z=3.0)
-        curve.append((point_db, point.exact[0]))
+    points = evaluate_sweep(config, pk, z=3.0)
+    curve = [(point.sweep_db, point.exact[0]) for point in points]
+    for point in points:
         status, detail = _mc_verdict(point.exact[0], point.mc[0])
-        report.add(f"analytic-vs-mc@{point_db:g}dB", status, detail)
+        report.add(f"analytic-vs-mc@{point.sweep_db:g}dB", status, detail)
 
     # per-user fairness of the max-min scheme (outage modes only)
     if config.scheme == "maxmin" and num_users >= 2 and config.mode != "throughput":
@@ -468,7 +510,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     if (config.sweep.variable == "lambda2" and csi is None
             and config.mode != "throughput"):
         top_db, top_exact = curve[-1]
-        floor = point.asym2  # the relay-cap floor at the last sweep point
+        floor = points[-1].asym2  # the relay-cap floor at the last sweep point
         rel = abs(top_exact - floor) / floor
         if top_db >= 55:
             report.add("outage-floor", "PASS" if rel <= 1e-3 else "FAIL",

@@ -6,6 +6,14 @@ depend only on (seed, trials, configuration) -- never on how blocks
 might be scheduled across workers -- and block outputs are integer
 counts or compensated partial sums, so aggregation order cannot change
 the answer either.
+
+The outage and throughput estimators also score a sequence of outage
+thresholds or SNR scales on the same trials.  A sweep whose SNRs are all
+one level times a fixed unit-power matrix (a common-SNR sweep without
+CSI) then needs a single pass: its points share one random stream, so
+their estimates are correlated, and each block sorts its selected SNRs
+once so that every threshold costs one binary search rather than a
+pass over the trials.
 """
 
 from __future__ import annotations
@@ -92,55 +100,72 @@ def _trial_snrs(topology: NetworkTopology, budget: LinkBudget, rng, block: int,
 
 
 def estimate_outage(topology: NetworkTopology, budget: LinkBudget, scheme: str,
-                    gamma_th: float, trials: int, seed: int, z: float = 1.96,
-                    csi: CsiErrorModel | None = None) -> list[McEstimate]:
+                    gamma_th, trials: int, seed: int, z: float = 1.96,
+                    csi: CsiErrorModel | None = None):
     """Per-user empirical outage probability with a Wilson interval.
 
     Each trial samples a channel realization, runs the selection scheme
     and records, per user, whether the selected SNR is at or below the
     threshold.  Pass ``csi`` to sample estimated channels and score the
     imperfect-CSI SNR matrix instead.
+
+    ``gamma_th`` is one threshold, giving one estimate per user, or a
+    sequence of thresholds, giving one such per-user list per threshold,
+    all counted on the same trials.
     """
     _check_trials(trials)
-    hits = np.zeros(topology.num_users, dtype=np.int64)
+    thresholds = np.atleast_1d(np.asarray(gamma_th, dtype=float))
+    hits = np.zeros((thresholds.size, topology.num_users), dtype=np.int64)
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
         snrs = _trial_snrs(topology, budget, rng, block, csi)
         _, eff, _ = selection.assign_batch(scheme, snrs, rng)
-        hits += (eff <= gamma_th).sum(axis=0)
-    return [
-        McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
-                   trials, seed)
-        for h in hits
-    ]
+        # trials at or below a threshold = its right insertion point
+        for user, column in enumerate(np.sort(eff.T, axis=1)):
+            hits[:, user] += np.searchsorted(column, thresholds, side="right")
+    out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
+                       trials, seed)
+            for h in row]
+           for row in hits]
+    return out if np.ndim(gamma_th) else out[0]
 
 
 def estimate_throughput(topology: NetworkTopology, budget: LinkBudget,
                         scheme: str, trials: int, seed: int,
-                        z: float = 1.96) -> list[McEstimate]:
+                        z: float = 1.96, scales=1.0):
     """Per-user empirical average throughput (bits per channel use) with
-    a normal-approximation interval."""
+    a normal-approximation interval.
+
+    The rate of a trial is taken at ``scales`` times its selected SNR.
+    One scale gives one estimate per user; a sequence of scales gives
+    one such per-user list per scale, all averaged over the same trials.
+    """
     _check_trials(trials)
     num_users = topology.num_users
-    sums = [[] for _ in range(num_users)]
-    sq_sums = [[] for _ in range(num_users)]
-    for index, block in _blocks(trials):
+    factors = np.atleast_1d(np.asarray(scales, dtype=float))
+    blocks = list(_blocks(trials))
+    sums = np.zeros((factors.size, num_users, len(blocks)))
+    sq_sums = np.zeros_like(sums)
+    for index, block in blocks:
         rng = _block_rng(seed, index)
         snrs = _trial_snrs(topology, budget, rng, block, None)
         _, eff, _ = selection.assign_batch(scheme, snrs, rng)
-        tau = np.log2(1.0 + eff) / (2.0 * num_users)
-        for u in range(num_users):
-            sums[u].append(float(tau[:, u].sum()))
-            sq_sums[u].append(float(np.square(tau[:, u]).sum()))
+        for point, factor in enumerate(factors):
+            tau = np.log2(1.0 + factor * eff) / (2.0 * num_users)
+            for u in range(num_users):
+                sums[point, u, index] = tau[:, u].sum()
+                sq_sums[point, u, index] = np.square(tau[:, u]).sum()
     out = []
-    for u in range(num_users):
-        total = math.fsum(sums[u])
-        mean = total / trials
-        var = max(0.0, math.fsum(sq_sums[u]) / trials - mean * mean)
-        half = z * math.sqrt(var / trials)
-        out.append(McEstimate(mean, max(0.0, mean - half), mean + half,
-                              trials, seed))
-    return out
+    for point in range(factors.size):
+        row = []
+        for u in range(num_users):
+            mean = math.fsum(sums[point, u]) / trials
+            var = max(0.0, math.fsum(sq_sums[point, u]) / trials - mean * mean)
+            half = z * math.sqrt(var / trials)
+            row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
+                                  trials, seed))
+        out.append(row)
+    return out if np.ndim(scales) else out[0]
 
 
 def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
@@ -165,7 +190,7 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
         rng = _block_rng(seed, index)
         draws = model.sample_realization(single, rng, trials=block)
         snr = model.snr_matrix(draws, single, budget).reshape(-1)
-        hits += (snr[:, None] <= grid[None, :]).sum(axis=0)
+        hits += np.searchsorted(np.sort(snr), grid, side="right")
     return [
         McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                    trials, seed)

@@ -4,13 +4,18 @@ rank enumeration, numeric high-SNR limits and adaptive quadrature for
 the throughput integrals."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
 from cogrelay.analytic import (
+    _cdf_min_snr_floor,
+    _share_ksum,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
@@ -105,6 +110,48 @@ class TestCdfMinSnr:
         with pytest.raises(ValueError):
             cdf_min_snr(-1.0, topo(), budget_db(10, 10, 10))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_huge_threshold_saturates(self, m):
+        # finite, but (o3 x)^k (o2 l3)^m / shifted^(k+m) overflowed here
+        x = db_to_linear(3000)
+        t, b = topo(m=m), budget_db(10, 10, 10)
+        assert cdf_min_snr(x, t, b) == 1.0
+        assert _cdf_min_snr_floor(x, t, b) == 1.0
+
+
+def power_form_ksum(a, b, weights):
+    """The k-sum of the link CDF in its former power form,
+    a^m b^k w_k / (k! (a+b)^(k+m)), or None where a power or a product
+    leaves the range of normal finite floats."""
+    m = len(weights)
+    terms = []
+    for k, weight in enumerate(weights):
+        try:
+            num = a ** m * b ** k * weight
+            den = math.factorial(k) * (a + b) ** (k + m)
+        except OverflowError:
+            return None
+        if not all(sys.float_info.min <= v < math.inf for v in (num, den)):
+            return None
+        terms.append(num / den)
+    return math.fsum(terms)
+
+
+class TestShareKsum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-120, 120), st.floats(-120, 120),
+           st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    def test_matches_power_form(self, log_a, log_b, weights):
+        a, b = 10.0 ** log_a, 10.0 ** log_b
+        old = power_form_ksum(a, b, weights)
+        assume(old is not None and old >= sys.float_info.min)
+        assert _share_ksum(a, b, weights) == pytest.approx(old, rel=1e-13)
+
+    def test_huge_arguments(self):
+        # every ratio is at most 1: k = 0 keeps its full weight
+        assert _share_ksum(1e300, 1.0, [2.0, 3.0]) == pytest.approx(2.0, rel=1e-15)
+        assert _share_ksum(1.0, 1e300, [2.0, 3.0]) == 0.0
+
 
 class TestCdfKthLargest:
     def test_maximum(self):
@@ -197,6 +244,14 @@ class TestAsymptotics:
         ratio = (asymptotic_outage_case1(2 * GAMMA_TH, lam, t)
                  / asymptotic_outage_case1(GAMMA_TH, lam, t))
         assert ratio == pytest.approx(2 ** 6, rel=1e-12)
+
+    def test_case1_huge_threshold(self):
+        # the law is taken at gamma_th / snr: it overflows only where its
+        # value does, and then reads inf instead of raising
+        t, huge = topo(), db_to_linear(3000)
+        assert asymptotic_outage_case1(huge, 1.0, t) == math.inf
+        assert asymptotic_outage_case1(huge, huge, t) == pytest.approx(
+            array_gain(1.0, t), rel=1e-12)
 
     def test_array_gain_hand_formula_square_rayleigh(self):
         t = topo(2, 2, 1)

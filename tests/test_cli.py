@@ -3,19 +3,28 @@ byte determinism, exit codes."""
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from cogrelay.cli import (
     CSV_HEADER,
+    MAX_SWEEP_POINTS,
+    SCHEMES,
     ConfigError,
     SweepSpec,
+    _mc_passes,
+    _point_seed,
+    _rank_distribution,
+    evaluate_sweep,
     load_config,
     main,
     parse_config,
     run_sweep,
     run_validate,
 )
+from cogrelay.model import db_to_linear
+from cogrelay.montecarlo import BLOCK, estimate_outage, estimate_throughput
 
 MINIMAL = {
     "num_users": 2,
@@ -212,6 +221,99 @@ class TestRunSweep:
         assert len(lines) == 1 + 2 * 6
         total = sum(float(ln.split(",")[2]) for ln in lines[1:])
         assert total == pytest.approx(2.0, abs=1e-9)
+
+
+def sweep_config(**overrides):
+    """MINIMAL on a 5-point common-SNR sweep around the outage knee."""
+    sweep = {"variable": "lambda_all", "start_db": -5.0, "stop_db": 15.0,
+             "step_db": 5.0}
+    return parse_config({**MINIMAL, "sweep": sweep, **overrides})
+
+
+class TestSweepReuse:
+    """A lambda_all sweep without CSI draws its trials once, at unit power
+    on the stream of point 0, and reads every point from them."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_shared_pass_equals_per_point_path(self, scheme, shape):
+        config = sweep_config(num_users=shape[0], num_relays=shape[1],
+                              scheme=scheme)
+        self.assert_cells_equal_per_point_calls(config)
+
+    def test_shared_pass_spans_blocks(self):
+        self.assert_cells_equal_per_point_calls(sweep_config(trials=BLOCK + 1000))
+
+    @staticmethod
+    def assert_cells_equal_per_point_calls(config):
+        # same stream, budget and threshold: the same hit count per cell
+        gamma_th = db_to_linear(config.gamma_th_db)
+        seed = _point_seed(config.seed, 0)
+        for point in evaluate_sweep(config, _rank_distribution(config)):
+            assert point.mc == estimate_outage(
+                config.topology(), config.budget_at(point.sweep_db),
+                config.scheme, gamma_th, config.trials, seed), point.sweep_db
+
+    def test_throughput_shared_pass_matches_per_point_path(self):
+        config = sweep_config(nakagami_m=1, mode="throughput")
+        seed = _point_seed(config.seed, 0)
+        for point in evaluate_sweep(config, _rank_distribution(config)):
+            per_point = estimate_throughput(
+                config.topology(), config.budget_at(point.sweep_db),
+                config.scheme, config.trials, seed)
+            for shared, single in zip(point.mc, per_point):
+                assert shared.mean == pytest.approx(single.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_outage_mc_nonincreasing_in_level(self, tmp_path, scheme):
+        # common random numbers: a higher level lowers every threshold
+        config = parse_config({**MINIMAL, "scheme": scheme, "trials": 5000,
+                               "sweep": {"variable": "lambda_all", "start_db": -5.0,
+                                         "stop_db": 20.0, "step_db": 1.25}})
+        rows = [ln.split(",") for ln in
+                run_sweep(config, tmp_path / "m.csv").read_text().splitlines()[1:]]
+        for user in ("1", "2"):
+            curve = [float(row[5]) for row in rows if row[1] == user]
+            assert len(curve) == 21
+            assert all(later <= earlier for earlier, later in zip(curve, curve[1:]))
+
+    def test_csi_and_lambda2_sweeps_keep_one_pass_per_point(self):
+        csi = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
+               "error_ratio_f": 0.05}
+        lambda2 = {"variable": "lambda2", "start_db": 0.0, "stop_db": 10.0,
+                   "step_db": 5.0}
+        for config in (sweep_config(nakagami_m=1, csi=csi),
+                       parse_config({**MINIMAL, "sweep": lambda2,
+                                     "lambda1_db": 25.0, "lambda3_db": 10.0})):
+            points = config.sweep.points()
+            passes = _mc_passes(config, points)
+            assert [seed for _, seed, _ in passes] == [
+                _point_seed(config.seed, index) for index in range(len(points))]
+            assert [budget for budget, _, _ in passes] == [
+                config.budget_at(point_db) for point_db in points]
+            assert all(levels == [1.0] for _, _, levels in passes)
+
+    def test_memory_bounded_at_point_cap(self):
+        # a (points, trials) array of one 65536-trial block would take
+        # 5.2 GB as float64; only the thresholds are read from the config
+        config = parse_config({**MINIMAL, "num_users": 3, "num_relays": 4,
+                               "nakagami_m": 1,
+                               "sweep": {"variable": "lambda_all",
+                                         "start_db": -1250.0, "stop_db": 1249.75,
+                                         "step_db": 0.25}})
+        [(budget, seed, levels)] = _mc_passes(config, config.sweep.points())
+        assert len(levels) == MAX_SWEEP_POINTS
+        thresholds = [budget.threshold_snr / level for level in levels]
+        tracemalloc.start()
+        try:
+            estimates = estimate_outage(config.topology(), budget, "maxmin",
+                                        thresholds, BLOCK, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == MAX_SWEEP_POINTS
+        assert peak < 128 * 2**20
 
 
 class TestValidateMode:

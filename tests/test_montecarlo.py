@@ -65,6 +65,26 @@ class TestDeterminism:
         assert a == c
 
 
+class TestSharedTrials:
+    """A sequence of thresholds or scales is scored on one set of trials:
+    each entry equals the single-value call on the same seed."""
+
+    def test_threshold_sequence_matches_single_calls(self):
+        # 70000 trials span two blocks
+        t, b = topo(), budget_db(10, 10, 10)
+        thresholds = [0.5 * GAMMA_TH, GAMMA_TH, 4.0 * GAMMA_TH]
+        many = estimate_outage(t, b, "maxmin", thresholds, trials=70_000, seed=3)
+        assert many == [estimate_outage(t, b, "maxmin", x, trials=70_000, seed=3)
+                        for x in thresholds]
+
+    def test_scale_sequence_matches_single_call(self):
+        t, b = topo(m=1), budget_db(15, 10, 5)
+        many = estimate_throughput(t, b, "maxmin", trials=70_000, seed=6,
+                                   scales=[1.0, 10.0])
+        assert many[0] == estimate_throughput(t, b, "maxmin", trials=70_000, seed=6)
+        assert many[1][0].mean > many[0][0].mean
+
+
 class TestOutageEstimates:
     def test_zero_threshold_gives_zero(self):
         t, b = topo(), budget_db(10, 10, 10)

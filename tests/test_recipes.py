@@ -13,7 +13,7 @@ from cogrelay.cli import load_config, run_sweep
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 GOLDEN_SHA256 = {
-    "fig1": "4bda2f6b97c81cd70ccbd798d327f9950a477c937fe62716d6eaae4a19e03689",
+    "fig1": "f4bd673aa1965b7c5fcc53522082bc858c91a969ab1755cf26f677599c4fdf32",
     "fig2": "fe69a78e9f44707b832da785fc6b9110296c2f09a250aae3994b576ef099acc4",
     "fig3": "ed5ab937aed5138545f55f77fd6a8dd7141b674e9d2bcfcada1c6cdef141c2ad",
     "fig4": "0c0faf850e4b8e77fa0088c7e1670c412ee255e68c9d27bc9c9e34bfc2c2e07c",
