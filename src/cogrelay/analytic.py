@@ -5,7 +5,10 @@ user-relay end-to-end SNR (exact, high-SNR and imperfect-CSI variants)
 and the alternating-sum CDF of the k-th largest among M*N i.i.d.
 entries, mixed over the rank-placement distribution of the selection
 scheme.  The average-throughput expression additionally needs a family
-of exponential-type integrals evaluated by closed recursions.
+of exponential-type integrals evaluated by closed recursions; its
+alternating sum over orders t = 1..M*N reads one j-sum per t, built from
+one row h(0..t) with one e^p Ei(-p) per argument, and raises
+:class:`CancellationError` when it cancels by more than 1e8.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
 
 
 class CancellationError(ArithmeticError):
-    """The alternating order-statistic sum lost too many digits."""
+    """An alternating sum (the order-statistic CDF or the throughput
+    expansion) lost too many digits."""
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +296,74 @@ def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
 # ---------------------------------------------------------------------------
 
 _TAYLOR_WINDOW = 0.25  # |d-1| below this: expand around the d=1 kernel
+# bound on sum |pieces| / |sum pieces| in average_throughput: about 8 of
+# the 16 digits are lost there.  Max-min rank weights stay below it up to
+# 4x5 and exceed it at 4x6 and beyond
+_MAX_CANCELLATION = 1e8
 
 
-def _h_unit(j: int, p: float) -> float:
-    """integral of e^-(p x) / (x+1)^(j+1) over x >= 0.
+def _h_unit(j: int, p: float, e: float) -> float:
+    """integral of e^-(p x) / (x+1)^(j+1) over x >= 0, given
+    e = e^p Ei(-p).
 
     Rearranged closed form sum_{s<j} (j-s-1)! (-p)^s / j!  plus the
     exponential-integral tail ((-p)^j / j!) * h(0); no factor here can
     overflow for the shapes this package meets.
     """
     if j == 0:
-        return -exp_scaled_ei(p)
+        return -e
     terms = []
     term = 1.0 / j  # s = 0: (j-1)!/j!
     for s in range(j):
         terms.append(term)
         if s < j - 1:
             term *= -p / (j - s - 1)
-    tail = term * -p * -exp_scaled_ei(p)  # term now (-p)^(j-1) 0! / j!
+    tail = term * -p * -e  # term now (-p)^(j-1) 0! / j!
     terms.append(tail)
     return math.fsum(terms)
+
+
+def _h_row(t: int, at: float, d: float) -> list[float]:
+    """[h(0), ..., h(t)] of :func:`h_integral` at one (at, d), with one
+    e^p Ei(-p) per argument p = at and p = d at.
+
+    Outside the Taylor window the partial-fraction terms of h(j) are the
+    first j of those of h(j+1), so the whole row costs no more than its
+    last entry; inside it each j sums its own series in (d-1).
+    """
+    if not at > 0:
+        raise ValueError(f"at must be > 0, got {at}")
+    if not d > 0:
+        raise ValueError(f"d must be > 0, got {d}")
+    e = exp_scaled_ei(at)
+    row = [_h_unit(0, at, e)]
+    delta = d - 1.0
+    if abs(delta) < _TAYLOR_WINDOW:
+        for j in range(1, t + 1):
+            total = 0.0
+            coeff = 1.0  # (-delta)^s * C(j+s-1, s)
+            for s in range(200):
+                term = coeff * _h_unit(j + s, at, e)
+                total += term
+                if abs(term) < 1e-17 * abs(total):
+                    break
+                coeff *= -delta * (j + s) / (s + 1)
+            row.append(total)
+        return row
+    if t == 0:
+        return row
+    w = exp_scaled_ei(d * at)
+    terms = [row[0] + w]
+    inner = [-w]
+    outer = 1.0  # (-at)^r (d-1)^r / r!
+    fac = 1.0  # (r-1)! / (-d at)^r
+    for r in range(1, t):
+        outer *= -at * delta / r
+        fac *= (r - 1 if r > 1 else 1) / (-d * at)
+        inner.append(fac)
+        terms.append(-outer * math.fsum(inner))
+    row.extend(math.fsum(terms[:j]) / delta ** j for j in range(1, t + 1))
+    return row
 
 
 def h_integral(j: int, at: float, d: float) -> float:
@@ -325,37 +377,8 @@ def h_integral(j: int, at: float, d: float) -> float:
     """
     if j != int(j) or j < 0:
         raise ValueError(f"j must be an integer >= 0, got {j!r}")
-    if not at > 0:
-        raise ValueError(f"at must be > 0, got {at}")
-    if not d > 0:
-        raise ValueError(f"d must be > 0, got {d}")
     j = int(j)
-    if j == 0:
-        return _h_unit(0, at)
-    delta = d - 1.0
-    if abs(delta) < _TAYLOR_WINDOW:
-        total = 0.0
-        coeff = 1.0  # (-delta)^s * C(j+s-1, s)
-        for s in range(200):
-            term = coeff * _h_unit(j + s, at)
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                break
-            coeff *= -delta * (j + s) / (s + 1)
-        return total
-    w = exp_scaled_ei(d * at)
-    h0 = _h_unit(0, at)
-    terms = [h0 + w]
-    outer = 1.0  # (-at)^r (d-1)^r / r!
-    for r in range(1, j):
-        outer *= -at * delta / r
-        inner = [-w]
-        fac = 1.0  # (l-1)! / (-d at)^l
-        for l in range(1, r + 1):
-            fac *= (l - 1 if l > 1 else 1) / (-d * at)
-            inner.append(fac)
-        terms.append(-outer * math.fsum(inner))
-    return math.fsum(terms) / delta ** j
+    return _h_row(j, at, d)[j]
 
 
 def _throughput_params(topology: NetworkTopology, budget: LinkBudget):
@@ -390,8 +413,13 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
     fading, including the 1/(2M) half-duplex orthogonal-slot penalty.
 
     Expands the complementary CDF of the selected SNR over order
-    statistics (weighted by the rank-placement probabilities) and
-    integrates each power term against 1/(1+x) via :func:`h_integral`.
+    statistics (weighted by the rank-placement probabilities) into
+    alternating pieces, one per rank k and order t = k + i.  Each piece
+    integrates a power of the link CCDF against 1/(1+x), a j-sum over
+    h(j, a t, d) that depends on t alone, so it is built once per t from
+    one :func:`_h_row`.  The pieces cancel as M*N grows: when their
+    absolute sum exceeds the result by more than ``_MAX_CANCELLATION``,
+    :class:`CancellationError` is raised instead of a wrong number.
     """
     if topology.nakagami_m != 1:
         raise ValueError("closed-form throughput requires nakagami_m == 1")
@@ -399,7 +427,11 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
     probs = _pk_vector(pk, num_users, num_relays)
     mn = num_users * num_relays
     a, b, c, d = _throughput_params(topology, budget)
-    h_cache: dict[tuple[int, int], float] = {}
+    jsum = [0.0]  # indexed by t; t = 0 never occurs
+    for t in range(1, mn + 1):
+        h = _h_row(t, a * t, d)
+        jsum.append(math.fsum(math.comb(t, j) * b ** (t - j) * c ** j * h[j]
+                              for j in range(t + 1)))
     pieces = []
     for k, p in enumerate(probs, start=1):
         if p <= 0.0:
@@ -409,11 +441,14 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
             log_coeff = (math.lgamma(mn + 1) - math.log(t) - math.lgamma(k)
                          - math.lgamma(i + 1) - math.lgamma(mn - k - i + 1))
             sign = -1.0 if i % 2 else 1.0
-            inner = math.fsum(
-                math.comb(t, j) * b ** (t - j) * c ** j
-                * h_cache.setdefault((j, t), h_integral(j, a * t, d))
-                for j in range(t + 1)
-            )
-            pieces.append(sign * p * math.exp(log_coeff) * inner)
-    value = math.fsum(pieces) / (2.0 * num_users * math.log(2.0))
+            pieces.append(sign * p * math.exp(log_coeff) * jsum[t])
+    total = math.fsum(pieces)
+    magnitude = math.fsum(abs(piece) for piece in pieces)
+    if magnitude > _MAX_CANCELLATION * abs(total):
+        kappa = magnitude / abs(total) if total else math.inf
+        raise CancellationError(
+            f"throughput sum cancels: sum |pieces| / |sum| = {kappa:.3g} > "
+            f"{_MAX_CANCELLATION:.0e} for M={num_users}, N={num_relays}"
+        )
+    value = total / (2.0 * num_users * math.log(2.0))
     return max(0.0, value)

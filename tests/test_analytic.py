@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
+from cogrelay import analytic
 from cogrelay.analytic import (
+    _TAYLOR_WINDOW,
+    CancellationError,
     _cdf_min_snr_floor,
+    _h_row,
     _share_ksum,
+    _throughput_params,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
@@ -358,6 +363,21 @@ class TestImperfectCsi:
         assert all(later > earlier for earlier, later in zip(floors, floors[1:]))
 
 
+def kth_largest_ccdf(cdf_value, ccdf_value, k, n):
+    """P(k-th largest of n i.i.d. > x) = 1 - sum_{j>=n-k+1} C(n,j)
+    F^j (1-F)^(n-j), taken as the complementary binomial sum over
+    j <= n-k: every term is positive, so nothing cancels."""
+    return math.fsum(math.comb(n, j) * cdf_value ** j * ccdf_value ** (n - j)
+                     for j in range(n - k + 1))
+
+
+def max_min_support_pk(num_users, num_relays):
+    """Equal weight on every rank a max-min selected SNR can take,
+    1..(M-1)N+1."""
+    support = (num_users - 1) * num_relays + 1
+    return [1.0 / support] * support
+
+
 def h_quad(j, at, d):
     val, _ = integrate.quad(
         lambda x: math.exp(-at * x) / ((x + 1.0) * (x + d) ** j), 0.0, np.inf,
@@ -390,6 +410,16 @@ class TestHIntegral:
             for j in (1, 2, 5):
                 assert h_integral(j, 1.3, d) == pytest.approx(
                     h_quad(j, 1.3, d), rel=1e-9), (j, d)
+
+    @pytest.mark.parametrize("d", [0.8, 0.95, 1.0, 1.1, 1.2, 0.5, 1.3, 4.0])
+    def test_equals_row_entry(self, d):
+        # inside the Taylor window (|d-1| < 0.25) and outside it
+        for at in (0.2, 3.0):
+            for t in range(13):
+                row = _h_row(t, at, d)
+                assert len(row) == t + 1
+                for j in range(t + 1):
+                    assert h_integral(j, at, d) == row[j], (j, t, at, d)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -429,6 +459,59 @@ class TestAverageThroughput:
                                 limit=800, epsabs=1e-13, epsrel=1e-12)
         ref /= 2 * 2 * math.log(2)
         assert closed == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("l3", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (25.0, 10.0)])
+    def test_taylor_window_vs_quadrature(self, shape, l3, l1, l2):
+        # unit gains make d the linear interference cap: 1, 1.122, 0.891
+        num_users, num_relays = shape
+        mn = num_users * num_relays
+        t = topo(num_users, num_relays, 1)
+        b = budget_db(l1, l2, l3)
+        a, bb, c, d = _throughput_params(t, b)
+        assert abs(d - 1.0) < _TAYLOR_WINDOW
+        pk = (rank_placement_probs(num_users, num_relays, "maxmin", "exact").probs
+              if mn <= 10 else max_min_support_pk(num_users, num_relays))
+        closed = average_throughput(t, b, pk)
+
+        def integrand(x):
+            miss = math.exp(-a * x) * (bb + c / (x + d))  # 1 - link CDF
+            return math.fsum(p * kth_largest_ccdf(1.0 - miss, miss, k, mn)
+                             for k, p in enumerate(pk, start=1) if p > 0) / (1 + x)
+
+        ref, _ = integrate.quad(integrand, 0.0, np.inf, limit=800,
+                                epsabs=0.0, epsrel=1e-13)
+        ref /= 2 * num_users * math.log(2)
+        assert closed == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 4)])
+    @pytest.mark.parametrize("l3", [10.0, 0.0])
+    def test_one_exp_scaled_ei_per_argument(self, shape, l3, monkeypatch):
+        # a t and d a t for t = 1..MN: at most 2 MN evaluations
+        calls = []
+        original = analytic.exp_scaled_ei
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(analytic, "exp_scaled_ei", counting)
+        t = topo(*shape, 1)
+        average_throughput(t, budget_db(25, 10, l3), max_min_support_pk(*shape))
+        assert 0 < len(calls) <= 2 * shape[0] * shape[1]
+
+    @pytest.mark.parametrize("l2", [0.0, 10.0, 30.0, 60.0])
+    def test_cancellation_guard(self, l2):
+        # the alternating pieces cancel by about 2e2 at 2x4, 8e3 at 3x4,
+        # 6e8 or more at 4x6 and 3e11 or more at 5x6 with this rank law
+        b = budget_db(25, l2, 10)
+        for shape in ((2, 4), (3, 4)):
+            assert average_throughput(topo(*shape, 1), b,
+                                      max_min_support_pk(*shape)) > 0.0
+        for shape in ((4, 6), (5, 6)):
+            with pytest.raises(CancellationError, match="throughput sum"):
+                average_throughput(topo(*shape, 1), b, max_min_support_pk(*shape))
 
     def test_rejects_nonrayleigh(self):
         with pytest.raises(ValueError, match="nakagami_m == 1"):
