@@ -34,7 +34,6 @@ from .model import (
 )
 from .montecarlo import (
     McEstimate,
-    estimate_cdf,
     estimate_outage,
     estimate_throughput,
     two_proportion_z,

@@ -393,20 +393,6 @@ def _throughput_params(topology: NetworkTopology, budget: LinkBudget):
     return a, b, c, d
 
 
-def cdf_min_snr_rayleigh(x: float, topology: NetworkTopology,
-                         budget: LinkBudget) -> float:
-    """Rayleigh-fading single-link CDF in the compact 1 - e^-(ax)
-    (b + c/(x+d)) form; equal to :func:`cdf_min_snr` with shape 1."""
-    if topology.nakagami_m != 1:
-        raise ValueError("compact Rayleigh CDF requires nakagami_m == 1")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    a, b, c, d = _throughput_params(topology, budget)
-    return 1.0 - math.exp(-a * x) * (b + c / (x + d))
-
-
 def average_throughput(topology: NetworkTopology, budget: LinkBudget,
                        pk) -> float:
     """Average per-user throughput (bits per channel use) under Rayleigh

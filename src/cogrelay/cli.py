@@ -14,11 +14,12 @@ not apply to the mode at hand stay empty.  Output bytes are a pure
 function of the config and seed.
 
 Sweep and validate read every point from one evaluator,
-:func:`evaluate_sweep`.  A common-SNR (``lambda_all``) sweep without CSI
-draws its Monte Carlo trials once, at unit power on the stream of point
-0, and reads every point from them, so its Monte Carlo cells are
-correlated between points; every other sweep draws fresh trials per
-point from a stream derived from (seed, point index).
+:func:`evaluate_sweep`.  Every sweep draws its Monte Carlo trials once,
+on the stream of point 0, and reads every point from them, so its Monte
+Carlo cells are correlated between points.  A common-SNR
+(``lambda_all``) sweep without CSI scores every point on one unit-power
+SNR matrix; every other sweep builds each point's SNR matrix from the
+same channel draws.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def _point_seed(seed: int, index: int) -> int:
 
 
 def _rank_distribution(config: ExperimentConfig) -> RankPlacementDistribution:
-    if config.num_users * config.num_relays <= EXACT_ENUM_LIMIT:
+    if (config.scheme == "random"
+            or config.num_users * config.num_relays <= EXACT_ENUM_LIMIT):
         return rank_placement_probs(config.num_users, config.num_relays,
                                     config.scheme, method="exact")
     return rank_placement_probs(
@@ -302,45 +304,43 @@ class PointResult:
     mc: list[montecarlo.McEstimate]
 
 
-def _mc_passes(config: ExperimentConfig, points: list[float]):
-    """(budget, seed, levels) of each Monte Carlo pass of the sweep, one
-    level per sweep point it serves.
+def _mc_points(config: ExperimentConfig, points: list[float]):
+    """The Monte Carlo budget of each sweep point and the level its
+    selected SNRs are scaled by.
 
     Without CSI every SNR of a ``lambda_all`` sweep is the swept level
     times the SNR at unit power, and every scheme depends only on the
-    rank order of the SNRs.  So one pass at unit power, on the stream of
-    point 0, serves the whole sweep: outage at level λ counts the
-    unit-power SNRs at or below γ_th/λ, and throughput takes the rate at
-    λ times them.  Every other sweep runs one pass per point, on that
-    point's stream, at level 1.
+    rank order of the SNRs.  So every point of such a sweep uses the
+    unit-power budget: outage at level λ counts the unit-power SNRs at
+    or below γ_th/λ, and throughput takes the rate at λ times them.
+    Every other point uses its own budget at level 1.
     """
     if config.sweep.variable == "lambda_all" and config.csi is None:
         unit = LinkBudget(1.0, 1.0, 1.0, db_to_linear(config.gamma_th_db))
-        return [(unit, _point_seed(config.seed, 0),
-                 [db_to_linear(point_db) for point_db in points])]
-    return [(config.budget_at(point_db), _point_seed(config.seed, index), [1.0])
-            for index, point_db in enumerate(points)]
+        return [unit] * len(points), [db_to_linear(point_db) for point_db in points]
+    return [config.budget_at(point_db) for point_db in points], [1.0] * len(points)
 
 
 def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
                    z: float = 1.96) -> list[PointResult]:
     """Closed forms and their Monte Carlo cross-check (interval at
     ``z``) at every sweep point; ``pk`` is the run's rank-placement
-    distribution."""
+    distribution.  The Monte Carlo side is one estimator call on the
+    stream of point 0."""
     topology, csi = config.topology(), config.csi_model()
     gamma_th = db_to_linear(config.gamma_th_db)
     points = config.sweep.points()
-    mc = []
-    for budget, seed, levels in _mc_passes(config, points):
-        if config.mode == "throughput":
-            mc += montecarlo.estimate_throughput(
-                topology, budget, config.scheme, config.trials, seed, z=z,
-                scales=levels)
-        else:
-            mc += montecarlo.estimate_outage(
-                topology, budget, config.scheme,
-                [gamma_th / level for level in levels], config.trials, seed,
-                z=z, csi=csi)
+    budgets, levels = _mc_points(config, points)
+    seed = _point_seed(config.seed, 0)
+    if config.mode == "throughput":
+        mc = montecarlo.estimate_throughput(
+            topology, budgets, config.scheme, config.trials, seed, z=z,
+            scales=levels)
+    else:
+        mc = montecarlo.estimate_outage(
+            topology, budgets, config.scheme,
+            [gamma_th / level for level in levels], config.trials, seed,
+            z=z, csi=csi)
     return [_closed_forms(config, point_db, pk, estimates)
             for point_db, estimates in zip(points, mc)]
 
@@ -431,10 +431,12 @@ def _mc_verdict(exact: float, est: montecarlo.McEstimate) -> tuple[str, str]:
     width = est.ci_high - est.ci_low
     detail = (f"exact={exact:.6g} mc={est.mean:.6g} "
               f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}]")
-    if est.ci_low <= exact <= est.ci_high:
-        return "PASS", detail
+    # an interval wider than half the value resolves nothing, even when
+    # it holds the value
     if width > 0.5 * max(exact, 1e-300):
         return "INCONCLUSIVE", detail + " (CI too wide)"
+    if est.ci_low <= exact <= est.ci_high:
+        return "PASS", detail
     return "FAIL", detail
 
 

@@ -3,7 +3,7 @@
 All transmit powers are carried as ratios to the receiver noise power
 (linear SNR-like quantities), so the absolute noise level never appears
 at runtime.  Conversion from dB happens once, at the configuration
-boundary (see :func:`db_to_linear` and :meth:`LinkBudget.from_db`).
+boundary (see :func:`db_to_linear`).
 """
 
 from __future__ import annotations
@@ -107,15 +107,6 @@ class LinkBudget:
                      "threshold_snr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    @classmethod
-    def from_db(cls, source_db, relay_cap_db, interference_cap_db, threshold_db):
-        return cls(
-            source_snr=db_to_linear(source_db),
-            relay_snr_cap=db_to_linear(relay_cap_db),
-            interference_snr_cap=db_to_linear(interference_cap_db),
-            threshold_snr=db_to_linear(threshold_db),
-        )
 
 
 @dataclass(frozen=True)

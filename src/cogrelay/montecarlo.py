@@ -7,13 +7,14 @@ might be scheduled across workers -- and block outputs are integer
 counts or compensated partial sums, so aggregation order cannot change
 the answer either.
 
-The outage and throughput estimators also score a sequence of outage
-thresholds or SNR scales on the same trials.  A sweep whose SNRs are all
-one level times a fixed unit-power matrix (a common-SNR sweep without
-CSI) then needs a single pass: its points share one random stream, so
-their estimates are correlated, and each block sorts its selected SNRs
-once so that every threshold costs one binary search rather than a
-pass over the trials.
+The outage and throughput estimators score a whole sweep in one call:
+each point has a link budget and an outage threshold (or SNR scale).
+Each block draws its channel gains once; then, once per distinct
+budget, it builds the SNR matrix, assigns, and scores every point of
+that budget.  All points thus share one random stream, so their
+estimates are correlated.  Each block sorts a budget's selected SNRs
+once, so every threshold costs one binary search rather than a pass
+over the trials.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "two_proportion_z",
     "estimate_outage",
     "estimate_throughput",
-    "estimate_cdf",
 ]
 
 BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
@@ -90,16 +90,53 @@ def two_proportion_z(successes_a: int, successes_b: int, trials: int) -> float:
     return (pa - pb) / math.sqrt(var)
 
 
-def _trial_snrs(topology: NetworkTopology, budget: LinkBudget, rng, block: int,
-                csi: CsiErrorModel | None) -> np.ndarray:
-    if csi is None:
-        draws = model.sample_realization(topology, rng, trials=block)
-        return model.snr_matrix(draws, topology, budget)
-    draws = model.sample_estimated_realization(topology, csi, rng, trials=block)
-    return model.snr_matrix_imperfect(draws, csi, topology, budget)
+def _per_point(budget, values):
+    """Each point's budget and threshold (or scale); a single budget
+    serves every point."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    budgets = ([budget] * values.size if isinstance(budget, LinkBudget)
+               else list(budget))
+    if len(budgets) != values.size:
+        raise ValueError(f"{len(budgets)} budgets do not pair with "
+                         f"{values.size} thresholds or scales")
+    return budgets, values
 
 
-def estimate_outage(topology: NetworkTopology, budget: LinkBudget, scheme: str,
+def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
+                   trials: int, seed: int, csi: CsiErrorModel | None = None):
+    """Yield ``(block index, points, selected SNRs)``, once per block and
+    distinct budget, where ``points`` indexes the budgets equal to it.
+
+    Each block draws its channel gains once; every budget then builds
+    its own SNR matrix from those gains and assigns from the same
+    generator state, so the points share their random numbers.
+    """
+    groups: dict[LinkBudget, list[int]] = {}
+    for point, budget in enumerate(budgets):
+        groups.setdefault(budget, []).append(point)
+    last = next(reversed(groups))
+    for index, block in _blocks(trials):
+        rng = _block_rng(seed, index)
+        if csi is None:
+            draws = model.sample_realization(topology, rng, trials=block)
+        else:
+            draws = model.sample_estimated_realization(topology, csi, rng,
+                                                       trials=block)
+        state = rng.bit_generator.state
+        for budget, points in groups.items():
+            rng.bit_generator.state = state
+            if csi is None:
+                snrs = model.snr_matrix(draws, topology, budget)
+            else:
+                snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
+            if budget is last:
+                del draws  # not held while the block's last budget assigns
+            _, eff, _ = selection.assign_batch(scheme, snrs, rng)
+            del snrs  # not held while the caller scores
+            yield index, points, eff
+
+
+def estimate_outage(topology: NetworkTopology, budget, scheme: str,
                     gamma_th, trials: int, seed: int, z: float = 1.96,
                     csi: CsiErrorModel | None = None):
     """Per-user empirical outage probability with a Wilson interval.
@@ -109,20 +146,20 @@ def estimate_outage(topology: NetworkTopology, budget: LinkBudget, scheme: str,
     threshold.  Pass ``csi`` to sample estimated channels and score the
     imperfect-CSI SNR matrix instead.
 
-    ``gamma_th`` is one threshold, giving one estimate per user, or a
-    sequence of thresholds, giving one such per-user list per threshold,
-    all counted on the same trials.
+    One threshold gives one estimate per user.  A sequence of thresholds
+    gives one such per-user list per threshold, all counted on the same
+    trials; ``budget`` is then one budget for all of them or a sequence
+    of budgets paired with them point by point.
     """
     _check_trials(trials)
-    thresholds = np.atleast_1d(np.asarray(gamma_th, dtype=float))
-    hits = np.zeros((thresholds.size, topology.num_users), dtype=np.int64)
-    for index, block in _blocks(trials):
-        rng = _block_rng(seed, index)
-        snrs = _trial_snrs(topology, budget, rng, block, csi)
-        _, eff, _ = selection.assign_batch(scheme, snrs, rng)
+    budgets, thresholds = _per_point(budget, gamma_th)
+    hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
+    for _, points, eff in _selected_snrs(topology, budgets, scheme, trials,
+                                         seed, csi):
         # trials at or below a threshold = its right insertion point
         for user, column in enumerate(np.sort(eff.T, axis=1)):
-            hits[:, user] += np.searchsorted(column, thresholds, side="right")
+            hits[points, user] += np.searchsorted(column, thresholds[points],
+                                                  side="right")
     out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                        trials, seed)
             for h in row]
@@ -130,33 +167,29 @@ def estimate_outage(topology: NetworkTopology, budget: LinkBudget, scheme: str,
     return out if np.ndim(gamma_th) else out[0]
 
 
-def estimate_throughput(topology: NetworkTopology, budget: LinkBudget,
-                        scheme: str, trials: int, seed: int,
-                        z: float = 1.96, scales=1.0):
+def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
+                        trials: int, seed: int, z: float = 1.96, scales=1.0):
     """Per-user empirical average throughput (bits per channel use) with
     a normal-approximation interval.
 
     The rate of a trial is taken at ``scales`` times its selected SNR.
-    One scale gives one estimate per user; a sequence of scales gives
-    one such per-user list per scale, all averaged over the same trials.
+    Budgets and scales pair up as the budgets and thresholds of
+    :func:`estimate_outage` do.
     """
     _check_trials(trials)
     num_users = topology.num_users
-    factors = np.atleast_1d(np.asarray(scales, dtype=float))
-    blocks = list(_blocks(trials))
-    sums = np.zeros((factors.size, num_users, len(blocks)))
+    budgets, factors = _per_point(budget, scales)
+    sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
     sq_sums = np.zeros_like(sums)
-    for index, block in blocks:
-        rng = _block_rng(seed, index)
-        snrs = _trial_snrs(topology, budget, rng, block, None)
-        _, eff, _ = selection.assign_batch(scheme, snrs, rng)
-        for point, factor in enumerate(factors):
-            tau = np.log2(1.0 + factor * eff) / (2.0 * num_users)
+    for index, points, eff in _selected_snrs(topology, budgets, scheme,
+                                             trials, seed):
+        for point in points:
+            tau = np.log2(1.0 + factors[point] * eff) / (2.0 * num_users)
             for u in range(num_users):
                 sums[point, u, index] = tau[:, u].sum()
                 sq_sums[point, u, index] = np.square(tau[:, u]).sum()
     out = []
-    for point in range(factors.size):
+    for point in range(len(budgets)):
         row = []
         for u in range(num_users):
             mean = math.fsum(sums[point, u]) / trials
@@ -166,33 +199,3 @@ def estimate_throughput(topology: NetworkTopology, budget: LinkBudget,
                                   trials, seed))
         out.append(row)
     return out if np.ndim(scales) else out[0]
-
-
-def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
-                 trials: int, seed: int, z: float = 1.96) -> list[McEstimate]:
-    """Empirical CDF of a single user-relay link SNR on an ascending
-    grid (the cross-check oracle for the closed-form link CDF)."""
-    _check_trials(trials)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
-    single = NetworkTopology(
-        num_users=1, num_relays=1, nakagami_m=topology.nakagami_m,
-        mean_gain_hop1=topology.mean_gain_hop1,
-        mean_gain_hop2=topology.mean_gain_hop2,
-        mean_gain_interf=topology.mean_gain_interf,
-        dist_hop1=topology.dist_hop1, dist_hop2=topology.dist_hop2,
-        dist_interf=topology.dist_interf,
-        path_loss_exp=topology.path_loss_exp,
-    )
-    hits = np.zeros(len(grid), dtype=np.int64)
-    for index, block in _blocks(trials):
-        rng = _block_rng(seed, index)
-        draws = model.sample_realization(single, rng, trials=block)
-        snr = model.snr_matrix(draws, single, budget).reshape(-1)
-        hits += np.searchsorted(np.sort(snr), grid, side="right")
-    return [
-        McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
-                   trials, seed)
-        for h in hits
-    ]

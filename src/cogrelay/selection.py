@@ -41,8 +41,9 @@ _MAX_ASSIGNMENT_TABLE = 40320
 EXACT_ENUM_LIMIT = 10  # enumerate (M*N)! rank permutations only up to here
 
 # Max-min keys are computed for at most this many (trial, map) pairs at
-# a time; a 65536-trial block at 3x4 (24 maps) is one chunk.
-_CHUNK_ELEMENTS = 1 << 21
+# a time (10922 trials at 3x4, 24 maps), so that assigning adds little
+# to a Monte Carlo block's channel draws, which stay held across budgets.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,8 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     """Rank-placement distribution of a scheme, per user.
 
     ``method='exact'`` enumerates all (M*N)! rank permutations (allowed
-    only while M*N <= 10); ``method='monte-carlo'`` samples ``trials``
+    only while M*N <= 10; under ``random`` the rank is uniform on 1..M*N
+    at every shape); ``method='monte-carlo'`` samples ``trials``
     i.i.d. matrices instead.  Both run the scheme on rank patterns only,
     which is exact because every scheme here is invariant to monotone
     transformations of the entries.
@@ -250,17 +252,17 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     counts = np.zeros((num_users, mn), dtype=np.int64)
 
     if method == "exact":
-        if mn > EXACT_ENUM_LIMIT:
-            raise ValueError(
-                f"exact enumeration of {mn}! rank permutations is not "
-                f"feasible (limit M*N <= {EXACT_ENUM_LIMIT}); use monte-carlo"
-            )
         if scheme == "random":
             # the pick is independent of the values, so the chosen entry is
             # a fixed i.i.d. entry: its rank is uniform on 1..mn
             per_user = np.full((num_users, mn), 1.0 / mn)
             return RankPlacementDistribution(num_users, num_relays, scheme,
                                              "exact-enumeration", 0, per_user)
+        if mn > EXACT_ENUM_LIMIT:
+            raise ValueError(
+                f"exact enumeration of {mn}! rank permutations is not "
+                f"feasible (limit M*N <= {EXACT_ENUM_LIMIT}); use monte-carlo"
+            )
         total = math.factorial(mn)
         chunk = 40960
         perms = itertools.permutations(range(mn))

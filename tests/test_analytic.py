@@ -28,7 +28,6 @@ from cogrelay.analytic import (
     cdf_kth_largest,
     cdf_min_snr,
     cdf_min_snr_imperfect,
-    cdf_min_snr_rayleigh,
     g_factor,
     h_integral,
     outage_floor_imperfect,
@@ -38,6 +37,7 @@ from cogrelay.analytic import (
 )
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.selection import rank_placement_probs
+from oracles import budget_db, cdf_min_snr_rayleigh
 
 GAMMA_TH = db_to_linear(5.0)
 
@@ -45,10 +45,6 @@ GAMMA_TH = db_to_linear(5.0)
 def topo(num_users=2, num_relays=3, m=2, **kw):
     kw.setdefault("path_loss_exp", 0.0)
     return NetworkTopology(num_users, num_relays, m, **kw)
-
-
-def budget_db(l1, l2, l3, gth=5.0):
-    return LinkBudget.from_db(l1, l2, l3, gth)
 
 
 def cdf_conditional_oracle(x, topology, budget):

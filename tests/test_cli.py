@@ -5,15 +5,18 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from cogrelay import model
 from cogrelay.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
     SCHEMES,
     ConfigError,
     SweepSpec,
-    _mc_passes,
+    _mc_points,
+    _mc_verdict,
     _point_seed,
     _rank_distribution,
     evaluate_sweep,
@@ -24,7 +27,12 @@ from cogrelay.cli import (
     run_validate,
 )
 from cogrelay.model import db_to_linear
-from cogrelay.montecarlo import BLOCK, estimate_outage, estimate_throughput
+from cogrelay.montecarlo import (
+    BLOCK,
+    McEstimate,
+    estimate_outage,
+    estimate_throughput,
+)
 
 MINIMAL = {
     "num_users": 2,
@@ -230,9 +238,16 @@ def sweep_config(**overrides):
     return parse_config({**MINIMAL, "sweep": sweep, **overrides})
 
 
+CSI = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05, "error_ratio_f": 0.05}
+LAMBDA2 = {"sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 20.0,
+                     "step_db": 5.0},
+           "lambda1_db": 25.0, "lambda3_db": 10.0}
+
+
 class TestSweepReuse:
-    """A lambda_all sweep without CSI draws its trials once, at unit power
-    on the stream of point 0, and reads every point from them."""
+    """Every sweep draws its trials once, on the stream of point 0, and
+    reads every point from them; a lambda_all sweep without CSI does so
+    at unit power."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3)],
@@ -245,6 +260,15 @@ class TestSweepReuse:
     def test_shared_pass_spans_blocks(self):
         self.assert_cells_equal_per_point_calls(sweep_config(trials=BLOCK + 1000))
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", ["csi", "lambda2"])
+    @pytest.mark.parametrize("trials", [2000, BLOCK + 1000])
+    def test_budget_sweep_equals_one_budget_calls(self, scheme, kind, trials):
+        # each point reads its own budget from the shared draws
+        overrides = {"csi": CSI} if kind == "csi" else LAMBDA2
+        self.assert_cells_equal_per_point_calls(
+            sweep_config(nakagami_m=1, scheme=scheme, trials=trials, **overrides))
+
     @staticmethod
     def assert_cells_equal_per_point_calls(config):
         # same stream, budget and threshold: the same hit count per cell
@@ -253,7 +277,8 @@ class TestSweepReuse:
         for point in evaluate_sweep(config, _rank_distribution(config)):
             assert point.mc == estimate_outage(
                 config.topology(), config.budget_at(point.sweep_db),
-                config.scheme, gamma_th, config.trials, seed), point.sweep_db
+                config.scheme, gamma_th, config.trials, seed,
+                csi=config.csi_model()), point.sweep_db
 
     def test_throughput_shared_pass_matches_per_point_path(self):
         config = sweep_config(nakagami_m=1, mode="throughput")
@@ -264,6 +289,34 @@ class TestSweepReuse:
                 config.scheme, config.trials, seed)
             for shared, single in zip(point.mc, per_point):
                 assert shared.mean == pytest.approx(single.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive"])
+    @pytest.mark.parametrize("trials", [2000, BLOCK + 1000])
+    def test_lambda2_throughput_equals_one_budget_calls(self, scheme, trials):
+        config = sweep_config(nakagami_m=1, mode="throughput", scheme=scheme,
+                              trials=trials, **LAMBDA2)
+        seed = _point_seed(config.seed, 0)
+        for point in evaluate_sweep(config, _rank_distribution(config)):
+            assert point.mc == estimate_throughput(
+                config.topology(), config.budget_at(point.sweep_db),
+                config.scheme, config.trials, seed), point.sweep_db
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("overrides", [
+        {}, {"csi": CSI}, LAMBDA2, {"mode": "throughput", **LAMBDA2},
+    ], ids=["lambda_all", "csi", "lambda2", "lambda2-throughput"])
+    def test_one_draw_per_block(self, monkeypatch, scheme, overrides):
+        config = sweep_config(nakagami_m=1, scheme=scheme, trials=BLOCK + 1000,
+                              **overrides)
+        pk = _rank_distribution(config)
+        draws = []
+        for name in ("sample_realization", "sample_estimated_realization"):
+            def counted(*args, _sample=getattr(model, name), **kwargs):
+                draws.append(kwargs["trials"])
+                return _sample(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        evaluate_sweep(config, pk)
+        assert draws == [BLOCK, 1000]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_outage_mc_nonincreasing_in_level(self, tmp_path, scheme):
@@ -278,22 +331,6 @@ class TestSweepReuse:
             assert len(curve) == 21
             assert all(later <= earlier for earlier, later in zip(curve, curve[1:]))
 
-    def test_csi_and_lambda2_sweeps_keep_one_pass_per_point(self):
-        csi = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
-               "error_ratio_f": 0.05}
-        lambda2 = {"variable": "lambda2", "start_db": 0.0, "stop_db": 10.0,
-                   "step_db": 5.0}
-        for config in (sweep_config(nakagami_m=1, csi=csi),
-                       parse_config({**MINIMAL, "sweep": lambda2,
-                                     "lambda1_db": 25.0, "lambda3_db": 10.0})):
-            points = config.sweep.points()
-            passes = _mc_passes(config, points)
-            assert [seed for _, seed, _ in passes] == [
-                _point_seed(config.seed, index) for index in range(len(points))]
-            assert [budget for budget, _, _ in passes] == [
-                config.budget_at(point_db) for point_db in points]
-            assert all(levels == [1.0] for _, _, levels in passes)
-
     def test_memory_bounded_at_point_cap(self):
         # a (points, trials) array of one 65536-trial block would take
         # 5.2 GB as float64; only the thresholds are read from the config
@@ -302,18 +339,45 @@ class TestSweepReuse:
                                "sweep": {"variable": "lambda_all",
                                          "start_db": -1250.0, "stop_db": 1249.75,
                                          "step_db": 0.25}})
-        [(budget, seed, levels)] = _mc_passes(config, config.sweep.points())
+        budgets, levels = _mc_points(config, config.sweep.points())
         assert len(levels) == MAX_SWEEP_POINTS
-        thresholds = [budget.threshold_snr / level for level in levels]
+        thresholds = [budget.threshold_snr / level
+                      for budget, level in zip(budgets, levels)]
         tracemalloc.start()
         try:
-            estimates = estimate_outage(config.topology(), budget, "maxmin",
-                                        thresholds, BLOCK, seed)
+            estimates = estimate_outage(config.topology(), budgets, "maxmin",
+                                        thresholds, BLOCK,
+                                        _point_seed(config.seed, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(estimates) == MAX_SWEEP_POINTS
         assert peak < 128 * 2**20
+
+
+class TestRankDistribution:
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=["3x4", "2x8"])
+    def test_random_exact_beyond_enumeration(self, shape):
+        config = sweep_config(num_users=shape[0], num_relays=shape[1],
+                              scheme="random")
+        pk = _rank_distribution(config)
+        assert pk.trials == 0
+        assert np.all(pk.per_user == 1.0 / (shape[0] * shape[1]))
+
+
+class TestMcVerdict:
+    def test_wide_interval_holding_value_is_inconclusive(self):
+        # fig1 at 30 dB: no hits in 1e5 trials at z=3
+        est = McEstimate(0.0, 0.0, 9.0e-5, 100_000, 0)
+        assert _mc_verdict(1.6e-7, est)[0] == "INCONCLUSIVE"
+
+    def test_narrow_interval_holding_value_passes(self):
+        est = McEstimate(0.100, 0.098, 0.102, 100_000, 0)
+        assert _mc_verdict(0.0995, est)[0] == "PASS"
+
+    def test_narrow_interval_missing_value_fails(self):
+        est = McEstimate(0.100, 0.098, 0.102, 100_000, 0)
+        assert _mc_verdict(0.11, est)[0] == "FAIL"
 
 
 class TestValidateMode:

@@ -7,23 +7,19 @@ import pytest
 from cogrelay.analytic import cdf_min_snr, outage_probability
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
-    estimate_cdf,
     estimate_outage,
     estimate_throughput,
     two_proportion_z,
     wilson_interval,
 )
 from cogrelay.selection import rank_placement_probs
+from oracles import budget_db, estimate_cdf
 
 GAMMA_TH = db_to_linear(5.0)
 
 
 def topo(num_users=2, num_relays=3, m=2):
     return NetworkTopology(num_users, num_relays, m, path_loss_exp=0.0)
-
-
-def budget_db(l1, l2, l3, gth=5.0):
-    return LinkBudget.from_db(l1, l2, l3, gth)
 
 
 class TestWilsonInterval:
@@ -83,6 +79,21 @@ class TestSharedTrials:
                                    scales=[1.0, 10.0])
         assert many[0] == estimate_throughput(t, b, "maxmin", trials=70_000, seed=6)
         assert many[1][0].mean > many[0][0].mean
+
+    def test_budget_sequence_matches_single_calls(self):
+        # each budget builds its SNR matrix from the same draws
+        t = topo()
+        budgets = [budget_db(10, 10, 10), budget_db(10, 20, 5)]
+        many = estimate_outage(t, budgets, "maxmin", [GAMMA_TH, GAMMA_TH],
+                               trials=70_000, seed=3)
+        assert many == [estimate_outage(t, b, "maxmin", GAMMA_TH,
+                                        trials=70_000, seed=3)
+                        for b in budgets]
+
+    def test_budgets_pair_with_thresholds(self):
+        with pytest.raises(ValueError, match="pair"):
+            estimate_outage(topo(), [budget_db(10, 10, 10)] * 2, "maxmin",
+                            [GAMMA_TH] * 3, trials=1000, seed=3)
 
 
 class TestOutageEstimates:

@@ -14,9 +14,9 @@ RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 GOLDEN_SHA256 = {
     "fig1": "f4bd673aa1965b7c5fcc53522082bc858c91a969ab1755cf26f677599c4fdf32",
-    "fig2": "fe69a78e9f44707b832da785fc6b9110296c2f09a250aae3994b576ef099acc4",
-    "fig3": "ed5ab937aed5138545f55f77fd6a8dd7141b674e9d2bcfcada1c6cdef141c2ad",
-    "fig4": "0c0faf850e4b8e77fa0088c7e1670c412ee255e68c9d27bc9c9e34bfc2c2e07c",
+    "fig2": "aecfc80abd247958c7a70d75c421b1ac4c2ba94e4de4470606b03c3ba923ea25",
+    "fig3": "6eb5af1378c33a41cbcb8a487da415861e0a565b7277d572a9b1def00f6582c4",
+    "fig4": "cdde4aaf25376a470b57ad478b38abfefb0aca2de221138b89671eeaf58a19c5",
 }
 
 

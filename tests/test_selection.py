@@ -260,6 +260,15 @@ class TestRankPlacement:
         with pytest.raises(ValueError, match="enumeration"):
             rank_placement_probs(3, 4, "maxmin", "exact")
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=["3x4", "2x8"])
+    def test_random_exact_beyond_enumeration(self, shape):
+        # the random pick ignores the values, so its rank is uniform
+        d = rank_placement_probs(*shape, "random", "exact")
+        mn = shape[0] * shape[1]
+        assert d.trials == 0
+        assert d.per_user.shape == (shape[0], mn)
+        assert np.all(d.per_user == 1.0 / mn)
+
     def test_invalid_trials(self):
         with pytest.raises(ValueError, match="trials"):
             rank_placement_probs(2, 2, "maxmin", "monte-carlo", trials=0)
