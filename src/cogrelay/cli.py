@@ -40,6 +40,7 @@ from .model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from .selection import (
     _MAX_ASSIGNMENT_TABLE,
     EXACT_ENUM_LIMIT,
+    EXACT_MAXMIN_LIMIT,
     RankPlacementDistribution,
     rank_placement_probs,
 )
@@ -280,8 +281,11 @@ def _point_seed(seed: int, index: int) -> int:
 
 
 def _rank_distribution(config: ExperimentConfig) -> RankPlacementDistribution:
-    if (config.scheme == "random"
-            or config.num_users * config.num_relays <= EXACT_ENUM_LIMIT):
+    """The exact distribution wherever its method admits the shape
+    (``random`` everywhere), else a Monte Carlo estimate."""
+    limit = {"maxmin": EXACT_MAXMIN_LIMIT, "naive": EXACT_ENUM_LIMIT}.get(
+        config.scheme, math.inf)
+    if config.num_users * config.num_relays <= limit:
         return rank_placement_probs(config.num_users, config.num_relays,
                                     config.scheme, method="exact")
     return rank_placement_probs(
@@ -345,23 +349,32 @@ def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
             for point_db, estimates in zip(points, mc)]
 
 
+def _per_user(pk: RankPlacementDistribution, closed_form) -> list[float]:
+    """``closed_form(row)`` for every user's pk row, evaluated once per
+    distinct row (max-min rows are all equal when pk is exact)."""
+    values: dict[bytes, float] = {}
+    for row in pk.per_user:
+        if row.tobytes() not in values:
+            values[row.tobytes()] = closed_form(row)
+    return [values[row.tobytes()] for row in pk.per_user]
+
+
 def _closed_forms(config: ExperimentConfig, point_db: float,
                   pk: RankPlacementDistribution,
                   mc: list[montecarlo.McEstimate]) -> PointResult:
     topology, csi = config.topology(), config.csi_model()
     budget = config.budget_at(point_db)
     if config.mode == "throughput":
-        exact = [analytic.average_throughput(topology, budget, row)
-                 for row in pk.per_user]
+        exact = _per_user(pk, lambda row: analytic.average_throughput(
+            topology, budget, row))
         return PointResult(point_db, exact, None, None, mc)
     gamma_th = budget.threshold_snr
     if csi is None:
-        exact = [analytic.outage_probability(gamma_th, topology, budget, row)
-                 for row in pk.per_user]
+        exact = _per_user(pk, lambda row: analytic.outage_probability(
+            gamma_th, topology, budget, row))
     else:
-        exact = [analytic.outage_probability_imperfect(gamma_th, topology,
-                                                       budget, csi, row)
-                 for row in pk.per_user]
+        exact = _per_user(pk, lambda row: analytic.outage_probability_imperfect(
+            gamma_th, topology, budget, csi, row))
     lambda_all = config.sweep.variable == "lambda_all"
     asym1 = asym2 = None
     if lambda_all and csi is None and config.scheme == "maxmin":
@@ -461,12 +474,12 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
         tail = pk.per_user[:, pk.worst_rank:].sum()
         report.add("rank-support-bound", "PASS" if tail == 0 else "FAIL",
                    f"mass beyond rank {pk.worst_rank} = {tail}")
-        if pk.method == "exact-enumeration":
+        if pk.trials == 0:
             formula = analytic.worst_case_rank_prob(num_users, num_relays)
-            enum = float(pk.probs[pk.worst_rank - 1])
-            status = "PASS" if abs(enum - formula) < 1e-12 else "FAIL"
+            exact = float(pk.probs[pk.worst_rank - 1])
+            status = "PASS" if abs(exact - formula) < 1e-12 else "FAIL"
             report.add("worst-rank-probability", status,
-                       f"enumeration={enum!r} product-formula={formula!r}")
+                       f"{pk.method}={exact!r} product-formula={formula!r}")
 
     # analytic vs Monte Carlo along the sweep (user 0)
     points = evaluate_sweep(config, pk, z=3.0)
@@ -475,14 +488,13 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
         status, detail = _mc_verdict(point.exact[0], point.mc[0])
         report.add(f"analytic-vs-mc@{point.sweep_db:g}dB", status, detail)
 
-    # per-user fairness of the max-min scheme (outage modes only)
+    # per-user fairness of the max-min scheme (outage modes only), read
+    # from the sweep's own per-user counts
     if config.scheme == "maxmin" and num_users >= 2 and config.mode != "throughput":
         # test at the sweep point with the most informative outage level
-        best_db = max(curve, key=lambda item: item[1] * (1 - item[1]))[0]
-        ests = montecarlo.estimate_outage(
-            topology, config.budget_at(best_db), "maxmin", gamma_th,
-            config.trials, _point_seed(config.seed, 0xFA1), csi=csi)
-        hits = [round(e.mean * e.trials) for e in ests]
+        best = max(points, key=lambda point: point.exact[0] * (1 - point.exact[0]))
+        best_db = best.sweep_db
+        hits = [round(e.mean * e.trials) for e in best.mc]
         z = max(abs(montecarlo.two_proportion_z(hits[0], h, config.trials))
                 for h in hits[1:])
         if min(hits) < 25:

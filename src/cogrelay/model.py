@@ -246,7 +246,13 @@ def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     q = relay_power(estimates.interf, budget, topology)
-    hop1_snr = budget.source_snr * estimates.hop1 \
-        / (budget.source_snr * err.err_var_hop1 + d1b)
-    hop2_snr = q * estimates.hop2 / (q * err.err_var_hop2 + d2b)
-    return np.minimum(hop1_snr, hop2_snr)
+    # in place, with the same operations in the same order: each extra
+    # temporary is a block-sized array held beside the block's draws
+    hop2_snr = q * estimates.hop2
+    q *= err.err_var_hop2
+    q += d2b
+    hop2_snr /= q
+    del q
+    hop1_snr = budget.source_snr * estimates.hop1
+    hop1_snr /= budget.source_snr * err.err_var_hop1 + d1b
+    return np.minimum(hop1_snr, hop2_snr, out=hop1_snr)

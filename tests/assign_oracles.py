@@ -3,17 +3,22 @@
 Independent oracles for the batched schemes in ``cogrelay.selection``:
 max-min fair assignment by bottleneck binary search over bipartite
 matchings, greedy assignment in user order and a uniformly random
-injective map, one SNR matrix at a time; and a batched max-min that
+injective map, one SNR matrix at a time; a batched max-min that
 compares sorted float profiles of every injective map, which fixes the
-tie-breaking of the rank-keyed batch on matrices with tied entries.
+tie-breaking of the rank-keyed batch on matrices with tied entries; and
+two counts of max-min rank placement, by enumerating every rank order
+and by enumerating the shortest reveal prefixes that fix the map.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from cogrelay.selection import maxmin_assign_batch
 
 
 @dataclass(frozen=True)
@@ -161,3 +166,56 @@ def maxmin_assign_sorted_batch(gammas):
     flat = g.reshape(trials, 1, num_users * num_relays)
     ranks = 1 + (flat > eff[:, :, None]).sum(axis=2)
     return chosen, eff, ranks
+
+
+def enumerate_rank_counts(num_users: int, num_relays: int) -> np.ndarray:
+    """``counts[u, t-1]``: how many of the (MN)! rank orders put user u's
+    max-min entry at global rank t, from every permutation of 1..MN."""
+    size = num_users * num_relays
+    counts = np.zeros((num_users, size), dtype=np.int64)
+    orders = itertools.permutations(range(size))
+    while block := list(itertools.islice(orders, 40320)):
+        values = np.array(block, dtype=float).reshape(-1, num_users, num_relays)
+        _, _, ranks = maxmin_assign_batch(values)
+        for u in range(num_users):
+            counts[u] += np.bincount(ranks[:, u] - 1, minlength=size)
+    return counts
+
+
+def prefix_leaf_rank_counts(num_users: int, num_relays: int) -> list[int]:
+    """Summed over users, how many of the (MN)! rank orders put a user's
+    max-min entry at global rank t, from the reveal prefixes that fix it.
+
+    Reveal cells from the largest down.  A prefix fixes the map once
+    ``maxmin_assign_batch``, run with the prefix at descending values and
+    every other cell at -1, selects only revealed cells: every later cell
+    is smaller, so no order of them changes the pick.  Each such leaf of
+    length L stands for (MN - L)! orders.  Row and column permutations
+    keep the multiset of selected ranks, so the first cell is fixed at
+    (0, 0) and the counts are multiplied by MN.  Prefixes are expanded
+    one level at a time in chunks.
+    """
+    size = num_users * num_relays
+    counts = [0] * size
+    level = np.zeros((1, 1), dtype=np.int8)
+    while len(level):
+        length = level.shape[1]
+        orders = size * math.factorial(size - length)
+        grown = []
+        for lo in range(0, len(level), 1 << 15):
+            prefix = level[lo:lo + (1 << 15)]
+            values = np.full((len(prefix), size), -1.0)
+            values[np.arange(len(prefix))[:, None], prefix] = np.arange(length, 0, -1)
+            _, eff, ranks = maxmin_assign_batch(
+                values.reshape(-1, num_users, num_relays))
+            leaf = (eff > 0).all(axis=1)
+            leaves = np.bincount(ranks[leaf].ravel() - 1, minlength=size)
+            for t, n in enumerate(leaves.tolist()):
+                counts[t] += n * orders
+            open_ = prefix[~leaf]
+            free = np.ones((len(open_), size), dtype=bool)
+            free[np.arange(len(open_))[:, None], open_] = False
+            parent, cell = np.nonzero(free)
+            grown.append(np.hstack([open_[parent], cell[:, None].astype(np.int8)]))
+        level = np.concatenate(grown)
+    return counts

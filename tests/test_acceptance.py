@@ -89,8 +89,7 @@ def pk33():
 
 @pytest.fixture(scope="module")
 def pk34():
-    return rank_placement_probs(3, 4, "maxmin", "monte-carlo",
-                                trials=MC_TRIALS, rng=1234)
+    return rank_placement_probs(3, 4, "maxmin", "exact")
 
 
 @pytest.fixture(scope="module")

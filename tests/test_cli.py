@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cogrelay import model
+from cogrelay import cli, model, montecarlo
 from cogrelay.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
@@ -364,6 +364,20 @@ class TestRankDistribution:
         assert pk.trials == 0
         assert np.all(pk.per_user == 1.0 / (shape[0] * shape[1]))
 
+    @pytest.mark.parametrize("scheme, shape, method", [
+        ("maxmin", (3, 4), "exact-recursion"),
+        ("maxmin", (5, 5), "monte-carlo"),
+        ("naive", (2, 5), "exact-enumeration"),
+        ("naive", (3, 4), "monte-carlo"),
+    ], ids=["maxmin-3x4", "maxmin-5x5", "naive-2x5", "naive-3x4"])
+    def test_exact_wherever_admitted(self, monkeypatch, scheme, shape, method):
+        monkeypatch.setattr(cli, "PK_MC_TRIALS", 1000)
+        config = sweep_config(num_users=shape[0], num_relays=shape[1],
+                              scheme=scheme)
+        pk = _rank_distribution(config)
+        assert pk.method == method
+        assert (pk.trials == 0) == method.startswith("exact")
+
 
 class TestMcVerdict:
     def test_wide_interval_holding_value_is_inconclusive(self):
@@ -388,6 +402,25 @@ class TestValidateMode:
         statuses = {name: status for name, status, _ in report.checks}
         assert statuses["rank-probabilities-normalised"] == "PASS"
         assert statuses["worst-rank-probability"] == "PASS"
+
+    def test_worst_rank_checked_beyond_enumeration(self, tmp_path):
+        config = load_config(write_config(tmp_path, {
+            "num_users": 3, "num_relays": 4, "nakagami_m": 1}))
+        statuses = {name: status for name, status, _ in run_validate(config).checks}
+        assert statuses["worst-rank-probability"] == "PASS"
+
+    def test_one_monte_carlo_pass(self, monkeypatch, capsys):
+        # the fairness z-test reads the per-user counts of the sweep's pass
+        calls = []
+
+        def counted(*args, _estimate=montecarlo.estimate_outage, **kwargs):
+            calls.append(args)
+            return _estimate(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_outage", counted)
+        assert main(["--config", "recipes/fig1.json", "--mode", "validate"]) == 0
+        assert len(calls) == 1
+        assert "user-fairness-ztest" in capsys.readouterr().out
 
     def test_tiny_trials_mark_inconclusive_not_fail(self, tmp_path):
         # at 1000 trials the high-SNR points cannot be resolved; entries

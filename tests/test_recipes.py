@@ -15,8 +15,8 @@ RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 GOLDEN_SHA256 = {
     "fig1": "f4bd673aa1965b7c5fcc53522082bc858c91a969ab1755cf26f677599c4fdf32",
     "fig2": "aecfc80abd247958c7a70d75c421b1ac4c2ba94e4de4470606b03c3ba923ea25",
-    "fig3": "6eb5af1378c33a41cbcb8a487da415861e0a565b7277d572a9b1def00f6582c4",
-    "fig4": "cdde4aaf25376a470b57ad478b38abfefb0aca2de221138b89671eeaf58a19c5",
+    "fig3": "79759e24a014c92434577d7f7f9965d35bf79d76fd2773fbda57384f5eabaa08",
+    "fig4": "12786fe07a326ad215b8473432239038a21c28f05e259efabc33c1fb8613a88e",
 }
 
 

@@ -3,7 +3,9 @@ greedy and random behaviour, batch/single agreement, and the
 rank-placement machinery."""
 
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,13 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assign_oracles import (
+    enumerate_rank_counts,
     maxmin_assign,
     maxmin_assign_sorted_batch,
     naive_assign,
+    prefix_leaf_rank_counts,
     random_assign,
 )
 from cogrelay.analytic import worst_case_rank_prob
 from cogrelay.selection import (
+    EXACT_MAXMIN_LIMIT,
+    _maxmin_rank_counts,
     maxmin_assign_batch,
     naive_assign_batch,
     random_assign_batch,
@@ -257,8 +263,13 @@ class TestRankPlacement:
         assert np.array_equal(a.per_user, b.per_user)
 
     def test_enumeration_size_guard(self):
+        # 5x5 is the first max-min shape beyond the exact limit; naive
+        # enumerates (M*N)! orders only up to M*N = 10
+        assert 5 * 5 > EXACT_MAXMIN_LIMIT
         with pytest.raises(ValueError, match="enumeration"):
-            rank_placement_probs(3, 4, "maxmin", "exact")
+            rank_placement_probs(5, 5, "maxmin", "exact")
+        with pytest.raises(ValueError, match="enumeration"):
+            rank_placement_probs(3, 4, "naive", "exact")
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=["3x4", "2x8"])
     def test_random_exact_beyond_enumeration(self, shape):
@@ -272,3 +283,55 @@ class TestRankPlacement:
     def test_invalid_trials(self):
         with pytest.raises(ValueError, match="trials"):
             rank_placement_probs(2, 2, "maxmin", "monte-carlo", trials=0)
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 10) if m * n <= 9]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestExactMaxminPk:
+    """The set recursion against enumeration of every rank order (float
+    rows bit for bit), enumeration of fixing prefixes (integer counts)
+    and Monte Carlo beyond both."""
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+    def test_bit_identical_to_full_enumeration(self, shape):
+        d = rank_placement_probs(*shape, "maxmin", "exact")
+        want = enumerate_rank_counts(*shape) / float(math.factorial(shape[0] * shape[1]))
+        assert d.trials == 0
+        np.testing.assert_array_equal(d.per_user, want)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=shape_id)
+    def test_equals_prefix_leaf_enumeration(self, shape):
+        counts = _maxmin_rank_counts(*shape)
+        assert counts == prefix_leaf_rank_counts(*shape)
+        total = shape[0] * math.factorial(shape[0] * shape[1])
+        d = rank_placement_probs(*shape, "maxmin", "exact")
+        assert d.per_user[0].tolist() == [float(Fraction(c, total)) for c in counts]
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4)], ids=shape_id)
+    def test_within_monte_carlo(self, shape):
+        exact = rank_placement_probs(*shape, "maxmin", "exact")
+        mc = rank_placement_probs(*shape, "maxmin", "monte-carlo",
+                                  trials=200_000, rng=sum(shape))
+        # binomial sigma at the exact value, which is 0 where no rank is
+        # reachable; at most one user takes each rank, so it is conservative
+        p = exact.probs
+        sigma = np.sqrt(p * (1 - p) / (mc.trials * shape[0]))
+        assert np.all(np.abs(mc.probs - p) <= 5 * sigma)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (3, 5), (4, 4), (2, 8), (4, 5)],
+                             ids=shape_id)
+    def test_rows_equal_normalised_and_bounded(self, shape):
+        num_users, num_relays = shape
+        counts = _maxmin_rank_counts(*shape)
+        assert sum(counts) == num_users * math.factorial(num_users * num_relays)
+        worst = (num_users - 1) * num_relays + 1
+        assert counts[worst - 1] > 0 and not any(counts[worst:])
+        d = rank_placement_probs(*shape, "maxmin", "exact")
+        assert np.all(d.per_user == d.per_user[0])
+        assert d.per_user[0, worst - 1] == pytest.approx(
+            worst_case_rank_prob(*shape), rel=1e-12)
