@@ -39,8 +39,6 @@ from . import analytic, montecarlo
 from .model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from .selection import (
     _MAX_ASSIGNMENT_TABLE,
-    EXACT_ENUM_LIMIT,
-    EXACT_MAXMIN_LIMIT,
     RankPlacementDistribution,
     rank_placement_probs,
 )
@@ -281,18 +279,13 @@ def _point_seed(seed: int, index: int) -> int:
 
 
 def _rank_distribution(config: ExperimentConfig) -> RankPlacementDistribution:
-    """The exact distribution wherever its method admits the shape
-    (``random`` everywhere), else a Monte Carlo estimate."""
-    limit = {"maxmin": EXACT_MAXMIN_LIMIT, "naive": EXACT_ENUM_LIMIT}.get(
-        config.scheme, math.inf)
-    if config.num_users * config.num_relays <= limit:
-        return rank_placement_probs(config.num_users, config.num_relays,
-                                    config.scheme, method="exact")
+    """The scheme's rank-placement distribution: exact wherever
+    :func:`rank_placement_probs` admits the shape, else a Monte Carlo
+    estimate on its own stream."""
     return rank_placement_probs(
         config.num_users, config.num_relays, config.scheme,
-        method="monte-carlo", trials=max(PK_MC_TRIALS, config.trials),
-        rng=_point_seed(config.seed, 0x7072),
-    )
+        trials=max(PK_MC_TRIALS, config.trials),
+        rng=_point_seed(config.seed, 0x7072))
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                 snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
             if budget is last:
                 del draws  # not held while the block's last budget assigns
-            _, eff, _ = selection.assign_batch(scheme, snrs, rng)
+            _, eff = selection.assign_batch(scheme, snrs, rng)
             del snrs  # not held while the caller scores
             yield index, points, eff
 

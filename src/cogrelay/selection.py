@@ -10,10 +10,11 @@ Three schemes operate on the user-by-relay SNR matrix:
 All schemes depend only on the ordering of the matrix entries, never on
 their magnitudes, so the global rank a user's selected entry occupies is
 distributed like the outcome of the scheme on a uniformly random rank
-permutation.  :func:`rank_placement_probs` exploits this to compute the
-per-user rank-placement distribution exactly (max-min by a recursion
-over sets of revealed cells, naive by enumerating all permutations,
-random in closed form) or by Monte Carlo.
+permutation.  :func:`rank_placement_probs` computes that per-user
+distribution, choosing the method from the scheme and shape: in closed
+form for ``random`` and ``naive`` at every shape, by a recursion over
+sets of revealed cells for max-min while M*N <= ``EXACT_MAXMIN_LIMIT``,
+and by Monte Carlo for max-min beyond.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
 # for hours.  P(N, M) for every configuration studied here is <= 24.
 _MAX_ASSIGNMENT_TABLE = 40320
 
-EXACT_ENUM_LIMIT = 10  # naive: enumerate (M*N)! rank permutations only up to here
 # Max-min: the exact set recursion runs only up to here.  On one core of
 # a shared Xeon it beats the 1e6-trial Monte Carlo pk at every shape up
 # to M*N = 24 (4x6: 1.5 s against 3.3 s; 3x4: 0.007 s against 0.87 s),
@@ -71,12 +71,8 @@ def _assignment_table(num_users: int, num_relays: int) -> np.ndarray:
                     dtype=np.intp)
 
 
-def _effective_and_ranks(g: np.ndarray, chosen: np.ndarray):
-    trials, num_users, num_relays = g.shape
-    eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
-    flat = g.reshape(trials, 1, num_users * num_relays)
-    ranks = 1 + (flat > eff[:, :, None]).sum(axis=2)
-    return eff, ranks
+def _effective(g: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
 
 
 def _larger_counts(flat: np.ndarray) -> np.ndarray:
@@ -129,8 +125,8 @@ def maxmin_assign_batch(gammas: np.ndarray):
     first.  Trials are processed in chunks of at most ``_CHUNK_ELEMENTS``
     map keys, so memory is bounded for every shape.
 
-    Returns ``(relay_for_user, effective_snr, global_rank)`` arrays of
-    shape (trials, num_users); ``global_rank`` is 1 + d.
+    Returns ``(relay_for_user, effective_snr)`` arrays of shape
+    (trials, num_users).
     """
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
@@ -140,7 +136,6 @@ def maxmin_assign_batch(gammas: np.ndarray):
     key_words = _key_words(num_users, num_relays)
     chunk = max(1, _CHUNK_ELEMENTS // max(table.shape[0], size))
     chosen = np.empty((trials, num_users), dtype=np.intp)
-    global_rank = np.empty((trials, num_users), dtype=np.intp)
     for lo in range(0, trials, chunk):
         larger = _larger_counts(g[lo:lo + chunk].reshape(-1, size))
         key = None
@@ -152,11 +147,8 @@ def maxmin_assign_batch(gammas: np.ndarray):
             if key is not None:
                 total[key != key.min(axis=1, keepdims=True)] = np.iinfo(np.int64).max
             key = total
-        best = key.argmin(axis=1)
-        chosen[lo:lo + chunk] = table[best]
-        global_rank[lo:lo + chunk] = 1 + np.take_along_axis(larger, cols[best], axis=1)
-    eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
-    return chosen, eff, global_rank
+        chosen[lo:lo + chunk] = table[key.argmin(axis=1)]
+    return chosen, _effective(g, chosen)
 
 
 def naive_assign_batch(gammas: np.ndarray):
@@ -171,8 +163,7 @@ def naive_assign_batch(gammas: np.ndarray):
         r = masked[:, u, :].argmax(axis=1)
         chosen[:, u] = r
         masked[rows, :, r] = -np.inf
-    eff, ranks = _effective_and_ranks(g, chosen)
-    return chosen, eff, ranks
+    return chosen, _effective(g, chosen)
 
 
 def random_assign_batch(gammas: np.ndarray, rng: np.random.Generator):
@@ -180,12 +171,12 @@ def random_assign_batch(gammas: np.ndarray, rng: np.random.Generator):
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
     chosen = np.argsort(rng.random((trials, num_relays)), axis=1)[:, :num_users]
-    eff, ranks = _effective_and_ranks(g, chosen)
-    return chosen, eff, ranks
+    return chosen, _effective(g, chosen)
 
 
 def assign_batch(scheme: str, gammas: np.ndarray, rng: np.random.Generator | None = None):
-    """Dispatch a batched scheme by name ('maxmin', 'naive', 'random')."""
+    """Dispatch a batched scheme by name ('maxmin', 'naive', 'random');
+    returns ``(relay_for_user, effective_snr)``."""
     if scheme == "maxmin":
         return maxmin_assign_batch(gammas)
     if scheme == "naive":
@@ -206,10 +197,11 @@ class RankPlacementDistribution:
     """Probability that a user's selected SNR is the k-th largest entry.
 
     ``per_user[u, k-1]`` is the probability for user u; ``probs`` is the
-    user average (identical to every row under the max-min scheme, whose
-    support never extends past rank (M-1)N + 1).  ``trials`` is 0 for an
-    exact distribution (``method`` names how it was computed) and the
-    sample count for a Monte Carlo one.
+    user average, and the first row itself when every row equals it (as
+    under exact max-min, whose support never extends past rank
+    (M-1)N + 1, and ``random``).  ``trials`` is 0 for an exact
+    distribution (``method`` names how it was computed) and the sample
+    count for a Monte Carlo one.
     """
 
     num_users: int
@@ -221,6 +213,9 @@ class RankPlacementDistribution:
 
     @property
     def probs(self) -> np.ndarray:
+        # the mean of equal rows can differ from them in the last bit
+        if np.all(self.per_user == self.per_user[0]):
+            return self.per_user[0]
         return self.per_user.mean(axis=0)
 
     @property
@@ -233,12 +228,6 @@ class RankPlacementDistribution:
         if self.trials == 0:
             return np.zeros_like(p)
         return np.sqrt(p * (1 - p) / (self.trials * self.num_users))
-
-
-def _count_ranks(counts, ranks):
-    num_users = counts.shape[0]
-    for u in range(num_users):
-        counts[u] += np.bincount(ranks[:, u] - 1, minlength=counts.shape[1])
 
 
 # Exact max-min rank placement.  Reveal the cells of a matrix in uniform
@@ -369,77 +358,76 @@ def _maxmin_rank_counts(num_users: int, num_relays: int) -> list[int]:
     return counts
 
 
+def _naive_rank_row(num_users: int, num_relays: int, user: int) -> list[float]:
+    """Naive rank placement of ``user``: the users before it pick from
+    their own rows, so its entry is the largest of its n = N - user free
+    entries and independent of the L = MN - n others, which are i.i.d.
+    Its rank k has probability n C(L, k-1) (k-1)! (MN-k)! / (MN)!, zero
+    for k > L + 1."""
+    size = num_users * num_relays
+    free = num_relays - user
+    others = size - free
+    total = math.factorial(size)
+    return [free * math.comb(others, k - 1) * math.factorial(k - 1)
+            * math.factorial(size - k) / total for k in range(1, size + 1)]
+
+
 def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin",
-                         method: str = "exact", trials: int = 0,
+                         trials: int = 0,
                          rng: np.random.Generator | int | None = None,
                          ) -> RankPlacementDistribution:
     """Rank-placement distribution of a scheme, per user.
 
-    ``method='exact'`` is exact at every shape under ``random`` (the rank
-    is uniform on 1..M*N); under ``maxmin`` it counts rank orders in
-    Python integers by a recursion over sets of revealed cells (allowed
-    while M*N <= EXACT_MAXMIN_LIMIT), and under ``naive`` it enumerates
-    all (M*N)! rank permutations (while M*N <= EXACT_ENUM_LIMIT).
-    ``method='monte-carlo'`` samples ``trials`` i.i.d. matrices instead.
-    All of them work on rank patterns only, which is exact because every
-    scheme here is invariant to monotone transformations of the entries.
+    The method follows from the scheme and shape.  ``random`` and
+    ``naive`` are exact in closed form at every shape (the random rank
+    is uniform on 1..M*N; see :func:`_naive_rank_row` for naive).
+    ``maxmin`` is exact while M*N <= ``EXACT_MAXMIN_LIMIT``, counting
+    rank orders in Python integers by a recursion over sets of revealed
+    cells; beyond that it samples ``trials`` i.i.d. matrices from
+    ``rng``.  All of them work on rank patterns only, which is exact
+    because every scheme here is invariant to monotone transformations
+    of the entries.
     """
     if num_users < 1 or num_relays < num_users:
         raise ValueError("need num_relays >= num_users >= 1")
+    if scheme not in ("maxmin", "naive", "random"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     mn = num_users * num_relays
-    counts = np.zeros((num_users, mn), dtype=np.int64)
 
-    if method == "exact":
-        if scheme == "random":
-            # the pick is independent of the values, so the chosen entry is
-            # a fixed i.i.d. entry: its rank is uniform on 1..mn
-            per_user = np.full((num_users, mn), 1.0 / mn)
-            return RankPlacementDistribution(num_users, num_relays, scheme,
-                                             "exact-enumeration", 0, per_user)
-        if scheme == "maxmin":
-            if mn > EXACT_MAXMIN_LIMIT:
-                raise ValueError(
-                    f"exact max-min rank placement (an enumeration of revealed "
-                    f"cell sets) is not feasible for M*N = {mn} (limit "
-                    f"M*N <= {EXACT_MAXMIN_LIMIT}); use monte-carlo")
-            # users are exchangeable, so every row is the user average
-            total = num_users * math.factorial(mn)
-            row = [count / total for count in _maxmin_rank_counts(num_users, num_relays)]
-            return RankPlacementDistribution(num_users, num_relays, scheme,
-                                             "exact-recursion", 0,
-                                             np.tile(row, (num_users, 1)))
-        if mn > EXACT_ENUM_LIMIT:
-            raise ValueError(
-                f"exact enumeration of {mn}! rank permutations is not "
-                f"feasible (limit M*N <= {EXACT_ENUM_LIMIT}); use monte-carlo"
-            )
-        total = math.factorial(mn)
-        chunk = 40960
-        perms = itertools.permutations(range(mn))
-        while True:
-            block = list(itertools.islice(perms, chunk))
-            if not block:
-                break
-            values = np.array(block, dtype=float).reshape(-1, num_users, num_relays)
-            _, _, ranks = assign_batch(scheme, values)
-            _count_ranks(counts, ranks)
-        per_user = counts / float(total)
-        return RankPlacementDistribution(num_users, num_relays, scheme,
-                                         "exact-enumeration", 0, per_user)
+    def exact(method, rows):
+        return RankPlacementDistribution(num_users, num_relays, scheme, method,
+                                         0, np.array(rows, dtype=float))
 
-    if method != "monte-carlo":
-        raise ValueError(f"unknown method {method!r}")
+    if scheme == "random":
+        # the pick is independent of the values, so the chosen entry is
+        # a fixed i.i.d. entry: its rank is uniform on 1..mn
+        return exact("exact-closed-form", np.full((num_users, mn), 1.0 / mn))
+    if scheme == "naive":
+        return exact("exact-closed-form", [_naive_rank_row(num_users, num_relays, u)
+                                           for u in range(num_users)])
+    if mn <= EXACT_MAXMIN_LIMIT:
+        # users are exchangeable, so every row is the user average
+        total = num_users * math.factorial(mn)
+        row = [count / total for count in _maxmin_rank_counts(num_users, num_relays)]
+        return exact("exact-recursion", [row] * num_users)
+
     if trials < 1:
-        raise ValueError(f"monte-carlo mode needs trials >= 1, got {trials}")
+        raise ValueError(f"monte-carlo max-min rank placement for M*N = {mn} "
+                         f"(above {EXACT_MAXMIN_LIMIT}) needs trials >= 1, "
+                         f"got {trials}")
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
+    counts = np.zeros((num_users, mn), dtype=np.int64)
     done = 0
     while done < trials:
         block = min(trials - done, 1 << 16)
         values = rng.random((block, num_users, num_relays))
-        _, _, ranks = assign_batch(scheme, values, rng)
-        _count_ranks(counts, ranks)
+        _, eff = assign_batch(scheme, values, rng)
+        flat = values.reshape(block, mn)
+        for u in range(num_users):
+            # rank - 1: the number of entries strictly larger
+            counts[u] += np.bincount((flat > eff[:, u, None]).sum(axis=1),
+                                     minlength=mn)
         done += block
-    per_user = counts / float(trials)
-    return RankPlacementDistribution(num_users, num_relays, scheme,
-                                     "monte-carlo", trials, per_user)
+    return RankPlacementDistribution(num_users, num_relays, scheme, "monte-carlo",
+                                     trials, counts / float(trials))

@@ -5,9 +5,10 @@ max-min fair assignment by bottleneck binary search over bipartite
 matchings, greedy assignment in user order and a uniformly random
 injective map, one SNR matrix at a time; a batched max-min that
 compares sorted float profiles of every injective map, which fixes the
-tie-breaking of the rank-keyed batch on matrices with tied entries; and
-two counts of max-min rank placement, by enumerating every rank order
-and by enumerating the shortest reveal prefixes that fix the map.
+tie-breaking of the rank-keyed batch on matrices with tied entries; the
+global ranks of a batch's selected entries; and two counts of rank
+placement, by enumerating every rank order (any batched scheme) and by
+enumerating the shortest reveal prefixes that fix the max-min map.
 """
 
 from __future__ import annotations
@@ -146,11 +147,19 @@ def random_assign(gamma, rng: np.random.Generator) -> Assignment:
                       _global_ranks(g, values))
 
 
+def global_ranks(gammas, eff) -> np.ndarray:
+    """``ranks[i, u]``: 1 + the number of entries of matrix i strictly
+    larger than ``eff[i, u]`` (1 = largest; tied entries share a rank)."""
+    g = np.asarray(gammas, dtype=float)
+    flat = g.reshape(g.shape[0], 1, -1)
+    return 1 + (flat > eff[:, :, None]).sum(axis=2)
+
+
 def maxmin_assign_sorted_batch(gammas):
     """Batched max-min by enumeration: sort each injective map's assigned
     SNRs and filter the maps column by column for the lexicographically
     largest ascending profile; the first such map in table order wins.
-    Returns ``(relay_for_user, effective_snr, global_rank)``."""
+    Returns ``(relay_for_user, effective_snr)``."""
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
     table = np.array(list(itertools.permutations(range(num_relays), num_users)),
@@ -163,20 +172,20 @@ def maxmin_assign_sorted_batch(gammas):
         alive &= v == v.max(axis=1, keepdims=True)
     chosen = table[alive.argmax(axis=1)]
     eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
-    flat = g.reshape(trials, 1, num_users * num_relays)
-    ranks = 1 + (flat > eff[:, :, None]).sum(axis=2)
-    return chosen, eff, ranks
+    return chosen, eff
 
 
-def enumerate_rank_counts(num_users: int, num_relays: int) -> np.ndarray:
+def enumerate_rank_counts(num_users: int, num_relays: int,
+                          batch=maxmin_assign_batch) -> np.ndarray:
     """``counts[u, t-1]``: how many of the (MN)! rank orders put user u's
-    max-min entry at global rank t, from every permutation of 1..MN."""
+    entry under the batched scheme ``batch`` at global rank t, from every
+    permutation of 1..MN."""
     size = num_users * num_relays
     counts = np.zeros((num_users, size), dtype=np.int64)
     orders = itertools.permutations(range(size))
     while block := list(itertools.islice(orders, 40320)):
         values = np.array(block, dtype=float).reshape(-1, num_users, num_relays)
-        _, _, ranks = maxmin_assign_batch(values)
+        ranks = global_ranks(values, batch(values)[1])
         for u in range(num_users):
             counts[u] += np.bincount(ranks[:, u] - 1, minlength=size)
     return counts
@@ -206,8 +215,9 @@ def prefix_leaf_rank_counts(num_users: int, num_relays: int) -> list[int]:
             prefix = level[lo:lo + (1 << 15)]
             values = np.full((len(prefix), size), -1.0)
             values[np.arange(len(prefix))[:, None], prefix] = np.arange(length, 0, -1)
-            _, eff, ranks = maxmin_assign_batch(
-                values.reshape(-1, num_users, num_relays))
+            values = values.reshape(-1, num_users, num_relays)
+            _, eff = maxmin_assign_batch(values)
+            ranks = global_ranks(values, eff)
             leaf = (eff > 0).all(axis=1)
             leaves = np.bincount(ranks[leaf].ravel() - 1, minlength=size)
             for t, n in enumerate(leaves.tolist()):

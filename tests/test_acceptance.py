@@ -29,7 +29,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from assign_oracles import maxmin_assign
+from assign_oracles import global_ranks, maxmin_assign
+from cogrelay import selection
 from cogrelay.analytic import (
     asymptotic_outage_case1,
     asymptotic_outage_case2,
@@ -79,23 +80,25 @@ def common_budget(lam_db):
 
 @pytest.fixture(scope="module")
 def pk23():
-    return rank_placement_probs(2, 3, "maxmin", "exact")
+    return rank_placement_probs(2, 3, "maxmin")
 
 
 @pytest.fixture(scope="module")
 def pk33():
-    return rank_placement_probs(3, 3, "maxmin", "exact")
+    return rank_placement_probs(3, 3, "maxmin")
 
 
 @pytest.fixture(scope="module")
 def pk34():
-    return rank_placement_probs(3, 4, "maxmin", "exact")
+    return rank_placement_probs(3, 4, "maxmin")
 
 
 @pytest.fixture(scope="module")
 def pk44():
-    return rank_placement_probs(4, 4, "maxmin", "monte-carlo",
-                                trials=MC_TRIALS, rng=1235)
+    # a Monte Carlo pk, so the criterion also covers the estimated one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "EXACT_MAXMIN_LIMIT", 0)
+        return rank_placement_probs(4, 4, "maxmin", trials=MC_TRIALS, rng=1235)
 
 
 def test_criterion_1_exact_outage_inside_mc_ci(pk23):
@@ -120,7 +123,7 @@ def test_criterion_1_exact_outage_inside_mc_ci(pk23):
 
 def test_criterion_2_diversity_order_slopes(pk23):
     t = topo(2, 3, 2)
-    pk_naive = rank_placement_probs(2, 3, "naive", "exact")
+    pk_naive = rank_placement_probs(2, 3, "naive")
     points = [30.0, 32.5, 35.0, 37.5, 40.0]
 
     def fitted_slope(pk_vector):
@@ -233,7 +236,7 @@ def test_criterion_6_throughput(pk34):
 
 
 def test_criterion_7_rank_machinery(pk23, pk33):
-    pk22 = rank_placement_probs(2, 2, "maxmin", "exact")
+    pk22 = rank_placement_probs(2, 2, "maxmin")
     sums = [float(d.per_user.sum(axis=1).max()) for d in (pk22, pk23, pk33)]
     unit_mass = all(s == 1.0 for s in sums)
     worst22 = float(pk22.probs[pk22.worst_rank - 1])
@@ -283,10 +286,11 @@ def test_criterion_9_monotone_transform_invariance():
     transformed = np.log1p(g)
     ok = True
     for batch in (maxmin_assign_batch, naive_assign_batch):
-        chosen_a, _, ranks_a = batch(g)
-        chosen_b, _, ranks_b = batch(transformed)
+        chosen_a, eff_a = batch(g)
+        chosen_b, eff_b = batch(transformed)
         ok &= np.array_equal(chosen_a, chosen_b)
-        ok &= np.array_equal(ranks_a, ranks_b)
+        ok &= np.array_equal(global_ranks(g, eff_a),
+                             global_ranks(transformed, eff_b))
     report("criterion 9 (monotone-transform invariance)", ok,
            "log1p leaves max-min and naive assignments bit-identical")
     assert ok

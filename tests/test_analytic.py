@@ -195,7 +195,7 @@ class TestOutageProbability:
     def test_threshold_limits(self):
         t = topo()
         b = budget_db(10, 10, 10)
-        pk = rank_placement_probs(2, 3, "maxmin", "exact")
+        pk = rank_placement_probs(2, 3, "maxmin")
         assert outage_probability(1e-12, t, b, pk) < 1e-9
         assert outage_probability(1e9, t, b, pk) == pytest.approx(1.0, abs=1e-9)
 
@@ -232,7 +232,7 @@ class TestGFactor:
 class TestAsymptotics:
     def test_case1_ratio_converges(self):
         t = topo()
-        pk = rank_placement_probs(2, 3, "maxmin", "exact")
+        pk = rank_placement_probs(2, 3, "maxmin")
         lam = db_to_linear(60)
         b = LinkBudget(lam, lam, lam, GAMMA_TH)
         exact = outage_probability(GAMMA_TH, t, b, pk)
@@ -262,7 +262,7 @@ class TestAsymptotics:
         assert array_gain(GAMMA_TH, t) == pytest.approx(hand, rel=1e-12)
 
     def test_case2_equals_large_cap_limit(self):
-        pk = rank_placement_probs(3, 3, "maxmin", "exact")
+        pk = rank_placement_probs(3, 3, "maxmin")
         for m in (1, 3):
             t = topo(3, 3, m)
             b = LinkBudget(db_to_linear(25), 1e8, db_to_linear(10), GAMMA_TH)
@@ -284,14 +284,14 @@ class TestAsymptotics:
     def test_case2_monotone_in_threshold(self):
         t = topo(3, 3, 2)
         b = budget_db(25, 30, 10)
-        pk = rank_placement_probs(3, 3, "maxmin", "exact")
+        pk = rank_placement_probs(3, 3, "maxmin")
         vals = [asymptotic_outage_case2(x, t, b, pk)
                 for x in np.linspace(0.1, 20, 50)]
         assert all(later >= earlier for earlier, later in zip(vals, vals[1:]))
 
     def test_independent_of_relay_cap(self):
         t = topo(3, 3, 2)
-        pk = rank_placement_probs(3, 3, "maxmin", "exact")
+        pk = rank_placement_probs(3, 3, "maxmin")
         a = asymptotic_outage_case2(GAMMA_TH, t, budget_db(25, 20, 10), pk)
         b = asymptotic_outage_case2(GAMMA_TH, t, budget_db(25, 60, 10), pk)
         assert a == b
@@ -307,7 +307,7 @@ class TestWorstCaseRankProb:
 
     def test_matches_enumeration(self):
         for num_users, num_relays in [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5)]:
-            d = rank_placement_probs(num_users, num_relays, "maxmin", "exact")
+            d = rank_placement_probs(num_users, num_relays, "maxmin")
             enum = d.probs[d.worst_rank - 1]
             assert worst_case_rank_prob(num_users, num_relays) == \
                 pytest.approx(enum, abs=1e-15), (num_users, num_relays)
@@ -335,12 +335,12 @@ class TestImperfectCsi:
 
     def test_floor_vanishes_without_error(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
-        pk = rank_placement_probs(3, 4, "maxmin", "exact")
+        pk = rank_placement_probs(3, 4, "maxmin")
         assert outage_floor_imperfect(GAMMA_TH, err, 3, 4, pk) == 0.0
 
     def test_floor_equals_high_snr_limit(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
-        pk = rank_placement_probs(3, 4, "maxmin", "exact")
+        pk = rank_placement_probs(3, 4, "maxmin")
         lam = 1e8
         b = LinkBudget(lam, lam, lam, GAMMA_TH)
         exact = outage_probability_imperfect(GAMMA_TH, self.t34, b, err, pk)
@@ -348,7 +348,7 @@ class TestImperfectCsi:
         assert abs(exact - floor) / floor < 1e-3
 
     def test_floor_monotone_in_error_ratio(self):
-        pk = rank_placement_probs(2, 2, "maxmin", "exact")
+        pk = rank_placement_probs(2, 2, "maxmin")
         floors = []
         for ratio in (0.01, 0.05, 0.1, 0.2):
             err = CsiErrorModel.from_error_ratios(topo(2, 2, 1), ratio,
@@ -441,7 +441,7 @@ class TestAverageThroughput:
     def test_two_user_mixture_vs_quadrature(self):
         t = topo(2, 2, 1)
         b = budget_db(20, 12, 6)
-        pk = rank_placement_probs(2, 2, "maxmin", "exact")
+        pk = rank_placement_probs(2, 2, "maxmin")
         closed = average_throughput(t, b, pk)
 
         def ccdf(x):
@@ -465,7 +465,7 @@ class TestAverageThroughput:
         b = budget_db(l1, l2, l3)
         a, bb, c, d = _throughput_params(t, b)
         assert abs(d - 1.0) < _TAYLOR_WINDOW
-        pk = (rank_placement_probs(num_users, num_relays, "maxmin", "exact").probs
+        pk = (rank_placement_probs(num_users, num_relays, "maxmin").probs
               if mn <= 10 else max_min_support_pk(num_users, num_relays))
         closed = average_throughput(t, b, pk)
 

@@ -367,8 +367,8 @@ class TestRankDistribution:
     @pytest.mark.parametrize("scheme, shape, method", [
         ("maxmin", (3, 4), "exact-recursion"),
         ("maxmin", (5, 5), "monte-carlo"),
-        ("naive", (2, 5), "exact-enumeration"),
-        ("naive", (3, 4), "monte-carlo"),
+        ("naive", (2, 5), "exact-closed-form"),
+        ("naive", (3, 4), "exact-closed-form"),
     ], ids=["maxmin-3x4", "maxmin-5x5", "naive-2x5", "naive-3x4"])
     def test_exact_wherever_admitted(self, monkeypatch, scheme, shape, method):
         monkeypatch.setattr(cli, "PK_MC_TRIALS", 1000)
@@ -377,6 +377,18 @@ class TestRankDistribution:
         pk = _rank_distribution(config)
         assert pk.method == method
         assert (pk.trials == 0) == method.startswith("exact")
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=["3x4", "2x8"])
+    def test_naive_pk_mode_exact(self, tmp_path, shape):
+        path = write_config(tmp_path, {"mode": "pk", "scheme": "naive",
+                                       "num_users": shape[0],
+                                       "num_relays": shape[1]})
+        config = load_config(path)
+        pk = _rank_distribution(config)
+        assert (pk.method, pk.trials) == ("exact-closed-form", 0)
+        lines = run_sweep(config, tmp_path / "pk.csv").read_text().splitlines()
+        probs = [float(line.split(",")[2]) for line in lines[1:]]
+        assert probs == [float(format(p, ".12g")) for p in pk.per_user.ravel()]
 
 
 class TestMcVerdict:

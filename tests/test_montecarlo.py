@@ -116,7 +116,7 @@ class TestOutageEstimates:
 
     def test_brackets_multi_user_closed_form(self):
         t, b = topo(), budget_db(10, 10, 10)
-        pk = rank_placement_probs(2, 3, "maxmin", "exact")
+        pk = rank_placement_probs(2, 3, "maxmin")
         exact = outage_probability(GAMMA_TH, t, b, pk)
         for est in estimate_outage(t, b, "maxmin", GAMMA_TH, trials=200_000,
                                    seed=7, z=3.0):
@@ -126,7 +126,7 @@ class TestOutageEstimates:
         # three-user square network, shape 3, relay cap below the rest
         t = topo(3, 3, 3)
         b = budget_db(25, 20, 10)
-        pk = rank_placement_probs(3, 3, "maxmin", "exact")
+        pk = rank_placement_probs(3, 3, "maxmin")
         exact = outage_probability(GAMMA_TH, t, b, pk)
         for est in estimate_outage(t, b, "maxmin", GAMMA_TH, trials=300_000,
                                    seed=13, z=3.0):

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from assign_oracles import (
     enumerate_rank_counts,
+    global_ranks,
     maxmin_assign,
     maxmin_assign_sorted_batch,
     naive_assign,
     prefix_leaf_rank_counts,
     random_assign,
 )
-from cogrelay.analytic import worst_case_rank_prob
+from cogrelay import selection
+from cogrelay.analytic import outage_from_cdf, worst_case_rank_prob
 from cogrelay.selection import (
     EXACT_MAXMIN_LIMIT,
     _maxmin_rank_counts,
@@ -43,6 +45,13 @@ def lex_bottleneck_oracle(g):
         if best_key is None or key > best_key:
             best_key, best = key, relays
     return best, best_key
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 10) if m * n <= 9]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
 
 
 class TestMaxminAssign:
@@ -72,7 +81,7 @@ class TestMaxminAssign:
         rng = np.random.default_rng(12)
         for num_users, num_relays in [(2, 3), (3, 3), (3, 4)]:
             g = rng.random((1_000_000, num_users, num_relays))
-            _, _, ranks = maxmin_assign_batch(g)
+            ranks = global_ranks(g, maxmin_assign_batch(g)[1])
             assert ranks.max() <= (num_users - 1) * num_relays + 1
 
     def test_rejects_more_users_than_relays(self):
@@ -82,12 +91,13 @@ class TestMaxminAssign:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(13)
         g = rng.random((10_000, 3, 4))
-        chosen_a, _, ranks_a = maxmin_assign_batch(g)
-        chosen_b, _, ranks_b = maxmin_assign_batch(np.log1p(g))
+        chosen_a, eff_a = maxmin_assign_batch(g)
+        chosen_b, eff_b = maxmin_assign_batch(np.log1p(g))
         assert np.array_equal(chosen_a, chosen_b)
-        assert np.array_equal(ranks_a, ranks_b)
-        chosen_a, _, _ = naive_assign_batch(g)
-        chosen_b, _, _ = naive_assign_batch(np.log1p(g))
+        assert np.array_equal(global_ranks(g, eff_a),
+                              global_ranks(np.log1p(g), eff_b))
+        chosen_a, _ = naive_assign_batch(g)
+        chosen_b, _ = naive_assign_batch(np.log1p(g))
         assert np.array_equal(chosen_a, chosen_b)
 
 
@@ -115,8 +125,7 @@ def assert_batches_equal(got, want):
 def scalar_maxmin_batch(g):
     picks = [maxmin_assign(m) for m in g]
     return (np.array([a.relay_for_user for a in picks], dtype=np.intp),
-            np.array([a.effective_snr for a in picks]),
-            np.array([a.global_rank for a in picks], dtype=np.intp))
+            np.array([a.effective_snr for a in picks]))
 
 
 class TestMaxminBatchOracles:
@@ -170,8 +179,8 @@ class TestNaiveAssign:
 
     def test_user_one_never_worse_than_maxmin(self):
         g = np.random.default_rng(15).random((20_000, 2, 3))
-        _, eff_naive, _ = naive_assign_batch(g)
-        _, eff_maxmin, _ = maxmin_assign_batch(g)
+        _, eff_naive = naive_assign_batch(g)
+        _, eff_maxmin = maxmin_assign_batch(g)
         assert np.all(eff_naive[:, 0] >= eff_maxmin[:, 0])
 
 
@@ -191,7 +200,7 @@ class TestRandomAssign:
 
     def test_injective(self):
         g = np.random.default_rng(1).random((5000, 3, 4))
-        chosen, _, _ = random_assign_batch(g, np.random.default_rng(2))
+        chosen, _ = random_assign_batch(g, np.random.default_rng(2))
         assert all(len(set(row)) == 3 for row in chosen)
 
 
@@ -200,8 +209,10 @@ class TestBatchAgreement:
         rng = np.random.default_rng(17)
         for num_users, num_relays in [(1, 1), (2, 2), (2, 3), (3, 4)]:
             g = rng.random((200, num_users, num_relays))
-            chosen, eff, ranks = maxmin_assign_batch(g)
-            nchosen, neff, nranks = naive_assign_batch(g)
+            chosen, eff = maxmin_assign_batch(g)
+            ranks = global_ranks(g, eff)
+            nchosen, neff = naive_assign_batch(g)
+            nranks = global_ranks(g, neff)
             for i in range(200):
                 a = maxmin_assign(g[i])
                 assert tuple(chosen[i]) == a.relay_for_user
@@ -214,82 +225,90 @@ class TestBatchAgreement:
 
 class TestRankPlacement:
     def test_single_user_always_top_rank(self):
-        d = rank_placement_probs(1, 4, "maxmin", "exact")
+        d = rank_placement_probs(1, 4, "maxmin")
         assert d.probs[0] == 1.0
         assert d.probs[1:].sum() == 0.0
 
     def test_square_two_by_two_worst_case(self):
-        d = rank_placement_probs(2, 2, "maxmin", "exact")
+        d = rank_placement_probs(2, 2, "maxmin")
         # 24 rank permutations split the three reachable ranks evenly
         assert d.probs[2] == 1 / 3
         np.testing.assert_allclose(d.probs[:3], [1 / 3, 1 / 3, 1 / 3])
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_two_by_three_matches_product_formula(self):
-        d = rank_placement_probs(2, 3, "maxmin", "exact")
+        d = rank_placement_probs(2, 3, "maxmin")
         assert d.probs[d.worst_rank - 1] == worst_case_rank_prob(2, 3)
         assert d.probs[d.worst_rank:].sum() == 0.0
 
     def test_per_user_symmetry_exact(self):
         for shape in [(2, 3), (3, 3)]:
-            d = rank_placement_probs(*shape, "maxmin", "exact")
+            d = rank_placement_probs(*shape, "maxmin")
             for u in range(1, shape[0]):
                 assert np.array_equal(d.per_user[0], d.per_user[u])
 
     def test_probabilities_sum_to_one(self):
         for scheme in ("maxmin", "naive", "random"):
-            d = rank_placement_probs(2, 3, scheme, "exact")
+            d = rank_placement_probs(2, 3, scheme)
             assert d.per_user.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
     def test_naive_user_order_bias(self):
-        d = rank_placement_probs(2, 3, "naive", "exact")
+        d = rank_placement_probs(2, 3, "naive")
         # user 0 grabs the global best half the time; user 1 never sees it
         # unless it sits in their own row and survives, so user 0's top-rank
         # mass must strictly exceed user 1's
         assert d.per_user[0, 0] > d.per_user[1, 0]
 
-    def test_monte_carlo_agrees_with_exact(self):
-        exact = rank_placement_probs(2, 3, "maxmin", "exact")
-        mc = rank_placement_probs(2, 3, "maxmin", "monte-carlo",
-                                  trials=200_000, rng=21)
+    def test_monte_carlo_agrees_with_exact(self, monkeypatch):
+        exact = rank_placement_probs(2, 3, "maxmin")
+        monkeypatch.setattr(selection, "EXACT_MAXMIN_LIMIT", 0)
+        mc = rank_placement_probs(2, 3, "maxmin", trials=200_000, rng=21)
+        assert mc.method == "monte-carlo"
         assert np.max(np.abs(mc.probs - exact.probs)) < 0.005
         assert mc.per_user.sum() == pytest.approx(2.0, abs=1e-9)
 
-    def test_monte_carlo_deterministic_for_seed(self):
-        a = rank_placement_probs(3, 4, "maxmin", "monte-carlo",
-                                 trials=50_000, rng=5)
-        b = rank_placement_probs(3, 4, "maxmin", "monte-carlo",
-                                 trials=50_000, rng=5)
+    def test_monte_carlo_deterministic_for_seed(self, monkeypatch):
+        monkeypatch.setattr(selection, "EXACT_MAXMIN_LIMIT", 0)
+        a = rank_placement_probs(3, 4, "maxmin", trials=50_000, rng=5)
+        b = rank_placement_probs(3, 4, "maxmin", trials=50_000, rng=5)
+        assert a.trials == 50_000
         assert np.array_equal(a.per_user, b.per_user)
 
     def test_enumeration_size_guard(self):
-        # 5x5 is the first max-min shape beyond the exact limit; naive
-        # enumerates (M*N)! orders only up to M*N = 10
+        # 5x5 is the first max-min shape beyond the exact limit, so it
+        # falls back to Monte Carlo on the given trials; naive is exact
+        # at every shape
         assert 5 * 5 > EXACT_MAXMIN_LIMIT
-        with pytest.raises(ValueError, match="enumeration"):
-            rank_placement_probs(5, 5, "maxmin", "exact")
-        with pytest.raises(ValueError, match="enumeration"):
-            rank_placement_probs(3, 4, "naive", "exact")
+        d = rank_placement_probs(5, 5, "maxmin", trials=1000, rng=3)
+        assert (d.method, d.trials) == ("monte-carlo", 1000)
+        assert d.per_user.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+        d = rank_placement_probs(3, 4, "naive")
+        assert (d.method, d.trials) == ("exact-closed-form", 0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)], ids=shape_id)
+    def test_unknown_scheme_refused_by_name(self, shape):
+        with pytest.raises(ValueError, match="unknown scheme 'greedy'"):
+            rank_placement_probs(*shape, "greedy")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=shape_id)
+    def test_probs_is_the_common_row(self, shape):
+        # the mean of the equal max-min rows rounds differently in the
+        # last bit at these shapes
+        d = rank_placement_probs(*shape, "maxmin")
+        assert d.probs.tobytes() == d.per_user[0].tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=["3x4", "2x8"])
     def test_random_exact_beyond_enumeration(self, shape):
         # the random pick ignores the values, so its rank is uniform
-        d = rank_placement_probs(*shape, "random", "exact")
+        d = rank_placement_probs(*shape, "random")
         mn = shape[0] * shape[1]
-        assert d.trials == 0
+        assert (d.method, d.trials) == ("exact-closed-form", 0)
         assert d.per_user.shape == (shape[0], mn)
         assert np.all(d.per_user == 1.0 / mn)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            rank_placement_probs(2, 2, "maxmin", "monte-carlo", trials=0)
-
-
-SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 10) if m * n <= 9]
-
-
-def shape_id(shape):
-    return "x".join(map(str, shape))
+            rank_placement_probs(5, 5, "maxmin", trials=0)
 
 
 class TestExactMaxminPk:
@@ -299,7 +318,7 @@ class TestExactMaxminPk:
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
     def test_bit_identical_to_full_enumeration(self, shape):
-        d = rank_placement_probs(*shape, "maxmin", "exact")
+        d = rank_placement_probs(*shape, "maxmin")
         want = enumerate_rank_counts(*shape) / float(math.factorial(shape[0] * shape[1]))
         assert d.trials == 0
         np.testing.assert_array_equal(d.per_user, want)
@@ -309,14 +328,14 @@ class TestExactMaxminPk:
         counts = _maxmin_rank_counts(*shape)
         assert counts == prefix_leaf_rank_counts(*shape)
         total = shape[0] * math.factorial(shape[0] * shape[1])
-        d = rank_placement_probs(*shape, "maxmin", "exact")
+        d = rank_placement_probs(*shape, "maxmin")
         assert d.per_user[0].tolist() == [float(Fraction(c, total)) for c in counts]
 
     @pytest.mark.parametrize("shape", [(3, 5), (4, 4)], ids=shape_id)
-    def test_within_monte_carlo(self, shape):
-        exact = rank_placement_probs(*shape, "maxmin", "exact")
-        mc = rank_placement_probs(*shape, "maxmin", "monte-carlo",
-                                  trials=200_000, rng=sum(shape))
+    def test_within_monte_carlo(self, monkeypatch, shape):
+        exact = rank_placement_probs(*shape, "maxmin")
+        monkeypatch.setattr(selection, "EXACT_MAXMIN_LIMIT", 0)
+        mc = rank_placement_probs(*shape, "maxmin", trials=200_000, rng=sum(shape))
         # binomial sigma at the exact value, which is 0 where no rank is
         # reachable; at most one user takes each rank, so it is conservative
         p = exact.probs
@@ -331,7 +350,48 @@ class TestExactMaxminPk:
         assert sum(counts) == num_users * math.factorial(num_users * num_relays)
         worst = (num_users - 1) * num_relays + 1
         assert counts[worst - 1] > 0 and not any(counts[worst:])
-        d = rank_placement_probs(*shape, "maxmin", "exact")
+        d = rank_placement_probs(*shape, "maxmin")
         assert np.all(d.per_user == d.per_user[0])
         assert d.per_user[0, worst - 1] == pytest.approx(
             worst_case_rank_prob(*shape), rel=1e-12)
+
+
+class TestNaiveClosedFormPk:
+    """The naive closed form against enumeration of every rank order
+    (float rows bit for bit), against the distribution of the largest of
+    a user's free entries, and against Monte Carlo."""
+
+    @pytest.mark.parametrize("shape", [(m, n) for m in range(1, 4)
+                                       for n in range(m, 11) if m * n <= 10],
+                             ids=shape_id)
+    def test_bit_identical_to_full_enumeration(self, shape):
+        d = rank_placement_probs(*shape, "naive")
+        counts = enumerate_rank_counts(*shape, batch=naive_assign_batch)
+        want = counts / float(math.factorial(shape[0] * shape[1]))
+        assert (d.method, d.trials) == ("exact-closed-form", 0)
+        np.testing.assert_array_equal(d.per_user, want)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 8)], ids=shape_id)
+    @pytest.mark.parametrize("cdf", [1e-3, 0.3, 0.99])
+    def test_mixture_is_largest_free_entry(self, shape, cdf):
+        # user u's entry is the largest of its N - u free entries, so its
+        # outage is F**(N - u)
+        num_users, num_relays = shape
+        d = rank_placement_probs(*shape, "naive")
+        for u, row in enumerate(d.per_user):
+            assert outage_from_cdf(cdf, *shape, row) == pytest.approx(
+                cdf ** (num_relays - u), rel=1e-10)
+
+    def test_within_monte_carlo(self):
+        shape, trials = (3, 4), 200_000
+        mn = shape[0] * shape[1]
+        rng = np.random.default_rng(34)
+        counts = np.zeros((shape[0], mn), dtype=np.int64)
+        for lo in range(0, trials, 1 << 16):
+            g = rng.random((min(1 << 16, trials - lo), *shape))
+            ranks = global_ranks(g, naive_assign_batch(g)[1])
+            for u in range(shape[0]):
+                counts[u] += np.bincount(ranks[:, u] - 1, minlength=mn)
+        p = rank_placement_probs(*shape, "naive").per_user
+        sigma = np.sqrt(p * (1 - p) / trials)
+        assert np.all(np.abs(counts / trials - p) <= 5 * sigma)
