@@ -116,6 +116,28 @@ def snr_stacks(draw, tied):
         0.0, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)))
 
 
+# Shapes on both sides of each type the batch picks from its shape:
+# keys in int16 up to 2x11, int32 from 2x12 to 2x27, one int64 word from
+# 2x28 up to 3x29, and two from 3x30; rank counts in uint8 up to
+# M*N = 256 (1x256, 2x128) and in uint16 beyond (1x257, 2x129).
+BOUNDARY_SHAPES = [(2, 11), (2, 12), (2, 27), (2, 28), (3, 29), (3, 30),
+                   (1, 256), (2, 128), (1, 257), (2, 129)]
+
+
+@st.composite
+def boundary_stacks(draw, tied):
+    """A few matrices of one boundary shape.  Tied stacks take values
+    from {0, 1/4, 1/2, 3/4}; untied ones are a permutation of 0..size-1,
+    which covers every rank order."""
+    num_users, num_relays = draw(st.sampled_from(BOUNDARY_SHAPES))
+    shape = (draw(st.integers(1, 3)), num_users, num_relays)
+    if tied:
+        return draw(hnp.arrays(float, shape,
+                               elements=st.integers(0, 3).map(lambda k: k / 4)))
+    order = draw(st.permutations(range(math.prod(shape))))
+    return np.array(order, dtype=float).reshape(shape)
+
+
 def assert_batches_equal(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
@@ -153,6 +175,38 @@ class TestMaxminBatchOracles:
         tied = np.floor(4 * g) / 4
         assert_batches_equal(maxmin_assign_batch(tied),
                              maxmin_assign_sorted_batch(tied))
+
+    def test_boundary_shapes_straddle_each_type(self):
+        types = [(w.dtype, w.shape[0]) for w in
+                 (selection._key_words(*shape) for shape in BOUNDARY_SHAPES[:6])]
+        assert types == [(np.int16, 1), (np.int32, 1), (np.int32, 1),
+                         (np.int64, 1), (np.int64, 1), (np.int64, 2)]
+        counts = [selection._larger_counts(np.zeros((math.prod(shape), 1))).dtype
+                  for shape in BOUNDARY_SHAPES[6:]]
+        assert counts == [np.uint8, np.uint8, np.uint16, np.uint16]
+
+    @settings(max_examples=40, deadline=None)
+    @given(boundary_stacks(tied=False))
+    def test_boundary_tie_free_matches_scalar_oracle(self, g):
+        assert_batches_equal(maxmin_assign_batch(g), scalar_maxmin_batch(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(boundary_stacks(tied=True))
+    def test_boundary_tied_matches_sorted_enumeration(self, g):
+        assert_batches_equal(maxmin_assign_batch(g), maxmin_assign_sorted_batch(g))
+
+    def test_memory_small_shape(self):
+        # one 65536-trial 3x4 block: the chunk's counts are uint8 and its
+        # keys int16 (3.6 MB measured; 10.8 MB with sorted int64 counts
+        # and int64 keys)
+        g = np.random.default_rng(18).random((65536, 3, 4))
+        tracemalloc.start()
+        try:
+            maxmin_assign_batch(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_memory_bounded(self):
         # 1680 maps: a (trials, maps, users) float64 profile array of one
