@@ -1,19 +1,21 @@
 """Closed-form outage and throughput expressions.
 
 Everything here is built from two ingredients: the CDF of a single
-user-relay end-to-end SNR (exact, high-SNR and imperfect-CSI variants)
-and the alternating-sum CDF of the k-th largest among M*N i.i.d.
-entries, mixed over the rank-placement distribution of the selection
-scheme.  The average-throughput expression additionally needs a family
-of exponential-type integrals evaluated by closed recursions; its
-alternating sum over orders t = 1..M*N reads one j-sum per t, built from
-one row h(0..t) with one e^p Ei(-p) per argument, and raises
+user-relay end-to-end SNR (exact and imperfect-CSI variants; the
+relay-cap floor is the exact CDF at an infinite relay cap) and the CDF
+of the k-th largest among M*N i.i.d. entries, a binomial tail of
+positive terms, mixed over the rank-placement distribution of the
+selection scheme.  The average-throughput expression additionally needs
+a family of exponential-type integrals evaluated by closed recursions;
+its alternating sum over orders t = 1..M*N reads one j-sum per t, built
+from one row h(0..t) with one e^p Ei(-p) per argument, and raises
 :class:`CancellationError` when it cancels by more than 1e8.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .selection import RankPlacementDistribution
 from .specfun import (
     exp_scaled_ei,
     lower_incomplete_gamma,
-    order_stat_coeff,
+    # unused here, but the benchmark tracer (perfbench/) wraps this name
+    order_stat_coeff,  # noqa: F401
     upper_incomplete_gamma,
 )
 
@@ -46,8 +49,8 @@ __all__ = [
 
 
 class CancellationError(ArithmeticError):
-    """An alternating sum (the order-statistic CDF or the throughput
-    expansion) lost too many digits."""
+    """The alternating sum of :func:`average_throughput` lost too many
+    digits."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,24 +98,6 @@ def cdf_min_snr(x: float, topology: NetworkTopology, budget: LinkBudget) -> floa
     return min(1.0, max(0.0, value))
 
 
-def _cdf_min_snr_floor(x: float, topology: NetworkTopology,
-                       budget: LinkBudget) -> float:
-    """Limit of :func:`cdf_min_snr` as the relay power cap grows with the
-    interference cap held fixed (the incomplete gammas in the cap
-    arguments saturate)."""
-    if x == 0:
-        return 0.0
-    m = topology.nakagami_m
-    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
-                  topology.eff_gain_interf)
-    l1, l3 = budget.source_snr, budget.interference_snr_cap
-    gam_m = float(math.factorial(m - 1))
-    up1 = upper_incomplete_gamma(m, m * x / (o1 * l1))
-    ksum = _share_ksum(o2 * l3, o3 * x, [math.factorial(k + m - 1)
-                                         for k in range(m)])
-    return min(1.0, max(0.0, 1.0 - up1 * ksum / gam_m ** 2))
-
-
 def cdf_min_snr_imperfect(x: float, topology: NetworkTopology,
                           budget: LinkBudget, err: CsiErrorModel) -> float:
     """Single-link SNR CDF under Rayleigh fading with imperfect CSI."""
@@ -143,23 +128,22 @@ def cdf_kth_largest(cdf_value: float, k: int, n: int) -> float:
     """CDF of the k-th largest among n i.i.d. variables, evaluated at a
     point where the parent CDF equals ``cdf_value``.
 
-    The alternating sum cancels progressively for large n; the exact
-    float sum is taken and a result escaping [0, 1] by more than 1e-9
-    raises :class:`CancellationError` instead of being silently clamped.
+    The k-th largest is at or below the point exactly when at least
+    n-k+1 of the n variables are, so this is the binomial tail
+    sum over j > n-k of C(n, j) F^j (1-F)^(n-j).  Every term is positive
+    and formed in log space, so no factor overflows at any n.
     """
     if not 0.0 <= cdf_value <= 1.0:
         raise ValueError(f"cdf_value must be in [0, 1], got {cdf_value}")
-    terms = []
-    for i in range(k):
-        sign = -1.0 if i % 2 else 1.0
-        terms.append(sign * order_stat_coeff(n, k, i)
-                     * cdf_value ** (n - k + i + 1))
-    value = math.fsum(terms)
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        raise CancellationError(
-            f"order-statistic CDF left [0, 1] by {value!r} for k={k}, n={n}"
-        )
-    return min(1.0, max(0.0, value))
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if cdf_value in (0.0, 1.0):
+        return cdf_value
+    log_f, log_miss = math.log(cdf_value), math.log1p(-cdf_value)
+    value = math.fsum(
+        math.exp(math.log(math.comb(n, j)) + j * log_f + (n - j) * log_miss)
+        for j in range(n - k + 1, n + 1))
+    return min(1.0, value)
 
 
 def _pk_vector(pk, num_users: int, num_relays: int) -> np.ndarray:
@@ -285,9 +269,10 @@ def asymptotic_outage_case1(gamma_th: float, snr: float,
 
 def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
                             budget: LinkBudget, pk) -> float:
-    """Outage floor when only the relay power cap grows: independent of
-    the relay-cap SNR by construction (it has been taken to its limit)."""
-    point = _cdf_min_snr_floor(gamma_th, topology, budget)
+    """Outage floor when only the relay power cap grows: the link CDF at
+    an infinite relay cap, so independent of the relay-cap SNR."""
+    point = cdf_min_snr(gamma_th, topology,
+                        replace(budget, relay_snr_cap=math.inf))
     return outage_from_cdf(point, topology.num_users, topology.num_relays, pk)
 
 

@@ -291,13 +291,14 @@ def _rank_distribution(config: ExperimentConfig) -> RankPlacementDistribution:
 @dataclass(frozen=True)
 class PointResult:
     """One sweep point.  ``exact`` holds the per-user closed form of the
-    mode (outage or throughput) and ``mc`` the matching per-user Monte
-    Carlo estimates; an asymptote that does not apply is None."""
+    mode (outage or throughput), ``asym2`` the per-user floor and ``mc``
+    the matching per-user Monte Carlo estimates; an asymptote that does
+    not apply is None."""
 
     sweep_db: float
     exact: list[float]
     asym1: float | None
-    asym2: float | None
+    asym2: list[float] | None
     mc: list[montecarlo.McEstimate]
 
 
@@ -374,10 +375,11 @@ def _closed_forms(config: ExperimentConfig, point_db: float,
         asym1 = analytic.asymptotic_outage_case1(
             gamma_th, db_to_linear(point_db), topology)
     if not lambda_all and csi is None:
-        asym2 = analytic.asymptotic_outage_case2(gamma_th, topology, budget, pk)
+        asym2 = _per_user(pk, lambda row: analytic.asymptotic_outage_case2(
+            gamma_th, topology, budget, row))
     if lambda_all and csi is not None:
-        asym2 = analytic.outage_floor_imperfect(
-            gamma_th, csi, config.num_users, config.num_relays, pk)
+        asym2 = _per_user(pk, lambda row: analytic.outage_floor_imperfect(
+            gamma_th, csi, config.num_users, config.num_relays, row))
     return PointResult(point_db, exact, asym1, asym2, mc)
 
 
@@ -399,7 +401,8 @@ def run_sweep(config: ExperimentConfig, output=None) -> Path:
         for user, (exact, est) in enumerate(zip(point.exact, point.mc), start=1):
             outage = (None, None) if throughput else (exact, est.mean)
             tp = (exact, est.mean) if throughput else (None, None)
-            cells = (outage[0], point.asym1, point.asym2, outage[1],
+            floor = None if point.asym2 is None else point.asym2[user - 1]
+            cells = (outage[0], point.asym1, floor, outage[1],
                      est.ci_low, est.ci_high, *tp)
             lines.append(",".join([_fmt(point.sweep_db), str(user)]
                                   + [_fmt(v) for v in cells]))
@@ -517,7 +520,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     if (config.sweep.variable == "lambda2" and csi is None
             and config.mode != "throughput"):
         top_db, top_exact = curve[-1]
-        floor = points[-1].asym2  # the relay-cap floor at the last sweep point
+        floor = points[-1].asym2[0]  # user 0's relay-cap floor at the last point
         rel = abs(top_exact - floor) / floor
         if top_db >= 55:
             report.add("outage-floor", "PASS" if rel <= 1e-3 else "FAIL",
@@ -531,10 +534,11 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     # imperfect-CSI floor
     if csi is not None and config.mode != "throughput":
         floor = analytic.outage_floor_imperfect(gamma_th, csi, num_users,
-                                                num_relays, pk)
+                                                num_relays, pk.per_user[0])
         lam = db_to_linear(80)
         exact80 = analytic.outage_probability_imperfect(
-            gamma_th, topology, LinkBudget(lam, lam, lam, gamma_th), csi, pk)
+            gamma_th, topology, LinkBudget(lam, lam, lam, gamma_th), csi,
+            pk.per_user[0])
         rel = abs(exact80 - floor) / floor
         report.add("imperfect-csi-floor", "PASS" if rel <= 1e-3 else "FAIL",
                    f"exact@80dB={exact80:.6g} floor={floor:.6g} rel={rel:.2e}")

@@ -3,9 +3,11 @@
 Every gamma-type quantity in this package carries an integer shape
 parameter, so the incomplete gamma functions reduce to exact finite sums
 and no generic continued-fraction incomplete-gamma machinery is needed.
-The exponential-integral helper and the order-statistic coefficient are
-the only places where more care (scaling, log-space evaluation) is
-required.
+The exponential-integral helper is the one place where more care
+(scaling) is required.  ``order_stat_coeff``, the log-space coefficient
+of the former alternating order-statistic sum, has no caller in the
+package; ``analytic`` imports it only because the benchmark tracer in
+``perfbench/`` wraps that name.
 """
 
 from __future__ import annotations

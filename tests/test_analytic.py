@@ -5,6 +5,8 @@ the throughput integrals."""
 
 import math
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
+from scipy.stats import binom
 
 from cogrelay import analytic
 from cogrelay.analytic import (
     _TAYLOR_WINDOW,
     CancellationError,
-    _cdf_min_snr_floor,
     _h_row,
     _share_ksum,
     _throughput_params,
@@ -117,7 +119,7 @@ class TestCdfMinSnr:
         x = db_to_linear(3000)
         t, b = topo(m=m), budget_db(10, 10, 10)
         assert cdf_min_snr(x, t, b) == 1.0
-        assert _cdf_min_snr_floor(x, t, b) == 1.0
+        assert cdf_min_snr(x, t, replace(b, relay_snr_cap=math.inf)) == 1.0
 
 
 def power_form_ksum(a, b, weights):
@@ -154,6 +156,14 @@ class TestShareKsum:
         assert _share_ksum(1.0, 1e300, [2.0, 3.0]) == 0.0
 
 
+def binomial_tail_oracle(cdf_value, k, n):
+    """CDF of the k-th largest of n, at parent CDF ``cdf_value``, as an
+    exact rational: at least n-k+1 of the n draws fall at or below."""
+    f = Fraction(cdf_value)
+    return sum(math.comb(n, j) * f ** j * (1 - f) ** (n - j)
+               for j in range(n - k + 1, n + 1))
+
+
 class TestCdfKthLargest:
     def test_maximum(self):
         assert cdf_kth_largest(0.37, 1, 6) == pytest.approx(0.37 ** 6, rel=1e-12)
@@ -183,6 +193,43 @@ class TestCdfKthLargest:
     def test_rejects_bad_cdf_value(self):
         with pytest.raises(ValueError):
             cdf_kth_largest(1.2, 1, 4)
+
+    # F from 1e-3 up: each term carries a relative error of about
+    # |log term| * 2**-53 from its log-space form, which reaches 1e-13
+    # only for terms near the float underflow
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, n))),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0),
+                     st.integers(1, 50).map(lambda e: 1.0 - 2.0 ** -e)))
+    def test_matches_rational_binomial_tail(self, shape, f):
+        n, k = shape
+        exact = binomial_tail_oracle(f, k, n)
+        value = cdf_kth_largest(f, k, n)
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 13) * exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, n))),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_nondecreasing_in_cdf_value_and_rank(self, shape, a, b):
+        n, k = shape
+        lo, hi = sorted((a, b))
+        # adjacent values may round either way: compare points whose
+        # exact tails differ by more than the 1e-13 rounding of each
+        assume(binomial_tail_oracle(hi, k, n)
+               > (1 + 3e-13) * binomial_tail_oracle(lo, k, n))
+        assert cdf_kth_largest(hi, k, n) >= cdf_kth_largest(lo, k, n)
+        values = [cdf_kth_largest(lo, j, n) for j in range(1, n + 1)]
+        assert all(later >= earlier
+                   for earlier, later in zip(values, values[1:]))
+
+    # the tail's mean sits at k = 1400; k = 1 underflows to 0
+    @pytest.mark.parametrize("k", [1, 1200, 1300, 1400, 1450, 2000])
+    def test_large_n_matches_scipy(self, k):
+        # C(2000, 1000) alone is beyond the float range
+        assert cdf_kth_largest(0.3, k, 2000) == pytest.approx(
+            binom.sf(2000 - k, 2000, 0.3), rel=1e-12, abs=1e-300)
 
 
 class TestOutageProbability:

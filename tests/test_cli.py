@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cogrelay import cli, model, montecarlo
+from cogrelay import analytic, cli, model, montecarlo
 from cogrelay.cli import (
     CSV_HEADER,
     MAX_SWEEP_POINTS,
@@ -516,6 +516,49 @@ class TestMainEntry:
         path = write_config(tmp_path)
         assert main(["--config", str(path)]) == 2
         assert "numeric diagnostic" in capsys.readouterr().err
+
+
+NAIVE_RELAY_CAP = {
+    "num_users": 3, "num_relays": 3, "nakagami_m": 1, "scheme": "naive",
+    "lambda1_db": 25.0, "lambda3_db": 10.0,
+    "sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 60.0,
+              "step_db": 30.0}}
+
+
+class TestPerUserFloor:
+    def test_naive_floor_validates(self, tmp_path, capsys):
+        # naive users settle at different floors: the check reads user 0's
+        path = write_config(tmp_path, NAIVE_RELAY_CAP)
+        assert main(["--config", str(path), "--mode", "validate"]) == 0
+        assert "[        PASS] outage-floor" in capsys.readouterr().out
+
+    def test_naive_floor_column_is_each_users_own(self, tmp_path):
+        config = load_config(write_config(tmp_path, NAIVE_RELAY_CAP))
+        pk = _rank_distribution(config)
+        budget = config.budget_at(60.0)
+        rows = [ln.split(",") for ln in
+                run_sweep(config, tmp_path / "n.csv").read_text().splitlines()[1:]]
+        top = [row for row in rows if float(row[0]) == 60.0]
+        assert len(top) == 3
+        for row, pk_row in zip(top, pk.per_user):
+            floor = analytic.asymptotic_outage_case2(
+                budget.threshold_snr, config.topology(), budget, pk_row)
+            assert row[4] == cli._fmt(floor)
+            assert abs(float(row[2]) - floor) <= 1e-9 * floor
+        assert len({row[4] for row in top}) == 3
+
+    def test_maxmin_4x5_outage_sweep_exits_zero(self, tmp_path, capsys):
+        # max-min 4x5 weighs ranks up to 20, where the binomial terms of
+        # the k-th-largest CDF span many orders of magnitude
+        path = write_config(tmp_path, {
+            "num_users": 4, "num_relays": 5, "nakagami_m": 1, "trials": 1000,
+            "sweep": {"variable": "lambda_all", "start_db": 0.0,
+                      "stop_db": 5.0, "step_db": 5.0},
+            "output": str(tmp_path / "m45.csv")})
+        assert main(["--config", str(path)]) == 0
+        rows = (tmp_path / "m45.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(0.0 < float(row.split(",")[2]) < 1.0 for row in rows)
 
 
 class TestRecipes:
