@@ -4,7 +4,6 @@ imperfect-CSI outage, average throughput, and a seeded Monte Carlo
 engine that cross-validates every closed form."""
 
 from .analytic import (
-    CancellationError,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,

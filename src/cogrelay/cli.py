@@ -587,17 +587,13 @@ def main(argv=None) -> int:
         print(json.dumps(asdict(config), indent=2, sort_keys=True))
         return 0
 
-    try:
-        if args.mode == "validate" or config.mode == "validate":
-            report = run_validate(config)
-            print(report.render())
-            return 3 if report.failed else 0
-        path = run_sweep(config)
-        print(f"wrote {path}")
-        return 0
-    except analytic.CancellationError as exc:
-        print(f"numeric diagnostic: {exc}", file=sys.stderr)
-        return 2
+    if args.mode == "validate" or config.mode == "validate":
+        report = run_validate(config)
+        print(report.render())
+        return 3 if report.failed else 0
+    path = run_sweep(config)
+    print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 Every gamma-type quantity in this package carries an integer shape
 parameter, so the incomplete gamma functions reduce to exact finite sums
 and no generic continued-fraction incomplete-gamma machinery is needed.
-The exponential-integral helper is the one place where more care
-(scaling) is required.  ``order_stat_coeff``, the log-space coefficient
-of the former alternating order-statistic sum, has no caller in the
-package; ``analytic`` imports it only because the benchmark tracer in
-``perfbench/`` wraps that name.
+``exp_scaled_ei`` (the scaled exponential integral of the paper's
+throughput closed form) and ``order_stat_coeff`` (the coefficient of its
+alternating order-statistic sum) have no caller in the package;
+``analytic`` imports them only because the benchmark tracer in
+``perfbench/`` wraps those names.
 """
 
 from __future__ import annotations

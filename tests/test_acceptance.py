@@ -12,7 +12,9 @@ them).  Tolerances are pinned here and nowhere else:
  5. imperfect CSI: inside 3-sigma MC CI at 1e6 trials, floor within 0.1%
     at 80 dB, exact zero-error reversion to 1e-12
  6. throughput closed form inside MC CI and within 1% of the MC mean;
-    h-integrals within 1e-8 of quadrature on the full grid
+    the paper's alternating closed form (tests/oracles.py) within 1e-11
+    of it at 3x4, and the paper's h-integrals within 1e-8 of quadrature
+    on the full grid
  7. exact rank enumeration: unit mass, worst-rank 1/3 for the 2x2
     network, product-formula agreement for 2x3
  8. bottleneck optimality with zero exceptions on 1e4 matrices; user
@@ -30,6 +32,7 @@ import pytest
 from scipy import integrate
 
 from assign_oracles import global_ranks, maxmin_assign
+from oracles import average_throughput_closed, h_closed
 from cogrelay import selection
 from cogrelay.analytic import (
     asymptotic_outage_case1,
@@ -37,7 +40,6 @@ from cogrelay.analytic import (
     average_throughput,
     cdf_min_snr,
     cdf_min_snr_imperfect,
-    h_integral,
     outage_floor_imperfect,
     outage_probability,
     outage_probability_imperfect,
@@ -209,7 +211,7 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
 def test_criterion_6_throughput(pk34):
     t = topo(3, 4, 1)
     ok = True
-    worst_rel = 0.0
+    worst_rel = worst_paper = 0.0
     for index, lam2_db in enumerate((0, 10, 20, 30, 40)):
         budget = LinkBudget(db_to_linear(25.0), db_to_linear(lam2_db),
                             db_to_linear(10.0), GAMMA_TH)
@@ -220,7 +222,10 @@ def test_criterion_6_throughput(pk34):
         worst_rel = max(worst_rel, rel)
         ok &= est.ci_low <= closed <= est.ci_high
         ok &= rel <= 0.01
-    # h-integral family against adaptive quadrature
+        paper = average_throughput_closed(t, budget, pk34)
+        worst_paper = max(worst_paper, abs(paper - closed) / closed)
+    ok &= worst_paper <= 1e-11
+    # the paper's h-integral family against adaptive quadrature
     worst_h = 0.0
     for j in range(0, 7):
         for d in (0.25, 1.0, 4.0):
@@ -228,10 +233,11 @@ def test_criterion_6_throughput(pk34):
                 ref, _ = integrate.quad(
                     lambda x: math.exp(-at * x) / ((x + 1) * (x + d) ** j),
                     0.0, np.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
-                worst_h = max(worst_h, abs(h_integral(j, at, d) - ref) / abs(ref))
+                worst_h = max(worst_h, abs(h_closed(j, at, d) - ref) / abs(ref))
     ok &= worst_h <= 1e-8
     report("criterion 6 (throughput)", ok,
-           f"worst closed-vs-MC rel {worst_rel:.2e}, worst h rel {worst_h:.1e}")
+           f"worst closed-vs-MC rel {worst_rel:.2e}, worst paper-vs-closed rel "
+           f"{worst_paper:.1e}, worst h rel {worst_h:.1e}")
     assert ok
 
 

@@ -505,17 +505,21 @@ class TestMainEntry:
         assert main(["--config", str(path), "--mode", "validate"]) == 0
         assert "analytic-vs-mc" in capsys.readouterr().out
 
-    def test_cancellation_exit_code(self, tmp_path, capsys, monkeypatch):
-        from cogrelay.analytic import CancellationError
-        import cogrelay.cli as cli_module
-
-        def boom(config, output=None):
-            raise CancellationError("synthetic loss of significance")
-
-        monkeypatch.setattr(cli_module, "run_sweep", boom)
-        path = write_config(tmp_path)
-        assert main(["--config", str(path)]) == 2
-        assert "numeric diagnostic" in capsys.readouterr().err
+    def test_maxmin_4x6_throughput_sweep_exits_zero(self, tmp_path):
+        # the paper's alternating throughput sum cancels by 6e8 at 4x6
+        path = write_config(tmp_path, {
+            "num_users": 4, "num_relays": 6, "nakagami_m": 1,
+            "mode": "throughput", "lambda1_db": 25.0, "lambda3_db": 10.0,
+            "trials": 1000,
+            "sweep": {"variable": "lambda2", "start_db": 0.0,
+                      "stop_db": 10.0, "step_db": 5.0},
+            "output": str(tmp_path / "m46.csv")})
+        assert main(["--config", str(path)]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "m46.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        column = CSV_HEADER.split(",").index("throughput_exact")
+        assert all(math.isfinite(float(row[column])) for row in rows)
 
 
 NAIVE_RELAY_CAP = {
