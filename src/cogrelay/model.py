@@ -170,7 +170,8 @@ def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.nda
     # sum of m exponentials of mean mean/m == squared Nakagami-m amplitude;
     # avoids any rejection-sampling edge cases and is trivially verifiable
     draws = rng.exponential(scale=mean / m, size=(m,) + shape)
-    return draws.sum(axis=0)
+    # m = 1 needs no sum; a view for m > 1 would keep all m draws alive
+    return draws[0] if m == 1 else draws.sum(axis=0)
 
 
 def sample_realization(topology: NetworkTopology, rng: np.random.Generator,
@@ -210,17 +211,20 @@ def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
 def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
     """Relay transmit power over noise: the peak-power cap or the level
     that meets the interference cap at the primary receiver, whichever
-    binds.  A zero interference gain means the cap cannot bind, so the
-    peak power is returned."""
+    binds.  A zero interference gain (+0.0 or -0.0) means the cap cannot
+    bind, so the peak power is returned; a negative or NaN gain raises
+    ``ValueError``."""
     f = np.asarray(f_gain, dtype=float)
-    if np.any(f < 0):
+    low = f.min(initial=np.inf)
+    if not low >= 0:  # false for NaN too, which the min propagates
         raise ValueError("interference gain must be >= 0")
+    if low == 0:
+        f = f + 0.0  # -0.0 + 0.0 is +0.0, so every zero divides to +inf
     d3b = topology.dist_interf ** topology.path_loss_exp
+    out = np.empty(f.shape)
     with np.errstate(divide="ignore"):
-        interference_limit = np.where(
-            f > 0, budget.interference_snr_cap * d3b / f, np.inf
-        )
-    out = np.minimum(budget.relay_snr_cap, interference_limit)
+        np.divide(budget.interference_snr_cap * d3b, f, out=out)
+    np.minimum(out, budget.relay_snr_cap, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,9 +12,10 @@ each point has a link budget and an outage threshold (or SNR scale).
 Each block draws its channel gains once; then, once per distinct
 budget, it builds the SNR matrix, assigns, and scores every point of
 that budget.  All points thus share one random stream, so their
-estimates are correlated.  Each block sorts a budget's selected SNRs
-once, so every threshold costs one binary search rather than a pass
-over the trials.
+estimates are correlated.  A budget with one outage threshold counts
+the selected SNRs at or below it in one pass; a budget with several
+sorts them once per block, so every threshold costs one binary search
+rather than a pass over the trials.
 """
 
 from __future__ import annotations
@@ -153,10 +154,18 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
     """
     _check_trials(trials)
     budgets, thresholds = _per_point(budget, gamma_th)
+    if np.isnan(thresholds).any():
+        raise ValueError("outage thresholds must not be NaN")
     hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
     for _, points, eff in _selected_snrs(topology, budgets, scheme, trials,
                                          seed, csi):
-        # trials at or below a threshold = its right insertion point
+        if len(points) == 1:
+            # column by column: a count along axis 0 of the (trials,
+            # users) array takes about 5x as long at three users
+            hits[points[0]] += [np.count_nonzero(column <= thresholds[points[0]])
+                                for column in eff.T]
+            continue
+        # several thresholds: each counts up to its right insertion point
         for user, column in enumerate(np.sort(eff.T, axis=1)):
             hits[points, user] += np.searchsorted(column, thresholds[points],
                                                   side="right")

@@ -1,8 +1,9 @@
 """Test-side helpers and oracles that the package itself does not need:
-link budgets given in dB, the compact Rayleigh link CDF, a Monte Carlo
-estimate of the single-link CDF, and the paper's closed-form average
-throughput (an alternating sum over order statistics of exponential-type
-integrals h(j, at, d), each from a closed recursion)."""
+link budgets given in dB, the relay cap and imperfect-CSI SNR matrix in
+their masked (``np.where``) form, the compact Rayleigh link CDF, a Monte
+Carlo estimate of the single-link CDF, and the paper's closed-form
+average throughput (an alternating sum over order statistics of
+exponential-type integrals h(j, at, d), each from a closed recursion)."""
 
 import math
 
@@ -25,6 +26,34 @@ def budget_db(l1, l2, l3, gth=5.0):
     """Source power, relay cap, interference cap and threshold in dB."""
     return LinkBudget(db_to_linear(l1), db_to_linear(l2), db_to_linear(l3),
                       db_to_linear(gth))
+
+
+def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):
+    """The relay cap with the interference limit masked to +inf where the
+    gain is not positive: min(peak, I d3^b / f), and the peak at f = 0."""
+    f = np.asarray(f_gain, dtype=float)
+    if np.any(f < 0):
+        raise ValueError("interference gain must be >= 0")
+    d3b = topology.dist_interf ** topology.path_loss_exp
+    with np.errstate(divide="ignore"):
+        interference_limit = np.where(
+            f > 0, budget.interference_snr_cap * d3b / f, np.inf
+        )
+    out = np.minimum(budget.relay_snr_cap, interference_limit)
+    return float(out) if out.ndim == 0 else out
+
+
+def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
+                               budget: LinkBudget) -> np.ndarray:
+    """``model.snr_matrix_imperfect`` with :func:`relay_power_where` for
+    the relay cap, written without in-place steps."""
+    d1b = topology.dist_hop1 ** topology.path_loss_exp
+    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    q = relay_power_where(estimates.interf, budget, topology)
+    hop2_snr = q * estimates.hop2 / (q * err.err_var_hop2 + d2b)
+    hop1_snr = (budget.source_snr * estimates.hop1
+                / (budget.source_snr * err.err_var_hop1 + d1b))
+    return np.minimum(hop1_snr, hop2_snr)
 
 
 def cdf_min_snr_rayleigh(x: float, topology: NetworkTopology,

@@ -3,8 +3,11 @@ and SNR-matrix construction for perfect and imperfect CSI."""
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from cogrelay.model import (
@@ -19,6 +22,7 @@ from cogrelay.model import (
     snr_matrix,
     snr_matrix_imperfect,
 )
+from oracles import relay_power_where, snr_matrix_imperfect_where
 
 
 def topo(num_users=2, num_relays=3, m=1, **kw):
@@ -95,6 +99,22 @@ class TestRelayPower:
         assert relay_power(1.0, self.budget, topo()) == pytest.approx(5.0)
         assert relay_power(2 * 0.5, self.budget, topo()) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300], ids=["nan", "negative"])
+    @pytest.mark.parametrize("wrap", [float, lambda f: np.array([0.3, f, 0.0])],
+                             ids=["scalar", "array"])
+    def test_rejects_negative_and_nan(self, bad, wrap):
+        with pytest.raises(ValueError, match="interference gain must be >= 0"):
+            relay_power(wrap(bad), self.budget, topo())
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    def test_signed_zero_gives_peak_power(self, zero):
+        # a bare 5 / -0.0 is -inf, which would undercut the peak power
+        q = relay_power(zero, self.budget, topo())
+        assert type(q) is float and q == 10.0
+        np.testing.assert_array_equal(
+            relay_power(np.array([zero, 1.0, zero]), self.budget, topo()),
+            [10.0, 5.0, 10.0])
+
     def test_range(self):
         rng = np.random.default_rng(4)
         f = rng.exponential(size=10_000)
@@ -114,6 +134,60 @@ class TestRelayPower:
         expected = gammainc(m, m * 0.5 / omega)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hit / trials - expected) <= 3 * se
+
+
+@st.composite
+def interference_cases(draw, ndim):
+    """A budget, a topology and interference gains of ``ndim`` axes
+    (three: trials, M, N): exponential draws mixed with +0.0, -0.0 and
+    the gain d3^b I / cap at which both arms of the relay cap meet."""
+    budget = LinkBudget(1.0, draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)),
+                        1.0)
+    t = topo(2, 3, dist_interf=draw(st.floats(0.1, 10.0)),
+             path_loss_exp=draw(st.sampled_from([0.0, 2.0, 3.7])))
+    shape = (draw(st.integers(1, 3)), 2, 3) if ndim == 3 else (7,) * ndim
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = np.random.default_rng(seed).exponential(draw(st.floats(1e-3, 1e3)),
+                                                size=shape)
+    boundary = t.dist_interf ** t.path_loss_exp * budget.interference_snr_cap \
+        / budget.relay_snr_cap
+    kind = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
+    f = np.select([kind == 1, kind == 2, kind == 3], [0.0, -0.0, boundary], f)
+    return budget, t, f
+
+
+def assert_bits_equal(got, want):
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
+class TestRelayCapOracle:
+    """The one-division relay cap and the SNR matrix built on it equal,
+    bit for bit, the masked np.where form of ``tests/oracles.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases))
+    def test_relay_power_matches_where_form(self, case):
+        budget, t, f = case
+        assert_bits_equal(relay_power(f, budget, t),
+                          relay_power_where(f, budget, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3]).flatmap(interference_cases),
+           st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    def test_snr_matrix_imperfect_matches_where_form(self, case, r1, r2, seed):
+        # snr_matrix_imperfect takes arrays of one or more axes (a 0-d
+        # input leaves no array to write its in-place minimum into)
+        budget, t, f = case
+        budget = LinkBudget(10.0, budget.relay_snr_cap,
+                            budget.interference_snr_cap, 1.0)
+        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        rng = np.random.default_rng(seed)
+        est = ChannelRealization(rng.exponential(size=f.shape),
+                                 rng.exponential(size=f.shape), f)
+        assert_bits_equal(snr_matrix_imperfect(est, err, t, budget),
+                          snr_matrix_imperfect_where(est, err, t, budget))
 
 
 class TestSnrMatrix:

@@ -7,6 +7,7 @@ import pytest
 from cogrelay.analytic import cdf_min_snr, outage_probability
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
+    _selected_snrs,
     estimate_outage,
     estimate_throughput,
     two_proportion_z,
@@ -73,6 +74,25 @@ class TestSharedTrials:
         assert many == [estimate_outage(t, b, "maxmin", x, trials=70_000, seed=3)
                         for x in thresholds]
 
+    def test_one_point_count_matches_sorted_group_with_ties(self):
+        # a one-point budget counts its hits; a budget with several
+        # points sorts and searches.  Thresholds taken from the selected
+        # SNRs tie with a trial, and a tie counts as an outage.
+        t, b = topo(), budget_db(10, 10, 10)
+        blocks = [eff for _, _, eff in _selected_snrs(t, [b], "maxmin",
+                                                      70_000, 3)]
+        first = np.sort(blocks[0], axis=0)
+        for x, tied in ((float(first[0, 0]), True),
+                        (float(first[30_000, 1]), True), (GAMMA_TH, False)):
+            counted = estimate_outage(t, b, "maxmin", x, trials=70_000, seed=3)
+            sorted_ = estimate_outage(t, [b, b], "maxmin", [2.0 * x, x],
+                                      trials=70_000, seed=3)[1]
+            assert counted == sorted_
+            at_or_below = sum((eff <= x).sum(axis=0) for eff in blocks)
+            assert [round(e.mean * 70_000) for e in counted] == list(at_or_below)
+            if tied:  # counting below x would miss the tied trial
+                assert sum((eff < x).sum() for eff in blocks) < at_or_below.sum()
+
     def test_scale_sequence_matches_single_call(self):
         t, b = topo(m=1), budget_db(15, 10, 5)
         many = estimate_throughput(t, b, "maxmin", trials=70_000, seed=6,
@@ -137,6 +157,14 @@ class TestOutageEstimates:
         ests = estimate_outage(t, b, "maxmin", GAMMA_TH, trials=500_000, seed=8)
         hits = [round(e.mean * e.trials) for e in ests]
         assert abs(two_proportion_z(hits[0], hits[1], 500_000)) < 3
+
+    @pytest.mark.parametrize("gamma_th", [np.nan, [GAMMA_TH, np.nan]],
+                             ids=["one", "sequence"])
+    def test_rejects_nan_threshold(self, gamma_th):
+        # no trial is at or below NaN, but a sorted search would count all
+        with pytest.raises(ValueError, match="NaN"):
+            estimate_outage(topo(), budget_db(10, 10, 10), "maxmin", gamma_th,
+                            trials=1000, seed=1)
 
     def test_trial_floor(self):
         with pytest.raises(ValueError, match="trials"):

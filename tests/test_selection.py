@@ -221,6 +221,34 @@ class TestMaxminBatchOracles:
         assert peak < 256 * 2**20
 
 
+class TestFirstMin:
+    """The packed first minimum against argmin over the map axis, at map
+    counts from 1 to 8!, on spread keys (few ties) and on keys of four
+    values (many ties), of every type the batch holds: int16, int32 and
+    int64 keys whose largest value leaves room for the index bits in
+    int32 (packed), and wider int32 keys and full-width int64 words,
+    such as a word holding the type's maximum for maps ruled out by a
+    more significant word (argmin)."""
+
+    @pytest.mark.parametrize("maps", [1, 2, 24, 360, 40320])
+    @pytest.mark.parametrize("dtype, top", [
+        (np.int16, np.iinfo(np.int16).max),
+        (np.int32, None), (np.int32, np.iinfo(np.int32).max),
+        (np.int64, None), (np.int64, np.iinfo(np.int64).max),
+    ], ids=["int16", "int32-room", "int32-full", "int64-room", "int64-full"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["spread", "tied"])
+    def test_matches_argmin(self, maps, dtype, top, tied):
+        rng = np.random.default_rng(maps)
+        if top is None:  # the largest key that still packs in int32
+            top = (1 << (31 - (maps - 1).bit_length())) - 1
+        low = top - 3 if tied else 0
+        key = rng.integers(low, top, size=(maps, 64), dtype=dtype, endpoint=True)
+        if tied:
+            key[:, 0] = top  # every map ties
+        np.testing.assert_array_equal(selection._first_min(key),
+                                      key.argmin(axis=0))
+
+
 class TestNaiveAssign:
     def test_greedy_definition(self):
         a = naive_assign([[4.0, 3.0], [2.0, 1.0]])
