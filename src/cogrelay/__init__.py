@@ -10,9 +10,7 @@ from .analytic import (
     average_throughput,
     cdf_kth_largest,
     cdf_min_snr,
-    cdf_min_snr_imperfect,
     g_factor,
-    h_integral,
     outage_floor_imperfect,
     outage_from_cdf,
     outage_probability,

@@ -1,15 +1,14 @@
 """Closed-form outage and throughput expressions.
 
-Everything here is built from two ingredients: the CDF F of a single
-user-relay end-to-end SNR (exact and imperfect-CSI variants; the
-relay-cap floor is the exact CDF at an infinite relay cap) and one
-order-statistic kernel, the binomial mixture
-sum_j C(n, j) F^j G^(n-j) v_j over the n = M*N i.i.d. entries, with
-G = 1 - F and weights v_j summed from the rank-placement distribution
-of the selection scheme.  Every term is positive and formed in log
-space.  Outage reads the kernel at one point; average throughput
-integrates it against 1/(1+x) with the trapezoid rule in s = ln x,
-which converges geometrically for this analytic, doubly-exponentially
+Everything here is built from two kernels of positive terms.  One gives
+the CDF F of one user-relay end-to-end SNR and its CCDF G = 1 - F at an
+array of points, with or without imperfect CSI (the relay-cap floor is
+the CDF at an infinite cap).  The other is the order-statistic mixture
+sum_j C(n, j) F^j G^(n-j) v_j over the n = M*N i.i.d. entries, in log
+space, with weights v_j from the scheme's rank-placement distribution.
+Outage reads both at one point; average throughput integrates the
+mixture against 1/(1+x) with the trapezoid rule in s = ln x, which
+converges geometrically for this analytic, doubly-exponentially
 decaying integrand.
 """
 
@@ -22,7 +21,12 @@ import numpy as np
 
 from .model import LinkBudget, CsiErrorModel, NetworkTopology
 from .selection import RankPlacementDistribution
-from .specfun import lower_incomplete_gamma, upper_incomplete_gamma
+from .specfun import (
+    _poisson_terms,
+    _regularized_gamma,
+    lower_incomplete_gamma,
+    upper_incomplete_gamma,
+)
 
 __all__ = [
     "cdf_min_snr",
@@ -33,80 +37,94 @@ __all__ = [
     "array_gain",
     "asymptotic_outage_case1",
     "asymptotic_outage_case2",
-    "cdf_min_snr_imperfect",
     "outage_probability_imperfect",
     "outage_floor_imperfect",
-    "h_integral",
     "average_throughput",
     "worst_case_rank_prob",
 ]
 
 
 # ---------------------------------------------------------------------------
-# single-link CDFs
+# the single-link CDF
 # ---------------------------------------------------------------------------
 
-def _share_ksum(a: float, b: float, weights) -> float:
-    """sum over k < m of a^m b^k weights[k] / (k! (a+b)^(k+m)), with
-    m = len(weights), taken as (a/(a+b))^m (b/(a+b))^k weights[k] / k!:
-    both ratios are at most 1, so no power overflows for huge a or b."""
-    m = len(weights)
-    share_a, share_b = a / (a + b), b / (a + b)
-    return math.fsum(share_a ** m * share_b ** k * weight / math.factorial(k)
-                     for k, weight in enumerate(weights))
+def _race(m: int, poi_a: np.ndarray, poi_b: np.ndarray, r, s):
+    """Chances that A, and that B, is first to m arrivals from i < m and
+    j < m with probabilities poi_a[..., i] and poi_b[..., j]: A wins when
+    at least m-i of the next 2m-i-j-1 arrivals are its own, each with
+    probability r (B's with s = 1 - r)."""
+    if m == 1:  # the sum below, in fewer array operations: n = 1
+        both = poi_a[..., 0] * poi_b[..., 0]
+        return both * r, both * s
+    win_a = win_b = 0.0
+    for i in range(m):
+        for j in range(m):
+            n = 2 * m - i - j - 1
+            terms = [math.comb(n, k) * r ** k * s ** (n - k)
+                     for k in range(n + 1)]
+            both = poi_a[..., i] * poi_b[..., j]
+            win_a = win_a + both * sum(terms[m - i:])
+            win_b = win_b + both * sum(terms[:m - i])
+    return win_a, win_b
 
 
-def cdf_min_snr(x: float, topology: NetworkTopology, budget: LinkBudget) -> float:
-    """CDF of the end-to-end SNR of one user-relay link.
+def _link_cdf(x, topology: NetworkTopology, budget: LinkBudget,
+              csi: CsiErrorModel | None = None):
+    """CDF F and CCDF G = 1 - F of one user-relay link's end-to-end SNR
+    at every point of the array ``x``, each a sum of positive terms.
 
-    The link SNR is the minimum of the first-hop SNR and the second-hop
-    SNR under the relay power constraint; averaging the conditional CDF
-    over the mixed (continuous + atom at the cap) relay-power law gives
-    a four-term expression in incomplete gamma functions.
+    F = P1 + Q1 F2 and G = Q1 G2, with P and Q the regularized
+    incomplete gammas of shape m and hop 1 at P1 = P(m, m x / (o1 l1)).
+    Hop 2 fails when a rate-a Poisson process, a = m x / (o2 l3), reaches
+    m arrivals before time max(c, g), c = l3 / l2 the relay cap, where
+    the interference gain g is the m-th arrival of a rate-b process,
+    b = m / o3.  So F2 = P(m, a c) plus A's wins of the race from c on,
+    and G2 = P(m, b c) Q(m, a c) plus B's; an infinite cap is c = 0.
+    Under imperfect CSI (Rayleigh) this runs on the estimate gains, and
+    the estimation errors multiply G by e^(-x e), with
+    e = err_var_hop1 / est_gain_hop1 + err_var_hop2 / est_gain_hop2.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if not x.min(initial=0.0) >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
     m = topology.nakagami_m
+    if csi is not None:
+        if m != 1:
+            raise ValueError("imperfect-CSI CDF requires nakagami_m == 1")
+        topology = replace(topology, mean_gain_hop1=csi.est_gain_hop1,
+                           mean_gain_hop2=csi.est_gain_hop2,
+                           mean_gain_interf=csi.est_gain_interf)
     o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
                   topology.eff_gain_interf)
     l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
                   budget.interference_snr_cap)
-    gam_m = float(math.factorial(m - 1))
-    up1 = upper_incomplete_gamma(m, m * x / (o1 * l1))
-    term1 = lower_incomplete_gamma(m, m * x / (o1 * l1)) / gam_m
-    term2 = (up1 * lower_incomplete_gamma(m, m * x / (o2 * l2))
-             * lower_incomplete_gamma(m, m * l3 / (o3 * l2)) / gam_m ** 3)
-    tail = m * (o3 * x + o2 * l3) / (o2 * o3 * l2)
-    ksum = _share_ksum(o2 * l3, o3 * x, [upper_incomplete_gamma(k + m, tail)
-                                         for k in range(m)])
-    term3 = -up1 / gam_m ** 2 * ksum
-    term4 = up1 / gam_m ** 2 * upper_incomplete_gamma(m, m * l3 / (o3 * l2))
-    value = math.fsum((term1, term2, term3, term4))
-    return min(1.0, max(0.0, value))
+    p1, q1 = _regularized_gamma(m, x * (m / (o1 * l1)))
+    ac, bc = x * (m / (o2 * l2)), m * l3 / (o3 * l2)
+    (pa, qa), (pb, qb) = _regularized_gamma(m, ac), _regularized_gamma(m, bc)
+    # r = a / (a + b) = x / (x + d); at m = 1 the one Poisson term is Q
+    d = o2 * l3 / o3
+    total = x + d
+    poi_a, poi_b = ((qa[..., None], qb[..., None]) if m == 1 else
+                    (_poisson_terms(ac, m), _poisson_terms(bc, m)))
+    win_a, win_b = _race(m, poi_a, poi_b, x / total, d / total)
+    cdf = p1 + q1 * (pa + win_a)
+    ccdf = q1 * (pb * qa + win_b)
+    if csi is not None:
+        rate = (csi.err_var_hop1 / csi.est_gain_hop1
+                + csi.err_var_hop2 / csi.est_gain_hop2)
+        keep = np.exp(-x * rate)
+        cdf, ccdf = -np.expm1(-x * rate) + keep * cdf, keep * ccdf
+    # sums near 1 may round a few ulp above it
+    return np.minimum(cdf, 1.0), np.minimum(ccdf, 1.0)
 
 
-def cdf_min_snr_imperfect(x: float, topology: NetworkTopology,
-                          budget: LinkBudget, err: CsiErrorModel) -> float:
-    """Single-link SNR CDF under Rayleigh fading with imperfect CSI."""
-    if topology.nakagami_m != 1:
-        raise ValueError("imperfect-CSI CDF requires nakagami_m == 1")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    d3b = topology.dist_interf ** topology.path_loss_exp
-    l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
-                  budget.interference_snr_cap)
-    rate = ((err.err_var_hop1 + d1b / l1) / err.est_gain_hop1
-            + (err.err_var_hop2 + d2b / l2) / err.est_gain_hop2)
-    cap_factor = math.exp(-d3b * l3 / (err.est_gain_interf * l2))
-    ratio = 1.0 + d3b * err.est_gain_hop2 * l3 / (d2b * err.est_gain_interf * x)
-    value = 1.0 - math.exp(-x * rate) * (1.0 - cap_factor / ratio)
-    return min(1.0, max(0.0, value))
+def cdf_min_snr(x, topology: NetworkTopology, budget: LinkBudget,
+                csi: CsiErrorModel | None = None):
+    """CDF of the end-to-end SNR of one user-relay link (the smaller hop
+    SNR, with the relay power cap) at a float x >= 0, as a float, or at
+    an array of points; with ``csi``, under imperfect CSI (Rayleigh)."""
+    cdf = _link_cdf(x, topology, budget, csi)[0]
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 # ---------------------------------------------------------------------------
@@ -171,35 +189,40 @@ def cdf_kth_largest(cdf_value: float, k: int, n: int) -> float:
     return min(1.0, float(_binomial_mixture(cdf_value, 1.0 - cdf_value, weights)))
 
 
+def _outage(cdf, ccdf, num_users: int, num_relays: int, pk) -> float:
+    """The k-th-largest CDFs mixed over the rank weights, at link CDF
+    ``cdf`` and CCDF ``ccdf``: binomial term j weighs v_j = sum over
+    k > n-j of p_k, the ranks at or below the point when j entries are.
+    Weights a few ulp above 1 in sum could lift it above 1: it is capped."""
+    probs = _pk_vector(pk, num_users, num_relays)
+    weights = np.concatenate(([0.0], np.cumsum(probs[::-1])))
+    return min(1.0, float(_binomial_mixture(cdf, ccdf, weights)))
+
+
 def outage_from_cdf(cdf_value: float, num_users: int, num_relays: int,
                     pk) -> float:
-    """Mix the k-th-largest CDFs over the rank-placement weights.
+    """Outage at a point where the link CDF equals ``cdf_value``.
 
     ``pk`` may be a :class:`RankPlacementDistribution` (its user-average
     probabilities are used) or a plain per-rank probability vector, e.g.
     one row of ``per_user`` for a scheme that treats users unequally.
-    With the sums over ranks k and binomial terms j swapped, term j
-    weighs v_j = sum over k > n-j of p_k, the ranks whose entry is at or
-    below the point when j entries are.
     """
-    probs = _pk_vector(pk, num_users, num_relays)
-    weights = np.concatenate(([0.0], np.cumsum(probs[::-1])))
-    return float(_binomial_mixture(cdf_value, 1.0 - cdf_value, weights))
+    return _outage(cdf_value, 1.0 - cdf_value, num_users, num_relays, pk)
 
 
 def outage_probability(gamma_th: float, topology: NetworkTopology,
                        budget: LinkBudget, pk) -> float:
     """Exact outage probability of one user at threshold ``gamma_th``."""
-    point = cdf_min_snr(gamma_th, topology, budget)
-    return outage_from_cdf(point, topology.num_users, topology.num_relays, pk)
+    return _outage(*_link_cdf(gamma_th, topology, budget),
+                   topology.num_users, topology.num_relays, pk)
 
 
 def outage_probability_imperfect(gamma_th: float, topology: NetworkTopology,
                                  budget: LinkBudget, err: CsiErrorModel,
                                  pk) -> float:
     """Exact outage probability under Rayleigh fading with imperfect CSI."""
-    point = cdf_min_snr_imperfect(gamma_th, topology, budget, err)
-    return outage_from_cdf(point, topology.num_users, topology.num_relays, pk)
+    return _outage(*_link_cdf(gamma_th, topology, budget, err),
+                   topology.num_users, topology.num_relays, pk)
 
 
 def outage_floor_imperfect(gamma_th: float, err: CsiErrorModel,
@@ -209,8 +232,8 @@ def outage_floor_imperfect(gamma_th: float, err: CsiErrorModel,
     independent and the diversity order is lost entirely."""
     rate = (err.err_var_hop1 / err.est_gain_hop1
             + err.err_var_hop2 / err.est_gain_hop2)
-    point = 1.0 - math.exp(-gamma_th * rate)
-    return outage_from_cdf(point, num_users, num_relays, pk)
+    return _outage(-math.expm1(-gamma_th * rate), math.exp(-gamma_th * rate),
+                   num_users, num_relays, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +301,9 @@ def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
                             budget: LinkBudget, pk) -> float:
     """Outage floor when only the relay power cap grows: the link CDF at
     an infinite relay cap, so independent of the relay-cap SNR."""
-    point = cdf_min_snr(gamma_th, topology,
-                        replace(budget, relay_snr_cap=math.inf))
-    return outage_from_cdf(point, topology.num_users, topology.num_relays, pk)
+    return _outage(*_link_cdf(gamma_th, topology,
+                              replace(budget, relay_snr_cap=math.inf)),
+                   topology.num_users, topology.num_relays, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +328,6 @@ def _log_trapezoid(a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, _STEP * x / (1.0 + x)
 
 
-def _throughput_params(topology: NetworkTopology, budget: LinkBudget):
-    """a, b, d of the Rayleigh link CCDF e^-(a x) (b + d (1-b)/(x+d))."""
-    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
-                  topology.eff_gain_interf)
-    l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
-                  budget.interference_snr_cap)
-    a = 1.0 / (o1 * l1) + 1.0 / (o2 * l2)
-    b = 1.0 - math.exp(-l3 / (o3 * l2))
-    d = o2 * l3 / o3
-    return a, b, d
-
-
 def average_throughput(topology: NetworkTopology, budget: LinkBudget,
                        pk) -> float:
     """Average per-user throughput (bits per channel use) under Rayleigh
@@ -325,23 +336,21 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
 
     S, the CCDF of the selected SNR, is the binomial mixture with weight
     w_j = sum over k <= n-j of p_k, the ranks whose entry lies above the
-    point when j entries are at or below it.  The link CDF and CCDF are
-    F = 1 - e^-(a x) + e^-(a x) (1-b) x/(x+d) and
-    G = e^-(a x) (b x + d)/(x+d), each a sum of positive terms.  The
-    integral is the trapezoid rule of :func:`_log_trapezoid`, vectorised
-    over its nodes.
+    point when j entries are at or below it, read at the link CDF and
+    CCDF of :func:`_link_cdf`.  The integral is the trapezoid rule of
+    :func:`_log_trapezoid`, vectorised over its nodes.
     """
     if topology.nakagami_m != 1:
         raise ValueError("closed-form throughput requires nakagami_m == 1")
     num_users, num_relays = topology.num_users, topology.num_relays
     probs = _pk_vector(pk, num_users, num_relays)
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
-    a, b, d = _throughput_params(topology, budget)
+    # the link CCDF decays like e^-(a x)
+    a = (1.0 / (topology.eff_gain_hop1 * budget.source_snr)
+         + 1.0 / (topology.eff_gain_hop2 * budget.relay_snr_cap))
     x, node_weights = _log_trapezoid(a)
-    decay = np.exp(-a * x)
-    cdf = -np.expm1(-a * x) + decay * (1.0 - b) * x / (x + d)
-    ccdf = decay * (b * x + d) / (x + d)
-    integral = node_weights @ _binomial_mixture(cdf, ccdf, weights)
+    integral = node_weights @ _binomial_mixture(
+        *_link_cdf(x, topology, budget), weights)
     return float(integral) / (2.0 * num_users * math.log(2.0))
 
 

@@ -259,4 +259,5 @@ def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
     del q
     hop1_snr = budget.source_snr * estimates.hop1
     hop1_snr /= budget.source_snr * err.err_var_hop1 + d1b
-    return np.minimum(hop1_snr, hop2_snr, out=hop1_snr)
+    # 0-d estimates give numpy scalars, which cannot take an out= array
+    return np.minimum(hop1_snr, hop2_snr, out=hop1_snr if hop1_snr.ndim else None)

@@ -1,8 +1,10 @@
 """Special functions used by the closed-form performance expressions.
 
 Every gamma-type quantity in this package carries an integer shape
-parameter, so the incomplete gamma functions reduce to exact finite sums
-and no generic continued-fraction incomplete-gamma machinery is needed.
+parameter m, so the regularized incomplete gammas are finite sums of
+Poisson terms, Q(m, x) = e^-x sum_{k<m} x^k / k! and P = 1 - Q, with no
+continued-fraction machinery.  Both incomplete gamma functions take a
+float (and return a float) or a numpy array of points.
 ``exp_scaled_ei`` (the scaled exponential integral of the paper's
 throughput closed form) and ``order_stat_coeff`` (the coefficient of its
 alternating order-statistic sum) have no caller in the package;
@@ -13,6 +15,8 @@ alternating order-statistic sum) have no caller in the package;
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "lower_incomplete_gamma",
@@ -30,66 +34,52 @@ def _check_shape(m) -> int:
     return int(m)
 
 
-def _regularized_upper(m: int, x: float) -> float:
-    """Q(m, x) = e^-x * sum_{k<m} x^k / k!  (all terms positive)."""
-    term = math.exp(-x)
-    total = term
-    for k in range(1, m):
-        term *= x / k
-        total += term
-    return total
+def _poisson_terms(x, count: int) -> np.ndarray:
+    """e^-x x^k / k! for k < count at every point of x, along a new last
+    axis: each term is the one before times x / k, so none overflows.  The
+    ratios cap x at 1e4, where e^-x is 0 already: x = inf gave 0 * inf."""
+    x = np.asarray(x, dtype=float)[..., None]
+    ratios = np.minimum(x, 1e4) / np.arange(1, count)
+    return np.cumprod(np.concatenate((np.exp(-x), ratios), axis=-1), axis=-1)
 
 
-def _regularized_lower_tail(m: int, x: float) -> float:
-    """P(m, x) = e^-x * sum_{k>=m} x^k / k!, summed directly.
+def _regularized_gamma(m: int, x):
+    """(P(m, x), Q(m, x)) at every point of x >= 0.  Q sums the Poisson
+    terms k < m, and P = 1 - Q >= 1/2 where x >= m; below, P sums the
+    terms k >= m, which fall since x/(k+1) < 1 there, and Q = 1 - P.  At
+    m = 1 both are elementary."""
+    if m == 1:
+        neg = -x
+        return -np.expm1(neg), np.exp(neg)
+    # the tail falls slowest at x = m: keep its terms above 1e-18 of the first
+    count, fall = m, 1.0
+    while fall > 1e-18:
+        count += 1
+        fall *= m / count
+    terms = _poisson_terms(x, count)
+    upper, lower = terms[..., :m].sum(axis=-1), terms[..., m:].sum(axis=-1)
+    big = x >= m
+    return np.where(big, 1.0 - upper, lower), np.where(big, upper, 1.0 - lower)
 
-    Used for x < m where evaluating 1 - Q(m, x) would cancel badly; the
-    term ratio x/(k+1) < 1 there, so the series decreases monotonically.
-    """
-    log_first = m * math.log(x) - math.lgamma(m + 1) - x
-    if log_first < -745.0:
-        return 0.0
-    term = math.exp(log_first)
-    total = term
-    k = m
-    while True:
-        k += 1
-        term *= x / k
-        total += term
-        if term <= 1e-18 * total:
-            return total
 
-
-def lower_incomplete_gamma(m, x: float) -> float:
-    """gamma(m, x) = integral of t^(m-1) e^-t from 0 to x, integer m >= 1.
-
-    Evaluated through the finite-sum identity
-    gamma(m, x) = (m-1)! * (1 - e^-x sum_{k<m} x^k/k!); for x < m the
-    complementary series is summed instead so small values keep full
-    relative accuracy.
-    """
+def _scaled(m, x, which: int):
+    """(m-1)! times P (``which`` 0) or Q (1) at a float or an array."""
     m = _check_shape(m)
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    fact = float(math.factorial(m - 1))
-    if x >= m:
-        return fact * (1.0 - _regularized_upper(m, x))
-    return fact * _regularized_lower_tail(m, x)
+    value = math.factorial(m - 1) * _regularized_gamma(m, x)[which]
+    return float(value) if x.ndim == 0 else value
 
 
-def upper_incomplete_gamma(m, x: float) -> float:
+def lower_incomplete_gamma(m, x):
+    """gamma(m, x) = integral of t^(m-1) e^-t from 0 to x, integer m >= 1."""
+    return _scaled(m, x, 0)
+
+
+def upper_incomplete_gamma(m, x):
     """Gamma(m, x) = (m-1)! - gamma(m, x) for integer m >= 1."""
-    m = _check_shape(m)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    fact = float(math.factorial(m - 1))
-    if x == 0:
-        return fact
-    if x >= m:
-        return fact * _regularized_upper(m, x)
-    return fact * (1.0 - _regularized_lower_tail(m, x))
+    return _scaled(m, x, 1)
 
 
 def exp_scaled_ei(p: float) -> float:

@@ -1,6 +1,7 @@
 """Test-side helpers and oracles that the package itself does not need:
 link budgets given in dB, the relay cap and imperfect-CSI SNR matrix in
-their masked (``np.where``) form, the compact Rayleigh link CDF, a Monte
+their masked (``np.where``) form, the compact Rayleigh link CDF, the
+link CDF and CCDF by quadrature over the interference gain, a Monte
 Carlo estimate of the single-link CDF, and the paper's closed-form
 average throughput (an alternating sum over order statistics of
 exponential-type integrals h(j, at, d), each from a closed recursion)."""
@@ -8,9 +9,11 @@ exponential-type integrals h(j, at, d), each from a closed recursion)."""
 import math
 
 import numpy as np
+from scipy import integrate
+from scipy.special import gammainc, gammaincc
 
 from cogrelay import model
-from cogrelay.analytic import _pk_vector, _throughput_params
+from cogrelay.analytic import _pk_vector
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     McEstimate,
@@ -75,6 +78,105 @@ def cdf_min_snr_rayleigh(x: float, topology: NetworkTopology,
     d = o2 * l3 / o3
     c = d * (1.0 - b)
     return 1.0 - math.exp(-a * x) * (b + c / (x + d))
+
+
+def link_cdf_quad(x: float, topology: NetworkTopology, budget: LinkBudget,
+                  csi=None) -> tuple[float, float]:
+    """Link CDF F and CCDF G at ``x`` by quadrature over the
+    interference gain g (gamma, rate b = m / o3): F = P1 + Q1 F2 and
+    G = Q1 G2, where F2 and G2 average the second hop's conditional CDF
+    P(m, a max(g, c)) and CCDF Q(m, a max(g, c)), a = m x / (o2 l3),
+    over g: the capped term P(m, b c) at g <= c, c = l3 / l2, plus the
+    scipy quad of the positive integrand over g > c.  Under imperfect CSI
+    (Rayleigh) each hop runs on the estimate gains and keeps its own
+    estimation error, which multiplies its CCDF by e^(-x var/est)."""
+    m = topology.nakagami_m
+    l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
+                  budget.interference_snr_cap)
+    if csi is None:
+        o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
+                      topology.eff_gain_interf)
+        e1 = e2 = 0.0
+    else:
+        loss = topology.path_loss_exp
+        o1 = csi.est_gain_hop1 / topology.dist_hop1 ** loss
+        o2 = csi.est_gain_hop2 / topology.dist_hop2 ** loss
+        o3 = csi.est_gain_interf / topology.dist_interf ** loss
+        e1 = csi.err_var_hop1 / csi.est_gain_hop1
+        e2 = csi.err_var_hop2 / csi.est_gain_hop2
+    a, b, c = m * x / (o2 * l3), m / o3, l3 / l2
+
+    def density(g):
+        return b ** m * g ** (m - 1) * math.exp(-b * g) / math.factorial(m - 1)
+
+    def average(conditional, scale):
+        # g = c + u * scale: the integrand varies on a unit scale in u
+        tail, _ = integrate.quad(
+            lambda u: conditional(a * (c + u * scale)) * density(c + u * scale),
+            0.0, np.inf, epsabs=0.0, epsrel=2e-14, limit=400)
+        return gammainc(m, b * c) * conditional(m * x / (o2 * l2)) + tail * scale
+
+    keep1, keep2 = math.exp(-x * e1), math.exp(-x * e2)
+    # the CDF's integrand falls with the density, the CCDF's faster
+    f2 = -math.expm1(-x * e2) + keep2 * average(
+        lambda y: gammainc(m, y), 1.0 / b)
+    g2 = keep2 * average(lambda y: gammaincc(m, y), 1.0 / (a + b))
+    y1 = m * x / (o1 * l1)
+    q1 = keep1 * gammaincc(m, y1)
+    return -math.expm1(-x * e1) + keep1 * gammainc(m, y1) + q1 * f2, q1 * g2
+
+
+def link_cdf_mpmath(x: float, topology: NetworkTopology, budget: LinkBudget,
+                    dps: int = 40) -> tuple:
+    """:func:`link_cdf_quad` (without CSI) in mpmath at ``dps`` digits,
+    with tanh-sinh quadrature over the interference gain.  mpmath is
+    imported here, so only its callers need it."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = topology.nakagami_m
+        x, o1, o2, o3, l1, l3 = map(mp.mpf, (
+            x, topology.eff_gain_hop1, topology.eff_gain_hop2,
+            topology.eff_gain_interf, budget.source_snr,
+            budget.interference_snr_cap))
+        c = l3 / mp.mpf(budget.relay_snr_cap)  # 0 at an infinite cap
+        a, b = m * x / (o2 * l3), m / o3
+
+        def lower(y):
+            return mp.gammainc(m, 0, y, regularized=True)
+
+        def upper(y):
+            return mp.gammainc(m, y, mp.inf, regularized=True)
+
+        def density(g):
+            return b ** m * g ** (m - 1) * mp.exp(-b * g) / mp.factorial(m - 1)
+
+        points = sorted({c + k / rate for rate in (a + b, b)
+                         for k in (0, 1, 4, 16, 64, 256)})
+
+        def average(conditional):
+            def integrand(g):
+                return conditional(a * g) * density(g)
+            # quad's tolerance is absolute: integrate at unit scale
+            scale = max(integrand(g) for g in points)
+            tail = scale * mp.quad(lambda g: integrand(g) / scale, points)
+            return lower(b * c) * conditional(a * c) + tail
+
+        y1 = m * x / (o1 * l1)
+        return (lower(y1) + upper(y1) * average(lower),
+                upper(y1) * average(upper))
+
+
+def throughput_params(topology: NetworkTopology, budget: LinkBudget):
+    """a, b, d of the paper's Rayleigh link CCDF e^-(a x) (b + d (1-b)/(x+d))."""
+    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
+                  topology.eff_gain_interf)
+    l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
+                  budget.interference_snr_cap)
+    a = 1.0 / (o1 * l1) + 1.0 / (o2 * l2)
+    b = 1.0 - math.exp(-l3 / (o3 * l2))
+    d = o2 * l3 / o3
+    return a, b, d
 
 
 def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
@@ -207,7 +309,7 @@ def average_throughput_closed(topology: NetworkTopology, budget: LinkBudget,
     num_users, num_relays = topology.num_users, topology.num_relays
     probs = _pk_vector(pk, num_users, num_relays)
     mn = num_users * num_relays
-    a, b, d = _throughput_params(topology, budget)
+    a, b, d = throughput_params(topology, budget)
     c = d * (1.0 - b)
     jsum = [0.0]  # indexed by t; t = 0 never occurs
     for t in range(1, mn + 1):

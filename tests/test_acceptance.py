@@ -39,7 +39,6 @@ from cogrelay.analytic import (
     asymptotic_outage_case2,
     average_throughput,
     cdf_min_snr,
-    cdf_min_snr_imperfect,
     outage_floor_imperfect,
     outage_probability,
     outage_probability_imperfect,
@@ -199,8 +198,7 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
     t = topo(3, 4, 1)
     err0 = CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
     budget = common_budget(20.0)
-    gap = max(abs(cdf_min_snr_imperfect(x, t, budget, err0)
-                  - cdf_min_snr(x, t, budget))
+    gap = max(abs(cdf_min_snr(x, t, budget, err0) - cdf_min_snr(x, t, budget))
               for x in np.linspace(0.0, 40.0, 200))
     ok &= gap <= 1e-12
     details.append(f"zero-error gap={gap:.1e}")

@@ -17,15 +17,13 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import binom
 
 from cogrelay.analytic import (
-    _share_ksum,
-    _throughput_params,
+    _link_cdf,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
     average_throughput,
     cdf_kth_largest,
     cdf_min_snr,
-    cdf_min_snr_imperfect,
     g_factor,
     h_integral,
     outage_floor_imperfect,
@@ -42,6 +40,8 @@ from oracles import (
     cdf_min_snr_rayleigh,
     h_closed,
     h_row,
+    link_cdf_quad,
+    throughput_params,
 )
 
 GAMMA_TH = db_to_linear(5.0)
@@ -124,39 +124,148 @@ class TestCdfMinSnr:
         assert cdf_min_snr(x, t, b) == 1.0
         assert cdf_min_snr(x, t, replace(b, relay_snr_cap=math.inf)) == 1.0
 
-
-def power_form_ksum(a, b, weights):
-    """The k-sum of the link CDF in its former power form,
-    a^m b^k w_k / (k! (a+b)^(k+m)), or None where a power or a product
-    leaves the range of normal finite floats."""
-    m = len(weights)
-    terms = []
-    for k, weight in enumerate(weights):
-        try:
-            num = a ** m * b ** k * weight
-            den = math.factorial(k) * (a + b) ** (k + m)
-        except OverflowError:
-            return None
-        if not all(sys.float_info.min <= v < math.inf for v in (num, den)):
-            return None
-        terms.append(num / den)
-    return math.fsum(terms)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflowed_argument_saturates(self, m):
+        # m x / (o1 l1) overflows to inf: every Poisson term is 0, not NaN
+        t = topo(m=m, mean_gain_hop1=1e-20, mean_gain_hop2=1e-20)
+        with np.errstate(over="ignore"):
+            cdf, ccdf = _link_cdf(db_to_linear(3000), t, budget_db(10, 10, 10))
+        assert (cdf, ccdf) == (1.0, 0.0)
 
 
-class TestShareKsum:
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(-120, 120), st.floats(-120, 120),
-           st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
-    def test_matches_power_form(self, log_a, log_b, weights):
-        a, b = 10.0 ** log_a, 10.0 ** log_b
-        old = power_form_ksum(a, b, weights)
-        assume(old is not None and old >= sys.float_info.min)
-        assert _share_ksum(a, b, weights) == pytest.approx(old, rel=1e-13)
+LEVELS_DB = range(0, 70, 10)
 
-    def test_huge_arguments(self):
-        # every ratio is at most 1: k = 0 keeps its full weight
-        assert _share_ksum(1e300, 1.0, [2.0, 3.0]) == pytest.approx(2.0, rel=1e-15)
-        assert _share_ksum(1.0, 1e300, [2.0, 3.0]) == 0.0
+
+def link_budgets(level_db):
+    """Common-SNR budget, its relay cap 7 dB lower (the cap binds more
+    often) and an infinite relay cap (the relay-cap floor)."""
+    lam = db_to_linear(level_db)
+    return [LinkBudget(lam, cap, lam, GAMMA_TH)
+            for cap in (lam, db_to_linear(level_db - 7), math.inf)]
+
+
+def assert_close(value, reference, rel):
+    # relative in the normal range; a subnormal keeps fewer digits
+    assert abs(value - reference) <= rel * max(reference, sys.float_info.min)
+
+
+@st.composite
+def link_cases(draw):
+    """A topology of shape m in 1..4 with random gains and distances, a
+    budget with levels from -10 to 60 dB (or an infinite relay cap) and
+    a point x over six decades around the threshold."""
+    level = st.floats(-10.0, 60.0)
+    gain = st.floats(0.25, 4.0)
+    t = topo(m=draw(st.integers(1, 4)), mean_gain_hop1=draw(gain),
+             mean_gain_hop2=draw(gain), mean_gain_interf=draw(gain),
+             dist_interf=draw(gain), path_loss_exp=2.0)
+    cap = draw(st.one_of(level.map(db_to_linear), st.just(math.inf)))
+    b = LinkBudget(db_to_linear(draw(level)), cap, db_to_linear(draw(level)),
+                   GAMMA_TH)
+    return t, b, GAMMA_TH * 10.0 ** draw(st.floats(-4.0, 2.0))
+
+
+class TestLinkCdfOracle:
+    """The positive-form link CDF and CCDF against quadrature over the
+    interference gain (scipy, and mpmath at 40 digits), and the
+    properties every CDF has."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_quadrature(self, m):
+        t = topo(m=m)
+        ratios = (0.0, 0.05, 0.2) if m == 1 else ()
+        csis = [None] + [CsiErrorModel.from_error_ratios(t, r, r, r)
+                         for r in ratios]
+        x = np.array([1e-3, 1.0, 30.0]) * GAMMA_TH
+        for level_db in LEVELS_DB:
+            for b in link_budgets(level_db):
+                for csi in csis:
+                    cdf, ccdf = _link_cdf(x, t, b, csi)
+                    for point, f, g in zip(x, cdf, ccdf):
+                        ref_f, ref_g = link_cdf_quad(point, t, b, csi)
+                        assert_close(f, ref_f, 1e-13)
+                        assert_close(g, ref_g, 1e-13)
+                    assert cdf_min_snr(x[1], t, b, csi) == cdf[1]
+
+    @pytest.mark.parametrize("m, level_db, cap, x", [
+        (2, 40, True, 1.0),  # fig1's top point, where the former sum cancelled
+        (3, 60, True, 1.0),
+        (4, 60, True, 1.0),
+        (4, 60, False, 1e-3),
+        (1, 0, True, 30.0),
+        (3, 20, False, 30.0),
+    ])
+    def test_matches_mpmath(self, m, level_db, cap, x):
+        pytest.importorskip("mpmath")
+        from oracles import link_cdf_mpmath
+
+        t, lam = topo(m=m), db_to_linear(level_db)
+        b = LinkBudget(lam, lam if cap else math.inf, lam, GAMMA_TH)
+        cdf, ccdf = _link_cdf(x * GAMMA_TH, t, b)
+        ref_f, ref_g = link_cdf_mpmath(x * GAMMA_TH, t, b)
+        assert_close(cdf, float(ref_f), 1e-14)
+        assert_close(ccdf, float(ref_g), 1e-14)
+
+    # F + G rounds to 1 within 4 ulp up to m = 2.  Beyond, the race's
+    # binomial terms raise r and s to powers up to 2m - 1, and both carry
+    # the one rounding of x + d: 1e5 random cases reach 4.5 ulp at m = 3
+    # and 6 ulp at m = 4
+    @settings(max_examples=200, deadline=None)
+    @given(link_cases())
+    def test_unit_interval_and_complement(self, case):
+        t, b, x = case
+        cdf, ccdf = _link_cdf(x, t, b)
+        assert 0.0 <= cdf <= 1.0 and 0.0 <= ccdf <= 1.0
+        ulps = max(4, 2 * t.nakagami_m)
+        assert abs(cdf + ccdf - 1.0) <= ulps * math.ulp(1.0)
+
+    # nondecreasing up to the 1e-13 relative rounding of each value
+    @settings(max_examples=200, deadline=None)
+    @given(link_cases(), st.floats(1.0, 100.0))
+    def test_nondecreasing_in_x(self, case, factor):
+        t, b, x = case
+        cdf, ccdf = _link_cdf(np.array([x, factor * x]), t, b)
+        assert cdf[1] >= cdf[0] * (1 - 1e-13)
+        assert ccdf[1] <= ccdf[0] * (1 + 1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(link_cases(), st.floats(0.0, 30.0))
+    def test_nonincreasing_in_common_snr(self, case, step_db):
+        t, _, x = case
+        low, high = (LinkBudget(*(db_to_linear(s),) * 3, GAMMA_TH)
+                     for s in (0.0, step_db))
+        assert cdf_min_snr(x, t, high) <= cdf_min_snr(x, t, low) * (1 + 1e-13)
+
+
+@st.composite
+def outage_cases(draw):
+    """A link case on a shape with M*N <= 30 and a random rank law."""
+    t, b, x = draw(link_cases())
+    num_users = draw(st.integers(1, 5))
+    num_relays = draw(st.integers(num_users, 30 // num_users))
+    t = replace(t, num_users=num_users, num_relays=num_relays)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return t, b, x, rng.dirichlet(np.ones(num_users * num_relays))
+
+
+class TestOutageProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(outage_cases(), st.floats(1.0, 100.0))
+    def test_unit_interval_and_monotone_in_threshold(self, case, factor):
+        t, b, x, pk = case
+        low = outage_probability(x, t, b, pk)
+        high = outage_probability(factor * x, t, b, pk)
+        assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+        assert high >= low * (1 - 1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(outage_cases(), st.floats(0.0, 30.0))
+    def test_nonincreasing_in_common_snr(self, case, step_db):
+        t, _, x, pk = case
+        low, high = (LinkBudget(*(db_to_linear(s),) * 3, GAMMA_TH)
+                     for s in (10.0, 10.0 + step_db))
+        assert outage_probability(x, t, high, pk) <= \
+            outage_probability(x, t, low, pk) * (1 + 1e-13)
 
 
 def binomial_tail_oracle(cdf_value, k, n):
@@ -378,18 +487,17 @@ class TestImperfectCsi:
         err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
         b = budget_db(18, 18, 18)
         for x in np.linspace(0.01, 30, 120):
-            assert cdf_min_snr_imperfect(x, self.t34, b, err) == pytest.approx(
+            assert cdf_min_snr(x, self.t34, b, err) == pytest.approx(
                 cdf_min_snr(x, self.t34, b), abs=1e-12)
 
     def test_zero_at_origin(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
-        assert cdf_min_snr_imperfect(0.0, self.t34, budget_db(18, 18, 18),
-                                     err) == 0.0
+        assert cdf_min_snr(0.0, self.t34, budget_db(18, 18, 18), err) == 0.0
 
     def test_rejects_nonrayleigh(self):
         err = CsiErrorModel(1, 1, 1, 0, 0, 0)
         with pytest.raises(ValueError, match="nakagami_m == 1"):
-            cdf_min_snr_imperfect(1.0, topo(m=2), budget_db(10, 10, 10), err)
+            cdf_min_snr(1.0, topo(m=2), budget_db(10, 10, 10), err)
 
     def test_floor_vanishes_without_error(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
@@ -528,7 +636,7 @@ class TestAverageThroughput:
         mn = num_users * num_relays
         t = topo(num_users, num_relays, 1)
         b = budget_db(l1, l2, l3)
-        a, bb, d = _throughput_params(t, b)
+        a, bb, d = throughput_params(t, b)
         c = d * (1.0 - bb)
         assert abs(d - 1.0) < 0.25
         pk = (rank_placement_probs(num_users, num_relays, "maxmin").probs

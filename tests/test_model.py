@@ -174,11 +174,10 @@ class TestRelayCapOracle:
                           relay_power_where(f, budget, t))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([1, 3]).flatmap(interference_cases),
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
            st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
     def test_snr_matrix_imperfect_matches_where_form(self, case, r1, r2, seed):
-        # snr_matrix_imperfect takes arrays of one or more axes (a 0-d
-        # input leaves no array to write its in-place minimum into)
+        # 0-d estimates give a numpy scalar, as the where form does
         budget, t, f = case
         budget = LinkBudget(10.0, budget.relay_snr_cap,
                             budget.interference_snr_cap, 1.0)
