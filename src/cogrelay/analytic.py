@@ -22,7 +22,6 @@ import numpy as np
 from .model import LinkBudget, CsiErrorModel, NetworkTopology
 from .selection import RankPlacementDistribution
 from .specfun import (
-    _poisson_terms,
     _regularized_gamma,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
@@ -53,9 +52,6 @@ def _race(m: int, poi_a: np.ndarray, poi_b: np.ndarray, r, s):
     j < m with probabilities poi_a[..., i] and poi_b[..., j]: A wins when
     at least m-i of the next 2m-i-j-1 arrivals are its own, each with
     probability r (B's with s = 1 - r)."""
-    if m == 1:  # the sum below, in fewer array operations: n = 1
-        both = poi_a[..., 0] * poi_b[..., 0]
-        return both * r, both * s
     win_a = win_b = 0.0
     for i in range(m):
         for j in range(m):
@@ -98,14 +94,13 @@ def _link_cdf(x, topology: NetworkTopology, budget: LinkBudget,
                   topology.eff_gain_interf)
     l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
                   budget.interference_snr_cap)
-    p1, q1 = _regularized_gamma(m, x * (m / (o1 * l1)))
+    p1, q1, _ = _regularized_gamma(m, x * (m / (o1 * l1)))
     ac, bc = x * (m / (o2 * l2)), m * l3 / (o3 * l2)
-    (pa, qa), (pb, qb) = _regularized_gamma(m, ac), _regularized_gamma(m, bc)
-    # r = a / (a + b) = x / (x + d); at m = 1 the one Poisson term is Q
+    pa, qa, poi_a = _regularized_gamma(m, ac)
+    pb, qb, poi_b = _regularized_gamma(m, bc)
+    # r = a / (a + b) = x / (x + d)
     d = o2 * l3 / o3
     total = x + d
-    poi_a, poi_b = ((qa[..., None], qb[..., None]) if m == 1 else
-                    (_poisson_terms(ac, m), _poisson_terms(bc, m)))
     win_a, win_b = _race(m, poi_a, poi_b, x / total, d / total)
     cdf = p1 + q1 * (pa + win_a)
     ccdf = q1 * (pb * qa + win_b)

@@ -34,32 +34,37 @@ def _check_shape(m) -> int:
     return int(m)
 
 
-def _poisson_terms(x, count: int) -> np.ndarray:
-    """e^-x x^k / k! for k < count at every point of x, along a new last
-    axis: each term is the one before times x / k, so none overflows.  The
-    ratios cap x at 1e4, where e^-x is 0 already: x = inf gave 0 * inf."""
-    x = np.asarray(x, dtype=float)[..., None]
-    ratios = np.minimum(x, 1e4) / np.arange(1, count)
-    return np.cumprod(np.concatenate((np.exp(-x), ratios), axis=-1), axis=-1)
-
-
 def _regularized_gamma(m: int, x):
-    """(P(m, x), Q(m, x)) at every point of x >= 0.  Q sums the Poisson
-    terms k < m, and P = 1 - Q >= 1/2 where x >= m; below, P sums the
-    terms k >= m, which fall since x/(k+1) < 1 there, and Q = 1 - P.  At
-    m = 1 both are elementary."""
+    """(P(m, x), Q(m, x), terms) at every point of x >= 0, with terms the
+    Poisson terms e^-x x^k / k!, k < m, along a last axis.  Q sums them,
+    and P = 1 - Q >= 1/2 where x >= m; below, P sums the terms k >= m,
+    which fall since x/(k+1) < 1 there, and Q = 1 - P.  Each term is the
+    one before times x / k or, above x = 700, where e^-x underflows, the
+    exponential of k ln x - x - ln k!; x is capped at 700 and 1e300 in
+    these, so x = inf gives 0, never 0 * inf.  At m = 1 all are
+    elementary."""
     if m == 1:
-        neg = -x
-        return -np.expm1(neg), np.exp(neg)
+        q = np.exp(-x)
+        return -np.expm1(-x), q, q[..., None]
     # the tail falls slowest at x = m: keep its terms above 1e-18 of the first
     count, fall = m, 1.0
     while fall > 1e-18:
         count += 1
         fall *= m / count
-    terms = _poisson_terms(x, count)
+    x = np.asarray(x, dtype=float)
+    near = np.minimum(x, 700.0)[..., None]
+    terms = np.cumprod(np.concatenate(
+        (np.exp(-near), near / np.arange(1, count)), axis=-1), axis=-1)
+    far = x > 700.0
+    if far.any():
+        at = np.clip(x, 700.0, 1e300)[..., None]
+        log_fact = [math.lgamma(k + 1.0) for k in range(count)]
+        terms[far] = np.exp(np.arange(count) * np.log(at[far]) - at[far]
+                            - log_fact)
     upper, lower = terms[..., :m].sum(axis=-1), terms[..., m:].sum(axis=-1)
     big = x >= m
-    return np.where(big, 1.0 - upper, lower), np.where(big, upper, 1.0 - lower)
+    return (np.where(big, 1.0 - upper, lower),
+            np.where(big, upper, 1.0 - lower), terms[..., :m])
 
 
 def _scaled(m, x, which: int):

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cogrelay.specfun import (
     EULER_GAMMA,
+    _regularized_gamma,
     exp_scaled_ei,
     lower_incomplete_gamma,
     order_stat_coeff,
@@ -87,6 +88,22 @@ class TestUpperIncompleteGamma:
             for x in (0.0, 1e-3, 0.5, float(m), 3.0 * m, 40.0):
                 total = lower_incomplete_gamma(m, x) + upper_incomplete_gamma(m, x)
                 assert abs(total - fact) <= 4 * math.ulp(fact), (m, x)
+
+
+class TestRegularizedGamma:
+    def test_large_shape_past_exp_underflow(self):
+        # e^-x is 0 above x = 745, yet P and Q are far from 0 and 1 there
+        for m, x in ((800, 760.0), (800, 800.0), (800, 850.0),
+                     (300, 710.0), (1000, 1100.0)):
+            p, q, _ = _regularized_gamma(m, x)
+            assert p == pytest.approx(special.gammainc(m, x), rel=1e-12), (m, x)
+            assert q == pytest.approx(special.gammaincc(m, x), rel=1e-12), (m, x)
+
+    def test_array_with_both_ends(self):
+        p, q, _ = _regularized_gamma(800, np.array([0.0, 760.0, np.inf]))
+        assert p[[0, 2]].tolist() == [0.0, 1.0]
+        assert q[[0, 2]].tolist() == [1.0, 0.0]
+        assert p[1] == pytest.approx(special.gammainc(800, 760.0), rel=1e-12)
 
 
 class TestExpScaledEi:
