@@ -21,11 +21,7 @@ import numpy as np
 
 from .model import LinkBudget, CsiErrorModel, NetworkTopology
 from .selection import RankPlacementDistribution
-from .specfun import (
-    _regularized_gamma,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
+from .specfun import _regularized_gamma
 
 __all__ = [
     "cdf_min_snr",
@@ -237,16 +233,23 @@ def outage_floor_imperfect(gamma_th: float, err: CsiErrorModel,
 
 def g_factor(topology: NetworkTopology) -> float:
     """Leading coefficient of the single-link CDF at high common SNR:
-    F(x) ~ g_factor * (x / snr)^m."""
+    F(x) ~ g_factor * (x / snr)^m.
+
+    With y = m / o3 it is m^(m-1) / (m-1)! (o1^-m + o2^-m P(m, y)) plus
+    (2m-1)! / (m (m-1)!^2) (o3 / o2)^m Q(2m, y), in regularized incomplete
+    gammas.  The factorials and powers are taken in log space: (2m-1)!
+    alone is beyond the float range from m = 86, while the coefficient
+    is finite up to m = 515 at unit gains."""
     m = topology.nakagami_m
     o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
                   topology.eff_gain_interf)
-    gam_m = float(math.factorial(m - 1))
-    first = m ** (m - 1) / (gam_m * o1 ** m)
-    second = (m ** m * lower_incomplete_gamma(m, m / o3)
-              + o3 ** m * upper_incomplete_gamma(2 * m, m / o3)) \
-        / (m * gam_m ** 2 * o2 ** m)
-    return first + second
+    lead = (m - 1) * math.log(m) - math.lgamma(m)
+    mixed = math.lgamma(2 * m) - math.log(m) - 2 * math.lgamma(m)
+    p_m = float(_regularized_gamma(m, m / o3)[0])
+    q_2m = float(_regularized_gamma(2 * m, m / o3)[1])
+    return (math.exp(lead - m * math.log(o1))
+            + math.exp(lead - m * math.log(o2)) * p_m
+            + math.exp(mixed + m * math.log(o3 / o2)) * q_2m)
 
 
 def worst_case_rank_prob(num_users: int, num_relays: int) -> float:
@@ -354,7 +357,12 @@ def average_throughput(topology: NetworkTopology, budget: LinkBudget,
 # them is on a path of the package, and they stay until the tracer drops them
 # ---------------------------------------------------------------------------
 
-from .specfun import exp_scaled_ei, order_stat_coeff  # noqa: E402,F401
+from .specfun import (  # noqa: E402,F401
+    exp_scaled_ei,
+    lower_incomplete_gamma,
+    order_stat_coeff,
+    upper_incomplete_gamma,
+)
 
 
 class CancellationError(ArithmeticError):

@@ -4,6 +4,11 @@ All transmit powers are carried as ratios to the receiver noise power
 (linear SNR-like quantities), so the absolute noise level never appears
 at runtime.  Conversion from dB happens once, at the configuration
 boundary (see :func:`db_to_linear`).
+
+Both SNR-matrix builders are chains of correctly rounded steps, each
+monotone in the budget levels, so a matrix is non-decreasing, bit for
+bit, in every level; the Monte Carlo engine relies on that to carry a
+trial that clears a threshold along a sweep.
 """
 
 from __future__ import annotations
@@ -244,20 +249,22 @@ def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
                          topology: NetworkTopology,
                          budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR built from estimated channels with the residual
-    estimation error folded into the effective noise of each hop."""
+    estimation error folded into the effective noise of each hop.
+
+    Each hop's SNR is h / (σ² + dᵇ/λ), with λ the source power on hop 1
+    and the relay power on hop 2.  Every step of it rounds monotonically
+    in λ, and λ in each budget level, so the matrix is non-decreasing,
+    bit for bit, in every level, as :func:`snr_matrix` is."""
     if topology.nakagami_m != 1:
         raise ValueError("imperfect-CSI model requires nakagami_m == 1")
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
-    q = relay_power(estimates.interf, budget, topology)
-    # in place, with the same operations in the same order: each extra
-    # temporary is a block-sized array held beside the block's draws
-    hop2_snr = q * estimates.hop2
-    q *= err.err_var_hop2
-    q += d2b
-    hop2_snr /= q
-    del q
-    hop1_snr = budget.source_snr * estimates.hop1
-    hop1_snr /= budget.source_snr * err.err_var_hop1 + d1b
+    # in place in the relay power's own array: each extra temporary is a
+    # block-sized array held beside the block's draws
+    hop2_snr = np.asarray(relay_power(estimates.interf, budget, topology))
+    np.divide(d2b, hop2_snr, out=hop2_snr)
+    hop2_snr += err.err_var_hop2
+    np.divide(estimates.hop2, hop2_snr, out=hop2_snr)
+    hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
     # 0-d estimates give numpy scalars, which cannot take an out= array
     return np.minimum(hop1_snr, hop2_snr, out=hop1_snr if hop1_snr.ndim else None)

@@ -16,6 +16,17 @@ estimates are correlated.  A budget with one outage threshold counts
 the selected SNRs at or below it in one pass; a budget with several
 sorts them once per block, so every threshold costs one binary search
 rather than a pass over the trials.
+
+Max-min outage skips the trials that cannot be in outage.  A trial
+whose SNR matrix holds an injective map with every entry above the
+budget's largest threshold has its bottleneck above every threshold of
+the budget, so it is served and counts nowhere; once the served trials
+are an eighth or more of a budget's stack, they are dropped before it is
+assigned.  Along a budget chain, each budget at every level at least the
+one before and with a largest threshold at most the one before's, the
+SNR matrix only grows, bit for bit, so a served trial stays served, and
+dropping it also shrinks the block's draws.  Every ``lambda2`` sweep and
+every ``lambda_all`` sweep with CSI is such a chain.
 """
 
 from __future__ import annotations
@@ -37,6 +48,14 @@ __all__ = [
 ]
 
 BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
+
+# Max-min drops the served trials of a budget from its SNR stack (and,
+# along a budget chain, from the draws) once they are at least this share
+# of it; fewer stay in the stack, where they count no outage either.
+# Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth of the 21 ms
+# of assigning it (one core of a shared Xeon), and copies made for the
+# 0.7% served at fig3's 5 dB point raised its peak RSS by 2.5%.
+_SERVED_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -104,18 +123,40 @@ def _per_point(budget, values):
 
 
 def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
-                   trials: int, seed: int, csi: CsiErrorModel | None = None):
+                   trials: int, seed: int, csi: CsiErrorModel | None = None,
+                   thresholds=None):
     """Yield ``(block index, points, selected SNRs)``, once per block and
     distinct budget, where ``points`` indexes the budgets equal to it.
 
     Each block draws its channel gains once; every budget then builds
     its own SNR matrix from those gains and assigns from the same
     generator state, so the points share their random numbers.
+
+    Given each point's outage threshold, max-min drops the trials that
+    cannot be in outage, once they are at least ``_SERVED_SHARE`` of the
+    stack: a trial is served at a budget when some map gives every user
+    an entry above the budget's largest threshold
+    (:func:`selection.saturated`), and its max-min SNRs are then above
+    every threshold of the budget.  When every budget is at each level at
+    least the one before and its largest threshold is at most the one
+    before's, the SNR matrix only grows along the budgets, bit for bit,
+    so a served trial stays served: the block's draws then shrink to the
+    trials left.
     """
     groups: dict[LinkBudget, list[int]] = {}
     for point, budget in enumerate(budgets):
         groups.setdefault(budget, []).append(point)
-    last = next(reversed(groups))
+    order = list(groups)
+    last = order[-1]
+    tops = chain = None
+    if thresholds is not None and scheme == "maxmin":
+        tops = {budget: max(thresholds[point] for point in points)
+                for budget, points in groups.items()}
+        chain = all(later.source_snr >= earlier.source_snr
+                    and later.relay_snr_cap >= earlier.relay_snr_cap
+                    and later.interference_snr_cap >= earlier.interference_snr_cap
+                    and tops[later] <= tops[earlier]
+                    for earlier, later in zip(order, order[1:]))
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
         if csi is None:
@@ -124,7 +165,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             draws = model.sample_estimated_realization(topology, csi, rng,
                                                        trials=block)
         state = rng.bit_generator.state
-        for budget, points in groups.items():
+        for budget in order:
             rng.bit_generator.state = state
             if csi is None:
                 snrs = model.snr_matrix(draws, topology, budget)
@@ -132,9 +173,19 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                 snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
             if budget is last:
                 del draws  # not held while the block's last budget assigns
+            if tops is not None:
+                unserved = ~selection.saturated(snrs, tops[budget])
+                if np.count_nonzero(unserved) <= (1 - _SERVED_SHARE) * len(snrs):
+                    snrs = snrs[unserved]  # the full matrix is freed here
+                    if chain and budget is not last:
+                        gains = [draws.hop1, draws.hop2, draws.interf]
+                        del draws
+                        # each gain is freed as its kept trials are copied
+                        draws = model.ChannelRealization(
+                            *(gains.pop(0)[unserved] for _ in range(3)))
             _, eff = selection.assign_batch(scheme, snrs, rng)
             del snrs  # not held while the caller scores
-            yield index, points, eff
+            yield index, groups[budget], eff
 
 
 def estimate_outage(topology: NetworkTopology, budget, scheme: str,
@@ -158,7 +209,7 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
         raise ValueError("outage thresholds must not be NaN")
     hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
     for _, points, eff in _selected_snrs(topology, budgets, scheme, trials,
-                                         seed, csi):
+                                         seed, csi, thresholds):
         if len(points) == 1:
             # column by column: a count along axis 0 of the (trials,
             # users) array takes about 5x as long at three users

@@ -12,9 +12,9 @@ their magnitudes, so the global rank a user's selected entry occupies is
 distributed like the outcome of the scheme on a uniformly random rank
 permutation.  :func:`rank_placement_probs` computes that per-user
 distribution, choosing the method from the scheme and shape: in closed
-form for ``random`` and ``naive`` at every shape, by a recursion over
-sets of revealed cells for max-min while M*N <= ``EXACT_MAXMIN_LIMIT``,
-and by Monte Carlo for max-min beyond.
+form for ``random`` and ``naive`` at every shape and for max-min with
+one user, by a recursion over sets of revealed cells for max-min while
+M*N <= ``EXACT_MAXMIN_LIMIT``, and by Monte Carlo for max-min beyond.
 
 Batched max-min counts each entry's strictly larger entries by comparing
 every pair of entries, so tied entries share one count.  That is (M*N)**2
@@ -22,6 +22,11 @@ comparisons per trial: cheaper than sorting each trial at every shipped
 shape (M*N <= 12), dearer from M*N of about 40.  The chosen map is the
 first minimum of the summed keys, which a min over keys that carry
 their map index in the low bits finds without a per-trial argmin.
+
+:func:`saturated` tells, per matrix, whether some injective map has
+every entry above a threshold (Hall's condition over the user sets),
+which is whether the max-min bottleneck is above it; the Monte Carlo
+engine skips the trials where it holds.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "naive_assign_batch",
     "random_assign_batch",
     "assign_batch",
+    "saturated",
     "rank_placement_probs",
 ]
 
@@ -229,6 +235,40 @@ def assign_batch(scheme: str, gammas: np.ndarray, rng: np.random.Generator | Non
             raise ValueError("random scheme needs a generator")
         return random_assign_batch(gammas, rng)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _hall(above, served, union, first: int, size: int):
+    """Clear ``served`` where a set of users fails Hall's condition: each
+    set that adds a user from ``first`` on to the set of ``size`` users
+    whose relays are ``union`` (None for the empty set), and, depth first,
+    each set that extends it."""
+    for u in range(first, len(above)):
+        joined = above[u] if union is None else union | above[u]
+        met = joined.sum(axis=0, dtype=np.min_scalar_type(len(joined)))
+        np.logical_and(served, met > size, out=served)
+        _hall(above, served, joined, u + 1, size + 1)
+
+
+def saturated(gammas: np.ndarray, threshold: float) -> np.ndarray:
+    """Per matrix of a stack, whether some injective user->relay map
+    gives every user an entry above ``threshold``; the max-min bottleneck
+    is then above it too, so no user is at or below it.
+
+    Such a map exists iff every set X of users has entries above the
+    threshold in at least |X| relays (Hall's theorem).  The 2**M - 1 sets
+    are visited depth first, each as the union of its parent set's relays
+    and one more user's, so memory holds at most M unions whatever the
+    number of maps.  Entries are compared once and transposed to one row
+    per entry, so each union and count runs over whole rows of trials.
+    """
+    g = np.asarray(gammas, dtype=float)
+    trials, num_users, num_relays = g.shape
+    above = np.ascontiguousarray(
+        (g > threshold).reshape(trials, num_users * num_relays).T
+    ).reshape(num_users, num_relays, trials)
+    served = np.ones(trials, dtype=bool)
+    _hall(above, served, None, 0, 0)
+    return served
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +464,12 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     The method follows from the scheme and shape.  ``random`` and
     ``naive`` are exact in closed form at every shape (the random rank
     is uniform on 1..M*N; see :func:`_naive_rank_row` for naive).
-    ``maxmin`` is exact while M*N <= ``EXACT_MAXMIN_LIMIT``, counting
-    rank orders in Python integers by a recursion over sets of revealed
-    cells; beyond that it samples ``trials`` i.i.d. matrices from
-    ``rng``.  All of them work on rank patterns only, which is exact
-    because every scheme here is invariant to monotone transformations
-    of the entries.
+    ``maxmin`` with one user takes rank 1 at every N; with more it is
+    exact while M*N <= ``EXACT_MAXMIN_LIMIT``, counting rank orders in
+    Python integers by a recursion over sets of revealed cells, and
+    beyond that it samples ``trials`` i.i.d. matrices from ``rng``.  All
+    of them work on rank patterns only, which is exact because every
+    scheme here is invariant to monotone transformations of the entries.
     """
     if num_users < 1 or num_relays < num_users:
         raise ValueError("need num_relays >= num_users >= 1")
@@ -448,6 +488,9 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     if scheme == "naive":
         return exact("exact-closed-form", [_naive_rank_row(num_users, num_relays, u)
                                            for u in range(num_users)])
+    if num_users == 1:
+        # the one user takes its largest entry, the largest of all
+        return exact("exact-closed-form", [[1.0] + [0.0] * (mn - 1)])
     if mn <= EXACT_MAXMIN_LIMIT:
         # users are exchangeable, so every row is the user average
         total = num_users * math.factorial(mn)

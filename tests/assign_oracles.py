@@ -5,7 +5,8 @@ max-min fair assignment by bottleneck binary search over bipartite
 matchings, greedy assignment in user order and a uniformly random
 injective map, one SNR matrix at a time; a batched max-min that
 compares sorted float profiles of every injective map, which fixes the
-tie-breaking of the rank-keyed batch on matrices with tied entries; the
+tie-breaking of the rank-keyed batch on matrices with tied entries;
+whether some injective map clears a threshold, by checking every map; the
 global ranks of a batch's selected entries; and two counts of rank
 placement, by enumerating every rank order (any batched scheme) and by
 enumerating the shortest reveal prefixes that fix the max-min map.
@@ -153,6 +154,19 @@ def global_ranks(gammas, eff) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
     flat = g.reshape(g.shape[0], 1, -1)
     return 1 + (flat > eff[:, :, None]).sum(axis=2)
+
+
+def saturated_by_maps(gammas, threshold) -> np.ndarray:
+    """Per matrix, whether some injective user->relay map has every
+    assigned entry above ``threshold``: every map is checked, one at a
+    time."""
+    g = np.asarray(gammas, dtype=float)
+    trials, num_users, num_relays = g.shape
+    users = np.arange(num_users)
+    found = np.zeros(trials, dtype=bool)
+    for relays in itertools.permutations(range(num_relays), num_users):
+        found |= np.all(g[:, users, relays] > threshold, axis=1)
+    return found
 
 
 def maxmin_assign_sorted_batch(gammas):

@@ -1,10 +1,12 @@
 """Test-side helpers and oracles that the package itself does not need:
 link budgets given in dB, the relay cap and imperfect-CSI SNR matrix in
 their masked (``np.where``) form, the compact Rayleigh link CDF, the
-link CDF and CCDF by quadrature over the interference gain, a Monte
-Carlo estimate of the single-link CDF, and the paper's closed-form
-average throughput (an alternating sum over order statistics of
-exponential-type integrals h(j, at, d), each from a closed recursion)."""
+link CDF and CCDF by quadrature over the interference gain, the high-SNR
+coefficient in its factorial form, a Monte Carlo estimate of the
+single-link CDF, the Monte Carlo outage estimator that assigns every
+trial at every point, and the paper's closed-form average throughput (an
+alternating sum over order statistics of exponential-type integrals
+h(j, at, d), each from a closed recursion)."""
 
 import math
 
@@ -12,7 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
-from cogrelay import model
+from cogrelay import model, selection
 from cogrelay.analytic import _pk_vector
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
@@ -22,7 +24,11 @@ from cogrelay.montecarlo import (
     _check_trials,
     wilson_interval,
 )
-from cogrelay.specfun import exp_scaled_ei
+from cogrelay.specfun import (
+    exp_scaled_ei,
+    lower_incomplete_gamma,
+    upper_incomplete_gamma,
+)
 
 
 def budget_db(l1, l2, l3, gth=5.0):
@@ -49,13 +55,13 @@ def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):
 def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
                                budget: LinkBudget) -> np.ndarray:
     """``model.snr_matrix_imperfect`` with :func:`relay_power_where` for
-    the relay cap, written without in-place steps."""
+    the relay cap, written without in-place steps: each hop's SNR is
+    h / (σ² + dᵇ/λ), with λ the source power and the relay power."""
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
-    q = relay_power_where(estimates.interf, budget, topology)
-    hop2_snr = q * estimates.hop2 / (q * err.err_var_hop2 + d2b)
-    hop1_snr = (budget.source_snr * estimates.hop1
-                / (budget.source_snr * err.err_var_hop1 + d1b))
+    q = np.asarray(relay_power_where(estimates.interf, budget, topology))
+    hop2_snr = estimates.hop2 / (err.err_var_hop2 + d2b / q)
+    hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
     return np.minimum(hop1_snr, hop2_snr)
 
 
@@ -167,6 +173,39 @@ def link_cdf_mpmath(x: float, topology: NetworkTopology, budget: LinkBudget,
                 upper(y1) * average(upper))
 
 
+def g_factor_factorial(topology: NetworkTopology) -> float:
+    """The high-SNR link CDF coefficient in the paper's form, with
+    factorials and unregularized incomplete gammas:
+    m^(m-1) / ((m-1)! o1^m) + (m^m gamma(m, m/o3) + o3^m Gamma(2m, m/o3))
+    / (m (m-1)!^2 o2^m).  Its factorials overflow from m = 172."""
+    m = topology.nakagami_m
+    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
+                  topology.eff_gain_interf)
+    gam_m = float(math.factorial(m - 1))
+    first = m ** (m - 1) / (gam_m * o1 ** m)
+    second = (m ** m * lower_incomplete_gamma(m, m / o3)
+              + o3 ** m * upper_incomplete_gamma(2 * m, m / o3)) \
+        / (m * gam_m ** 2 * o2 ** m)
+    return first + second
+
+
+def g_factor_mpmath(topology: NetworkTopology, dps: int = 40):
+    """:func:`g_factor_factorial` in mpmath at ``dps`` digits (an mpf).
+    mpmath is imported here, so only its callers need it."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = mp.mpf(topology.nakagami_m)
+        o1, o2, o3 = map(mp.mpf, (topology.eff_gain_hop1,
+                                  topology.eff_gain_hop2,
+                                  topology.eff_gain_interf))
+        gam_m = mp.factorial(m - 1)
+        return (m ** (m - 1) / (gam_m * o1 ** m)
+                + (m ** m * mp.gammainc(m, 0, m / o3)
+                   + o3 ** m * mp.gammainc(2 * m, m / o3, mp.inf))
+                / (m * gam_m ** 2 * o2 ** m))
+
+
 def throughput_params(topology: NetworkTopology, budget: LinkBudget):
     """a, b, d of the paper's Rayleigh link CCDF e^-(a x) (b + d (1-b)/(x+d))."""
     o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
@@ -207,6 +246,39 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
                    trials, seed)
         for h in hits
     ]
+
+
+def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
+                               thresholds, trials: int, seed: int,
+                               z: float = 1.96, csi=None):
+    """``montecarlo.estimate_outage`` for paired lists of budgets and
+    thresholds, point by point: each block draws its gains as the engine
+    does, then every point builds its SNR matrix, assigns every trial from
+    the generator state after the draws, and counts the selected SNRs at
+    or below its threshold.  No trial is skipped and nothing is shared
+    between points."""
+    _check_trials(trials)
+    hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
+    for index, block in _blocks(trials):
+        rng = _block_rng(seed, index)
+        if csi is None:
+            draws = model.sample_realization(topology, rng, trials=block)
+        else:
+            draws = model.sample_estimated_realization(topology, csi, rng,
+                                                       trials=block)
+        state = rng.bit_generator.state
+        for point, (budget, threshold) in enumerate(zip(budgets, thresholds)):
+            rng.bit_generator.state = state
+            if csi is None:
+                snrs = model.snr_matrix(draws, topology, budget)
+            else:
+                snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
+            _, eff = selection.assign_batch(scheme, snrs, rng)
+            hits[point] += (eff <= threshold).sum(axis=0)
+    return [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
+                        trials, seed)
+             for h in row]
+            for row in hits]
 
 
 # ---------------------------------------------------------------------------

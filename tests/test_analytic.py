@@ -38,6 +38,7 @@ from oracles import (
     average_throughput_closed,
     budget_db,
     cdf_min_snr_rayleigh,
+    g_factor_factorial,
     h_closed,
     h_row,
     link_cdf_quad,
@@ -385,6 +386,29 @@ class TestGFactor:
         for m in (1, 2, 3, 5):
             assert g_factor(topo(m=m)) > 0
         assert g_factor(topo(m=2, mean_gain_hop1=0.5, mean_gain_interf=2.0)) > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_factorial_form(self, m):
+        for kw in ({}, {"mean_gain_hop1": 0.5, "mean_gain_interf": 2.0},
+                   {"mean_gain_hop2": 3.0, "dist_hop2": 2.0, "dist_interf": 0.5,
+                    "path_loss_exp": 3.7}):
+            t = topo(1, 1, m, **kw)
+            assert g_factor(t) == pytest.approx(g_factor_factorial(t), rel=1e-14)
+
+    def test_finite_past_factorial_overflow(self):
+        # the factorial form overflows from m = 86, where (2m-1)! is
+        # beyond the float range, and the asymptote read inf
+        mp = pytest.importorskip("mpmath")
+        from oracles import g_factor_mpmath
+        t = topo(1, 1, 180)
+        with pytest.raises(OverflowError):
+            g_factor_factorial(t)
+        snr = db_to_linear(20)
+        got = asymptotic_outage_case1(GAMMA_TH, snr, t)
+        with mp.workdps(40):
+            want = g_factor_mpmath(t) * mp.mpf(GAMMA_TH / snr) ** 180
+        assert math.isfinite(got)
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_matches_numeric_high_snr_limit(self):
         for m in (1, 2):

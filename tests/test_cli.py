@@ -367,9 +367,10 @@ class TestRankDistribution:
     @pytest.mark.parametrize("scheme, shape, method", [
         ("maxmin", (3, 4), "exact-recursion"),
         ("maxmin", (5, 5), "monte-carlo"),
+        ("maxmin", (1, 30), "exact-closed-form"),
         ("naive", (2, 5), "exact-closed-form"),
         ("naive", (3, 4), "exact-closed-form"),
-    ], ids=["maxmin-3x4", "maxmin-5x5", "naive-2x5", "naive-3x4"])
+    ], ids=["maxmin-3x4", "maxmin-5x5", "maxmin-1x30", "naive-2x5", "naive-3x4"])
     def test_exact_wherever_admitted(self, monkeypatch, scheme, shape, method):
         monkeypatch.setattr(cli, "PK_MC_TRIALS", 1000)
         config = sweep_config(num_users=shape[0], num_relays=shape[1],

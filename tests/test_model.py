@@ -189,6 +189,35 @@ class TestRelayCapOracle:
                           snr_matrix_imperfect_where(est, err, t, budget))
 
 
+class TestSnrMonotone:
+    """Both SNR builders are non-decreasing, bit for bit, in each budget
+    level, since every step of them rounds monotonically: along a Monte
+    Carlo budget chain a trial that clears a threshold keeps clearing it.
+    One-ulp steps find where a form that is monotone only in exact
+    arithmetic (such as q h / (q e + d)) rounds down."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(interference_cases(3), st.floats(1e-3, 1e6), st.integers(0, 2),
+           st.sampled_from(["ulp", "tiny", "large"]), st.floats(0.0, 0.9),
+           st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    def test_non_decreasing_in_each_level(self, case, source, level, step,
+                                          r1, r2, seed):
+        budget, t, f = case
+        levels = [source, budget.relay_snr_cap, budget.interference_snr_cap]
+        raised = list(levels)
+        raised[level] = {"ulp": np.nextafter(levels[level], np.inf),
+                         "tiny": levels[level] * (1 + 1e-12),
+                         "large": levels[level] * 1.5}[step]
+        low, high = LinkBudget(*levels, 1.0), LinkBudget(*raised, 1.0)
+        rng = np.random.default_rng(seed)
+        draws = ChannelRealization(rng.exponential(size=f.shape),
+                                   rng.exponential(size=f.shape), f)
+        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        assert np.all(snr_matrix(draws, t, high) >= snr_matrix(draws, t, low))
+        assert np.all(snr_matrix_imperfect(draws, err, t, high)
+                      >= snr_matrix_imperfect(draws, err, t, low))
+
+
 class TestSnrMatrix:
     def test_zero_first_hop_gives_zero(self):
         t = topo(1, 1, 1)

@@ -1,20 +1,25 @@
 """Monte Carlo engine checks: determinism, interval calibration against
 known truth, and agreement with the closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cogrelay import model, selection
 from cogrelay.analytic import cdf_min_snr, outage_probability
-from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
+from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
+    _block_rng,
+    _blocks,
     _selected_snrs,
     estimate_outage,
     estimate_throughput,
     two_proportion_z,
     wilson_interval,
 )
-from cogrelay.selection import rank_placement_probs
-from oracles import budget_db, estimate_cdf
+from cogrelay.selection import maxmin_assign_batch, rank_placement_probs
+from oracles import budget_db, estimate_cdf, estimate_outage_unfiltered
 
 GAMMA_TH = db_to_linear(5.0)
 
@@ -170,6 +175,154 @@ class TestOutageEstimates:
         with pytest.raises(ValueError, match="trials"):
             estimate_outage(topo(), budget_db(10, 10, 10), "maxmin",
                             GAMMA_TH, trials=0, seed=1)
+
+
+def block_bottlenecks(t, budget, trials, seed, csi=None):
+    """Per block of a run, the max-min bottleneck of each of its trials
+    at ``budget``."""
+    out = []
+    for index, block in _blocks(trials):
+        rng = _block_rng(seed, index)
+        if csi is None:
+            snrs = model.snr_matrix(
+                model.sample_realization(t, rng, trials=block), t, budget)
+        else:
+            snrs = model.snr_matrix_imperfect(
+                model.sample_estimated_realization(t, csi, rng, trials=block),
+                csi, t, budget)
+        out.append(maxmin_assign_batch(snrs)[1].min(axis=1))
+    return out
+
+
+def tied_thresholds(t, budgets, trials, seed, csi=None):
+    """One threshold per budget, each equal to the bottleneck of a trial
+    of block 0 at its budget and none above the one before: the median
+    bottleneck at the first budget, then at each next budget the largest
+    bottleneck not above the threshold before."""
+    thresholds = []
+    for budget in budgets:
+        values = np.sort(block_bottlenecks(t, budget, trials, seed, csi)[0])
+        if thresholds:
+            values = values[values <= thresholds[-1]]
+            thresholds.append(float(values[-1]))
+        else:
+            thresholds.append(float(values[len(values) // 2]))
+    return thresholds
+
+
+def expected_stacks(bottlenecks, thresholds, chain):
+    """Per block and budget, in the engine's order, the trials an SNR
+    matrix is built on and the trials assigned, from each budget's
+    per-block bottlenecks: a budget drops its served trials (bottleneck
+    above its threshold) once they are an eighth or more of its stack,
+    and along a chain the next budget builds on the trials left."""
+    built, assigned = [], []
+    for block in zip(*bottlenecks):
+        alive = np.ones(len(block[0]), dtype=bool)
+        for values, threshold in zip(block, thresholds):
+            stack = int(np.count_nonzero(alive))
+            served = alive & (values > threshold)
+            built.append(stack)
+            if 8 * np.count_nonzero(served) < stack:
+                assigned.append(stack)
+                continue
+            assigned.append(stack - int(np.count_nonzero(served)))
+            if chain:
+                alive &= ~served
+    return built, assigned
+
+
+class TestSaturationFilter:
+    """Max-min skips the trials whose bottleneck clears every threshold
+    of a budget, and along a budget chain drops them from the draws: the
+    estimates equal those of the oracle that assigns every trial at
+    every point, and each SNR matrix and assignment covers the trials
+    that :func:`expected_stacks` leaves."""
+
+    T = topo(3, 4, 1)
+    CSI = CsiErrorModel.from_error_ratios(T, 0.05, 0.05, 0.05)
+    # common SNR rising, and the relay cap rising at fixed other levels
+    LAMBDA_ALL = [budget_db(x, x, x) for x in (0, 2, 4, 6)]
+    LAMBDA2 = [budget_db(25, x, 10) for x in (0, 2, 4, 6)]
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the trial count of every SNR matrix built and every
+        stack assigned."""
+        built, assigned = [], []
+        for name in ("snr_matrix", "snr_matrix_imperfect"):
+            def build_spy(draws, *args, original=getattr(model, name)):
+                built.append(len(draws.hop1))
+                return original(draws, *args)
+            monkeypatch.setattr(model, name, build_spy)
+
+        def assign_spy(scheme, gammas, rng=None, original=selection.assign_batch):
+            assigned.append(len(gammas))
+            return original(scheme, gammas, rng)
+        monkeypatch.setattr(selection, "assign_batch", assign_spy)
+        return built, assigned
+
+    @pytest.mark.parametrize("trials", [1000, 70_000], ids=["1block", "2blocks"])
+    @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
+    @pytest.mark.parametrize("sweep", ["lambda_all", "lambda2"])
+    @pytest.mark.parametrize("order", ["chain", "levels_fall", "thresholds_rise"])
+    def test_matches_unfiltered_oracle(self, monkeypatch, order, sweep, csi, trials):
+        csi = self.CSI if csi else None
+        budgets = self.LAMBDA_ALL if sweep == "lambda_all" else self.LAMBDA2
+        # rising levels and falling thresholds, each tied to a trial
+        thresholds = tied_thresholds(self.T, budgets, trials, 3, csi)
+        # either half of the chain condition broken: no chain
+        if order == "levels_fall":
+            budgets = budgets[::-1]
+        elif order == "thresholds_rise":
+            thresholds = thresholds[::-1]
+        want_built, want_assigned = expected_stacks(
+            [block_bottlenecks(self.T, b, trials, 3, csi) for b in budgets],
+            thresholds, chain=order == "chain")
+        # the first budget also scores two lower thresholds, so it sorts
+        budgets = budgets + [budgets[0]] * 2
+        thresholds = thresholds + [thresholds[0] / 2, thresholds[0] / 4]
+        want = estimate_outage_unfiltered(self.T, budgets, "maxmin", thresholds,
+                                          trials, 3, csi=csi)
+        built, assigned = self.spy(monkeypatch)
+        got = estimate_outage(self.T, budgets, "maxmin", thresholds, trials, 3,
+                              csi=csi)
+        assert got == want
+        assert built == want_built
+        assert assigned == want_assigned
+        # the first budget of each block drops trials; along a chain the
+        # next one builds on fewer
+        assert all(a < b for a, b in zip(assigned[::4], built[::4]))
+        assert (built[1] < built[0]) == (order == "chain")
+
+    @pytest.mark.parametrize("scheme", ["naive", "random"])
+    @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
+    def test_other_schemes_assign_every_trial(self, monkeypatch, scheme, csi):
+        csi = self.CSI if csi else None
+        thresholds = tied_thresholds(self.T, self.LAMBDA_ALL, 70_000, 3, csi)
+        want = estimate_outage_unfiltered(self.T, self.LAMBDA_ALL, scheme,
+                                          thresholds, 70_000, 3, csi=csi)
+        built, assigned = self.spy(monkeypatch)
+        got = estimate_outage(self.T, self.LAMBDA_ALL, scheme, thresholds,
+                              70_000, 3, csi=csi)
+        assert got == want
+        assert built == assigned == [65536] * 4 + [4464] * 4
+
+    def test_csi_sweep_block_memory(self):
+        # one 65536-trial 3x4 CSI block over a nine-budget common-SNR
+        # chain: its gains are three 6.3 MB arrays, held with the two
+        # block-sized arrays of an SNR build (33.1 MB measured, 33.0 MB
+        # before trials were skipped).  Copying the kept trials of all
+        # three gains before freeing any old one measured 38.1 MB.
+        budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
+        tracemalloc.start()
+        try:
+            estimate_outage(self.T, budgets, "maxmin", [GAMMA_TH] * 9,
+                            trials=65536, seed=1, csi=self.CSI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
 
 
 class TestThroughputEstimates:

@@ -21,6 +21,7 @@ from assign_oracles import (
     naive_assign,
     prefix_leaf_rank_counts,
     random_assign,
+    saturated_by_maps,
 )
 from cogrelay import selection
 from cogrelay.analytic import outage_from_cdf, worst_case_rank_prob
@@ -31,6 +32,7 @@ from cogrelay.selection import (
     naive_assign_batch,
     random_assign_batch,
     rank_placement_probs,
+    saturated,
 )
 
 
@@ -221,6 +223,57 @@ class TestMaxminBatchOracles:
         assert peak < 256 * 2**20
 
 
+@st.composite
+def stacks_and_thresholds(draw, stacks):
+    """A stack from ``stacks`` (a function of ``tied``) and a threshold:
+    one of its entries, so that entries tie with it, the float just below
+    one, or a bound that every entry or none clears."""
+    g = draw(st.booleans().flatmap(stacks))
+    entry = draw(st.sampled_from(sorted(set(g.ravel().tolist()))))
+    threshold = draw(st.sampled_from([entry, np.nextafter(entry, -np.inf),
+                                      -1.0, np.inf]))
+    return g, threshold
+
+
+class TestSaturated:
+    """Hall's test against a check of every injective map, and against
+    what it stands for: a served matrix is one whose max-min bottleneck
+    is above the threshold."""
+
+    @staticmethod
+    def check(g, threshold):
+        served = saturated(g, threshold)
+        assert served.dtype == bool and served.shape == (len(g),)
+        np.testing.assert_array_equal(served, saturated_by_maps(g, threshold))
+        bottleneck = maxmin_assign_batch(g)[1].min(axis=1)
+        np.testing.assert_array_equal(served, bottleneck > threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks_and_thresholds(snr_stacks))
+    def test_small_stacks(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacks_and_thresholds(boundary_stacks))
+    def test_boundary_shapes(self, case):
+        self.check(*case)
+
+    def test_hall_needs_every_user_set(self):
+        # every user and every pair of users has as many relays above 1
+        # as users, but the three users share two such relays: only the
+        # full set fails, until one user gets a relay of its own
+        g = np.array([[[2.0, 2.0, 0.0, 0.0],
+                       [2.0, 2.0, 0.0, 0.0],
+                       [2.0, 2.0, 0.0, 0.0]]])
+        assert saturated(g, 1.0).tolist() == [False]
+        g[0, 2, 3] = 2.0
+        assert saturated(g, 1.0).tolist() == [True]
+        self.check(g, 1.0)
+
+    def test_empty_stack(self):
+        assert saturated(np.zeros((0, 3, 4)), 1.0).shape == (0,)
+
+
 class TestFirstMin:
     """The packed first minimum against argmin over the map axis, at map
     counts from 1 to 8!, on spread keys (few ties) and on keys of four
@@ -355,6 +408,14 @@ class TestRankPlacement:
         b = rank_placement_probs(3, 4, "maxmin", trials=50_000, rng=5)
         assert a.trials == 50_000
         assert np.array_equal(a.per_user, b.per_user)
+
+    def test_one_user_exact_at_every_width(self):
+        # the one user's max-min pick is its largest entry: rank 1, where
+        # 1x25 and wider sampled 1e6 matrices
+        for num_relays in (1, 24, 30):
+            d = rank_placement_probs(1, num_relays, "maxmin", trials=1000, rng=3)
+            assert d.trials == 0
+            assert d.probs.tolist() == [1.0] + [0.0] * (num_relays - 1)
 
     def test_enumeration_size_guard(self):
         # 5x5 is the first max-min shape beyond the exact limit, so it
