@@ -334,19 +334,23 @@ def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
         mc = montecarlo.estimate_throughput(
             topology, budgets, config.scheme, config.trials, seed, z=z,
             scales=levels)
-    else:
-        mc = montecarlo.estimate_outage(
-            topology, budgets, config.scheme,
-            [gamma_th / level for level in levels], config.trials, seed,
-            z=z, csi=csi)
+        # one call per distinct pk row reads every point's budget
+        exact = _per_user(pk, lambda row: analytic.average_throughput(
+            topology, [config.budget_at(point_db) for point_db in points], row))
+        return [PointResult(point_db, list(values), None, None, estimates)
+                for point_db, values, estimates in zip(points, zip(*exact), mc)]
+    mc = montecarlo.estimate_outage(
+        topology, budgets, config.scheme,
+        [gamma_th / level for level in levels], config.trials, seed,
+        z=z, csi=csi)
     return [_closed_forms(config, point_db, pk, estimates)
             for point_db, estimates in zip(points, mc)]
 
 
-def _per_user(pk: RankPlacementDistribution, closed_form) -> list[float]:
+def _per_user(pk: RankPlacementDistribution, closed_form) -> list:
     """``closed_form(row)`` for every user's pk row, evaluated once per
     distinct row (max-min rows are all equal when pk is exact)."""
-    values: dict[bytes, float] = {}
+    values: dict[bytes, object] = {}
     for row in pk.per_user:
         if row.tobytes() not in values:
             values[row.tobytes()] = closed_form(row)
@@ -356,12 +360,9 @@ def _per_user(pk: RankPlacementDistribution, closed_form) -> list[float]:
 def _closed_forms(config: ExperimentConfig, point_db: float,
                   pk: RankPlacementDistribution,
                   mc: list[montecarlo.McEstimate]) -> PointResult:
+    """The outage closed forms of one sweep point."""
     topology, csi = config.topology(), config.csi_model()
     budget = config.budget_at(point_db)
-    if config.mode == "throughput":
-        exact = _per_user(pk, lambda row: analytic.average_throughput(
-            topology, budget, row))
-        return PointResult(point_db, exact, None, None, mc)
     gamma_th = budget.threshold_snr
     if csi is None:
         exact = _per_user(pk, lambda row: analytic.outage_probability(

@@ -27,12 +27,24 @@ one before and with a largest threshold at most the one before's, the
 SNR matrix only grows, bit for bit, so a served trial stays served, and
 dropping it also shrinks the block's draws.  Every ``lambda2`` sweep and
 every ``lambda_all`` sweep with CSI is such a chain.
+
+Throughput under max-min or naive selection stops recomputing settled
+trials along a relay-cap chain, where each budget has the source and
+interference levels of the one before and a relay cap at least as large.
+A trial is settled once its SNR matrix equals, bit for bit, the matrix
+at an infinite relay cap: the matrix only grows with the cap, so it is
+then fixed for the rest of the chain, and so are the trial's selected
+SNRs, whatever the scheme's tie-breaks.  Once they are an eighth or
+more of the trials left, settled trials leave the draws and keep their
+selected SNRs in a block-sized array; each budget assigns the trials
+left, and once none is left the block's later budgets assign nothing.
+Every ``lambda2`` throughput sweep is such a chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,13 +61,15 @@ __all__ = [
 
 BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 
-# Max-min drops the served trials of a budget from its SNR stack (and,
-# along a budget chain, from the draws) once they are at least this share
-# of it; fewer stay in the stack, where they count no outage either.
-# Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth of the 21 ms
-# of assigning it (one core of a shared Xeon), and copies made for the
-# 0.7% served at fig3's 5 dB point raised its peak RSS by 2.5%.
-_SERVED_SHARE = 1 / 8
+# Max-min outage drops the served trials of a budget from its SNR stack
+# (and, along a budget chain, from the draws), and throughput drops the
+# settled trials of a relay-cap chain from the draws, once they are at
+# least this share of the stack; fewer stay in it, where they count no
+# outage, or are assigned the selected SNRs they already have.  Copying
+# a 65536-trial 3x4 stack takes 2.5 ms, an eighth of the 21 ms of
+# assigning it (one core of a shared Xeon), and copies made for the 0.7%
+# served at fig3's 5 dB point raised its peak RSS by 2.5%.
+_DROP_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -126,14 +140,16 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                    trials: int, seed: int, csi: CsiErrorModel | None = None,
                    thresholds=None):
     """Yield ``(block index, points, selected SNRs)``, once per block and
-    distinct budget, where ``points`` indexes the budgets equal to it.
+    distinct budget, where ``points`` indexes the budgets equal to it (or,
+    once every trial of a block is settled, see below, the budgets equal
+    to it or to any later one).
 
     Each block draws its channel gains once; every budget then builds
     its own SNR matrix from those gains and assigns from the same
     generator state, so the points share their random numbers.
 
     Given each point's outage threshold, max-min drops the trials that
-    cannot be in outage, once they are at least ``_SERVED_SHARE`` of the
+    cannot be in outage, once they are at least ``_DROP_SHARE`` of the
     stack: a trial is served at a budget when some map gives every user
     an entry above the budget's largest threshold
     (:func:`selection.saturated`), and its max-min SNRs are then above
@@ -142,6 +158,17 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
     before's, the SNR matrix only grows along the budgets, bit for bit,
     so a served trial stays served: the block's draws then shrink to the
     trials left.
+
+    Without thresholds (throughput), under a scheme that draws nothing,
+    and along budgets that differ only in a rising relay cap, a trial
+    whose SNR matrix equals its matrix at an infinite cap is settled:
+    its matrix, and so its selected SNRs, cannot change at a later
+    budget.  Once the settled trials are at least ``_DROP_SHARE`` of the
+    stack, they leave the draws and the cap-free matrix and keep their
+    rows of the block's selected SNRs, of which each budget refreshes
+    the rows of the trials left.  That array is yielded whole and
+    changes in place at the next budget, so the caller reads it before
+    it resumes the generator.
     """
     groups: dict[LinkBudget, list[int]] = {}
     for point, budget in enumerate(budgets):
@@ -157,6 +184,18 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and later.interference_snr_cap >= earlier.interference_snr_cap
                     and tops[later] <= tops[earlier]
                     for earlier, later in zip(order, order[1:]))
+    carry = (thresholds is None and scheme != "random" and len(order) > 1
+             and all(later.source_snr == earlier.source_snr
+                     and later.interference_snr_cap == earlier.interference_snr_cap
+                     and later.relay_snr_cap >= earlier.relay_snr_cap
+                     for earlier, later in zip(order, order[1:])))
+
+    def build(gains, budget):
+        draws = model.ChannelRealization(*gains)
+        if csi is None:
+            return model.snr_matrix(draws, topology, budget)
+        return model.snr_matrix_imperfect(draws, csi, topology, budget)
+
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
         if csi is None:
@@ -164,28 +203,54 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         else:
             draws = model.sample_estimated_realization(topology, csi, rng,
                                                        trials=block)
+        gains = [draws.hop1, draws.hop2, draws.interf]
+        del draws
         state = rng.bit_generator.state
-        for budget in order:
+        if carry:
+            limit = build(gains, replace(order[0], relay_snr_cap=math.inf))
+            live = np.arange(block)
+            eff = None
+        for position, budget in enumerate(order):
             rng.bit_generator.state = state
-            if csi is None:
-                snrs = model.snr_matrix(draws, topology, budget)
-            else:
-                snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
+            snrs = build(gains, budget)
             if budget is last:
-                del draws  # not held while the block's last budget assigns
+                del gains  # not held while the block's last budget assigns
             if tops is not None:
                 unserved = ~selection.saturated(snrs, tops[budget])
-                if np.count_nonzero(unserved) <= (1 - _SERVED_SHARE) * len(snrs):
+                if np.count_nonzero(unserved) <= (1 - _DROP_SHARE) * len(snrs):
                     snrs = snrs[unserved]  # the full matrix is freed here
                     if chain and budget is not last:
-                        gains = [draws.hop1, draws.hop2, draws.interf]
-                        del draws
-                        # each gain is freed as its kept trials are copied
-                        draws = model.ChannelRealization(
-                            *(gains.pop(0)[unserved] for _ in range(3)))
-            _, eff = selection.assign_batch(scheme, snrs, rng)
+                        _keep(gains, unserved)
+            if carry:
+                settled = (snrs == limit).all(axis=(1, 2))
+            _, selected = selection.assign_batch(scheme, snrs, rng)
             del snrs  # not held while the caller scores
+            if carry and eff is not None:
+                eff[live] = selected
+            else:
+                eff = selected
+            del selected
+            if (carry and budget is not last
+                    and np.count_nonzero(settled) >= _DROP_SHARE * len(settled)):
+                unsettled = ~settled
+                live = live[unsettled]
+                limit = limit[unsettled]
+                _keep(gains, unsettled)
+            if carry and not len(live):
+                # every trial is settled: this budget's selected SNRs are
+                # those of every later one
+                yield index, [point for later in order[position:]
+                              for point in groups[later]], eff
+                break
             yield index, groups[budget], eff
+
+
+def _keep(gains: list, keep: np.ndarray):
+    """Shrink each gain array of the list to the trials ``keep`` marks,
+    in place, one at a time: each old array is freed before the next is
+    copied."""
+    for i in range(len(gains)):
+        gains[i] = gains[i][keep]
 
 
 def estimate_outage(topology: NetworkTopology, budget, scheme: str,
@@ -243,11 +308,17 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     sq_sums = np.zeros_like(sums)
     for index, points, eff in _selected_snrs(topology, budgets, scheme,
                                              trials, seed):
+        factor = None
         for point in points:
-            tau = np.log2(1.0 + factors[point] * eff) / (2.0 * num_users)
-            for u in range(num_users):
-                sums[point, u, index] = tau[:, u].sum()
-                sq_sums[point, u, index] = np.square(tau[:, u]).sum()
+            # points of one scale in a row share their sums (a NaN scale
+            # equals none)
+            if factors[point] != factor:
+                factor = factors[point]
+                tau = np.log2(1.0 + factor * eff) / (2.0 * num_users)
+                total = [tau[:, u].sum() for u in range(num_users)]
+                square = [np.square(tau[:, u]).sum() for u in range(num_users)]
+            sums[point, :, index] = total
+            sq_sums[point, :, index] = square
     out = []
     for point in range(len(budgets)):
         row = []

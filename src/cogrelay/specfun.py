@@ -68,12 +68,20 @@ def _regularized_gamma(m: int, x):
 
 
 def _scaled(m, x, which: int):
-    """(m-1)! times P (``which`` 0) or Q (1) at a float or an array."""
+    """(m-1)! times P (``which`` 0) or Q (1) at a float or an array.
+    From m = 172, where (m-1)! leaves the float range, the product is
+    exp(lgamma(m) + log P): inf only beyond the float range, and 0 where
+    the regularized value underflows."""
     m = _check_shape(m)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError(f"x must be >= 0, got {x}")
-    value = math.factorial(m - 1) * _regularized_gamma(m, x)[which]
+    regularized = _regularized_gamma(m, x)[which]
+    if m <= 171:
+        value = math.factorial(m - 1) * regularized
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            value = np.exp(math.lgamma(m) + np.log(regularized))
     return float(value) if x.ndim == 0 else value
 
 

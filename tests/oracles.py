@@ -3,21 +3,24 @@ link budgets given in dB, the relay cap and imperfect-CSI SNR matrix in
 their masked (``np.where``) form, the compact Rayleigh link CDF, the
 link CDF and CCDF by quadrature over the interference gain, the high-SNR
 coefficient in its factorial form, a Monte Carlo estimate of the
-single-link CDF, the Monte Carlo outage estimator that assigns every
-trial at every point, and the paper's closed-form average throughput (an
-alternating sum over order statistics of exponential-type integrals
-h(j, at, d), each from a closed recursion)."""
+single-link CDF, the Monte Carlo outage and throughput estimators that
+assign every trial at every point, the Poisson race of the link CDF as
+products and from scipy's binomial pmf, and the paper's closed-form
+average throughput (an alternating sum over order statistics of
+exponential-type integrals h(j, at, d), each from a closed recursion)."""
 
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
+from scipy.stats import binom
 
 from cogrelay import model, selection
 from cogrelay.analytic import _pk_vector
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
+    BLOCK,
     McEstimate,
     _block_rng,
     _blocks,
@@ -279,6 +282,78 @@ def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
                         trials, seed)
              for h in row]
             for row in hits]
+
+
+def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
+                                  scheme: str, trials: int, seed: int,
+                                  z: float = 1.96, scales=None):
+    """``montecarlo.estimate_throughput`` for a list of budgets (each
+    rate taken at ``scales`` times its selected SNR, 1 by default),
+    point by point: each block draws its gains as the engine does, then
+    every point builds its SNR matrix and assigns every trial from the
+    generator state after the draws.  No trial is carried from one
+    budget to the next.  The sums are formed as the engine forms them,
+    so equal selected SNRs give equal estimates."""
+    _check_trials(trials)
+    num_users = topology.num_users
+    scales = [1.0] * len(budgets) if scales is None else scales
+    sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
+    sq_sums = np.zeros_like(sums)
+    for index, block in _blocks(trials):
+        rng = _block_rng(seed, index)
+        draws = model.sample_realization(topology, rng, trials=block)
+        state = rng.bit_generator.state
+        for point, budget in enumerate(budgets):
+            rng.bit_generator.state = state
+            _, eff = selection.assign_batch(
+                scheme, model.snr_matrix(draws, topology, budget), rng)
+            tau = np.log2(1.0 + scales[point] * eff) / (2.0 * num_users)
+            for u in range(num_users):
+                sums[point, u, index] = tau[:, u].sum()
+                sq_sums[point, u, index] = np.square(tau[:, u]).sum()
+    out = []
+    for point in range(len(budgets)):
+        row = []
+        for u in range(num_users):
+            mean = math.fsum(sums[point, u]) / trials
+            var = max(0.0, math.fsum(sq_sums[point, u]) / trials - mean * mean)
+            half = z * math.sqrt(var / trials)
+            row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
+                                  trials, seed))
+        out.append(row)
+    return out
+
+
+def race_products(m: int, poi_a, poi_b, r, s):
+    """``analytic._race`` with every binomial term a product
+    C(n, k) r^k s^(n-k), summed pair by pair; C(n, k) leaves the float
+    range from m = 516."""
+    win_a = win_b = 0.0
+    for i in range(m):
+        for j in range(m):
+            n = 2 * m - i - j - 1
+            terms = [math.comb(n, k) * r ** k * s ** (n - k)
+                     for k in range(n + 1)]
+            both = poi_a[..., i] * poi_b[..., j]
+            win_a = win_a + both * sum(terms[m - i:])
+            win_b = win_b + both * sum(terms[:m - i])
+    return win_a, win_b
+
+
+def race_binom(m: int, poi_a, poi_b, r: float):
+    """``analytic._race`` at one point from scipy's binomial pmf: for
+    each n = 2m-i-j-1, the tail and head sums of ``binom.pmf(k, n, r)``
+    at m-i, accumulated with ``math.fsum``."""
+    win_a, win_b = [], []
+    for n in range(1, 2 * m):
+        pmf = binom.pmf(np.arange(n + 1), n, r)
+        tails = np.cumsum(pmf[::-1])[::-1]  # tails[t]: k >= t
+        heads = np.cumsum(pmf)  # heads[t]: k <= t
+        i = np.arange(max(0, m - n), min(m, 2 * m - n))
+        both = poi_a[i] * poi_b[2 * m - 1 - n - i]
+        win_a.extend(both * tails[m - i])
+        win_b.extend(both * heads[m - i - 1])
+    return math.fsum(win_a), math.fsum(win_b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc
 from scipy.stats import binom
 
+from cogrelay import analytic
 from cogrelay.analytic import (
+    _binomial_mixture,
     _link_cdf,
+    _log_trapezoid,
+    _race,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
@@ -42,8 +46,11 @@ from oracles import (
     h_closed,
     h_row,
     link_cdf_quad,
+    race_binom,
+    race_products,
     throughput_params,
 )
+from cogrelay.specfun import _regularized_gamma
 
 GAMMA_TH = db_to_linear(5.0)
 
@@ -696,3 +703,121 @@ class TestAverageThroughput:
         t = topo(1, 1, 1)
         b = LinkBudget(1e-6, 1e-6, 1e-6, 1.0)
         assert average_throughput(t, b, [1.0]) >= 0.0
+
+
+def throughput_per_budget(topology, budget, pk):
+    """:func:`average_throughput` at one budget, from its own trapezoid
+    rule and one kernel call at the budget's scalar levels."""
+    probs = np.concatenate((pk, np.zeros(topology.num_users
+                                         * topology.num_relays - len(pk))))
+    weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
+    a = (1.0 / (topology.eff_gain_hop1 * budget.source_snr)
+         + 1.0 / (topology.eff_gain_hop2 * budget.relay_snr_cap))
+    x, node_weights = _log_trapezoid(a)
+    integral = node_weights @ _binomial_mixture(
+        *_link_cdf(x, topology, budget), weights)
+    return float(integral) / (2.0 * topology.num_users * math.log(2.0))
+
+
+level_db = st.floats(-30.0, 70.0)
+
+
+class TestBatchedThroughput:
+    """A sequence of budgets is read by joined kernel calls, and each
+    value equals, bit for bit, the one its budget gives alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 4), (3, 3),
+                                  (3, 4), (4, 4), (4, 6)]),
+           gains=st.tuples(*[st.floats(0.2, 5.0)] * 6),
+           levels=st.lists(st.tuples(level_db, level_db | st.just(math.inf),
+                                     level_db),
+                           min_size=1, max_size=30),
+           naive=st.booleans(), seed=st.integers(0, 2**16),
+           per_call=st.sampled_from([None, 1, 300, 1000]))
+    def test_equals_per_budget_form(self, shape, gains, levels, naive, seed,
+                                    per_call):
+        num_users, num_relays = shape
+        t = NetworkTopology(num_users, num_relays, 1, *gains[:3],
+                            dist_hop1=gains[3], dist_hop2=gains[4],
+                            dist_interf=gains[5], path_loss_exp=2.0)
+        budgets = [LinkBudget(db_to_linear(l1),
+                              math.inf if l2 == math.inf else db_to_linear(l2),
+                              db_to_linear(l3), 1.0)
+                   for l1, l2, l3 in levels]
+        if naive:
+            rows = rank_placement_probs(num_users, num_relays, "naive").per_user
+        else:
+            pk = np.random.default_rng(seed).random(num_users * num_relays)
+            rows = [pk / pk.sum()]
+        with pytest.MonkeyPatch.context() as patch:
+            if per_call is not None:
+                patch.setattr(analytic, "_NODES_PER_CALL", per_call)
+            for row in rows:
+                batched = average_throughput(t, budgets, row)
+                assert batched == [throughput_per_budget(t, b, row)
+                                   for b in budgets]
+                assert batched == [average_throughput(t, b, row)
+                                   for b in budgets]
+
+    def test_sequence_gives_list(self):
+        t, b = topo(2, 3, 1), budget_db(25, 10, 10)
+        pk = rank_placement_probs(2, 3, "maxmin")
+        assert average_throughput(t, (b, b), pk) == [average_throughput(t, b, pk)] * 2
+        assert average_throughput(t, [], pk) == []
+        assert isinstance(average_throughput(t, b, pk), float)
+
+
+class TestRace:
+    """The Poisson race of the link CDF: products up to
+    ``_PRODUCT_RACE_M``, log-space terms above."""
+
+    @staticmethod
+    def inputs(m, x):
+        x = np.asarray(x, dtype=float)
+        _, _, poi_a = _regularized_gamma(m, 1.3 * x)
+        _, _, poi_b = _regularized_gamma(m, 0.7 * x + 0.5)
+        return poi_a, poi_b, x / (x + 2.0), 2.0 / (x + 2.0)
+
+    GRID = np.concatenate(([0.0], np.logspace(-3, 3, 40)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_products_unchanged(self, m):
+        # bit for bit the sums the closed forms were formed from
+        for got, want in zip(_race(m, *self.inputs(m, self.GRID)),
+                             race_products(m, *self.inputs(m, self.GRID))):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 12])
+    def test_log_space_matches_products(self, monkeypatch, m):
+        monkeypatch.setattr(analytic, "_PRODUCT_RACE_M", 0)
+        poi_a, poi_b, r, s = self.inputs(m, self.GRID)
+        # r = 0 at the first point and, appended, s = 0 at the last
+        r, s = np.append(r, 1.0), np.append(s, 0.0)
+        poi_a, poi_b = np.vstack((poi_a, poi_a[-1])), np.vstack((poi_b, poi_b[-1]))
+        win_a, win_b = _race(m, poi_a, poi_b, r, s)
+        want_a, want_b = race_products(m, poi_a, poi_b, r, s)
+        np.testing.assert_allclose(win_a, want_a, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(win_b, want_b, rtol=1e-13, atol=0)
+        # with no chance of its own, a process wins no race
+        assert win_a[0] == want_a[0] == 0.0
+        assert win_b[-1] == want_b[-1] == 0.0
+
+    @pytest.mark.parametrize("x, r", [(480.0, 0.5), (520.0, 0.3), (560.0, 0.52)])
+    def test_beyond_float_binomials_against_scipy(self, x, r):
+        # C(1039, 519) is about 1e311: the product form raises here
+        m = 520
+        poi_a, poi_b, _, _ = self.inputs(m, x)
+        got = _race(m, poi_a, poi_b, r, 1.0 - r)
+        want = race_binom(m, poi_a, poi_b, r)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        with pytest.raises(OverflowError):
+            race_products(m, poi_a, poi_b, r, 1.0 - r)
+
+    def test_link_cdf_at_large_shape(self):
+        t = topo(1, 1, 520)
+        cdf, ccdf = _link_cdf(9.0, t, budget_db(10, 10, 10))
+        assert 0.0 < cdf < 1.0
+        assert cdf + ccdf == pytest.approx(1.0, rel=1e-12)
+        assert cdf_min_snr(9.0, t, budget_db(10, 10, 10)) == float(cdf)

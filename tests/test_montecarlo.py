@@ -1,10 +1,14 @@
 """Monte Carlo engine checks: determinism, interval calibration against
 known truth, and agreement with the closed forms."""
 
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogrelay import model, selection
 from cogrelay.analytic import cdf_min_snr, outage_probability
@@ -19,7 +23,12 @@ from cogrelay.montecarlo import (
     wilson_interval,
 )
 from cogrelay.selection import maxmin_assign_batch, rank_placement_probs
-from oracles import budget_db, estimate_cdf, estimate_outage_unfiltered
+from oracles import (
+    budget_db,
+    estimate_cdf,
+    estimate_outage_unfiltered,
+    estimate_throughput_unsettled,
+)
 
 GAMMA_TH = db_to_linear(5.0)
 
@@ -323,6 +332,153 @@ class TestSaturationFilter:
         finally:
             tracemalloc.stop()
         assert peak < 36 * 2**20
+
+
+def knee_caps(t, l1, l3, trials, seed, picks):
+    """Relay caps at the knee of picked entries of block 0: each equal to
+    an entry's interference limit l3 d3^b / f, where the cap stops
+    binding, and one ulp either side of it."""
+    draws = model.sample_realization(t, _block_rng(seed, 0),
+                                     trials=min(trials, 1 << 16))
+    gains = draws.interf.reshape(-1)
+    d3b = t.dist_interf ** t.path_loss_exp
+    caps = []
+    for pick in picks:
+        knee = db_to_linear(l3) * d3b / gains[pick % len(gains)]
+        caps += [np.nextafter(knee, 0.0), knee, np.nextafter(knee, np.inf)]
+    return caps
+
+
+def expected_assigned(t, budgets, trials, seed):
+    """Per block and budget, in the engine's order, the trials the
+    settled carry assigns: a trial leaves once its SNR matrix has equalled
+    its cap-free matrix at an earlier budget, as soon as such trials are
+    an eighth or more of those left.  A budget left with none assigns
+    nothing."""
+    assigned = []
+    for index, block in _blocks(trials):
+        draws = model.sample_realization(t, _block_rng(seed, index),
+                                         trials=block)
+        limit = model.snr_matrix(
+            draws, t, replace(budgets[0], relay_snr_cap=math.inf))
+        live = np.ones(block, dtype=bool)
+        for budget in budgets:
+            if not live.any():
+                continue
+            stack = int(np.count_nonzero(live))
+            assigned.append(stack)
+            settled = live & (model.snr_matrix(draws, t, budget)
+                              == limit).all(axis=(1, 2))
+            if 8 * np.count_nonzero(settled) >= stack:
+                live &= ~settled
+    return assigned
+
+
+class TestSettledCarry:
+    """Along a relay-cap chain, throughput assigns a trial only until its
+    SNR matrix reaches the cap-free one: the estimates equal those of the
+    oracle that assigns every trial at every budget, and each assignment
+    covers the trials that :func:`expected_assigned` leaves."""
+
+    T = NetworkTopology(3, 4, 1, dist_hop1=0.9, dist_hop2=1.2,
+                        dist_interf=1.3, path_loss_exp=2.7)
+
+    @staticmethod
+    def spy(monkeypatch):
+        assigned = []
+
+        def assign_spy(scheme, gammas, rng=None, original=selection.assign_batch):
+            assigned.append(len(gammas))
+            return original(scheme, gammas, rng)
+        monkeypatch.setattr(selection, "assign_batch", assign_spy)
+        return assigned
+
+    def check(self, t, budgets, scheme, trials, seed, carried):
+        want = estimate_throughput_unsettled(t, budgets, scheme, trials, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            assigned = self.spy(patch)
+            got = estimate_throughput(t, budgets, scheme, trials, seed,
+                                      scales=[1.0] * len(budgets))
+        assert got == want
+        distinct = list(dict.fromkeys(budgets))
+        if carried:
+            assert assigned == expected_assigned(t, distinct, trials, seed)
+        else:
+            blocks = [block for _, block in _blocks(trials)]
+            assert assigned == [b for b in blocks for _ in distinct]
+        return assigned
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 3), (2, 2), (2, 4), (3, 4)]),
+           l1=st.floats(0.0, 40.0), l3=st.floats(-10.0, 20.0),
+           caps_db=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 10**6), max_size=3),
+           scheme=st.sampled_from(["maxmin", "naive", "random"]),
+           seed=st.integers(0, 2**16))
+    def test_chain_matches_unsettled_oracle(self, shape, l1, l3, caps_db,
+                                            picks, scheme, seed):
+        t = replace(self.T, num_users=shape[0], num_relays=shape[1])
+        caps = [db_to_linear(c) for c in caps_db]
+        caps += knee_caps(t, l1, l3, 1000, seed, picks)
+        budgets = [LinkBudget(db_to_linear(l1), cap, db_to_linear(l3), 1.0)
+                   for cap in sorted(set(caps))]
+        # a repeated budget scores with the first of its kind
+        budgets.append(budgets[0])
+        carried = scheme != "random" and len(set(budgets)) > 1
+        self.check(t, budgets, scheme, 1000, seed, carried)
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
+    def test_two_blocks(self, scheme):
+        # fig4's levels, with caps at knees of block 0 between them
+        caps = sorted([db_to_linear(x) for x in range(0, 41, 5)]
+                      + knee_caps(self.T, 25.0, 10.0, 70_000, 4, [3, 5000]))
+        budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10), 1.0)
+                   for cap in caps]
+        assigned = self.check(self.T, budgets, scheme, 70_000, 4,
+                              carried=scheme != "random")
+        if scheme != "random":
+            # settled trials leave before the last budget
+            assert sum(assigned) < 70_000 * len(caps)
+
+    # a rising relay cap with a falling cap, or with the source or the
+    # interference level moving either way: no relay-cap chain.  At 1x2
+    # and a 5 dB source, hop 1 often binds both entries, so trials would
+    # settle early
+    CAPS = (0, 10, 20, 30)
+    ORDERS = {
+        "caps_fall": [(5, x, 20) for x in CAPS[::-1]],
+        "source_rises": [(5 + 3 * i, x, 20) for i, x in enumerate(CAPS)],
+        "source_falls": [(5 - 3 * i, x, 20) for i, x in enumerate(CAPS)],
+        "interference_rises": [(5, x, 20 + 3 * i) for i, x in enumerate(CAPS)],
+        "interference_falls": [(5, x, 30 - 10 * i) for i, x in enumerate(CAPS)],
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("trials", [1000, 70_000], ids=["1block", "2blocks"])
+    def test_other_orders_assign_every_trial(self, order, trials):
+        t = replace(self.T, num_users=1, num_relays=2)
+        budgets = [budget_db(*level) for level in self.ORDERS[order]]
+        self.check(t, budgets, "maxmin", trials, 5, carried=False)
+
+    def test_single_budget_assigns_every_trial(self):
+        self.check(self.T, [budget_db(25, 10, 10)] * 3, "maxmin", 70_000, 5,
+                   carried=False)
+
+    def test_fig4_block_memory(self):
+        # one 65536-trial 3x4 block over fig4's nine relay caps: three
+        # 6.3 MB gains and the arrays of an SNR build, with the cap-free
+        # matrix and the carried selected SNRs (47.9 MB measured, 41.2 MB
+        # without the carry; copying the kept trials of all three gains
+        # before freeing any old one measured 55.9 MB)
+        budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
+        tracemalloc.start()
+        try:
+            estimate_throughput(self.T, budgets, "maxmin", 65536, 1,
+                                scales=[1.0] * 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
 
 class TestThroughputEstimates:

@@ -5,6 +5,7 @@ big-integer rationals (fractions), and the classic small-argument series.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,39 @@ class TestRegularizedGamma:
         assert p[[0, 2]].tolist() == [0.0, 1.0]
         assert q[[0, 2]].tolist() == [1.0, 0.0]
         assert p[1] == pytest.approx(special.gammainc(800, 760.0), rel=1e-12)
+
+
+class TestLargeShape:
+    """From m = 172, where (m-1)! leaves the float range, the incomplete
+    gammas are exp(lgamma(m) + log P) and exp(lgamma(m) + log Q)."""
+
+    @staticmethod
+    def scipy_scaled(regularized, m, x):
+        # Gamma(m) itself is inf in scipy from m = 172
+        return math.exp(math.log(regularized(m, x)) + special.gammaln(m))
+
+    @pytest.mark.parametrize("m, x", [(172, 10.0), (172, 80.0), (200, 10.0),
+                                      (200, 30.0)])
+    def test_lower_against_scipy(self, m, x):
+        assert lower_incomplete_gamma(m, x) == pytest.approx(
+            self.scipy_scaled(special.gammainc, m, x), rel=1e-12)
+
+    @pytest.mark.parametrize("m, x", [(172, 600.0), (172, 900.0),
+                                      (200, 1000.0), (200, 1200.0)])
+    def test_upper_against_scipy(self, m, x):
+        assert upper_incomplete_gamma(m, x) == pytest.approx(
+            self.scipy_scaled(special.gammaincc, m, x), rel=1e-12)
+
+    def test_inf_only_beyond_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert upper_incomplete_gamma(172, 0.0) == math.inf
+            assert lower_incomplete_gamma(200, 200.0) == math.inf
+            assert lower_incomplete_gamma(172, 0.0) == 0.0
+            values = upper_incomplete_gamma(172, np.array([0.0, 600.0, np.inf]))
+        assert values[0] == math.inf
+        assert math.isfinite(values[1])
+        assert values[2] == 0.0
 
 
 class TestExpScaledEi:
