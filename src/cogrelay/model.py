@@ -213,11 +213,10 @@ def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
     )
 
 
-def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
-    """Relay transmit power over noise: the peak-power cap or the level
-    that meets the interference cap at the primary receiver, whichever
-    binds.  A zero interference gain (+0.0 or -0.0) means the cap cannot
-    bind, so the peak power is returned; a negative or NaN gain raises
+def _interference_limit(f_gain, budget: LinkBudget, topology: NetworkTopology):
+    """The relay power at which the interference at the primary receiver
+    meets its cap, λ3·d3ᵇ/f, as a new array: +inf at a zero gain (+0.0
+    or -0.0), where the cap cannot bind; a negative or NaN gain raises
     ``ValueError``."""
     f = np.asarray(f_gain, dtype=float)
     low = f.min(initial=np.inf)
@@ -229,20 +228,58 @@ def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
     out = np.empty(f.shape)
     with np.errstate(divide="ignore"):
         np.divide(budget.interference_snr_cap * d3b, f, out=out)
+    return out
+
+
+def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
+    """Relay transmit power over noise: the peak-power cap or the level
+    that meets the interference cap at the primary receiver, whichever
+    binds.  A zero interference gain (+0.0 or -0.0) means the cap cannot
+    bind, so the peak power is returned; a negative or NaN gain raises
+    ``ValueError``."""
+    out = _interference_limit(f_gain, budget, topology)
     np.minimum(out, budget.relay_snr_cap, out=out)
     return float(out) if out.ndim == 0 else out
+
+
+def _snr_parts(realization: ChannelRealization, topology: NetworkTopology,
+               budget: LinkBudget):
+    """The parts of :func:`snr_matrix` that the relay cap leaves alone:
+    the hop-1 SNR λ1·h1/d1ᵇ and the interference limit λ3·d3ᵇ/f (see
+    :func:`_interference_limit`)."""
+    d1b = topology.dist_hop1 ** topology.path_loss_exp
+    hop1_snr = budget.source_snr * realization.hop1 / d1b
+    return hop1_snr, _interference_limit(realization.interf, budget, topology)
+
+
+def _capped_snr(hop1_snr, limit, hop2, relay_snr_cap: float,
+                topology: NetworkTopology):
+    """The SNR matrix from its parts at one relay cap:
+    min(hop-1 SNR, min(limit, cap)·h2/d2ᵇ), in one new array."""
+    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    # in place in one array: a Monte Carlo block holds the parts and the
+    # cap-free matrix while it builds each budget's matrix
+    hop2_snr = np.minimum(limit, relay_snr_cap)
+    hop2_snr *= hop2
+    hop2_snr /= d2b
+    # 0-d parts give numpy scalars, which cannot take an out= array
+    return np.minimum(hop1_snr, hop2_snr, out=hop2_snr if hop2_snr.ndim else None)
 
 
 def snr_matrix(realization: ChannelRealization, topology: NetworkTopology,
                budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR of every user-relay pair: the smaller of the two
-    decode-and-forward hop SNRs.  Shape matches the realization arrays."""
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    hop1_snr = budget.source_snr * realization.hop1 / d1b
-    hop2_snr = relay_power(realization.interf, budget, topology) \
-        * realization.hop2 / d2b
-    return np.minimum(hop1_snr, hop2_snr)
+    decode-and-forward hop SNRs, λ1·h1/d1ᵇ and P·h2/d2ᵇ with P the relay
+    power of :func:`relay_power`.  Shape matches the realization arrays.
+
+    It is built from the parts that do not depend on the relay cap
+    (:func:`_snr_parts`) and then the cap (:func:`_capped_snr`), the
+    split along which a Monte Carlo block builds the parts once for a
+    whole relay-cap chain; either way the steps and their bits are the
+    same."""
+    hop1_snr, limit = _snr_parts(realization, topology, budget)
+    return _capped_snr(hop1_snr, limit, realization.hop2,
+                       budget.relay_snr_cap, topology)
 
 
 def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,

@@ -28,23 +28,26 @@ SNR matrix only grows, bit for bit, so a served trial stays served, and
 dropping it also shrinks the block's draws.  Every ``lambda2`` sweep and
 every ``lambda_all`` sweep with CSI is such a chain.
 
-Throughput under max-min or naive selection stops recomputing settled
-trials along a relay-cap chain, where each budget has the source and
-interference levels of the one before and a relay cap at least as large.
-A trial is settled once its SNR matrix equals, bit for bit, the matrix
-at an infinite relay cap: the matrix only grows with the cap, so it is
-then fixed for the rest of the chain, and so are the trial's selected
-SNRs, whatever the scheme's tie-breaks.  Once they are an eighth or
-more of the trials left, settled trials leave the draws and keep their
-selected SNRs in a block-sized array; each budget assigns the trials
-left, and once none is left the block's later budgets assign nothing.
-Every ``lambda2`` throughput sweep is such a chain.
+Throughput under max-min or naive selection runs a relay-cap chain,
+where each budget has the source and interference levels of the one
+before and a relay cap at least as large, in one pass per block.  The
+block builds the parts of the SNR matrix that the cap leaves alone
+once, and each budget applies only its cap to the trials left.  A trial
+is settled once its SNR matrix equals, bit for bit, the matrix at an
+infinite relay cap: the matrix only grows with the cap, so it is then
+fixed for the rest of the chain, and so are the trial's selected SNRs,
+whatever the scheme's tie-breaks.  Once they are an eighth or more of
+the trials left, settled trials leave the parts and keep their selected
+SNRs in a block-sized array; once none is left the block's later
+budgets assign nothing.  The small stacks of consecutive budgets are
+assigned in joined calls, and the rates of a run of points are summed
+in one numpy call.  Every ``lambda2`` throughput sweep is such a chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +73,12 @@ BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 # assigning it (one core of a shared Xeon), and copies made for the 0.7%
 # served at fig3's 5 dB point raised its peak RSS by 2.5%.
 _DROP_SHARE = 1 / 8
+
+# Throughput along a relay-cap chain assigns consecutive budgets' stacks
+# in one call while they hold at most this many SNR entries together
+# (8192 trials at 2x4), and scores runs of points on at most this many
+# rates at a time.
+_JOIN_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,13 +145,19 @@ def _per_point(budget, values):
     return budgets, values
 
 
+def _groups(budgets) -> dict[LinkBudget, list[int]]:
+    """The points of each distinct budget, budgets in order of first use."""
+    groups: dict[LinkBudget, list[int]] = {}
+    for point, budget in enumerate(budgets):
+        groups.setdefault(budget, []).append(point)
+    return groups
+
+
 def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                    trials: int, seed: int, csi: CsiErrorModel | None = None,
                    thresholds=None):
     """Yield ``(block index, points, selected SNRs)``, once per block and
-    distinct budget, where ``points`` indexes the budgets equal to it (or,
-    once every trial of a block is settled, see below, the budgets equal
-    to it or to any later one).
+    distinct budget, where ``points`` indexes the budgets equal to it.
 
     Each block draws its channel gains once; every budget then builds
     its own SNR matrix from those gains and assigns from the same
@@ -157,22 +172,10 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
     least the one before and its largest threshold is at most the one
     before's, the SNR matrix only grows along the budgets, bit for bit,
     so a served trial stays served: the block's draws then shrink to the
-    trials left.
-
-    Without thresholds (throughput), under a scheme that draws nothing,
-    and along budgets that differ only in a rising relay cap, a trial
-    whose SNR matrix equals its matrix at an infinite cap is settled:
-    its matrix, and so its selected SNRs, cannot change at a later
-    budget.  Once the settled trials are at least ``_DROP_SHARE`` of the
-    stack, they leave the draws and the cap-free matrix and keep their
-    rows of the block's selected SNRs, of which each budget refreshes
-    the rows of the trials left.  That array is yielded whole and
-    changes in place at the next budget, so the caller reads it before
-    it resumes the generator.
+    trials left.  (Throughput along a relay-cap chain takes
+    :func:`_settled_chain` instead.)
     """
-    groups: dict[LinkBudget, list[int]] = {}
-    for point, budget in enumerate(budgets):
-        groups.setdefault(budget, []).append(point)
+    groups = _groups(budgets)
     order = list(groups)
     last = order[-1]
     tops = chain = None
@@ -184,11 +187,6 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and later.interference_snr_cap >= earlier.interference_snr_cap
                     and tops[later] <= tops[earlier]
                     for earlier, later in zip(order, order[1:]))
-    carry = (thresholds is None and scheme != "random" and len(order) > 1
-             and all(later.source_snr == earlier.source_snr
-                     and later.interference_snr_cap == earlier.interference_snr_cap
-                     and later.relay_snr_cap >= earlier.relay_snr_cap
-                     for earlier, later in zip(order, order[1:])))
 
     def build(gains, budget):
         draws = model.ChannelRealization(*gains)
@@ -206,11 +204,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         gains = [draws.hop1, draws.hop2, draws.interf]
         del draws
         state = rng.bit_generator.state
-        if carry:
-            limit = build(gains, replace(order[0], relay_snr_cap=math.inf))
-            live = np.arange(block)
-            eff = None
-        for position, budget in enumerate(order):
+        for budget in order:
             rng.bit_generator.state = state
             snrs = build(gains, budget)
             if budget is last:
@@ -221,33 +215,97 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     snrs = snrs[unserved]  # the full matrix is freed here
                     if chain and budget is not last:
                         _keep(gains, unserved)
-            if carry:
-                settled = (snrs == limit).all(axis=(1, 2))
-            _, selected = selection.assign_batch(scheme, snrs, rng)
+            _, eff = selection.assign_batch(scheme, snrs, rng)
             del snrs  # not held while the caller scores
-            if carry and eff is not None:
-                eff[live] = selected
-            else:
-                eff = selected
-            del selected
-            if (carry and budget is not last
-                    and np.count_nonzero(settled) >= _DROP_SHARE * len(settled)):
-                unsettled = ~settled
-                live = live[unsettled]
-                limit = limit[unsettled]
-                _keep(gains, unsettled)
-            if carry and not len(live):
-                # every trial is settled: this budget's selected SNRs are
-                # those of every later one
-                yield index, [point for later in order[position:]
-                              for point in groups[later]], eff
-                break
             yield index, groups[budget], eff
 
 
+def _relay_cap_chain(order: list[LinkBudget], scheme: str) -> bool:
+    """Whether distinct budgets differ only in a rising relay cap, under
+    a scheme that draws nothing."""
+    return (scheme != "random" and len(order) > 1
+            and all(later.source_snr == earlier.source_snr
+                    and later.interference_snr_cap == earlier.interference_snr_cap
+                    and later.relay_snr_cap >= earlier.relay_snr_cap
+                    for earlier, later in zip(order, order[1:])))
+
+
+def _settled_chain(topology: NetworkTopology, groups: dict, scheme: str,
+                   trials: int, seed: int):
+    """:func:`_selected_snrs` for throughput along a relay-cap chain
+    (:func:`_relay_cap_chain`); once every trial of a block is settled,
+    the last yield also carries the points of every later budget.
+
+    Each block builds the parts of the SNR matrix that the relay cap
+    leaves alone once (:func:`model._snr_parts`), then the cap-free
+    matrix and each budget's matrix from them (:func:`model._capped_snr`).
+    A trial whose matrix equals the cap-free one bit for bit is settled:
+    the matrix only grows with the cap, so it and the trial's selected
+    SNRs are fixed for the rest of the chain, whatever the scheme's
+    tie-breaks.  Once the settled trials are at least ``_DROP_SHARE`` of
+    the stack, they leave the parts and keep their rows of the block's
+    selected SNRs, of which each budget refreshes the rows left.
+
+    A scheme that draws nothing treats each trial on its own, so the
+    stacks of consecutive budgets are assigned in one call while they
+    hold at most ``_JOIN_ELEMENTS`` entries together; a larger stack is
+    assigned alone, before the next is built.  The selected SNRs are
+    yielded whole and change in place at the next yield, so the caller
+    reads them before it resumes the generator.
+    """
+    order = list(groups)
+    entries = topology.num_users * topology.num_relays
+    for index, block in _blocks(trials):
+        draws = model.sample_realization(topology, _block_rng(seed, index),
+                                         trials=block)
+        hop1_snr, limit = model._snr_parts(draws, topology, order[0])
+        parts = [hop1_snr, limit, draws.hop2]
+        del draws, hop1_snr, limit
+        free = model._capped_snr(*parts, math.inf, topology)
+        live = np.arange(block)
+        eff = np.empty((block, topology.num_users))
+        stacks, pending = [], []  # awaiting one joined assignment
+        held = 0
+        for position, budget in enumerate(order):
+            snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology)
+            rows = live
+            if position < len(order) - 1:
+                settled = (snrs == free).all(axis=(1, 2))
+                if np.count_nonzero(settled) >= _DROP_SHARE * len(settled):
+                    unsettled = ~settled
+                    live = live[unsettled]
+                    free = free[unsettled]
+                    _keep(parts, unsettled)
+            stacks.append(snrs)
+            held += snrs.size
+            del snrs
+            done = position == len(order) - 1 or not len(live)
+            # once every trial is settled, these selected SNRs are those
+            # of every later budget too
+            pending.append((rows, [point for later in order[position:]
+                                   for point in groups[later]]
+                            if done else groups[budget]))
+            if not done and held + len(live) * entries <= _JOIN_ELEMENTS:
+                continue
+            joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+            stacks.clear()
+            held = 0
+            _, selected = selection.assign_batch(scheme, joined)
+            del joined  # not held while the caller scores
+            start = 0
+            for rows, points in pending:
+                eff[rows] = selected[start:start + len(rows)]
+                start += len(rows)
+                yield index, points, eff
+            pending.clear()
+            del selected
+            if done:
+                break
+
+
 def _keep(gains: list, keep: np.ndarray):
-    """Shrink each gain array of the list to the trials ``keep`` marks,
-    in place, one at a time: each old array is freed before the next is
+    """Shrink each array of the list to the trials ``keep`` marks, in
+    place, one at a time: each old array is freed before the next is
     copied."""
     for i in range(len(gains)):
         gains[i] = gains[i][keep]
@@ -300,25 +358,58 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     The rate of a trial is taken at ``scales`` times its selected SNR.
     Budgets and scales pair up as the budgets and thresholds of
     :func:`estimate_outage` do.
+
+    A block's rates are summed per user for a run of points in one numpy
+    call, on a (points, users, trials) array of at most
+    ``_JOIN_ELEMENTS`` entries (or one point), each row in the order of
+    a column summed on its own; consecutive points of one budget and
+    scale share a row.
     """
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
+    groups = _groups(budgets)
+    if _relay_cap_chain(list(groups), scheme):
+        source = _settled_chain(topology, groups, scheme, trials, seed)
+    else:
+        source = _selected_snrs(topology, budgets, scheme, trials, seed)
     sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
     sq_sums = np.zeros_like(sums)
-    for index, points, eff in _selected_snrs(topology, budgets, scheme,
-                                             trials, seed):
+    tau, runs = None, []  # rows of rates to sum, and each row's points
+
+    def score(index):
+        rows = tau[:len(runs)]
+        rows += 1.0
+        np.log2(rows, out=rows)
+        rows /= 2.0 * num_users
+        total = rows.sum(axis=2)
+        np.square(rows, out=rows)
+        square = rows.sum(axis=2)
+        for row, points in enumerate(runs):
+            sums[points, :, index] = total[row]
+            sq_sums[points, :, index] = square[row]
+        runs.clear()
+
+    current = None
+    for index, points, eff in source:
+        if index != current:
+            if runs:
+                score(current)
+            current = index
+            tau = np.empty((max(1, _JOIN_ELEMENTS // eff.size), num_users,
+                            len(eff)))
         factor = None
         for point in points:
-            # points of one scale in a row share their sums (a NaN scale
-            # equals none)
-            if factors[point] != factor:
-                factor = factors[point]
-                tau = np.log2(1.0 + factor * eff) / (2.0 * num_users)
-                total = [tau[:, u].sum() for u in range(num_users)]
-                square = [np.square(tau[:, u]).sum() for u in range(num_users)]
-            sums[point, :, index] = total
-            sq_sums[point, :, index] = square
+            # a NaN scale equals none, and takes a row of its own
+            if runs and factors[point] == factor:
+                runs[-1].append(point)
+                continue
+            if len(runs) == len(tau):
+                score(index)
+            factor = factors[point]
+            np.multiply(eff.T, factor, out=tau[len(runs)])
+            runs.append([point])
+    score(current)
     out = []
     for point in range(len(budgets)):
         row = []

@@ -34,6 +34,16 @@ def _check_shape(m) -> int:
     return int(m)
 
 
+def _term_count(m: int) -> int:
+    """The Poisson terms k < count kept at shape m: the tail falls
+    slowest at x = m, so keep its terms above 1e-18 of the first."""
+    count, fall = m, 1.0
+    while fall > 1e-18:
+        count += 1
+        fall *= m / count
+    return count
+
+
 def _regularized_gamma(m: int, x):
     """(P(m, x), Q(m, x), terms) at every point of x >= 0, with terms the
     Poisson terms e^-x x^k / k!, k < m, along a last axis.  Q sums them,
@@ -46,11 +56,7 @@ def _regularized_gamma(m: int, x):
     if m == 1:
         q = np.exp(-x)
         return -np.expm1(-x), q, q[..., None]
-    # the tail falls slowest at x = m: keep its terms above 1e-18 of the first
-    count, fall = m, 1.0
-    while fall > 1e-18:
-        count += 1
-        fall *= m / count
+    count = _term_count(m)
     x = np.asarray(x, dtype=float)
     near = np.minimum(x, 700.0)[..., None]
     terms = np.cumprod(np.concatenate(
@@ -67,21 +73,49 @@ def _regularized_gamma(m: int, x):
             np.where(big, upper, 1.0 - lower), terms[..., :m])
 
 
+def _log_scaled_gamma(m: int, x):
+    """(log gamma(m, x), log Gamma(m, x)) at every point of x >= 0, each
+    from a sum whose terms fall.  Below x = m, gamma(m, x) is
+    x^m e^-x / m times sum_j prod_{i<=j} x / (m+i), over the tail of
+    :func:`_term_count`; from x = m, Gamma(m, x)
+    is x^(m-1) e^-x times sum_{j<m} prod_{i<=j} (m-i) / x.  The other one
+    is (m-1)! minus it, its log lgamma(m) + log1p(-regularized).  x is
+    capped at 1e300, so x = inf gives Gamma = 0, never inf - inf."""
+    count = _term_count(m)
+    x = np.minimum(np.asarray(x, dtype=float), 1e300)
+    at = x[..., None]
+    log_full = math.lgamma(m)
+    # each branch is formed at every point and then picked, so the
+    # branch not taken may divide by 0 or overflow
+    with np.errstate(all="ignore"):
+        log_x = np.log(x)
+        tail = 1.0 + np.cumprod(at / (m + np.arange(1, count - m + 1)),
+                                axis=-1).sum(axis=-1)
+        head = 1.0 + np.cumprod((m - np.arange(1, m)) / at,
+                                axis=-1).sum(axis=-1)
+        log_lower = m * log_x - x - math.log(m) + np.log(tail)
+        log_upper = (m - 1) * log_x - x + np.log(head)
+        big = x >= m
+        return (np.where(big, log_full + np.log1p(-np.exp(log_upper - log_full)),
+                         log_lower),
+                np.where(big, log_upper,
+                         log_full + np.log1p(-np.exp(log_lower - log_full))))
+
+
 def _scaled(m, x, which: int):
     """(m-1)! times P (``which`` 0) or Q (1) at a float or an array.
     From m = 172, where (m-1)! leaves the float range, the product is
-    exp(lgamma(m) + log P): inf only beyond the float range, and 0 where
-    the regularized value underflows."""
+    the exponential of its log (:func:`_log_scaled_gamma`): inf only
+    beyond the float range, and 0 only below it."""
     m = _check_shape(m)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError(f"x must be >= 0, got {x}")
-    regularized = _regularized_gamma(m, x)[which]
     if m <= 171:
-        value = math.factorial(m - 1) * regularized
+        value = math.factorial(m - 1) * _regularized_gamma(m, x)[which]
     else:
-        with np.errstate(divide="ignore", over="ignore"):
-            value = np.exp(math.lgamma(m) + np.log(regularized))
+        with np.errstate(over="ignore"):
+            value = np.exp(_log_scaled_gamma(m, x)[which])
     return float(value) if x.ndim == 0 else value
 
 

@@ -2,6 +2,7 @@
 and SNR-matrix construction for perfect and imperfect CSI."""
 
 import math
+from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -22,7 +23,8 @@ from cogrelay.model import (
     snr_matrix,
     snr_matrix_imperfect,
 )
-from oracles import relay_power_where, snr_matrix_imperfect_where
+from cogrelay.model import _capped_snr, _snr_parts
+from oracles import relay_power_where, snr_matrix_direct, snr_matrix_imperfect_where
 
 
 def topo(num_users=2, num_relays=3, m=1, **kw):
@@ -187,6 +189,53 @@ class TestRelayCapOracle:
                                  rng.exponential(size=f.shape), f)
         assert_bits_equal(snr_matrix_imperfect(est, err, t, budget),
                           snr_matrix_imperfect_where(est, err, t, budget))
+
+
+class TestSnrSplit:
+    """``snr_matrix``, and the cap step that a Monte Carlo block runs per
+    budget on parts it builds once (``_snr_parts``, ``_capped_snr``),
+    equal bit for bit the one-expression form of ``tests/oracles.py``:
+    at relay caps on an entry's knee I d3^b / f and one ulp either side
+    of it, at +0.0 and -0.0 gains, at an infinite cap, at path-loss
+    exponents 0, 2 and 3.7 and for 0-d, 1-d and (trials, M, N) gains."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
+           st.floats(1e-3, 1e6), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_direct_form(self, case, source, d1, d2, seed):
+        budget, t, f = case
+        t = replace(t, dist_hop1=d1, dist_hop2=d2)
+        rng = np.random.default_rng(seed)
+        draws = ChannelRealization(rng.exponential(size=f.shape),
+                                   rng.exponential(size=f.shape), f)
+        base = LinkBudget(source, budget.relay_snr_cap,
+                          budget.interference_snr_cap, 1.0)
+        d3b = t.dist_interf ** t.path_loss_exp
+        gains = np.asarray(f).reshape(-1)
+        caps = [base.relay_snr_cap, math.inf]
+        for gain in gains[gains > 0][:3]:
+            knee = base.interference_snr_cap * d3b / gain
+            caps += [np.nextafter(knee, 0.0), knee, np.nextafter(knee, np.inf)]
+        hop1_snr, limit = _snr_parts(draws, t, base)
+        for cap in caps:
+            capped = replace(base, relay_snr_cap=float(cap))
+            want = snr_matrix_direct(draws, t, capped)
+            assert_bits_equal(snr_matrix(draws, t, capped), want)
+            assert_bits_equal(
+                _capped_snr(hop1_snr, limit, draws.hop2, float(cap), t), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300], ids=["nan", "negative"])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)],
+                             ids=["0d", "1d", "3d"])
+    def test_rejects_negative_and_nan(self, bad, shape):
+        f = np.full(shape, 0.5)
+        f.reshape(-1)[-1] = bad
+        draws = ChannelRealization(np.ones(shape), np.ones(shape), f)
+        budget = LinkBudget(1.0, 1.0, 1.0, 1.0)
+        for build in (snr_matrix, snr_matrix_direct, _snr_parts):
+            with pytest.raises(ValueError, match="interference gain must be >= 0"):
+                build(draws, topo(1, 3), budget)
 
 
 class TestSnrMonotone:

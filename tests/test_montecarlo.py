@@ -3,6 +3,7 @@ known truth, and agreement with the closed forms."""
 
 import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from cogrelay import model, selection
 from cogrelay.analytic import cdf_min_snr, outage_probability
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
+    BLOCK,
+    _JOIN_ELEMENTS,
     _block_rng,
     _blocks,
     _selected_snrs,
@@ -349,13 +352,12 @@ def knee_caps(t, l1, l3, trials, seed, picks):
     return caps
 
 
-def expected_assigned(t, budgets, trials, seed):
-    """Per block and budget, in the engine's order, the trials the
-    settled carry assigns: a trial leaves once its SNR matrix has equalled
-    its cap-free matrix at an earlier budget, as soon as such trials are
-    an eighth or more of those left.  A budget left with none assigns
-    nothing."""
-    assigned = []
+def expected_stacks_settled(t, budgets, trials, seed):
+    """Yield, per block and budget in the engine's order, the block index
+    and the SNR stack the settled carry assigns: a trial leaves once its
+    SNR matrix has equalled its cap-free matrix at an earlier budget, as
+    soon as such trials are an eighth or more of those left.  A budget
+    left with none assigns nothing."""
     for index, block in _blocks(trials):
         draws = model.sample_realization(t, _block_rng(seed, index),
                                          trials=block)
@@ -364,49 +366,87 @@ def expected_assigned(t, budgets, trials, seed):
         live = np.ones(block, dtype=bool)
         for budget in budgets:
             if not live.any():
-                continue
-            stack = int(np.count_nonzero(live))
-            assigned.append(stack)
-            settled = live & (model.snr_matrix(draws, t, budget)
-                              == limit).all(axis=(1, 2))
-            if 8 * np.count_nonzero(settled) >= stack:
+                break
+            snrs = model.snr_matrix(draws, t, budget)
+            yield index, snrs[live]
+            settled = live & (snrs == limit).all(axis=(1, 2))
+            if 8 * np.count_nonzero(settled) >= np.count_nonzero(live):
                 live &= ~settled
-    return assigned
+
+
+def expected_stacks_every(t, budgets, trials, seed):
+    """Yield, per block and budget, the block index and the SNR matrix
+    of every trial."""
+    for index, block in _blocks(trials):
+        draws = model.sample_realization(t, _block_rng(seed, index),
+                                         trials=block)
+        for budget in budgets:
+            yield index, model.snr_matrix(draws, t, budget)
+
+
+Call = namedtuple("Call", "held rows block first")
 
 
 class TestSettledCarry:
     """Along a relay-cap chain, throughput assigns a trial only until its
     SNR matrix reaches the cap-free one: the estimates equal those of the
-    oracle that assigns every trial at every budget, and each assignment
-    covers the trials that :func:`expected_assigned` leaves."""
+    oracle that assigns every trial at every budget, and the assignment
+    calls, in order, hold the stacks that :func:`expected_stacks_settled`
+    gives, bit for bit, each whole in one call.  A call joins several
+    stacks only while they hold at most ``_JOIN_ELEMENTS`` entries
+    together, never a full 65536-trial stack, and it is made only when
+    the block's next stack would not fit in it."""
 
     T = NetworkTopology(3, 4, 1, dist_hop1=0.9, dist_hop2=1.2,
                         dist_interf=1.3, path_loss_exp=2.7)
 
     @staticmethod
-    def spy(monkeypatch):
-        assigned = []
+    def spy(monkeypatch, expected):
+        """Check each assignment call against the next stacks of
+        ``expected`` as it is made; returns a :class:`Call` per call: the
+        stacks it holds, its rows, its block and the entries of its first
+        stack."""
+        calls = []
 
         def assign_spy(scheme, gammas, rng=None, original=selection.assign_batch):
-            assigned.append(len(gammas))
+            rows, largest = 0, 0
+            held = 0
+            while rows < len(gammas):
+                index, stack = next(expected)
+                if not held:
+                    first = (index, stack.size)
+                got = gammas[rows:rows + len(stack)]
+                assert got.shape == stack.shape
+                assert np.array_equal(got.view(np.int64), stack.view(np.int64))
+                rows += len(stack)
+                largest = max(largest, len(stack))
+                held += 1
+            assert held == 1 or (gammas.size <= _JOIN_ELEMENTS
+                                 and largest < BLOCK)
+            calls.append(Call(held, len(gammas), *first))
             return original(scheme, gammas, rng)
         monkeypatch.setattr(selection, "assign_batch", assign_spy)
-        return assigned
+        return calls
 
     def check(self, t, budgets, scheme, trials, seed, carried):
         want = estimate_throughput_unsettled(t, budgets, scheme, trials, seed)
+        distinct = list(dict.fromkeys(budgets))
+        expected = (expected_stacks_settled if carried
+                    else expected_stacks_every)(t, distinct, trials, seed)
         with pytest.MonkeyPatch.context() as patch:
-            assigned = self.spy(patch)
+            calls = self.spy(patch, expected)
             got = estimate_throughput(t, budgets, scheme, trials, seed,
                                       scales=[1.0] * len(budgets))
         assert got == want
-        distinct = list(dict.fromkeys(budgets))
-        if carried:
-            assert assigned == expected_assigned(t, distinct, trials, seed)
-        else:
-            blocks = [block for _, block in _blocks(trials)]
-            assert assigned == [b for b in blocks for _ in distinct]
-        return assigned
+        assert next(expected, None) is None  # every stack was assigned
+        if not carried:
+            assert all(call.held == 1 for call in calls)
+            return calls
+        entries = t.num_users * t.num_relays
+        for call, after in zip(calls, calls[1:]):
+            if after.block == call.block:
+                assert call.rows * entries + after.first > _JOIN_ELEMENTS
+        return calls
 
     @settings(max_examples=25, deadline=None)
     @given(shape=st.sampled_from([(1, 1), (1, 3), (2, 2), (2, 4), (3, 4)]),
@@ -434,11 +474,13 @@ class TestSettledCarry:
                       + knee_caps(self.T, 25.0, 10.0, 70_000, 4, [3, 5000]))
         budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10), 1.0)
                    for cap in caps]
-        assigned = self.check(self.T, budgets, scheme, 70_000, 4,
-                              carried=scheme != "random")
+        calls = self.check(self.T, budgets, scheme, 70_000, 4,
+                           carried=scheme != "random")
         if scheme != "random":
-            # settled trials leave before the last budget
-            assert sum(assigned) < 70_000 * len(caps)
+            # settled trials leave before the last budget, and the
+            # small stacks late in each block join
+            assert sum(call.rows for call in calls) < 70_000 * len(caps)
+            assert max(call.held for call in calls) > 1
 
     # a rising relay cap with a falling cap, or with the source or the
     # interference level moving either way: no relay-cap chain.  At 1x2
@@ -464,12 +506,42 @@ class TestSettledCarry:
         self.check(self.T, [budget_db(25, 10, 10)] * 3, "maxmin", 70_000, 5,
                    carried=False)
 
+    # the throughput-fine benchmark workload: fig4's levels on 2x4, 241
+    # relay caps at 1000 trials, where most stacks are small
+    FINE = NetworkTopology(2, 4, 1)
+    FINE_BUDGETS = [budget_db(25, x / 4, 10) for x in range(241)]
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive"])
+    def test_small_stacks_join_while_they_fit(self, scheme):
+        calls = self.check(self.FINE, self.FINE_BUDGETS, scheme, 1000, 1,
+                           carried=True)
+        assert len(calls) < sum(call.held for call in calls) / 4
+
+    def test_small_stack_chain_memory(self):
+        # one 1000-trial 2x4 block over 241 relay caps: the joined stacks
+        # (at most _JOIN_ELEMENTS entries, 0.5 MB), the copy that joins
+        # them, the assignment of 8192 trials and a run of 32 points'
+        # rates (0.5 MB) (2.33 MB measured; 0.56 MB assigning budget by
+        # budget, and 10.2 MB joining the whole chain in one call)
+        tracemalloc.start()
+        try:
+            estimate_throughput(self.FINE, self.FINE_BUDGETS, "maxmin", 1000,
+                                1, scales=[1.0] * 241)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
     def test_fig4_block_memory(self):
         # one 65536-trial 3x4 block over fig4's nine relay caps: three
-        # 6.3 MB gains and the arrays of an SNR build, with the cap-free
-        # matrix and the carried selected SNRs (47.9 MB measured, 41.2 MB
-        # without the carry; copying the kept trials of all three gains
-        # before freeing any old one measured 55.9 MB)
+        # 6.3 MB parts of the SNR matrix (hop-1 SNR, interference limit,
+        # hop-2 gain) and the cap-free matrix, the matrix at one cap built
+        # in place, and the carried selected SNRs (38.7 MB measured; 47.1
+        # MB when each cap's matrix was built from the gains with its
+        # temporaries, 41.2 MB before the carry).  Copying the kept
+        # trials of all three parts before freeing any old one measures
+        # 39.4 MB, which this bound does not catch: the first drop comes
+        # after the peak of the first build.
         budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:

@@ -109,7 +109,7 @@ class TestRegularizedGamma:
 
 class TestLargeShape:
     """From m = 172, where (m-1)! leaves the float range, the incomplete
-    gammas are exp(lgamma(m) + log P) and exp(lgamma(m) + log Q)."""
+    gammas are formed in log space, finite wherever the value is."""
 
     @staticmethod
     def scipy_scaled(regularized, m, x):
@@ -127,6 +127,24 @@ class TestLargeShape:
     def test_upper_against_scipy(self, m, x):
         assert upper_incomplete_gamma(m, x) == pytest.approx(
             self.scipy_scaled(special.gammaincc, m, x), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [172, 180, 200, 300, 515])
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_against_mpmath(self, m, name):
+        # the regularized value underflows at x = 1 from m = 180, where
+        # scaling it read 0 (and lost digits from m = 172)
+        mpmath = pytest.importorskip("mpmath")
+        function = {"lower": lower_incomplete_gamma,
+                    "upper": upper_incomplete_gamma}[name]
+        with mpmath.workdps(40):
+            for x in (1e-3, 1.0, 10.0, m / 2, m - 1, m - 0.5, m, m + 1,
+                      2 * m, 5 * m):
+                want = (mpmath.gammainc(m, 0, x) if name == "lower"
+                        else mpmath.gammainc(m, x))
+                if not mpmath.mpf("1e-300") < want < mpmath.mpf("1e300"):
+                    continue  # outside the normal float range
+                assert function(m, x) == pytest.approx(float(want), rel=1e-12), x
+                assert function(m, np.array([x]))[0] == function(m, x)
 
     def test_inf_only_beyond_float_range(self):
         with warnings.catch_warnings():
