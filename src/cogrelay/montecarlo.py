@@ -7,41 +7,50 @@ might be scheduled across workers -- and block outputs are integer
 counts or compensated partial sums, so aggregation order cannot change
 the answer either.
 
-The outage and throughput estimators score a whole sweep in one call:
-each point has a link budget and an outage threshold (or SNR scale).
-Each block draws its channel gains once; then, once per distinct
-budget, it builds the SNR matrix, assigns, and scores every point of
-that budget.  All points thus share one random stream, so their
-estimates are correlated.  A budget with one outage threshold counts
-the selected SNRs at or below it in one pass; a budget with several
-sorts them once per block, so every threshold costs one binary search
-rather than a pass over the trials.
+The outage and throughput estimators score a whole sweep in one pass
+(:func:`_selected_snrs`): each point has a link budget and an outage
+threshold (or SNR scale).  Each block draws its channel gains once;
+then, budget by budget, it builds the SNR matrix, assigns, and scores
+every point of that budget.  All points thus share one random stream,
+so their estimates are correlated.  A budget with one outage threshold
+counts the selected SNRs at or below it in one pass; a budget with
+several sorts them once per block, so every threshold costs one binary
+search rather than a pass over the trials.
 
-Max-min outage skips the trials that cannot be in outage.  A trial
-whose SNR matrix holds an injective map with every entry above the
-budget's largest threshold has its bottleneck above every threshold of
-the budget, so it is served and counts nowhere; once the served trials
-are an eighth or more of a budget's stack, they are dropped before it is
-assigned.  Along a budget chain, each budget at every level at least the
-one before and with a largest threshold at most the one before's, the
-SNR matrix only grows, bit for bit, so a served trial stays served, and
-dropping it also shrinks the block's draws.  Every ``lambda2`` sweep and
-every ``lambda_all`` sweep with CSI is such a chain.
-
-Throughput under max-min or naive selection runs a relay-cap chain,
+A trial whose result is decided for every later point of the block
+leaves it.  Under max-min, a trial is served at a budget when its SNR
+matrix holds an injective map with every entry above the budget's
+largest outage threshold: its bottleneck is then above every threshold
+of the budget, so outage counts it nowhere.  Along a relay-cap chain,
 where each budget has the source and interference levels of the one
-before and a relay cap at least as large, in one pass per block.  The
-block builds the parts of the SNR matrix that the cap leaves alone
-once, and each budget applies only its cap to the trials left.  A trial
-is settled once its SNR matrix equals, bit for bit, the matrix at an
-infinite relay cap: the matrix only grows with the cap, so it is then
-fixed for the rest of the chain, and so are the trial's selected SNRs,
-whatever the scheme's tie-breaks.  Once they are an eighth or more of
-the trials left, settled trials leave the parts and keep their selected
-SNRs in a block-sized array; once none is left the block's later
-budgets assign nothing.  The small stacks of consecutive budgets are
-assigned in joined calls, and the rates of a run of points are summed
-in one numpy call.  Every ``lambda2`` throughput sweep is such a chain.
+before and a relay cap at least as large, a trial is settled once its
+SNR matrix equals, bit for bit, the matrix at an infinite relay cap:
+the matrix only grows with the cap, so it is then fixed for the rest of
+the chain, and so are the trial's selected SNRs, whatever the scheme's
+tie-breaks; throughput keeps them.  One pass serves both estimators,
+with one rule for each decision:
+
+- Build.  On a relay-cap chain without CSI, under a scheme that draws
+  nothing, each block builds the parts of the SNR matrix that the cap
+  leaves alone once (:func:`model._snr_parts`), and each budget applies
+  only its cap (:func:`model._capped_snr`).  Every other run builds each
+  budget's matrix from the block's gains.  Only ``random``, which draws
+  as it assigns, restores the generator state before each budget.
+- Leave.  Once the decided trials are an eighth or more of a stack,
+  they leave it: served trials before it is assigned, settled trials
+  after.  Along a chain the SNR matrix only grows, bit for bit, so a
+  decided trial stays decided, and it also leaves the block's draws;
+  once none is left, the block's later budgets assign nothing.  For
+  max-min outage, a chain has each budget at every level at least the
+  one before, with a largest threshold at most the one before's: every
+  ``lambda2`` sweep and every ``lambda_all`` sweep with CSI.  Throughput
+  settles trials only along a relay-cap chain: every max-min or naive
+  ``lambda2`` sweep.
+- Join.  A scheme that draws nothing treats each trial on its own, so
+  the stacks of consecutive budgets are assigned in one call while they
+  hold at most ``_JOIN_ELEMENTS`` entries together; ``random`` assigns
+  each budget alone.  Throughput sums the rates of a run of points in
+  one numpy call.
 """
 
 from __future__ import annotations
@@ -64,20 +73,20 @@ __all__ = [
 
 BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 
-# Max-min outage drops the served trials of a budget from its SNR stack
-# (and, along a budget chain, from the draws), and throughput drops the
-# settled trials of a relay-cap chain from the draws, once they are at
-# least this share of the stack; fewer stay in it, where they count no
-# outage, or are assigned the selected SNRs they already have.  Copying
+# Decided trials (served for max-min outage, settled for throughput
+# along a relay-cap chain) leave a stack, and along a chain the block's
+# draws, once they are at least this share of the stack; fewer stay in
+# it, where they count no outage, or are assigned the selected SNRs they
+# already have.  Copying
 # a 65536-trial 3x4 stack takes 2.5 ms, an eighth of the 21 ms of
 # assigning it (one core of a shared Xeon), and copies made for the 0.7%
 # served at fig3's 5 dB point raised its peak RSS by 2.5%.
 _DROP_SHARE = 1 / 8
 
-# Throughput along a relay-cap chain assigns consecutive budgets' stacks
-# in one call while they hold at most this many SNR entries together
-# (8192 trials at 2x4), and scores runs of points on at most this many
-# rates at a time.
+# A scheme that draws nothing assigns consecutive budgets' stacks in one
+# call while they hold at most this many SNR entries together (8192
+# trials at 2x4), and throughput scores runs of points on at most this
+# many rates at a time.
 _JOIN_ELEMENTS = 1 << 16
 
 
@@ -156,29 +165,36 @@ def _groups(budgets) -> dict[LinkBudget, list[int]]:
 def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                    trials: int, seed: int, csi: CsiErrorModel | None = None,
                    thresholds=None):
-    """Yield ``(block index, points, selected SNRs)``, once per block and
-    distinct budget, where ``points`` indexes the budgets equal to it.
+    """Yield ``(block index, points, rows, selected SNRs)`` per block and
+    distinct budget: ``points`` indexes the budgets equal to it, ``rows``
+    the trials of the block it assigned, in order, and the selected SNRs
+    are theirs, row for row.  Once no trial of a block is left, the last
+    yield also carries the points of every later budget.
 
-    Each block draws its channel gains once; every budget then builds
-    its own SNR matrix from those gains and assigns from the same
-    generator state, so the points share their random numbers.
-
-    Given each point's outage threshold, max-min drops the trials that
-    cannot be in outage, once they are at least ``_DROP_SHARE`` of the
-    stack: a trial is served at a budget when some map gives every user
-    an entry above the budget's largest threshold
-    (:func:`selection.saturated`), and its max-min SNRs are then above
-    every threshold of the budget.  When every budget is at each level at
-    least the one before and its largest threshold is at most the one
-    before's, the SNR matrix only grows along the budgets, bit for bit,
-    so a served trial stays served: the block's draws then shrink to the
-    trials left.  (Throughput along a relay-cap chain takes
-    :func:`_settled_chain` instead.)
+    Stacks are built, left and joined by the rules of the module
+    docstring.  Given each point's outage threshold, max-min's served
+    trials leave; without thresholds, a relay-cap chain's settled trials
+    do.  A trial of the block in no ``rows`` was decided earlier, and the
+    caller decides what it contributes.  The selected SNRs of joined
+    stacks are slices of one array, so a caller that holds them while it
+    resumes the generator holds that array through the next build.
     """
     groups = _groups(budgets)
     order = list(groups)
-    last = order[-1]
-    tops = chain = None
+    if not order:
+        return
+    steps = list(zip(order, order[1:]))
+    draws_nothing = scheme != "random"
+    capped = csi is None and draws_nothing and all(
+        later.source_snr == earlier.source_snr
+        and later.interference_snr_cap == earlier.interference_snr_cap
+        and later.relay_snr_cap >= earlier.relay_snr_cap
+        for earlier, later in steps)
+    # along a chain a decided trial stays decided: settled trials along a
+    # relay-cap chain; served trials (above each budget's largest
+    # threshold, ``tops``) under rising levels and falling thresholds
+    tops = None
+    chain = thresholds is None and capped and len(order) > 1
     if thresholds is not None and scheme == "maxmin":
         tops = {budget: max(thresholds[point] for point in points)
                 for budget, points in groups.items()}
@@ -186,14 +202,8 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and later.relay_snr_cap >= earlier.relay_snr_cap
                     and later.interference_snr_cap >= earlier.interference_snr_cap
                     and tops[later] <= tops[earlier]
-                    for earlier, later in zip(order, order[1:]))
-
-    def build(gains, budget):
-        draws = model.ChannelRealization(*gains)
-        if csi is None:
-            return model.snr_matrix(draws, topology, budget)
-        return model.snr_matrix_imperfect(draws, csi, topology, budget)
-
+                    for earlier, later in steps)
+    entries = topology.num_users * topology.num_relays
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
         if csi is None:
@@ -201,102 +211,67 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         else:
             draws = model.sample_estimated_realization(topology, csi, rng,
                                                        trials=block)
-        gains = [draws.hop1, draws.hop2, draws.interf]
-        del draws
         state = rng.bit_generator.state
-        for budget in order:
-            rng.bit_generator.state = state
-            snrs = build(gains, budget)
-            if budget is last:
-                del gains  # not held while the block's last budget assigns
-            if tops is not None:
-                unserved = ~selection.saturated(snrs, tops[budget])
-                if np.count_nonzero(unserved) <= (1 - _DROP_SHARE) * len(snrs):
-                    snrs = snrs[unserved]  # the full matrix is freed here
-                    if chain and budget is not last:
-                        _keep(gains, unserved)
-            _, eff = selection.assign_batch(scheme, snrs, rng)
-            del snrs  # not held while the caller scores
-            yield index, groups[budget], eff
-
-
-def _relay_cap_chain(order: list[LinkBudget], scheme: str) -> bool:
-    """Whether distinct budgets differ only in a rising relay cap, under
-    a scheme that draws nothing."""
-    return (scheme != "random" and len(order) > 1
-            and all(later.source_snr == earlier.source_snr
-                    and later.interference_snr_cap == earlier.interference_snr_cap
-                    and later.relay_snr_cap >= earlier.relay_snr_cap
-                    for earlier, later in zip(order, order[1:])))
-
-
-def _settled_chain(topology: NetworkTopology, groups: dict, scheme: str,
-                   trials: int, seed: int):
-    """:func:`_selected_snrs` for throughput along a relay-cap chain
-    (:func:`_relay_cap_chain`); once every trial of a block is settled,
-    the last yield also carries the points of every later budget.
-
-    Each block builds the parts of the SNR matrix that the relay cap
-    leaves alone once (:func:`model._snr_parts`), then the cap-free
-    matrix and each budget's matrix from them (:func:`model._capped_snr`).
-    A trial whose matrix equals the cap-free one bit for bit is settled:
-    the matrix only grows with the cap, so it and the trial's selected
-    SNRs are fixed for the rest of the chain, whatever the scheme's
-    tie-breaks.  Once the settled trials are at least ``_DROP_SHARE`` of
-    the stack, they leave the parts and keep their rows of the block's
-    selected SNRs, of which each budget refreshes the rows left.
-
-    A scheme that draws nothing treats each trial on its own, so the
-    stacks of consecutive budgets are assigned in one call while they
-    hold at most ``_JOIN_ELEMENTS`` entries together; a larger stack is
-    assigned alone, before the next is built.  The selected SNRs are
-    yielded whole and change in place at the next yield, so the caller
-    reads them before it resumes the generator.
-    """
-    order = list(groups)
-    entries = topology.num_users * topology.num_relays
-    for index, block in _blocks(trials):
-        draws = model.sample_realization(topology, _block_rng(seed, index),
-                                         trials=block)
-        hop1_snr, limit = model._snr_parts(draws, topology, order[0])
-        parts = [hop1_snr, limit, draws.hop2]
-        del draws, hop1_snr, limit
-        free = model._capped_snr(*parts, math.inf, topology)
+        if capped:
+            parts = [*model._snr_parts(draws, topology, order[0]), draws.hop2]
+        else:
+            parts = [draws.hop1, draws.hop2, draws.interf]
+        del draws
+        free = (model._capped_snr(*parts, math.inf, topology)
+                if chain and tops is None else None)
         live = np.arange(block)
-        eff = np.empty((block, topology.num_users))
-        stacks, pending = [], []  # awaiting one joined assignment
-        held = 0
+        stacks, pending, held = [], [], 0  # awaiting one joined assignment
         for position, budget in enumerate(order):
-            snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology)
-            rows = live
-            if position < len(order) - 1:
-                settled = (snrs == free).all(axis=(1, 2))
-                if np.count_nonzero(settled) >= _DROP_SHARE * len(settled):
-                    unsettled = ~settled
-                    live = live[unsettled]
-                    free = free[unsettled]
-                    _keep(parts, unsettled)
+            last = position == len(order) - 1
+            if capped:
+                snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology)
+            elif csi is None:
+                snrs = model.snr_matrix(model.ChannelRealization(*parts),
+                                        topology, budget)
+            else:
+                snrs = model.snr_matrix_imperfect(
+                    model.ChannelRealization(*parts), csi, topology, budget)
+            rows, decided = live, None
+            if tops is not None:
+                decided = selection.saturated(snrs, tops[budget])
+            elif free is not None and not last:
+                decided = (snrs == free).all(axis=(1, 2))
+            if (decided is not None
+                    and np.count_nonzero(decided) >= _DROP_SHARE * len(decided)):
+                kept = ~decided
+                if tops is not None:  # served trials are assigned nowhere
+                    snrs, rows = snrs[kept], rows[kept]  # frees the full stack
+                if chain and not last:
+                    live = live[kept]
+                    if free is not None:
+                        free = free[kept]
+                    _keep(parts, kept)
+            done = last or not len(live)
+            if done:  # not held while the block's last stacks assign
+                parts.clear()
+                free = None
             stacks.append(snrs)
             held += snrs.size
             del snrs
-            done = position == len(order) - 1 or not len(live)
-            # once every trial is settled, these selected SNRs are those
-            # of every later budget too
+            # once no trial is left, these selected SNRs score every later
+            # budget too
             pending.append((rows, [point for later in order[position:]
                                    for point in groups[later]]
                             if done else groups[budget]))
-            if not done and held + len(live) * entries <= _JOIN_ELEMENTS:
+            if (draws_nothing and not done
+                    and held + len(live) * entries <= _JOIN_ELEMENTS):
                 continue
+            if not draws_nothing:
+                rng.bit_generator.state = state
             joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
             stacks.clear()
             held = 0
-            _, selected = selection.assign_batch(scheme, joined)
+            _, selected = selection.assign_batch(scheme, joined, rng)
             del joined  # not held while the caller scores
             start = 0
             for rows, points in pending:
-                eff[rows] = selected[start:start + len(rows)]
+                yield index, points, rows, selected[start:start + len(rows)]
                 start += len(rows)
-                yield index, points, eff
             pending.clear()
             del selected
             if done:
@@ -324,25 +299,34 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
     One threshold gives one estimate per user.  A sequence of thresholds
     gives one such per-user list per threshold, all counted on the same
     trials; ``budget`` is then one budget for all of them or a sequence
-    of budgets paired with them point by point.
+    of budgets paired with them point by point, and empty sequences give
+    an empty list.
+
+    Max-min counts a trial nowhere at a budget where it is served: some
+    injective map gives every user an SNR above the budget's largest
+    threshold.  Such trials are not assigned once they are an eighth or
+    more of the stack, and along a budget chain they leave the block's
+    draws (module docstring).
     """
     _check_trials(trials)
     budgets, thresholds = _per_point(budget, gamma_th)
     if np.isnan(thresholds).any():
         raise ValueError("outage thresholds must not be NaN")
     hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
-    for _, points, eff in _selected_snrs(topology, budgets, scheme, trials,
-                                         seed, csi, thresholds):
+    # a served trial, which is in no rows, is in outage nowhere
+    for _, points, _, eff in _selected_snrs(topology, budgets, scheme,
+                                            trials, seed, csi, thresholds):
         if len(points) == 1:
             # column by column: a count along axis 0 of the (trials,
             # users) array takes about 5x as long at three users
             hits[points[0]] += [np.count_nonzero(column <= thresholds[points[0]])
                                 for column in eff.T]
-            continue
-        # several thresholds: each counts up to its right insertion point
-        for user, column in enumerate(np.sort(eff.T, axis=1)):
-            hits[points, user] += np.searchsorted(column, thresholds[points],
-                                                  side="right")
+        else:
+            # several thresholds: each counts up to its right insertion point
+            for user, column in enumerate(np.sort(eff.T, axis=1)):
+                hits[points, user] += np.searchsorted(column, thresholds[points],
+                                                      side="right")
+        del eff  # not held while the next stack builds
     out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                        trials, seed)
             for h in row]
@@ -357,7 +341,9 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
 
     The rate of a trial is taken at ``scales`` times its selected SNR.
     Budgets and scales pair up as the budgets and thresholds of
-    :func:`estimate_outage` do.
+    :func:`estimate_outage` do.  Along a relay-cap chain, a settled trial
+    is assigned no more and keeps, in a block-sized array, the selected
+    SNRs it last had (module docstring).
 
     A block's rates are summed per user for a run of points in one numpy
     call, on a (points, users, trials) array of at most
@@ -368,11 +354,6 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
-    groups = _groups(budgets)
-    if _relay_cap_chain(list(groups), scheme):
-        source = _settled_chain(topology, groups, scheme, trials, seed)
-    else:
-        source = _selected_snrs(topology, budgets, scheme, trials, seed)
     sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
     sq_sums = np.zeros_like(sums)
     tau, runs = None, []  # rows of rates to sum, and each row's points
@@ -391,13 +372,18 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
         runs.clear()
 
     current = None
-    for index, points, eff in source:
+    for index, points, rows, selected in _selected_snrs(
+            topology, budgets, scheme, trials, seed):
         if index != current:
             if runs:
                 score(current)
             current = index
+            # a settled trial, in no later rows, keeps its selected SNRs
+            eff = np.empty((min(BLOCK, trials - index * BLOCK), num_users))
             tau = np.empty((max(1, _JOIN_ELEMENTS // eff.size), num_users,
                             len(eff)))
+        eff[rows] = selected
+        del selected  # not held while the next stack builds
         factor = None
         for point in points:
             # a NaN scale equals none, and takes a row of its own
@@ -409,7 +395,8 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
             factor = factors[point]
             np.multiply(eff.T, factor, out=tau[len(runs)])
             runs.append([point])
-    score(current)
+    if runs:
+        score(current)
     out = []
     for point in range(len(budgets)):
         row = []

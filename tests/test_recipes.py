@@ -46,6 +46,59 @@ def fine_config(name: str) -> dict:
     return {**json.loads(FINE_CONFIG), "scheme": scheme, "seed": seed}
 
 
+# Sweeps through the Monte Carlo pass that no recipe covers: naive and
+# random outage and random throughput (no served or settled trial
+# leaves; random assigns each budget alone), max-min outage on small
+# stacks along a relay-cap chain and along a CSI common-SNR chain, and
+# naive CSI outage over two blocks (CSI builds every matrix from the
+# gains).  m = 1, γ_th = 5 dB and seed 1 unless stated; the lambda2
+# sweeps hold λ1 = 25 dB and λ3 = 10 dB.
+LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
+CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
+                    "error_ratio_f": 0.05}}
+
+
+def sweep(variable: str, stop_db: float, step_db: float) -> dict:
+    return {"sweep": {"variable": variable, "start_db": 0.0,
+                      "stop_db": stop_db, "step_db": step_db}}
+
+
+PASS_CONFIGS = {
+    "naive-lambda2-outage": {
+        "num_users": 3, "num_relays": 3, "scheme": "naive", "trials": 5000,
+        **LAMBDA2, **sweep("lambda2", 60.0, 5.0)},
+    "random-lambda2-outage": {
+        "num_users": 2, "num_relays": 3, "scheme": "random", "trials": 1000,
+        **LAMBDA2, **sweep("lambda2", 60.0, 5.0)},
+    "maxmin-lambda2-outage": {
+        "num_users": 3, "num_relays": 3, "nakagami_m": 3, "scheme": "maxmin",
+        "trials": 1000, **LAMBDA2, **sweep("lambda2", 60.0, 1.0)},
+    "maxmin-csi-outage": {
+        "num_users": 3, "num_relays": 4, "scheme": "maxmin", "trials": 1000,
+        **CSI_5PCT, **sweep("lambda_all", 40.0, 1.0)},
+    "random-lambda2-throughput": {
+        "num_users": 2, "num_relays": 4, "scheme": "random", "trials": 1000,
+        "mode": "throughput", **LAMBDA2, **sweep("lambda2", 60.0, 2.0)},
+    "naive-csi-lambda2-outage": {
+        "num_users": 2, "num_relays": 3, "scheme": "naive", "trials": 70000,
+        **CSI_5PCT, **LAMBDA2, **sweep("lambda2", 40.0, 5.0)},
+}
+
+PASS_SHA256 = {
+    "naive-lambda2-outage": "8e483bc48781a14f8edb7eadd1e4ada432cf6e1081961346fc557bf0d51f0376",
+    "random-lambda2-outage": "d63f6c5575ca3ea22249d4994a335eb57ac1783fa60c69f92e63d03d723f18e1",
+    "maxmin-lambda2-outage": "9020b16306d93c1ca0609ca2a00d462a077383186c7e8701c9778e6a84d3621a",
+    "maxmin-csi-outage": "9fd868ec8069ac9528470762d972800e188f825617d78e41d2282f28f5ab374e",
+    "random-lambda2-throughput": "5470cd64ab9e33c671597f335b3e1142680997841f1002280cd766d5b7b164d3",
+    "naive-csi-lambda2-outage": "786b6c8ef90f2e742476da541a40ff12a843958502fad23cac8e75648dce3264",
+}
+
+
+def pass_config(name: str) -> dict:
+    """The raw config of one ``PASS_CONFIGS`` sweep."""
+    return {"nakagami_m": 1, "gamma_th_db": 5.0, "seed": 1, **PASS_CONFIGS[name]}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_recipe_csv_bytes(tmp_path, name):
     path = run_sweep(load_config(RECIPES / f"{name}.json"), tmp_path / f"{name}.csv")
@@ -56,3 +109,9 @@ def test_recipe_csv_bytes(tmp_path, name):
 def test_throughput_fine_csv_bytes(tmp_path, name):
     path = run_sweep(parse_config(fine_config(name)), tmp_path / f"{name}.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FINE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PASS_SHA256))
+def test_pass_csv_bytes(tmp_path, name):
+    path = run_sweep(parse_config(pass_config(name)), tmp_path / f"{name}.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PASS_SHA256[name]
