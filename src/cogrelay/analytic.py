@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LinkBudget, CsiErrorModel, NetworkTopology
+from .model import LinkBudget, CsiErrorModel, NetworkTopology, _estimated
 from .selection import RankPlacementDistribution
 from .specfun import _regularized_gamma
 
@@ -119,11 +119,7 @@ def _link_cdf(x, topology: NetworkTopology, budget,
         raise ValueError(f"x must be >= 0, got {x}")
     m = topology.nakagami_m
     if csi is not None:
-        if m != 1:
-            raise ValueError("imperfect-CSI CDF requires nakagami_m == 1")
-        topology = replace(topology, mean_gain_hop1=csi.est_gain_hop1,
-                           mean_gain_hop2=csi.est_gain_hop2,
-                           mean_gain_interf=csi.est_gain_interf)
+        topology = _estimated(topology, csi)
     o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
                   topology.eff_gain_interf)
     l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
@@ -280,15 +276,19 @@ def outage_floor_imperfect(gamma_th: float, err: CsiErrorModel,
 # high-SNR asymptotics
 # ---------------------------------------------------------------------------
 
-def g_factor(topology: NetworkTopology) -> float:
-    """Leading coefficient of the single-link CDF at high common SNR:
-    F(x) ~ g_factor * (x / snr)^m.
+def _log(value: float) -> float:
+    return math.log(value) if value > 0 else -math.inf
 
-    With y = m / o3 it is m^(m-1) / (m-1)! (o1^-m + o2^-m P(m, y)) plus
-    (2m-1)! / (m (m-1)!^2) (o3 / o2)^m Q(2m, y), in regularized incomplete
-    gammas.  The factorials and powers are taken in log space: (2m-1)!
-    alone is beyond the float range from m = 86, while the coefficient
-    is finite up to m = 515 at unit gains."""
+
+def _exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _log_g_factor(topology: NetworkTopology) -> float:
+    """The log of :func:`g_factor`, a log-sum-exp of its three terms."""
     m = topology.nakagami_m
     o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
                   topology.eff_gain_interf)
@@ -296,9 +296,21 @@ def g_factor(topology: NetworkTopology) -> float:
     mixed = math.lgamma(2 * m) - math.log(m) - 2 * math.lgamma(m)
     p_m = float(_regularized_gamma(m, m / o3)[0])
     q_2m = float(_regularized_gamma(2 * m, m / o3)[1])
-    return (math.exp(lead - m * math.log(o1))
-            + math.exp(lead - m * math.log(o2)) * p_m
-            + math.exp(mixed + m * math.log(o3 / o2)) * q_2m)
+    terms = (lead - m * math.log(o1), lead - m * math.log(o2) + _log(p_m),
+             mixed + m * math.log(o3 / o2) + _log(q_2m))
+    top = max(terms)
+    return top + math.log(sum(math.exp(term - top) for term in terms))
+
+
+def g_factor(topology: NetworkTopology) -> float:
+    """Leading coefficient of the single-link CDF at high common SNR:
+    F(x) ~ g_factor * (x / snr)^m.
+
+    With y = m / o3 it is m^(m-1) / (m-1)! (o1^-m + o2^-m P(m, y)) plus
+    (2m-1)! / (m (m-1)!^2) (o3 / o2)^m Q(2m, y), in regularized incomplete
+    gammas, formed as the exponential of its log (:func:`_log_g_factor`):
+    inf from m = 516 at unit gains, where it leaves the float range."""
+    return _exp(_log_g_factor(topology))
 
 
 def worst_case_rank_prob(num_users: int, num_relays: int) -> float:
@@ -324,15 +336,12 @@ def array_gain(gamma_th: float, topology: NetworkTopology) -> float:
     """Multiplicative constant of the high-SNR outage law A * snr^-(mN)."""
     m, num_users, num_relays = (topology.nakagami_m, topology.num_users,
                                 topology.num_relays)
-    mn = num_users * num_relays
-    lead = (math.factorial(mn)
-            / (num_relays * math.factorial((num_users - 1) * num_relays)
-               * math.factorial(num_relays - 1)))
-    try:
-        power = (g_factor(topology) * gamma_th ** m) ** num_relays
-    except OverflowError:  # the gain itself is beyond the float range
-        power = math.inf
-    return worst_case_rank_prob(num_users, num_relays) * lead * power
+    # C(MN, N) = (MN)! / (N ((M-1)N)! (N-1)!) and the power, as one
+    # exponential of its log: finite wherever the gain is
+    lead = worst_case_rank_prob(num_users, num_relays) * math.comb(
+        num_users * num_relays, num_relays)
+    return _exp(math.log(lead) + num_relays * (_log_g_factor(topology)
+                                               + m * _log(gamma_th)))
 
 
 def asymptotic_outage_case1(gamma_th: float, snr: float,

@@ -182,11 +182,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return config
 
 
-def _finite_linear(value_db: float) -> bool:
+def _check_range(key: str, value: float, compute, what: str):
+    """Refuse ``key`` unless ``compute()``, its ``what``, is a positive
+    float whose reciprocal is finite too: neither 0 nor subnormal."""
     try:
-        return math.isfinite(db_to_linear(value_db))
+        result = compute()
     except OverflowError:
-        return False
+        result = math.inf
+    if result in (0.0, math.inf) or 1 / result == math.inf:
+        size, flow = ("large", "over") if result == math.inf else ("small", "under")
+        raise ConfigError(f"{key}={value} is too {size}: its {what} "
+                          f"{flow}flows a float")
 
 
 def _validate(config: ExperimentConfig):
@@ -203,9 +209,8 @@ def _validate(config: ExperimentConfig):
                        ("lambda3_db", config.lambda3_db),
                        ("sweep start_db", sweep.start_db),
                        ("sweep stop_db", sweep.stop_db)):
-        if value is not None and not _finite_linear(value):
-            raise ConfigError(f"{key}={value} is too large: its linear value "
-                              f"overflows a float")
+        if value is not None:
+            _check_range(key, value, lambda: db_to_linear(value), "linear value")
     # multiply rather than divide: a tiny step would overflow the count
     if sweep.stop_db - sweep.start_db >= MAX_SWEEP_POINTS * sweep.step_db:
         raise ConfigError(
@@ -247,6 +252,10 @@ def _validate(config: ExperimentConfig):
         config.topology()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for key in ("d1", "d2", "d3"):
+        distance = getattr(config, key)
+        _check_range(key, distance, lambda: distance ** config.path_loss_exp,
+                     f"path loss {key}^path_loss_exp")
     maps = math.perm(config.num_relays, config.num_users)
     if config.scheme == "maxmin" and maps > _MAX_ASSIGNMENT_TABLE:
         raise ConfigError(

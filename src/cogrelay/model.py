@@ -13,7 +13,7 @@ trial that clears a threshold along a sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,24 +193,22 @@ def sample_realization(topology: NetworkTopology, rng: np.random.Generator,
     )
 
 
+def _estimated(topology: NetworkTopology, err: CsiErrorModel) -> NetworkTopology:
+    """The topology with ``err``'s estimate gains as mean gains (Rayleigh
+    only), all that imperfect-CSI statistics need beside the errors."""
+    if topology.nakagami_m != 1:
+        raise ValueError("imperfect-CSI model requires nakagami_m == 1")
+    return replace(topology, mean_gain_hop1=err.est_gain_hop1,
+                   mean_gain_hop2=err.est_gain_hop2,
+                   mean_gain_interf=err.est_gain_interf)
+
+
 def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
                                  rng: np.random.Generator,
                                  trials: int | None = None) -> ChannelRealization:
-    """Draw squared gains of the *estimated* channels (Rayleigh only).
-
-    Estimates are sampled directly from their own variances rather than
-    by perturbing true channels: every imperfect-CSI statistic in this
-    package depends only on the estimates and the error variances.
-    """
-    if topology.nakagami_m != 1:
-        raise ValueError("imperfect-CSI model requires nakagami_m == 1")
-    base = (topology.num_users, topology.num_relays)
-    shape = base if trials is None else (trials,) + base
-    return ChannelRealization(
-        hop1=_gamma_gains(rng, 1, err.est_gain_hop1, shape),
-        hop2=_gamma_gains(rng, 1, err.est_gain_hop2, shape),
-        interf=_gamma_gains(rng, 1, err.est_gain_interf, shape),
-    )
+    """Draw squared gains of the *estimated* channels (Rayleigh only),
+    :func:`sample_realization` on the estimate gains (:func:`_estimated`)."""
+    return sample_realization(_estimated(topology, err), rng, trials)
 
 
 def _interference_limit(f_gain, budget: LinkBudget, topology: NetworkTopology):

@@ -9,13 +9,14 @@ the answer either.
 
 The outage and throughput estimators score a whole sweep in one pass
 (:func:`_selected_snrs`): each point has a link budget and an outage
-threshold (or SNR scale).  Each block draws its channel gains once;
-then, budget by budget, it builds the SNR matrix, assigns, and scores
-every point of that budget.  All points thus share one random stream,
-so their estimates are correlated.  A budget with one outage threshold
-counts the selected SNRs at or below it in one pass; a budget with
-several sorts them once per block, so every threshold costs one binary
-search rather than a pass over the trials.
+threshold (or SNR scale).  Each block draws its channel gains, and under
+``random`` each trial's relay map, once; then, budget by budget, it
+builds the SNR matrix, assigns, and scores every point of that budget.
+All points thus share one random stream, so their estimates are
+correlated.  A budget with one outage threshold counts the selected SNRs
+at or below it in one pass; a budget with several sorts them once per
+block, so every threshold costs one binary search rather than a pass
+over the trials.
 
 A trial whose result is decided for every later point of the block
 leaves it.  Under max-min, a trial is served at a budget when its SNR
@@ -30,12 +31,11 @@ the chain, and so are the trial's selected SNRs, whatever the scheme's
 tie-breaks; throughput keeps them.  One pass serves both estimators,
 with one rule for each decision:
 
-- Build.  On a relay-cap chain without CSI, under a scheme that draws
-  nothing, each block builds the parts of the SNR matrix that the cap
-  leaves alone once (:func:`model._snr_parts`), and each budget applies
-  only its cap (:func:`model._capped_snr`).  Every other run builds each
-  budget's matrix from the block's gains.  Only ``random``, which draws
-  as it assigns, restores the generator state before each budget.
+- Build.  On a relay-cap chain without CSI, each block builds the parts
+  of the SNR matrix that the cap leaves alone once
+  (:func:`model._snr_parts`), and each budget applies only its cap
+  (:func:`model._capped_snr`).  Every other run builds each budget's
+  matrix from the block's gains, which under CSI are the estimates.
 - Leave.  Once the decided trials are an eighth or more of a stack,
   they leave it: served trials before it is assigned, settled trials
   after.  Along a chain the SNR matrix only grows, bit for bit, so a
@@ -44,13 +44,11 @@ with one rule for each decision:
   max-min outage, a chain has each budget at every level at least the
   one before, with a largest threshold at most the one before's: every
   ``lambda2`` sweep and every ``lambda_all`` sweep with CSI.  Throughput
-  settles trials only along a relay-cap chain: every max-min or naive
-  ``lambda2`` sweep.
-- Join.  A scheme that draws nothing treats each trial on its own, so
-  the stacks of consecutive budgets are assigned in one call while they
-  hold at most ``_JOIN_ELEMENTS`` entries together; ``random`` assigns
-  each budget alone.  Throughput sums the rates of a run of points in
-  one numpy call.
+  settles trials only along a relay-cap chain: every ``lambda2`` sweep.
+- Join.  Every scheme treats each trial on its own, so the stacks of
+  consecutive budgets are assigned in one call while they hold at most
+  ``_JOIN_ELEMENTS`` entries together.  Throughput sums the rates of a
+  run of points in one numpy call.
 """
 
 from __future__ import annotations
@@ -77,16 +75,14 @@ BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 # along a relay-cap chain) leave a stack, and along a chain the block's
 # draws, once they are at least this share of the stack; fewer stay in
 # it, where they count no outage, or are assigned the selected SNRs they
-# already have.  Copying
-# a 65536-trial 3x4 stack takes 2.5 ms, an eighth of the 21 ms of
-# assigning it (one core of a shared Xeon), and copies made for the 0.7%
-# served at fig3's 5 dB point raised its peak RSS by 2.5%.
+# already have.  Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth
+# of the 21 ms of assigning it (one core of a shared Xeon), and copies
+# made for the 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
 
-# A scheme that draws nothing assigns consecutive budgets' stacks in one
-# call while they hold at most this many SNR entries together (8192
-# trials at 2x4), and throughput scores runs of points on at most this
-# many rates at a time.
+# Consecutive budgets' stacks are assigned in one call while they hold
+# at most this many SNR entries together (8192 trials at 2x4), and
+# throughput scores runs of points on at most this many rates at a time.
 _JOIN_ELEMENTS = 1 << 16
 
 
@@ -106,12 +102,8 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _blocks(trials: int):
-    start = 0
-    index = 0
-    while start < trials:
+    for index, start in enumerate(range(0, trials, BLOCK)):
         yield index, min(BLOCK, trials - start)
-        start += BLOCK
-        index += 1
 
 
 def _check_trials(trials: int, minimum: int = 1):
@@ -172,20 +164,20 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
     yield also carries the points of every later budget.
 
     Stacks are built, left and joined by the rules of the module
-    docstring.  Given each point's outage threshold, max-min's served
-    trials leave; without thresholds, a relay-cap chain's settled trials
-    do.  A trial of the block in no ``rows`` was decided earlier, and the
-    caller decides what it contributes.  The selected SNRs of joined
-    stacks are slices of one array, so a caller that holds them while it
-    resumes the generator holds that array through the next build.
+    docstring, under every scheme alike.  Given each point's outage
+    threshold, max-min's served trials leave; without thresholds, a
+    relay-cap chain's settled trials do.  A trial of the block in no
+    ``rows`` was decided earlier, and the caller decides what it
+    contributes.  The selected SNRs of joined stacks are slices of one
+    array, so a caller that holds them while it resumes the generator
+    holds that array through the next build.
     """
     groups = _groups(budgets)
     order = list(groups)
     if not order:
         return
     steps = list(zip(order, order[1:]))
-    draws_nothing = scheme != "random"
-    capped = csi is None and draws_nothing and all(
+    capped = csi is None and all(
         later.source_snr == earlier.source_snr
         and later.interference_snr_cap == earlier.interference_snr_cap
         and later.relay_snr_cap >= earlier.relay_snr_cap
@@ -203,15 +195,12 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and later.interference_snr_cap >= earlier.interference_snr_cap
                     and tops[later] <= tops[earlier]
                     for earlier, later in steps)
+    sampled = topology if csi is None else model._estimated(topology, csi)
     entries = topology.num_users * topology.num_relays
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
-        if csi is None:
-            draws = model.sample_realization(topology, rng, trials=block)
-        else:
-            draws = model.sample_estimated_realization(topology, csi, rng,
-                                                       trials=block)
-        state = rng.bit_generator.state
+        draws = model.sample_realization(sampled, rng, trials=block)
+        maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
         if capped:
             parts = [*model._snr_parts(draws, topology, order[0]), draws.hop2]
         else:
@@ -220,7 +209,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         free = (model._capped_snr(*parts, math.inf, topology)
                 if chain and tops is None else None)
         live = np.arange(block)
-        stacks, pending, held = [], [], 0  # awaiting one joined assignment
+        stacks, pending = [], []  # awaiting one joined assignment
         for position, budget in enumerate(order):
             last = position == len(order) - 1
             if capped:
@@ -245,29 +234,29 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     live = live[kept]
                     if free is not None:
                         free = free[kept]
-                    _keep(parts, kept)
+                    # one by one: each old part is freed before the next copy
+                    for i in range(len(parts)):
+                        parts[i] = parts[i][kept]
             done = last or not len(live)
             if done:  # not held while the block's last stacks assign
                 parts.clear()
                 free = None
             stacks.append(snrs)
-            held += snrs.size
             del snrs
             # once no trial is left, these selected SNRs score every later
             # budget too
             pending.append((rows, [point for later in order[position:]
                                    for point in groups[later]]
                             if done else groups[budget]))
-            if (draws_nothing and not done
-                    and held + len(live) * entries <= _JOIN_ELEMENTS):
+            if not done and (sum(stack.size for stack in stacks)
+                             + len(live) * entries <= _JOIN_ELEMENTS):
                 continue
-            if not draws_nothing:
-                rng.bit_generator.state = state
             joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
             stacks.clear()
-            held = 0
-            _, selected = selection.assign_batch(scheme, joined, rng)
-            del joined  # not held while the caller scores
+            picked = None if maps is None else np.concatenate(
+                [maps[rows] for rows, _ in pending])
+            selected = selection.assign_batch(scheme, joined, picked)[1]
+            del joined, picked  # not held while the caller scores
             start = 0
             for rows, points in pending:
                 yield index, points, rows, selected[start:start + len(rows)]
@@ -276,14 +265,6 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             del selected
             if done:
                 break
-
-
-def _keep(gains: list, keep: np.ndarray):
-    """Shrink each array of the list to the trials ``keep`` marks, in
-    place, one at a time: each old array is freed before the next is
-    copied."""
-    for i in range(len(gains)):
-        gains[i] = gains[i][keep]
 
 
 def estimate_outage(topology: NetworkTopology, budget, scheme: str,
@@ -341,9 +322,9 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
 
     The rate of a trial is taken at ``scales`` times its selected SNR.
     Budgets and scales pair up as the budgets and thresholds of
-    :func:`estimate_outage` do.  Along a relay-cap chain, a settled trial
-    is assigned no more and keeps, in a block-sized array, the selected
-    SNRs it last had (module docstring).
+    :func:`estimate_outage` do.  Along a relay-cap chain, under every
+    scheme, a settled trial is assigned no more and keeps, in a
+    block-sized array, the selected SNRs it last had (module docstring).
 
     A block's rates are summed per user for a run of points in one numpy
     call, on a (points, users, trials) array of at most

@@ -43,7 +43,7 @@ __all__ = [
     "RankPlacementDistribution",
     "maxmin_assign_batch",
     "naive_assign_batch",
-    "random_assign_batch",
+    "relay_maps",
     "assign_batch",
     "saturated",
     "rank_placement_probs",
@@ -202,38 +202,41 @@ def maxmin_assign_batch(gammas: np.ndarray):
 
 def naive_assign_batch(gammas: np.ndarray):
     """Vectorised greedy assignment in fixed user order: user u takes its
-    best relay among those not already taken by users 0..u-1."""
+    best relay among those not already taken by users 0..u-1, which one
+    (trials, relays) mask marks."""
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
-    masked = g.copy()
+    taken = np.zeros((trials, num_relays), dtype=bool)
     chosen = np.empty((trials, num_users), dtype=np.intp)
     rows = np.arange(trials)
     for u in range(num_users):
-        r = masked[:, u, :].argmax(axis=1)
-        chosen[:, u] = r
-        masked[rows, :, r] = -np.inf
+        chosen[:, u] = np.where(taken, -np.inf, g[:, u, :]).argmax(axis=1)
+        taken[rows, chosen[:, u]] = True
     return chosen, _effective(g, chosen)
 
 
-def random_assign_batch(gammas: np.ndarray, rng: np.random.Generator):
-    """Vectorised uniform random injective assignment."""
-    g = np.asarray(gammas, dtype=float)
-    trials, num_users, num_relays = g.shape
-    chosen = np.argsort(rng.random((trials, num_relays)), axis=1)[:, :num_users]
-    return chosen, _effective(g, chosen)
+def relay_maps(scheme: str, rng: np.random.Generator, shape):
+    """Under ``random``, a uniform injective relay map for each trial of a
+    (trials, users, relays) ``shape``, in the narrowest int type; else None."""
+    if scheme != "random":
+        return None
+    trials, num_users, num_relays = shape
+    order = np.argsort(rng.random((trials, num_relays)), axis=1)
+    return order[:, :num_users].astype(np.min_scalar_type(num_relays - 1))
 
 
-def assign_batch(scheme: str, gammas: np.ndarray, rng: np.random.Generator | None = None):
+def assign_batch(scheme: str, gammas: np.ndarray, maps: np.ndarray | None = None):
     """Dispatch a batched scheme by name ('maxmin', 'naive', 'random');
-    returns ``(relay_for_user, effective_snr)``."""
+    returns ``(relay_for_user, effective_snr)``.  ``random`` takes each
+    trial's relay map from ``maps`` (:func:`relay_maps`)."""
     if scheme == "maxmin":
         return maxmin_assign_batch(gammas)
     if scheme == "naive":
         return naive_assign_batch(gammas)
     if scheme == "random":
-        if rng is None:
-            raise ValueError("random scheme needs a generator")
-        return random_assign_batch(gammas, rng)
+        if maps is None:
+            raise ValueError("random scheme needs the relay maps of its trials")
+        return maps, _effective(np.asarray(gammas, dtype=float), maps)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -508,7 +511,7 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     while done < trials:
         block = min(trials - done, 1 << 16)
         values = rng.random((block, num_users, num_relays))
-        _, eff = assign_batch(scheme, values, rng)
+        _, eff = assign_batch(scheme, values)
         flat = values.reshape(block, mn)
         for u in range(num_users):
             # rank - 1: the number of entries strictly larger

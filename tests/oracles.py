@@ -279,6 +279,18 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
     ]
 
 
+def selected_redrawn(scheme: str, snrs: np.ndarray, rng) -> np.ndarray:
+    """The selected SNRs of every trial of ``snrs``.  ``random`` draws its
+    keys from ``rng`` as it assigns, one uniform per relay and trial, and
+    gives user u the relay of the u-th smallest key; the other schemes
+    draw nothing."""
+    if scheme != "random":
+        return selection.assign_batch(scheme, snrs)[1]
+    trials, num_users, num_relays = snrs.shape
+    chosen = np.argsort(rng.random((trials, num_relays)), axis=1)[:, :num_users]
+    return np.take_along_axis(snrs, chosen[:, :, None], axis=2)[:, :, 0]
+
+
 def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
                                thresholds, trials: int, seed: int,
                                z: float = 1.96, csi=None):
@@ -304,7 +316,7 @@ def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
                 snrs = model.snr_matrix(draws, topology, budget)
             else:
                 snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
-            _, eff = selection.assign_batch(scheme, snrs, rng)
+            eff = selected_redrawn(scheme, snrs, rng)
             hits[point] += (eff <= threshold).sum(axis=0)
     return [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                         trials, seed)
@@ -333,7 +345,7 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
         state = rng.bit_generator.state
         for point, budget in enumerate(budgets):
             rng.bit_generator.state = state
-            _, eff = selection.assign_batch(
+            eff = selected_redrawn(
                 scheme, model.snr_matrix(draws, topology, budget), rng)
             tau = np.log2(1.0 + scales[point] * eff) / (2.0 * num_users)
             for u in range(num_users):

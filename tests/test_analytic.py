@@ -417,6 +417,28 @@ class TestGFactor:
         assert math.isfinite(got)
         assert got == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("m", [515, 516, 600, 1000])
+    def test_case1_meets_mpmath_past_g_factor_overflow(self, m):
+        # g_factor leaves the float range from m = 516 at unit gains,
+        # where the asymptote read inf at every level.  It is now one
+        # exponential of its log, so it meets a 40-digit reference, or
+        # reads 0.0 where that reference is below the float range
+        mp = pytest.importorskip("mpmath")
+        from oracles import g_factor_mpmath
+        t = topo(2, 3, m)
+        assert (g_factor(t) == math.inf) == (m >= 516)
+        for level_db in (10, 40):
+            x = GAMMA_TH / db_to_linear(level_db)
+            got = asymptotic_outage_case1(GAMMA_TH, db_to_linear(level_db), t)
+            with mp.workdps(40):
+                want = (worst_case_rank_prob(2, 3) * math.comb(6, 3)
+                        * (g_factor_mpmath(t) * mp.mpf(x) ** m) ** 3)
+                tiny = want < mp.mpf(2) ** -1075  # rounds to 0.0
+            if tiny:
+                assert got == 0.0, (m, level_db)
+            else:
+                assert got == pytest.approx(float(want), rel=1e-11), (m, level_db)
+
     def test_matches_numeric_high_snr_limit(self):
         for m in (1, 2):
             t = topo(1, 1, m)

@@ -164,6 +164,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key}=4000.0 is too large"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"gamma_th_db": -4000.0}, "gamma_th_db"),
+        ({"sweep": {"variable": "lambda_all", "start_db": -4000.0,
+                    "stop_db": 10.0, "step_db": 5.0}}, "sweep start_db"),
+        ({"d1": 1e200, "path_loss_exp": 4.0}, "d1"),
+        ({"d2": 1e-200, "path_loss_exp": 4.0}, "d2"),
+        ({"d3": 1e-80, "path_loss_exp": 4.0}, "d3"),  # subnormal
+    ], ids=["threshold", "sweep-level", "d-overflow", "d-underflow",
+            "d-subnormal"])
+    def test_out_of_range_level_rejected(self, tmp_path, capsys, overrides,
+                                         key):
+        # each config passed the parser and then died in its sweep with a
+        # traceback (a threshold of 0, a division by a level of 0, an
+        # overflow building the SNR matrix, a log of 0)
+        path = write_config(tmp_path, overrides)
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key}=" in err
+        assert "Traceback" not in err
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -311,12 +331,15 @@ class TestSweepReuse:
         pk = _rank_distribution(config)
         draws = []
         for name in ("sample_realization", "sample_estimated_realization"):
-            def counted(*args, _sample=getattr(model, name), **kwargs):
-                draws.append(kwargs["trials"])
+            def counted(*args, _sample=getattr(model, name), _name=name,
+                        **kwargs):
+                draws.append((_name, kwargs["trials"]))
                 return _sample(*args, **kwargs)
             monkeypatch.setattr(model, name, counted)
         evaluate_sweep(config, pk)
-        assert draws == [BLOCK, 1000]
+        # every block samples through one call, with or without CSI
+        assert draws == [("sample_realization", BLOCK),
+                         ("sample_realization", 1000)]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_outage_mc_nonincreasing_in_level(self, tmp_path, scheme):

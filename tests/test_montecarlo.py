@@ -280,7 +280,7 @@ def spy_assignments(monkeypatch, expected):
     matrix was built on."""
     calls = []
 
-    def assign_spy(scheme, gammas, rng=None, original=selection.assign_batch):
+    def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
         rows, largest = 0, 0
         held = 0
         while rows < len(gammas):
@@ -296,18 +296,17 @@ def spy_assignments(monkeypatch, expected):
         assert held == 1 or (gammas.size <= _JOIN_ELEMENTS
                              and largest < BLOCK)
         calls.append(Call(held, len(gammas), *first))
-        return original(scheme, gammas, rng)
+        # random's maps come with the stack, one per trial
+        assert (maps is None) == (scheme != "random")
+        assert maps is None or maps.shape == gammas.shape[:2]
+        return original(scheme, gammas, maps)
     monkeypatch.setattr(selection, "assign_batch", assign_spy)
     return calls
 
 
-def check_joins(calls, t, scheme):
-    """``random`` assigns each stack alone; any other scheme makes a call
-    only when the next matrix of the block (built on the trials left)
-    would not fit in it."""
-    if scheme == "random":
-        assert all(call.held == 1 for call in calls)
-        return
+def check_joins(calls, t):
+    """Every scheme makes a call only when the next matrix of the block
+    (built on the trials left) would not fit in it."""
     entries = t.num_users * t.num_relays
     for call, after in zip(calls, calls[1:]):
         if after.block == call.block:
@@ -376,7 +375,7 @@ class TestSaturationFilter:
         assert got == want
         assert next(stacks, None) is None  # every stack was assigned
         assert built == [trials for _, trials, _ in expected]
-        check_joins(calls, self.T, "maxmin")
+        check_joins(calls, self.T)
         # the first budget of each block drops trials; along a chain the
         # next one builds on fewer
         assert all(len(stack) < trials for _, trials, stack in expected[::4])
@@ -399,7 +398,7 @@ class TestSaturationFilter:
         assert got == want
         assert next(stacks, None) is None
         assert built == [65536] * 4 + [4464] * 4
-        check_joins(calls, self.T, scheme)
+        check_joins(calls, self.T)
 
     @pytest.mark.parametrize("order", ["chain", "levels_fall"])
     def test_rows_name_the_trials_assigned(self, order):
@@ -422,11 +421,13 @@ class TestSaturationFilter:
     def test_csi_sweep_block_memory(self):
         # one 65536-trial 3x4 CSI block over a nine-budget common-SNR
         # chain: its gains are three 6.3 MB arrays, held with the two
-        # block-sized arrays of an SNR build (32.1 MB measured; 33.0 MB
-        # before trials were skipped).  Holding the last assignment's
-        # selected SNRs through the next build measures 33.6 MB, which
-        # this bound does not catch; copying the kept trials of all three
-        # gains before freeing any old one measured 38.1 MB.
+        # block-sized arrays of an SNR build (32.1 MB measured; 33.6 MB
+        # while the pass held each assignment's relay choices through the
+        # next build, 33.0 MB before trials were skipped).  Smaller leaks
+        # pass this bound, and TestHeldAtBuild catches them: holding the
+        # last assignment's selected SNRs through the next build measures
+        # 33.6 MB, and copying the kept trials of all three gains before
+        # freeing any old one 35.2 MB (38.1 MB with the choices held).
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:
@@ -514,7 +515,7 @@ class TestSettledCarry:
                                       scales=[1.0] * len(budgets))
         assert got == want
         assert next(expected, None) is None  # every stack was assigned
-        check_joins(calls, t, scheme)
+        check_joins(calls, t)
         return calls
 
     @settings(max_examples=25, deadline=None)
@@ -533,8 +534,8 @@ class TestSettledCarry:
                    for cap in sorted(set(caps))]
         # a repeated budget scores with the first of its kind
         budgets.append(budgets[0])
-        carried = scheme != "random" and len(set(budgets)) > 1
-        self.check(t, budgets, scheme, 1000, seed, carried)
+        # every scheme carries: random's map is drawn once per trial
+        self.check(t, budgets, scheme, 1000, seed, len(set(budgets)) > 1)
 
     @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
     def test_two_blocks(self, scheme):
@@ -543,13 +544,11 @@ class TestSettledCarry:
                       + knee_caps(self.T, 25.0, 10.0, 70_000, 4, [3, 5000]))
         budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10), 1.0)
                    for cap in caps]
-        calls = self.check(self.T, budgets, scheme, 70_000, 4,
-                           carried=scheme != "random")
-        if scheme != "random":
-            # settled trials leave before the last budget, and the
-            # small stacks late in each block join
-            assert sum(call.rows for call in calls) < 70_000 * len(caps)
-            assert max(call.held for call in calls) > 1
+        calls = self.check(self.T, budgets, scheme, 70_000, 4, carried=True)
+        # settled trials leave before the last budget, and the small
+        # stacks late in each block join
+        assert sum(call.rows for call in calls) < 70_000 * len(caps)
+        assert max(call.held for call in calls) > 1
 
     # a rising relay cap with a falling cap, or with the source or the
     # interference level moving either way: no relay-cap chain.  At 1x2
@@ -580,7 +579,7 @@ class TestSettledCarry:
     FINE = NetworkTopology(2, 4, 1)
     FINE_BUDGETS = [budget_db(25, x / 4, 10) for x in range(241)]
 
-    @pytest.mark.parametrize("scheme", ["maxmin", "naive"])
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
     def test_small_stacks_join_while_they_fit(self, scheme):
         calls = self.check(self.FINE, self.FINE_BUDGETS, scheme, 1000, 1,
                            carried=True)
@@ -605,14 +604,16 @@ class TestSettledCarry:
         # one 65536-trial 3x4 block over fig4's nine relay caps: three
         # 6.3 MB parts of the SNR matrix (hop-1 SNR, interference limit,
         # hop-2 gain) and the cap-free matrix, the matrix at one cap built
-        # in place, and the carried selected SNRs (38.7 MB measured; 47.1
-        # MB when each cap's matrix was built from the gains with its
-        # temporaries, 41.2 MB before the carry).  A fourth block-sized
-        # array (6.3 MB) held through a build fails this bound.  Smaller
-        # leaks pass it: holding the last assignment's selected SNRs
-        # (1.5 MB) through the next build measures 40.2 MB, and copying
-        # the kept trials of all three parts before freeing any old one
-        # 39.4 MB (the first drop comes after the peak of the first build).
+        # in place, and the carried selected SNRs (39.0 MB measured; 40.6
+        # MB while the pass held each assignment's relay choices through
+        # the next build, 47.1 MB when each cap's matrix was built from the
+        # gains with its temporaries, 41.2 MB before the carry).  A fourth
+        # block-sized array (6.3 MB) held through a build fails this
+        # bound.  Smaller leaks pass it: holding the last assignment's
+        # selected SNRs (1.5 MB) through the next build measures 40.6 MB
+        # (TestHeldAtBuild catches it), and copying the kept trials of all
+        # three parts before freeing any old one 39.4 MB (the first drop
+        # comes after the peak of the first build).
         budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:
@@ -622,6 +623,95 @@ class TestSettledCarry:
         finally:
             tracemalloc.stop()
         assert peak < 42 * 2**20
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
+    def test_three_cap_block_memory(self, scheme):
+        # one 65536-trial 3x4 block over three relay caps: the three parts
+        # of the SNR matrix and the cap-free matrix, the matrix at one
+        # cap and the carried selected SNRs, whatever the scheme (37.2 MiB
+        # measured under max-min, 38.8 under naive, 36.1 under random).
+        # Naive marking taken relays in a copy of the whole stack measured
+        # 46.1 MiB, and random redrawing its float keys at every cap,
+        # which kept it from carrying settled trials, 41.5 MiB.
+        budgets = [budget_db(25, x, 10) for x in (0, 20, 40)]
+        tracemalloc.start()
+        try:
+            estimate_throughput(self.T, budgets, scheme, 65536, 1,
+                                scales=[1.0] * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+
+def held_at_builds(monkeypatch, run):
+    """Run ``run()`` under tracemalloc with the SNR builders patched to
+    record the memory traced as each outermost build starts (a build
+    through ``snr_matrix``, which applies the relay cap through
+    ``_capped_snr``, records once); returns the records and the peak."""
+    held, inside = [], []
+    for name in ("snr_matrix", "snr_matrix_imperfect", "_capped_snr"):
+        def build_spy(*args, original=getattr(model, name)):
+            if not inside:
+                held.append(tracemalloc.get_traced_memory()[0])
+            inside.append(original)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(model, name, build_spy)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+class TestHeldAtBuild:
+    """What one 65536-trial 3x4 block holds as each SNR matrix of it
+    starts to build, in block-sized matrices (``MATRIX``), (trials,
+    users) arrays (``SELECTED``) and the block's index of live trials
+    (``LIVE``), with half a ``SELECTED`` to spare: the pass or a scorer
+    that holds one more selected-SNR array through a build (the last
+    assignment's SNRs or relay choices, say) fails, which the peak
+    bounds above do not catch."""
+
+    MATRIX, SELECTED, LIVE = 65536 * 12 * 8, 65536 * 3 * 8, 65536 * 8
+    T = TestSettledCarry.T
+    CSI = TestSaturationFilter.CSI
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "random"])
+    def test_relay_cap_throughput(self, monkeypatch, scheme):
+        # fig4's nine relay caps: the three parts and the cap-free matrix,
+        # the carried selected SNRs and one point's rates (4.60 matrices
+        # measured under max-min, 4.63 under random; holding the last
+        # assignment's selected SNRs or its relay choices through the
+        # next build measured 4.85)
+        budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
+        held, _ = held_at_builds(monkeypatch, lambda: estimate_throughput(
+            self.T, budgets, scheme, 65536, 1, scales=[1.0] * 9))
+        assert len(held) == 10  # the cap-free matrix, then each cap
+        assert max(held) < (4 * self.MATRIX + 2.5 * self.SELECTED
+                            + self.LIVE)
+
+    @pytest.mark.parametrize("scheme", ["maxmin", "random"])
+    def test_csi_outage(self, monkeypatch, scheme):
+        # a nine-budget common-SNR CSI chain: the three estimate gains
+        # (3.10 matrices measured under max-min, 3.12 under random; 3.35
+        # with the last stack's selected SNRs held through the next build),
+        # and at the peak the two block-sized arrays of a build too (5.10
+        # matrices under max-min, 5.12 under random; copying the kept
+        # trials of all three gains before freeing any old one measured
+        # 5.81, 35.2 MB, which test_csi_sweep_block_memory's bound passes)
+        budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
+        held, peak = held_at_builds(monkeypatch, lambda: estimate_outage(
+            self.T, budgets, scheme, [GAMMA_TH] * 9, 65536, 1, csi=self.CSI))
+        assert len(held) == 9
+        spare = 0.5 * self.SELECTED + self.LIVE
+        assert max(held) < 3 * self.MATRIX + spare
+        assert peak < 5 * self.MATRIX + spare
 
 
 class TestThroughputEstimates:

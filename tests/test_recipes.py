@@ -47,12 +47,14 @@ def fine_config(name: str) -> dict:
 
 
 # Sweeps through the Monte Carlo pass that no recipe covers: naive and
-# random outage and random throughput (no served or settled trial
-# leaves; random assigns each budget alone), max-min outage on small
-# stacks along a relay-cap chain and along a CSI common-SNR chain, and
-# naive CSI outage over two blocks (CSI builds every matrix from the
-# gains).  m = 1, γ_th = 5 dB and seed 1 unless stated; the lambda2
-# sweeps hold λ1 = 25 dB and λ3 = 10 dB.
+# random outage (no served trial leaves) and random throughput (settled
+# trials leave, as under every scheme), max-min outage on small stacks
+# along a relay-cap chain and along a CSI common-SNR chain, naive CSI
+# outage over two blocks (CSI builds every matrix from the gains), and
+# random 3x4 outage and throughput over two blocks, whose relay maps
+# are drawn once per block.  Each was pinned before random stopped
+# redrawing its keys at every budget.  m = 1, γ_th = 5 dB and seed 1
+# unless stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
                     "error_ratio_f": 0.05}}
@@ -82,6 +84,12 @@ PASS_CONFIGS = {
     "naive-csi-lambda2-outage": {
         "num_users": 2, "num_relays": 3, "scheme": "naive", "trials": 70000,
         **CSI_5PCT, **LAMBDA2, **sweep("lambda2", 40.0, 5.0)},
+    "random-3x4-lambda2-outage": {
+        "num_users": 3, "num_relays": 4, "scheme": "random", "trials": 70000,
+        **LAMBDA2, **sweep("lambda2", 60.0, 5.0)},
+    "random-3x4-lambda2-throughput": {
+        "num_users": 3, "num_relays": 4, "scheme": "random", "trials": 70000,
+        "mode": "throughput", **LAMBDA2, **sweep("lambda2", 60.0, 5.0)},
 }
 
 PASS_SHA256 = {
@@ -91,6 +99,8 @@ PASS_SHA256 = {
     "maxmin-csi-outage": "9fd868ec8069ac9528470762d972800e188f825617d78e41d2282f28f5ab374e",
     "random-lambda2-throughput": "5470cd64ab9e33c671597f335b3e1142680997841f1002280cd766d5b7b164d3",
     "naive-csi-lambda2-outage": "786b6c8ef90f2e742476da541a40ff12a843958502fad23cac8e75648dce3264",
+    "random-3x4-lambda2-outage": "6c9344f18d294399aeef0e7a4ccc2040299307b2a69766c3979f9fe6ec349cd8",
+    "random-3x4-lambda2-throughput": "ede5c0ad367f482254f7602b1acbb7f4b35d2a6e8a993c325348048806410159",
 }
 
 

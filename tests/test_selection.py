@@ -5,6 +5,7 @@ rank-placement machinery."""
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -27,11 +28,12 @@ from cogrelay import selection
 from cogrelay.analytic import outage_from_cdf, worst_case_rank_prob
 from cogrelay.selection import (
     EXACT_MAXMIN_LIMIT,
+    assign_batch,
     _maxmin_rank_counts,
     maxmin_assign_batch,
     naive_assign_batch,
-    random_assign_batch,
     rank_placement_probs,
+    relay_maps,
     saturated,
 )
 
@@ -335,8 +337,31 @@ class TestRandomAssign:
 
     def test_injective(self):
         g = np.random.default_rng(1).random((5000, 3, 4))
-        chosen, _ = random_assign_batch(g, np.random.default_rng(2))
+        maps = relay_maps("random", np.random.default_rng(2), g.shape)
+        chosen, eff = assign_batch("random", g, maps)
         assert all(len(set(row)) == 3 for row in chosen)
+        # the first three columns of the keys' argsort, in the narrowest
+        # type that holds relay 3, and the SNRs they pick
+        keys = np.random.default_rng(2).random((5000, 4))
+        assert maps.dtype == np.uint8
+        assert np.array_equal(chosen, np.argsort(keys, axis=1)[:, :3])
+        assert np.array_equal(eff, [row[range(3), pick]
+                                    for row, pick in zip(g, chosen)])
+        # every one of the 24 maps, about equally often
+        counts = Counter(map(tuple, chosen.tolist()))
+        assert len(counts) == 24
+        assert all(abs(c - 5000 / 24) < 5 * math.sqrt(5000 / 24)
+                   for c in counts.values())
+
+    def test_maps_drawn_by_random_alone(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for scheme in ("maxmin", "naive"):
+            assert relay_maps(scheme, rng, (10, 2, 3)) is None
+        assert rng.bit_generator.state == state  # nothing drawn
+        with pytest.raises(ValueError, match="relay maps"):
+            assign_batch("random", np.zeros((10, 2, 3)))
+        assert relay_maps("random", rng, (10, 2, 300)).dtype == np.uint16
 
 
 class TestBatchAgreement:
