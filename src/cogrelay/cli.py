@@ -252,10 +252,14 @@ def _validate(config: ExperimentConfig):
         config.topology()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for key in ("d1", "d2", "d3"):
-        distance = getattr(config, key)
+    for key, gain_key in (("d1", "omega_h1"), ("d2", "omega_h2"),
+                          ("d3", "omega_f")):
+        distance, gain = getattr(config, key), getattr(config, gain_key)
         _check_range(key, distance, lambda: distance ** config.path_loss_exp,
                      f"path loss {key}^path_loss_exp")
+        _check_range(gain_key, gain,
+                     lambda: gain / distance ** config.path_loss_exp,
+                     f"effective gain {gain_key}/{key}^path_loss_exp")
     maps = math.perm(config.num_relays, config.num_users)
     if config.scheme == "maxmin" and maps > _MAX_ASSIGNMENT_TABLE:
         raise ConfigError(

@@ -173,10 +173,18 @@ class CsiErrorModel:
 
 def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.ndarray:
     # sum of m exponentials of mean mean/m == squared Nakagami-m amplitude;
-    # avoids any rejection-sampling edge cases and is trivially verifiable
-    draws = rng.exponential(scale=mean / m, size=(m,) + shape)
-    # m = 1 needs no sum; a view for m > 1 would keep all m draws alive
-    return draws[0] if m == 1 else draws.sum(axis=0)
+    # avoids any rejection-sampling edge cases and is trivially verifiable.
+    # Bit for bit rng.exponential(mean / m, (m,) + shape).sum(axis=0) on
+    # the same stream: that scales each standard draw and adds the draws
+    # one at a time, but holds all m of them
+    scale = mean / m
+    gains = rng.standard_exponential(size=shape)
+    gains *= scale
+    for _ in range(m - 1):
+        draw = rng.standard_exponential(size=shape)
+        draw *= scale
+        gains += draw
+    return gains
 
 
 def sample_realization(topology: NetworkTopology, rng: np.random.Generator,

@@ -18,11 +18,14 @@ at or below it in one pass; a budget with several sorts them once per
 block, so every threshold costs one binary search rather than a pass
 over the trials.
 
-A trial whose result is decided for every later point of the block
-leaves it.  Under max-min, a trial is served at a budget when its SNR
-matrix holds an injective map with every entry above the budget's
-largest outage threshold: its bottleneck is then above every threshold
-of the budget, so outage counts it nowhere.  Along a relay-cap chain,
+A decided trial's outage is known at every point of a budget without
+assigning it.  It is served when, under max-min, its SNR matrix holds
+an injective map with every entry above the budget's largest outage
+threshold: its bottleneck is then above every threshold of the budget,
+so outage counts it nowhere.  It is doomed when, under any scheme, no
+entry of its SNR matrix is above the budget's smallest threshold:
+whatever map is picked, every user is then at or below every threshold
+of the budget, so outage counts it everywhere.  Along a relay-cap chain,
 where each budget has the source and interference levels of the one
 before and a relay cap at least as large, a trial is settled once its
 SNR matrix equals, bit for bit, the matrix at an infinite relay cap:
@@ -36,19 +39,23 @@ with one rule for each decision:
   (:func:`model._snr_parts`), and each budget applies only its cap
   (:func:`model._capped_snr`).  Every other run builds each budget's
   matrix from the block's gains, which under CSI are the estimates.
-- Leave.  Once the decided trials are an eighth or more of a stack,
-  they leave it: served trials before it is assigned, settled trials
-  after.  Along a chain the SNR matrix only grows, bit for bit, so a
-  decided trial stays decided, and it also leaves the block's draws;
-  once none is left, the block's later budgets assign nothing.  For
-  max-min outage, a chain has each budget at every level at least the
-  one before, with a largest threshold at most the one before's: every
-  ``lambda2`` sweep and every ``lambda_all`` sweep with CSI.  Throughput
-  settles trials only along a relay-cap chain: every ``lambda2`` sweep.
+- Leave.  Once the served, the doomed or the settled trials are an
+  eighth or more of a stack, they leave it: served and doomed trials
+  before it is assigned, settled trials after.  Along a chain the SNR
+  matrix only grows, bit for bit, so a served or settled trial stays
+  decided, and it also leaves the block's draws; once none is left,
+  the block's later budgets assign nothing.  A doomed trial stays in
+  the draws, since a later budget's larger matrix and lower threshold
+  may lift it.  For max-min outage, a chain has each budget at every
+  level at least the one before, with a largest threshold at most the
+  one before's: every ``lambda2`` sweep and every ``lambda_all`` sweep
+  with CSI.  Throughput settles trials only along a relay-cap chain:
+  every ``lambda2`` sweep.
 - Join.  Every scheme treats each trial on its own, so the stacks of
   consecutive budgets are assigned in one call while they hold at most
-  ``_JOIN_ELEMENTS`` entries together.  Throughput sums the rates of a
-  run of points in one numpy call.
+  ``_JOIN_ELEMENTS`` entries together, and stacks left with no trial
+  are assigned in none.  Throughput sums the rates of a run of points
+  in one numpy call.
 """
 
 from __future__ import annotations
@@ -71,11 +78,12 @@ __all__ = [
 
 BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 
-# Decided trials (served for max-min outage, settled for throughput
-# along a relay-cap chain) leave a stack, and along a chain the block's
-# draws, once they are at least this share of the stack; fewer stay in
-# it, where they count no outage, or are assigned the selected SNRs they
-# already have.  Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth
+# Decided trials (served for max-min outage, doomed for outage under
+# every scheme, settled for throughput along a relay-cap chain) leave a
+# stack, and served or settled ones along a chain the block's draws,
+# once each kind is at least this share of the stack; fewer stay in it,
+# where they count no outage, count it at every point, or are assigned
+# the selected SNRs they already have.  Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth
 # of the 21 ms of assigning it (one core of a shared Xeon), and copies
 # made for the 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
@@ -154,6 +162,14 @@ def _groups(budgets) -> dict[LinkBudget, list[int]]:
     return groups
 
 
+def _leaving(mask):
+    """``mask`` (or None) when its trials are at least ``_DROP_SHARE``
+    of the stack, else None."""
+    if mask is not None and np.count_nonzero(mask) >= _DROP_SHARE * len(mask):
+        return mask
+    return None
+
+
 def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                    trials: int, seed: int, csi: CsiErrorModel | None = None,
                    thresholds=None):
@@ -161,16 +177,19 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
     distinct budget: ``points`` indexes the budgets equal to it, ``rows``
     the trials of the block it assigned, in order, and the selected SNRs
     are theirs, row for row.  Once no trial of a block is left, the last
-    yield also carries the points of every later budget.
+    yield also carries the points of every later budget.  The doomed
+    trials that leave a budget's stack come before its assigned trials,
+    in a yield of their own whose selected SNRs are None: each of their
+    users is in outage at every one of its ``points``.
 
     Stacks are built, left and joined by the rules of the module
     docstring, under every scheme alike.  Given each point's outage
-    threshold, max-min's served trials leave; without thresholds, a
-    relay-cap chain's settled trials do.  A trial of the block in no
-    ``rows`` was decided earlier, and the caller decides what it
-    contributes.  The selected SNRs of joined stacks are slices of one
-    array, so a caller that holds them while it resumes the generator
-    holds that array through the next build.
+    threshold, doomed trials leave, and so do max-min's served trials;
+    without thresholds, a relay-cap chain's settled trials do.  A trial
+    of the block in neither kind of ``rows`` was decided earlier, and
+    the caller decides what it contributes.  The selected SNRs of joined
+    stacks are slices of one array, so a caller that holds them while it
+    resumes the generator holds that array through the next build.
     """
     groups = _groups(budgets)
     order = list(groups)
@@ -184,9 +203,13 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         for earlier, later in steps)
     # along a chain a decided trial stays decided: settled trials along a
     # relay-cap chain; served trials (above each budget's largest
-    # threshold, ``tops``) under rising levels and falling thresholds
-    tops = None
+    # threshold, ``tops``) under rising levels and falling thresholds.
+    # Doomed trials (nothing above the smallest, ``bottoms``) stay.
+    tops = bottoms = None
     chain = thresholds is None and capped and len(order) > 1
+    if thresholds is not None:
+        bottoms = {budget: min(thresholds[point] for point in points)
+                   for budget, points in groups.items()}
     if thresholds is not None and scheme == "maxmin":
         tops = {budget: max(thresholds[point] for point in points)
                 for budget, points in groups.items()}
@@ -220,23 +243,29 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             else:
                 snrs = model.snr_matrix_imperfect(
                     model.ChannelRealization(*parts), csi, topology, budget)
-            rows, decided = live, None
-            if tops is not None:
-                decided = selection.saturated(snrs, tops[budget])
+            rows, gone = live, None  # gone: decided trials that leave live
+            if bottoms is not None:
+                doomed, gone = (_leaving(mask) for mask in selection.decided(
+                    snrs, bottoms[budget], None if tops is None else tops[budget]))
+                if doomed is not None:  # in outage at every point
+                    yield index, groups[budget], rows[doomed], None
+                skipped = [mask for mask in (doomed, gone) if mask is not None]
+                if skipped:  # assigned nowhere
+                    kept = ~np.logical_or.reduce(skipped)
+                    # frees the full stack; ``compress`` copies the kept
+                    # matrices in about half the time of a boolean index
+                    snrs, rows = snrs.compress(kept, axis=0), rows[kept]
             elif free is not None and not last:
-                decided = (snrs == free).all(axis=(1, 2))
-            if (decided is not None
-                    and np.count_nonzero(decided) >= _DROP_SHARE * len(decided)):
-                kept = ~decided
-                if tops is not None:  # served trials are assigned nowhere
-                    snrs, rows = snrs[kept], rows[kept]  # frees the full stack
-                if chain and not last:
-                    live = live[kept]
-                    if free is not None:
-                        free = free[kept]
-                    # one by one: each old part is freed before the next copy
-                    for i in range(len(parts)):
-                        parts[i] = parts[i][kept]
+                gone = _leaving((snrs == free).all(axis=(1, 2)))
+            if gone is not None and chain and not last:
+                kept = ~gone
+                live = live[kept]
+                if free is not None:
+                    free = free.compress(kept, axis=0)
+                # one by one: each old part is freed before the next copy
+                for i in range(len(parts)):
+                    parts[i] = parts[i].compress(kept, axis=0)
+            doomed = gone = skipped = kept = None  # not held through a build
             done = last or not len(live)
             if done:  # not held while the block's last stacks assign
                 parts.clear()
@@ -255,14 +284,16 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             stacks.clear()
             picked = None if maps is None else np.concatenate(
                 [maps[rows] for rows, _ in pending])
-            selected = selection.assign_batch(scheme, joined, picked)[1]
+            # every trial of the stacks served or doomed: nothing to assign
+            selected = (selection.assign_batch(scheme, joined, picked)[1]
+                        if len(joined) else np.empty((0, topology.num_users)))
             del joined, picked  # not held while the caller scores
             start = 0
             for rows, points in pending:
                 yield index, points, rows, selected[start:start + len(rows)]
                 start += len(rows)
             pending.clear()
-            del selected
+            del selected, rows  # not held through the next build
             if done:
                 break
 
@@ -285,9 +316,12 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
 
     Max-min counts a trial nowhere at a budget where it is served: some
     injective map gives every user an SNR above the budget's largest
-    threshold.  Such trials are not assigned once they are an eighth or
-    more of the stack, and along a budget chain they leave the block's
-    draws (module docstring).
+    threshold.  Every scheme counts a trial for every user at every
+    point of a budget where it is doomed: no entry of its SNR matrix is
+    above the budget's smallest threshold.  Neither kind is assigned once
+    it is an eighth or more of the stack; along a budget chain served
+    trials leave the block's draws, and doomed ones stay for the next
+    budget (module docstring).
     """
     _check_trials(trials)
     budgets, thresholds = _per_point(budget, gamma_th)
@@ -295,9 +329,11 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
         raise ValueError("outage thresholds must not be NaN")
     hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
     # a served trial, which is in no rows, is in outage nowhere
-    for _, points, _, eff in _selected_snrs(topology, budgets, scheme,
-                                            trials, seed, csi, thresholds):
-        if len(points) == 1:
+    for _, points, rows, eff in _selected_snrs(topology, budgets, scheme,
+                                               trials, seed, csi, thresholds):
+        if eff is None:  # doomed: every user is in outage at every point
+            hits[points] += len(rows)
+        elif len(points) == 1:
             # column by column: a count along axis 0 of the (trials,
             # users) array takes about 5x as long at three users
             hits[points[0]] += [np.count_nonzero(column <= thresholds[points[0]])
@@ -307,7 +343,7 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
             for user, column in enumerate(np.sort(eff.T, axis=1)):
                 hits[points, user] += np.searchsorted(column, thresholds[points],
                                                       side="right")
-        del eff  # not held while the next stack builds
+        del rows, eff  # not held while the next stack builds
     out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                        trials, seed)
             for h in row]

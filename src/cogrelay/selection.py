@@ -25,8 +25,10 @@ their map index in the low bits finds without a per-trial argmin.
 
 :func:`saturated` tells, per matrix, whether some injective map has
 every entry above a threshold (Hall's condition over the user sets),
-which is whether the max-min bottleneck is above it; the Monte Carlo
-engine skips the trials where it holds.
+which is whether the max-min bottleneck is above it.  :func:`decided`
+also tells whether no entry is above a lower threshold, so that every
+scheme leaves every user at or below it; the Monte Carlo engine skips
+the trials where either holds.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "relay_maps",
     "assign_batch",
     "saturated",
+    "decided",
     "rank_placement_probs",
 ]
 
@@ -252,6 +255,16 @@ def _hall(above, served, union, first: int, size: int):
         _hall(above, served, joined, u + 1, size + 1)
 
 
+def _above(g: np.ndarray, threshold: float) -> np.ndarray:
+    """Whether each entry of a (trials, users, relays) stack is above
+    ``threshold``, transposed to (users, relays, trials): one row of
+    trials per entry, so each test on it runs over whole rows."""
+    trials, num_users, num_relays = g.shape
+    return np.ascontiguousarray(
+        (g > threshold).reshape(trials, num_users * num_relays).T
+    ).reshape(num_users, num_relays, trials)
+
+
 def saturated(gammas: np.ndarray, threshold: float) -> np.ndarray:
     """Per matrix of a stack, whether some injective user->relay map
     gives every user an entry above ``threshold``; the max-min bottleneck
@@ -261,17 +274,28 @@ def saturated(gammas: np.ndarray, threshold: float) -> np.ndarray:
     threshold in at least |X| relays (Hall's theorem).  The 2**M - 1 sets
     are visited depth first, each as the union of its parent set's relays
     and one more user's, so memory holds at most M unions whatever the
-    number of maps.  Entries are compared once and transposed to one row
-    per entry, so each union and count runs over whole rows of trials.
+    number of maps.  Entries are compared once (:func:`_above`), so each
+    union and count runs over whole rows of trials.
     """
+    return decided(gammas, threshold, threshold)[1]
+
+
+def decided(gammas: np.ndarray, low: float, high: float | None = None):
+    """Per matrix of a stack, ``(doomed, served)``.  A matrix is doomed
+    when no entry is above ``low``: whatever injective map a scheme
+    picks, every user's entry is at or below ``low``.  Given ``high``,
+    ``served`` is :func:`saturated` at ``high``, else None; at
+    ``high == low`` one comparison serves both tests."""
     g = np.asarray(gammas, dtype=float)
-    trials, num_users, num_relays = g.shape
-    above = np.ascontiguousarray(
-        (g > threshold).reshape(trials, num_users * num_relays).T
-    ).reshape(num_users, num_relays, trials)
-    served = np.ones(trials, dtype=bool)
+    above = _above(g, low)
+    doomed = ~above.any(axis=(0, 1))
+    if high is None:
+        return doomed, None
+    if high != low:
+        above = _above(g, high)
+    served = np.ones(len(g), dtype=bool)
     _hall(above, served, None, 0, 0)
-    return served
+    return doomed, served
 
 
 # ---------------------------------------------------------------------------

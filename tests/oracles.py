@@ -3,7 +3,8 @@ link budgets given in dB, the SNR matrix with each hop in one
 expression, the relay cap and imperfect-CSI SNR matrix in their masked
 (``np.where``) form, the compact Rayleigh link CDF, the
 link CDF and CCDF by quadrature over the interference gain, the high-SNR
-coefficient in its factorial form, a Monte Carlo estimate of the
+coefficient in its factorial form, gamma gains as m exponential draws
+summed at once, a Monte Carlo estimate of the
 single-link CDF, the Monte Carlo outage and throughput estimators that
 assign every trial at every point, the Poisson race of the link CDF as
 products and from scipy's binomial pmf, and the paper's closed-form
@@ -277,6 +278,13 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
                    trials, seed)
         for h in hits
     ]
+
+
+def gamma_gains_summed(rng, m: int, mean: float, shape) -> np.ndarray:
+    """Squared Nakagami-m gains of mean ``mean``: m exponential draws of
+    mean mean/m in one (m,) + ``shape`` array, summed over axis 0."""
+    draws = rng.exponential(scale=mean / m, size=(m,) + tuple(shape))
+    return draws[0] if m == 1 else draws.sum(axis=0)
 
 
 def selected_redrawn(scheme: str, snrs: np.ndarray, rng) -> np.ndarray:

@@ -171,17 +171,24 @@ class TestConfigParsing:
         ({"d1": 1e200, "path_loss_exp": 4.0}, "d1"),
         ({"d2": 1e-200, "path_loss_exp": 4.0}, "d2"),
         ({"d3": 1e-80, "path_loss_exp": 4.0}, "d3"),  # subnormal
+        # a mean gain over the path loss: omega/d^b
+        ({"omega_h2": 1e300, "d2": 1e-10, "path_loss_exp": 4.0}, "omega_h2"),
+        ({"omega_h1": 1e-300, "d1": 1e10, "path_loss_exp": 4.0}, "omega_h1"),
+        ({"omega_f": 1e-300, "d3": 1e5, "path_loss_exp": 2.0}, "omega_f"),
     ], ids=["threshold", "sweep-level", "d-overflow", "d-underflow",
-            "d-subnormal"])
+            "d-subnormal", "gain-overflow", "gain-underflow", "gain-subnormal"])
     def test_out_of_range_level_rejected(self, tmp_path, capsys, overrides,
                                          key):
         # each config passed the parser and then died in its sweep with a
         # traceback (a threshold of 0, a division by a level of 0, an
-        # overflow building the SNR matrix, a log of 0)
+        # overflow building the SNR matrix, a log of 0, a math domain
+        # error or a division by zero in the high-SNR coefficient)
         path = write_config(tmp_path, overrides)
         assert main(["--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key}=" in err
+        # the message names every key that the value is formed from
+        assert all(name in err for name in overrides if name != "path_loss_exp")
         assert "Traceback" not in err
 
     def test_parse_error_reported(self, tmp_path):

@@ -23,8 +23,13 @@ from cogrelay.model import (
     snr_matrix,
     snr_matrix_imperfect,
 )
-from cogrelay.model import _capped_snr, _snr_parts
-from oracles import relay_power_where, snr_matrix_direct, snr_matrix_imperfect_where
+from cogrelay.model import _capped_snr, _gamma_gains, _snr_parts
+from oracles import (
+    gamma_gains_summed,
+    relay_power_where,
+    snr_matrix_direct,
+    snr_matrix_imperfect_where,
+)
 
 
 def topo(num_users=2, num_relays=3, m=1, **kw):
@@ -71,6 +76,21 @@ class TestSampling:
         assert np.array_equal(a.hop1, b.hop1)
         assert np.array_equal(a.hop2, b.hop2)
         assert np.array_equal(a.interf, b.interf)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1000, 2, 3)],
+                             ids=["matrix", "trials"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_gamma_gains_match_summed_draws(self, m, shape):
+        # the same draws, bit for bit, and the generator left in the same
+        # state, as m exponential draws summed over a leading axis
+        for mean in (1.0, 0.95, 3.7e-3, 12345.6):
+            got_rng, want_rng = (np.random.default_rng([m, 7]) for _ in range(2))
+            got = _gamma_gains(got_rng, m, mean, shape)
+            want = gamma_gains_summed(want_rng, m, mean, shape)
+            assert got.shape == want.shape == shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.random() == want_rng.random()
 
     def test_estimated_sampling_uses_estimate_variance(self):
         t = topo(1, 1, 1)

@@ -236,26 +236,36 @@ def tied_thresholds(t, budgets, trials, seed, csi=None):
     return thresholds
 
 
-def expected_stacks(t, budgets, thresholds, chain, trials, seed, csi=None):
-    """Yield, per block and budget in the engine's order, the block index,
-    the trials the budget's SNR matrix is built on and the stack assigned:
-    a budget drops its served trials (max-min bottleneck above its
-    threshold) once they are an eighth or more of its stack, and along a
-    chain the next budget builds on the trials left; once none is left,
-    the block's later budgets build nothing."""
+def expected_stacks(t, budgets, thresholds, chain, trials, seed, csi=None,
+                    scheme="maxmin"):
+    """Yield, per block and distinct budget in the engine's order, the
+    block index, the trials the budget's SNR matrix is built on and the
+    stack assigned.  ``budgets`` and ``thresholds`` pair point by point.
+    A trial is doomed at a budget when no entry of its SNR matrix is
+    above the budget's smallest threshold, and, under max-min, served
+    when its bottleneck is above the largest.  Each kind leaves the stack
+    once it is an eighth or more of it; along a chain served trials also
+    leave the trials the next budget builds on, and doomed trials do
+    not.  Once none is left, the block's later budgets build nothing."""
+    groups = {}
+    for budget, threshold in zip(budgets, thresholds):
+        groups.setdefault(budget, []).append(threshold)
     for index, draws in block_draws(t, trials, seed, csi):
         alive = np.ones(len(draws.hop1), dtype=bool)
-        for budget, threshold in zip(budgets, thresholds):
+        for budget, points in groups.items():
             if not alive.any():
                 break
             snrs = build(t, draws, budget, csi)
-            served = alive & (maxmin_assign_batch(snrs)[1].min(axis=1) > threshold)
             stack = int(np.count_nonzero(alive))
-            if 8 * np.count_nonzero(served) < stack:
-                yield index, stack, snrs[alive]
-                continue
-            yield index, stack, snrs[alive & ~served]
-            if chain:
+            doomed = alive & (snrs.max(axis=(1, 2)) <= min(points))
+            served = alive & (scheme == "maxmin") & (
+                maxmin_assign_batch(snrs)[1].min(axis=1) > max(points))
+            kept = alive.copy()
+            for mask in (doomed, served):
+                if 8 * np.count_nonzero(mask) >= stack:
+                    kept &= ~mask
+            yield index, stack, snrs[kept]
+            if chain and 8 * np.count_nonzero(served) >= stack:
                 alive &= ~served
 
 
@@ -361,11 +371,11 @@ class TestSaturationFilter:
             budgets = budgets[::-1]
         elif order == "thresholds_rise":
             thresholds = thresholds[::-1]
-        expected = list(expected_stacks(self.T, budgets, thresholds,
-                                        order == "chain", trials, 3, csi))
         # the first budget also scores two lower thresholds, so it sorts
         budgets = budgets + [budgets[0]] * 2
         thresholds = thresholds + [thresholds[0] / 2, thresholds[0] / 4]
+        expected = list(expected_stacks(self.T, budgets, thresholds,
+                                        order == "chain", trials, 3, csi))
         want = estimate_outage_unfiltered(self.T, budgets, "maxmin", thresholds,
                                           trials, 3, csi=csi)
         stacks = iter(expected)
@@ -386,12 +396,18 @@ class TestSaturationFilter:
     @pytest.mark.parametrize("scheme", ["naive", "random"])
     @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
     def test_other_schemes_assign_every_trial(self, monkeypatch, scheme, csi):
+        # no trial is served under naive or random, and at thresholds
+        # tied to max-min bottlenecks fewer than an eighth of any stack
+        # is doomed (TestDoomedTrials), so every trial is assigned at
+        # every budget
         csi = self.CSI if csi else None
         thresholds = tied_thresholds(self.T, self.LAMBDA_ALL, 70_000, 3, csi)
         want = estimate_outage_unfiltered(self.T, self.LAMBDA_ALL, scheme,
                                           thresholds, 70_000, 3, csi=csi)
-        stacks = iter(list(expected_stacks_every(self.T, self.LAMBDA_ALL,
-                                                 70_000, 3, csi)))
+        expected = list(expected_stacks(self.T, self.LAMBDA_ALL, thresholds,
+                                        False, 70_000, 3, csi, scheme))
+        assert [len(stack) for _, _, stack in expected] == [65536] * 4 + [4464] * 4
+        stacks = iter(expected)
         built, calls = self.spy(monkeypatch, stacks)
         got = estimate_outage(self.T, self.LAMBDA_ALL, scheme, thresholds,
                               70_000, 3, csi=csi)
@@ -402,9 +418,10 @@ class TestSaturationFilter:
 
     @pytest.mark.parametrize("order", ["chain", "levels_fall"])
     def test_rows_name_the_trials_assigned(self, order):
-        # outage reads no rows, so they are checked here: each yield's
-        # rows pick its stack out of the block's full matrix, and its
-        # selected SNRs are that stack's assignment
+        # outage reads only the count of a doomed yield's rows, so they
+        # are checked here: each yield's rows pick its stack out of the
+        # block's full matrix, and its selected SNRs are that stack's
+        # assignment
         thresholds = tied_thresholds(self.T, self.LAMBDA2, 70_000, 3)
         budgets = self.LAMBDA2 if order == "chain" else self.LAMBDA2[::-1]
         expected = expected_stacks(self.T, budgets, thresholds,
@@ -412,6 +429,7 @@ class TestSaturationFilter:
         draws = dict(block_draws(self.T, 70_000, 3))
         for index, points, rows, selected in _selected_snrs(
                 self.T, budgets, "maxmin", 70_000, 3, thresholds=thresholds):
+            assert selected is not None  # no stack is an eighth doomed
             _, _, stack = next(expected)
             full = model.snr_matrix(draws[index], self.T, budgets[points[0]])
             assert np.array_equal(full[rows], stack)
@@ -456,6 +474,149 @@ class TestSaturationFilter:
         finally:
             tracemalloc.stop()
         assert peak < 28.5 * 2**20
+
+
+class TestDoomedTrials:
+    """A trial with no SNR entry above its budget's smallest threshold is
+    in outage for every user at every point of the budget, under every
+    scheme.  Once such trials are an eighth or more of a stack they are
+    assigned nowhere, but they stay in the block's draws: the estimates
+    equal those of the oracle that assigns every trial at every point,
+    and the assignment calls hold the stacks of :func:`expected_stacks`."""
+
+    T, CSI = TestSaturationFilter.T, TestSaturationFilter.CSI
+    # a common-SNR chain from low levels, where most trials are doomed
+    LAMBDA_ALL = [budget_db(x, x, x) for x in (-5, 0, 5, 10)]
+
+    @staticmethod
+    def check(monkeypatch, t, budgets, scheme, thresholds, chain, trials,
+              csi=None):
+        """The estimates against the oracle and every stack assigned
+        against :func:`expected_stacks`; returns the expected stacks."""
+        want = estimate_outage_unfiltered(t, budgets, scheme, thresholds,
+                                          trials, 3, csi=csi)
+        expected = list(expected_stacks(t, budgets, thresholds, chain,
+                                        trials, 3, csi, scheme))
+        # a stack left with no trials is assigned in no call
+        stacks = iter([stack for stack in expected if len(stack[2])])
+        built, calls = TestSaturationFilter.spy(monkeypatch, stacks)
+        got = estimate_outage(t, budgets, scheme, thresholds, trials, 3,
+                              csi=csi)
+        assert got == want
+        assert next(stacks, None) is None
+        assert built == [trials for _, trials, _ in expected]
+        check_joins(calls, t)
+        return expected
+
+    @pytest.mark.parametrize("points", ["one", "several"])
+    @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
+    def test_matches_unfiltered_oracle(self, monkeypatch, scheme, csi, points):
+        csi = self.CSI if csi else None
+        budgets, thresholds = list(self.LAMBDA_ALL), [GAMMA_TH] * 4
+        if points == "several":
+            # the first budget also scores a lower and a higher threshold:
+            # the lower one decides which trials are doomed there
+            budgets += [budgets[0]] * 2
+            thresholds += [GAMMA_TH / 2, 2 * GAMMA_TH]
+        expected = self.check(monkeypatch, self.T, budgets, scheme,
+                              thresholds, scheme == "maxmin", 70_000, csi)
+        # doomed trials leave the first stacks of each block, and stay for
+        # the next budget's build (max-min serves under an eighth at -5 dB)
+        for first, after in (expected[:2], expected[4:6]):
+            assert 8 * len(first[2]) <= 7 * first[1]
+            assert after[1] == first[1]
+
+    @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
+    def test_doomed_and_served_leave_one_stack(self, monkeypatch, csi):
+        # at the first budget an eighth or more of the stack is doomed and
+        # an eighth or more served: served trials leave the draws along
+        # the chain, doomed ones stay, and the next budgets must pick
+        # their trials out of the draws that are left, not of the stack.
+        # At 2x3 a fifth of the largest entries lie below a fifth of the
+        # bottlenecks (at 3x4 no eighth does)
+        t = topo(2, 3, 1)
+        csi = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.05) if csi else None
+        budgets = [budget_db(x, x, x) for x in (5, 10, 15)]
+        draws = next(block_draws(t, 70_000, 3, csi))[1]
+        snrs = build(t, draws, budgets[0], csi)
+        largest = np.sort(snrs.max(axis=(1, 2)))
+        bottleneck = np.sort(maxmin_assign_batch(snrs)[1].min(axis=1))
+        low = float(largest[len(largest) // 5])
+        high = float(bottleneck[len(bottleneck) * 4 // 5])
+        assert low < high
+        doomed = np.count_nonzero(largest <= low)
+        served = np.count_nonzero(bottleneck > high)
+        assert min(doomed, served) >= len(snrs) / 8
+        expected = self.check(monkeypatch, t, [b for b in budgets
+                                               for _ in (low, high)],
+                              "maxmin", [low, high] * 3, True, 70_000, csi)
+        assert len(expected[0][2]) == len(snrs) - doomed - served
+        assert expected[1][1] == len(snrs) - served
+
+    def test_largest_entry_at_threshold_is_doomed(self, monkeypatch):
+        # the threshold is the largest entry of a trial of block 0, with
+        # three tenths of the block's largest entries at or below it:
+        # that trial is doomed (outage is at or below), and so appears in
+        # no assignment; counting it as not doomed would assign it
+        budget = budget_db(5, 5, 5)
+        draws = next(block_draws(self.T, 70_000, 3))[1]
+        largest = build(self.T, draws, budget).max(axis=(1, 2))
+        tie = int(np.argsort(largest)[len(largest) * 3 // 10])
+        threshold = float(largest[tie])
+        rows = [rows for index, _, rows, selected in _selected_snrs(
+                    self.T, [budget], "naive", 70_000, 3,
+                    thresholds=[threshold])
+                if index == 0 and selected is None]
+        expected = self.check(monkeypatch, self.T, [budget], "naive",
+                              [threshold], False, 70_000)
+        assert tie in rows[0]
+        assert len(expected[0][2]) == len(largest) - len(rows[0])
+
+    def test_doomed_trials_stay_for_the_next_build(self, monkeypatch):
+        # over two blocks, naive serves none: at each budget every trial
+        # of the block is built on, and is either doomed (in the rows
+        # yielded without selected SNRs) or assigned, never both; trials
+        # doomed at one budget are assigned at a later one
+        stacks = iter([stack for stack in expected_stacks(
+            self.T, self.LAMBDA_ALL, [GAMMA_TH] * 4, False, 70_000, 3,
+            scheme="naive") if len(stack[2])])
+        built, _ = TestSaturationFilter.spy(monkeypatch, stacks)
+        seen = {}
+        for index, points, rows, selected in _selected_snrs(
+                self.T, self.LAMBDA_ALL, "naive", 70_000, 3,
+                thresholds=[GAMMA_TH] * 4):
+            kind = "assigned" if selected is not None else "doomed"
+            seen.setdefault((index, points[0]), {}).setdefault(
+                kind, []).append(rows)
+        assert next(stacks, None) is None
+        assert built == [65536] * 4 + [4464] * 4
+        for index, block in _blocks(70_000):
+            doomed = [np.concatenate(seen[index, point].get("doomed", [[]]))
+                      for point in range(4)]
+            for point in range(4):
+                assigned = np.concatenate(seen[index, point]["assigned"])
+                both = np.sort(np.concatenate([doomed[point], assigned]))
+                assert np.array_equal(both, np.arange(block))
+            assert len(doomed[0]) >= block / 8
+            assert np.setdiff1d(doomed[0], doomed[2]).size > 0
+
+    def test_fig3_low_point_assigns_few(self, monkeypatch):
+        # one 65536-trial 3x4 CSI block at fig3's 0 dB point: 99% of the
+        # trials have every SNR at or below the threshold
+        budget = budget_db(0, 0, 0)
+        want = estimate_outage_unfiltered(self.T, [budget], "maxmin",
+                                          [GAMMA_TH], 65536, 1, csi=self.CSI)
+        assigned = []
+
+        def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
+            assigned.append(len(gammas))
+            return original(scheme, gammas, maps)
+        monkeypatch.setattr(selection, "assign_batch", assign_spy)
+        got = estimate_outage(self.T, budget, "maxmin", GAMMA_TH, 65536, 1,
+                              csi=self.CSI)
+        assert [got] == want
+        assert sum(assigned) < 0.01 * 65536
 
 
 def knee_caps(t, l1, l3, trials, seed, picks):

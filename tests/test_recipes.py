@@ -53,15 +53,22 @@ def fine_config(name: str) -> dict:
 # outage over two blocks (CSI builds every matrix from the gains), and
 # random 3x4 outage and throughput over two blocks, whose relay maps
 # are drawn once per block.  Each was pinned before random stopped
-# redrawing its keys at every budget.  m = 1, γ_th = 5 dB and seed 1
-# unless stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
+# redrawing its keys at every budget.  The last three start low enough
+# that an eighth or more of their first stacks have every SNR at or
+# below the budget's smallest threshold, in outage under every scheme:
+# naive CSI common-SNR outage over two blocks, random 3x4 relay-cap
+# outage from -10 dB, and max-min common-SNR outage from -10 dB, whose
+# one unit budget scores 16 thresholds.  Each was pinned before those
+# trials stopped being assigned.  m = 1, γ_th = 5 dB and seed 1 unless
+# stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
                     "error_ratio_f": 0.05}}
 
 
-def sweep(variable: str, stop_db: float, step_db: float) -> dict:
-    return {"sweep": {"variable": variable, "start_db": 0.0,
+def sweep(variable: str, stop_db: float, step_db: float,
+          start_db: float = 0.0) -> dict:
+    return {"sweep": {"variable": variable, "start_db": start_db,
                       "stop_db": stop_db, "step_db": step_db}}
 
 
@@ -90,6 +97,15 @@ PASS_CONFIGS = {
     "random-3x4-lambda2-throughput": {
         "num_users": 3, "num_relays": 4, "scheme": "random", "trials": 70000,
         "mode": "throughput", **LAMBDA2, **sweep("lambda2", 60.0, 5.0)},
+    "naive-csi-outage": {
+        "num_users": 3, "num_relays": 4, "scheme": "naive", "trials": 70000,
+        **CSI_5PCT, **sweep("lambda_all", 20.0, 2.5)},
+    "random-3x4-lambda2-low-outage": {
+        "num_users": 3, "num_relays": 4, "scheme": "random", "trials": 5000,
+        **LAMBDA2, **sweep("lambda2", 20.0, 2.5, -10.0)},
+    "maxmin-low-outage": {
+        "num_users": 2, "num_relays": 3, "scheme": "maxmin", "trials": 5000,
+        **sweep("lambda_all", 5.0, 1.0, -10.0)},
 }
 
 PASS_SHA256 = {
@@ -101,6 +117,9 @@ PASS_SHA256 = {
     "naive-csi-lambda2-outage": "786b6c8ef90f2e742476da541a40ff12a843958502fad23cac8e75648dce3264",
     "random-3x4-lambda2-outage": "6c9344f18d294399aeef0e7a4ccc2040299307b2a69766c3979f9fe6ec349cd8",
     "random-3x4-lambda2-throughput": "ede5c0ad367f482254f7602b1acbb7f4b35d2a6e8a993c325348048806410159",
+    "naive-csi-outage": "53250eddbc919f5aa451df81020491b9d9bd07969c4ae1784c852fddc74b3633",
+    "random-3x4-lambda2-low-outage": "380bc3c74a1e390d5e16cbddaeed96a88c53e44701692c40795b0bde5ff0a996",
+    "maxmin-low-outage": "b6581764194e15c391098929bee9e6d2232e82a46de457422f29b34896fb1a01",
 }
 
 

@@ -29,6 +29,7 @@ from cogrelay.analytic import outage_from_cdf, worst_case_rank_prob
 from cogrelay.selection import (
     EXACT_MAXMIN_LIMIT,
     assign_batch,
+    decided,
     _maxmin_rank_counts,
     maxmin_assign_batch,
     naive_assign_batch,
@@ -274,6 +275,38 @@ class TestSaturated:
 
     def test_empty_stack(self):
         assert saturated(np.zeros((0, 3, 4)), 1.0).shape == (0,)
+
+
+class TestDecided:
+    """A doomed matrix is one with no entry above ``low``: every scheme
+    then selects an SNR at or below ``low`` for every user.  ``served``
+    is :func:`saturated` at ``high``, whether one comparison serves both
+    tests (``high == low``) or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks_and_thresholds(snr_stacks),
+           st.sampled_from(["none", "same", "largest"]))
+    def test_small_stacks(self, case, high):
+        g, low = case
+        high = {"none": None, "same": low,
+                "largest": float(g.max(initial=-1.0))}[high]
+        doomed, served = decided(g, low, high)
+        assert doomed.dtype == bool and doomed.shape == (len(g),)
+        np.testing.assert_array_equal(doomed, (g <= low).all(axis=(1, 2)))
+        maps = relay_maps("random", np.random.default_rng(0), g.shape)
+        for scheme in ("maxmin", "naive", "random"):
+            eff = assign_batch(scheme, g, maps)[1]
+            assert (eff[doomed] <= low).all()
+        if high is None:
+            assert served is None
+        else:
+            np.testing.assert_array_equal(served, saturated(g, high))
+
+    def test_largest_entry_at_low_is_doomed(self):
+        # outage is at or below the threshold, so a tie dooms
+        g = np.array([[[0.5, 2.0], [1.0, 0.25]]])
+        assert decided(g, 2.0)[0].tolist() == [True]
+        assert decided(g, np.nextafter(2.0, 0.0))[0].tolist() == [False]
 
 
 class TestFirstMin:
