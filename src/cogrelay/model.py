@@ -13,6 +13,7 @@ trial that clears a threshold along a sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,10 @@ __all__ = [
     "snr_matrix",
     "snr_matrix_imperfect",
 ]
+
+# entries per tile of the kernels that walk a gains-sized array in
+# pieces (512 KiB of float64), so they hold no second array of its size
+_TILE = 1 << 16
 
 
 def db_to_linear(value_db: float) -> float:
@@ -176,14 +181,21 @@ def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.nda
     # avoids any rejection-sampling edge cases and is trivially verifiable.
     # Bit for bit rng.exponential(mean / m, (m,) + shape).sum(axis=0) on
     # the same stream: that scales each standard draw and adds the draws
-    # one at a time, but holds all m of them
+    # one at a time, but holds all m of them.  The second and later draws
+    # fill one tile of at most _TILE entries at a time, walking the
+    # gains in order, so the generator gives the same stream and no
+    # second gains-sized array is held
     scale = mean / m
     gains = rng.standard_exponential(size=shape)
     gains *= scale
+    flat = gains.reshape(-1)  # a view: the gains are a new C-ordered array
+    tile = np.empty(min(_TILE, flat.size) if m > 1 else 0)
     for _ in range(m - 1):
-        draw = rng.standard_exponential(size=shape)
-        draw *= scale
-        gains += draw
+        for start in range(0, flat.size, _TILE):
+            draw = tile[:flat.size - start]
+            rng.standard_exponential(out=draw)
+            draw *= scale
+            flat[start:start + len(draw)] += draw
     return gains
 
 
@@ -219,22 +231,29 @@ def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
     return sample_realization(_estimated(topology, err), rng, trials)
 
 
-def _interference_limit(f_gain, budget: LinkBudget, topology: NetworkTopology):
-    """The relay power at which the interference at the primary receiver
-    meets its cap, λ3·d3ᵇ/f, as a new array: +inf at a zero gain (+0.0
-    or -0.0), where the cap cannot bind; a negative or NaN gain raises
-    ``ValueError``."""
+def _checked_interference(f_gain) -> np.ndarray:
+    """The interference gains as a float array, checked once for every
+    build on them: a negative or NaN gain raises ``ValueError``, and a
+    -0.0 becomes +0.0 (in a copy), so every zero gain divides to +inf."""
     f = np.asarray(f_gain, dtype=float)
     low = f.min(initial=np.inf)
     if not low >= 0:  # false for NaN too, which the min propagates
         raise ValueError("interference gain must be >= 0")
-    if low == 0:
-        f = f + 0.0  # -0.0 + 0.0 is +0.0, so every zero divides to +inf
+    return f + 0.0 if low == 0 else f  # -0.0 + 0.0 is +0.0
+
+
+def _interference_limit(f, budget: LinkBudget, topology: NetworkTopology,
+                        out=None):
+    """The relay power at which the interference at the primary receiver
+    meets its cap, λ3·d3ᵇ/f, of gains checked by
+    :func:`_checked_interference`, in ``out`` (which may be ``f``) or a
+    new array: +inf at a zero gain, and wherever it overflows, where
+    the cap cannot bind."""
     d3b = topology.dist_interf ** topology.path_loss_exp
-    out = np.empty(f.shape)
-    with np.errstate(divide="ignore"):
-        np.divide(budget.interference_snr_cap * d3b, f, out=out)
-    return out
+    if out is None:
+        out = np.empty(f.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(budget.interference_snr_cap * d3b, f, out=out)
 
 
 def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
@@ -243,40 +262,51 @@ def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
     binds.  A zero interference gain (+0.0 or -0.0) means the cap cannot
     bind, so the peak power is returned; a negative or NaN gain raises
     ``ValueError``."""
-    out = _interference_limit(f_gain, budget, topology)
+    out = _interference_limit(_checked_interference(f_gain), budget, topology)
     np.minimum(out, budget.relay_snr_cap, out=out)
     return float(out) if out.ndim == 0 else out
 
 
 def _snr_parts(realization: ChannelRealization, topology: NetworkTopology,
-               budget: LinkBudget):
+               budget: LinkBudget, out=(None, None)):
     """The parts of :func:`snr_matrix` that the relay cap leaves alone:
     the hop-1 SNR λ1·h1/d1ᵇ and the interference limit λ3·d3ᵇ/f (see
-    :func:`_interference_limit`)."""
+    :func:`_interference_limit`), each in a new array or in its array of
+    the pair ``out``.  A Monte Carlo block, which owns its gains and
+    reads them no more, passes its hop-1 and interference gains; the
+    steps, and so the bits, are the same."""
+    f = _checked_interference(realization.interf)
     d1b = topology.dist_hop1 ** topology.path_loss_exp
-    hop1_snr = budget.source_snr * realization.hop1 / d1b
-    return hop1_snr, _interference_limit(realization.interf, budget, topology)
+    hop1_snr = np.multiply(budget.source_snr, realization.hop1, out=out[0])
+    hop1_snr /= d1b
+    return hop1_snr, _interference_limit(f, budget, topology, out=out[1])
 
 
 def _capped_snr(hop1_snr, limit, hop2, relay_snr_cap: float,
-                topology: NetworkTopology):
+                topology: NetworkTopology, out=None):
     """The SNR matrix from its parts at one relay cap:
-    min(hop-1 SNR, min(limit, cap)·h2/d2ᵇ), in one new array."""
+    min(hop-1 SNR, min(limit, cap)·h2/d2ᵇ), in ``out`` or one new array.
+    ``out`` may be ``limit``, which a Monte Carlo block passes at its
+    last budget, where no later build reads the parts; never the hop-1
+    SNR or ``hop2``, which a later step reads."""
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     # in place in one array: a Monte Carlo block holds the parts and the
     # cap-free matrix while it builds each budget's matrix
-    hop2_snr = np.minimum(limit, relay_snr_cap)
+    hop2_snr = np.minimum(limit, relay_snr_cap, out=out)
     hop2_snr *= hop2
     hop2_snr /= d2b
-    # 0-d parts give numpy scalars, which cannot take an out= array
-    return np.minimum(hop1_snr, hop2_snr, out=hop2_snr if hop2_snr.ndim else None)
+    # 0-d parts without out= give numpy scalars, which cannot take an
+    # out= array
+    return np.minimum(hop1_snr, hop2_snr,
+                      out=hop2_snr if isinstance(hop2_snr, np.ndarray) else None)
 
 
 def snr_matrix(realization: ChannelRealization, topology: NetworkTopology,
                budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR of every user-relay pair: the smaller of the two
     decode-and-forward hop SNRs, λ1·h1/d1ᵇ and P·h2/d2ᵇ with P the relay
-    power of :func:`relay_power`.  Shape matches the realization arrays.
+    power of :func:`relay_power`.  Shape matches the realization arrays,
+    which it leaves unchanged.
 
     It is built from the parts that do not depend on the relay cap
     (:func:`_snr_parts`) and then the cap (:func:`_capped_snr`), the
@@ -288,11 +318,43 @@ def snr_matrix(realization: ChannelRealization, topology: NetworkTopology,
                        budget.relay_snr_cap, topology)
 
 
+def _imperfect_snr(hop1, hop2, f, err: CsiErrorModel,
+                   topology: NetworkTopology, budget: LinkBudget, out=None):
+    """:func:`snr_matrix_imperfect` of the estimate gains, the
+    interference gains ``f`` checked by :func:`_checked_interference`,
+    in ``out`` or a new array.  Hop 2 is built in place in the relay
+    power's array, then the hop-1 SNR is formed one tile of at most
+    ``_TILE`` entries at a time and its minimum taken into that array,
+    so no second array of the gains' size is held.  ``out`` may be
+    ``f``, which a Monte Carlo block passes at its last budget; never
+    ``hop1`` or ``hop2``."""
+    d1b = topology.dist_hop1 ** topology.path_loss_exp
+    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    hop2_snr = _interference_limit(f, budget, topology, out=out)
+    np.minimum(hop2_snr, budget.relay_snr_cap, out=hop2_snr)
+    np.divide(d2b, hop2_snr, out=hop2_snr)
+    hop2_snr += err.err_var_hop2
+    np.divide(hop2, hop2_snr, out=hop2_snr)
+    noise1 = err.err_var_hop1 + d1b / budget.source_snr
+    if hop2_snr.ndim == 0:  # 0-d: a numpy scalar without out=
+        return np.minimum(np.divide(hop1, noise1), hop2_snr, out=out)
+    # tiles of whole rows along the leading (trials) axis
+    rows = max(1, _TILE // max(1, math.prod(hop2_snr.shape[1:])))
+    tile = np.empty((min(rows, len(hop2_snr)),) + hop2_snr.shape[1:])
+    for start in range(0, len(hop2_snr), rows):
+        hop2_part = hop2_snr[start:start + rows]
+        hop1_part = np.divide(hop1[start:start + rows], noise1,
+                              out=tile[:len(hop2_part)])
+        np.minimum(hop1_part, hop2_part, out=hop2_part)
+    return hop2_snr
+
+
 def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
                          topology: NetworkTopology,
                          budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR built from estimated channels with the residual
-    estimation error folded into the effective noise of each hop.
+    estimation error folded into the effective noise of each hop; the
+    estimates are left unchanged.
 
     Each hop's SNR is h / (σ² + dᵇ/λ), with λ the source power on hop 1
     and the relay power on hop 2.  Every step of it rounds monotonically
@@ -300,14 +362,6 @@ def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
     bit for bit, in every level, as :func:`snr_matrix` is."""
     if topology.nakagami_m != 1:
         raise ValueError("imperfect-CSI model requires nakagami_m == 1")
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    # in place in the relay power's own array: each extra temporary is a
-    # block-sized array held beside the block's draws
-    hop2_snr = np.asarray(relay_power(estimates.interf, budget, topology))
-    np.divide(d2b, hop2_snr, out=hop2_snr)
-    hop2_snr += err.err_var_hop2
-    np.divide(estimates.hop2, hop2_snr, out=hop2_snr)
-    hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
-    # 0-d estimates give numpy scalars, which cannot take an out= array
-    return np.minimum(hop1_snr, hop2_snr, out=hop1_snr if hop1_snr.ndim else None)
+    return _imperfect_snr(estimates.hop1, estimates.hop2,
+                          _checked_interference(estimates.interf), err,
+                          topology, budget)

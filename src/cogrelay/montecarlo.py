@@ -36,9 +36,14 @@ with one rule for each decision:
 
 - Build.  On a relay-cap chain without CSI, each block builds the parts
   of the SNR matrix that the cap leaves alone once
-  (:func:`model._snr_parts`), and each budget applies only its cap
+  (:func:`model._snr_parts`), in the buffers of the hop-1 and
+  interference gains it drew, and each budget applies only its cap
   (:func:`model._capped_snr`).  Every other run builds each budget's
-  matrix from the block's gains, which under CSI are the estimates.
+  matrix from the block's gains, which under CSI are the estimates,
+  their interference gains checked once per block.  The last budget
+  builds in a part's buffer (the interference limit, or under CSI the
+  interference gains), which no later build reads, and the block drops
+  its parts before that stack is decided and assigned.
 - Leave.  Once the served, the doomed or the settled trials are an
   eighth or more of a stack, they leave it: served and doomed trials
   before it is assigned, settled trials after.  Along a chain the SNR
@@ -224,10 +229,14 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         rng = _block_rng(seed, index)
         draws = model.sample_realization(sampled, rng, trials=block)
         maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
-        if capped:
-            parts = [*model._snr_parts(draws, topology, order[0]), draws.hop2]
+        if capped:  # the parts overwrite the gains they are built from
+            parts = [*model._snr_parts(draws, topology, order[0],
+                                       out=(draws.hop1, draws.interf)),
+                     draws.hop2]
         else:
             parts = [draws.hop1, draws.hop2, draws.interf]
+            if csi is not None:  # once per block, not at every build
+                parts[2] = model._checked_interference(parts[2])
         del draws
         free = (model._capped_snr(*parts, math.inf, topology)
                 if chain and tops is None else None)
@@ -235,14 +244,19 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         stacks, pending = [], []  # awaiting one joined assignment
         for position, budget in enumerate(order):
             last = position == len(order) - 1
+            # the last budget builds in a part that no later build reads
             if capped:
-                snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology)
+                snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology,
+                                         out=parts[1] if last else None)
             elif csi is None:
                 snrs = model.snr_matrix(model.ChannelRealization(*parts),
                                         topology, budget)
             else:
-                snrs = model.snr_matrix_imperfect(
-                    model.ChannelRealization(*parts), csi, topology, budget)
+                snrs = model._imperfect_snr(*parts, csi, topology, budget,
+                                            out=parts[2] if last else None)
+            if last:  # not held while the block's last stacks decide and assign
+                parts.clear()
+                free = None
             rows, gone = live, None  # gone: decided trials that leave live
             if bottoms is not None:
                 doomed, gone = (_leaving(mask) for mask in selection.decided(
@@ -267,7 +281,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     parts[i] = parts[i].compress(kept, axis=0)
             doomed = gone = skipped = kept = None  # not held through a build
             done = last or not len(live)
-            if done:  # not held while the block's last stacks assign
+            if done:  # with no trial left, as at the last budget
                 parts.clear()
                 free = None
             stacks.append(snrs)

@@ -191,6 +191,18 @@ class TestConfigParsing:
         assert all(name in err for name in overrides if name != "path_loss_exp")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_interference_gain_runs_without_warning(self, tmp_path):
+        # an effective interference gain of 1e-306 is admitted; the
+        # interference limit λ3·d3^b/f overflows to inf for the smallest
+        # draws, which is the right relay power (the cap cannot bind), and
+        # printed an overflow warning
+        path = write_config(tmp_path, {
+            "nakagami_m": 1, "omega_f": 1e-300, "d3": 1e3, "path_loss_exp": 2.0,
+            "output": str(tmp_path / "tiny.csv")})
+        assert main(["--config", str(path)]) == 0
+        assert (tmp_path / "tiny.csv").exists()
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -23,7 +23,14 @@ from cogrelay.model import (
     snr_matrix,
     snr_matrix_imperfect,
 )
-from cogrelay.model import _capped_snr, _gamma_gains, _snr_parts
+from cogrelay.model import (
+    _TILE,
+    _capped_snr,
+    _checked_interference,
+    _gamma_gains,
+    _imperfect_snr,
+    _snr_parts,
+)
 from oracles import (
     gamma_gains_summed,
     relay_power_where,
@@ -77,12 +84,14 @@ class TestSampling:
         assert np.array_equal(a.hop2, b.hop2)
         assert np.array_equal(a.interf, b.interf)
 
-    @pytest.mark.parametrize("shape", [(3, 4), (1000, 2, 3)],
-                             ids=["matrix", "trials"])
+    @pytest.mark.parametrize("shape", [(3, 4), (1000, 2, 3), (70001, 2, 3)],
+                             ids=["matrix", "trials", "tiles"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_gamma_gains_match_summed_draws(self, m, shape):
         # the same draws, bit for bit, and the generator left in the same
-        # state, as m exponential draws summed over a leading axis
+        # state, as m exponential draws summed over a leading axis; the
+        # third shape spans several of the sampler's tiles and ends in a
+        # ragged one
         for mean in (1.0, 0.95, 3.7e-3, 12345.6):
             got_rng, want_rng = (np.random.default_rng([m, 7]) for _ in range(2))
             got = _gamma_gains(got_rng, m, mean, shape)
@@ -256,6 +265,83 @@ class TestSnrSplit:
         for build in (snr_matrix, snr_matrix_direct, _snr_parts):
             with pytest.raises(ValueError, match="interference gain must be >= 0"):
                 build(draws, topo(1, 3), budget)
+
+
+class TestOutBuffers:
+    """The kernels that a Monte Carlo block runs in its own buffers give,
+    with ``out=``, the bits they give without it, also where ``out`` is
+    the part each overwrites at a block's last budget, and the public
+    builders leave the caller's gains as they were."""
+
+    @staticmethod
+    def case_gains(case, seed):
+        budget, t, f = case
+        rng = np.random.default_rng(seed)
+        return budget, t, ChannelRealization(rng.exponential(size=f.shape),
+                                             rng.exponential(size=f.shape), f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
+           st.floats(1e-3, 1e6), st.integers(0, 2**32 - 1))
+    def test_capped_snr(self, case, source, seed):
+        budget, t, draws = self.case_gains(case, seed)
+        base = LinkBudget(source, budget.relay_snr_cap,
+                          budget.interference_snr_cap, 1.0)
+        want = _capped_snr(*_snr_parts(draws, t, base), draws.hop2,
+                           base.relay_snr_cap, t)
+        # the parts in the gains' own buffers, as a block builds them
+        own = ChannelRealization(np.array(draws.hop1), draws.hop2,
+                                 np.array(draws.interf))
+        hop1_snr, limit = _snr_parts(own, t, base, out=(own.hop1, own.interf))
+        assert hop1_snr is own.hop1 and limit is own.interf
+        for out in (np.empty(np.shape(limit)), limit):  # the limit last
+            got = _capped_snr(hop1_snr, limit, draws.hop2, base.relay_snr_cap,
+                              t, out=out)
+            assert got is out
+            assert_bits_equal(np.asarray(got), np.asarray(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
+           st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    def test_imperfect_snr(self, case, r1, r2, seed):
+        budget, t, est = self.case_gains(case, seed)
+        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        want = snr_matrix_imperfect(est, err, t, budget)
+        f = np.array(_checked_interference(est.interf))
+        for out in (np.empty(f.shape), f):  # the interference gains last
+            got = _imperfect_snr(est.hop1, est.hop2, f, err, t, budget, out=out)
+            assert got is out
+            assert_bits_equal(np.asarray(got), np.asarray(want))
+
+    @pytest.mark.parametrize("shape", [(2 * _TILE + 3,), (3 * (_TILE // 6) + 5, 2, 3)],
+                             ids=["1d", "3d"])
+    def test_imperfect_snr_tiles(self, shape):
+        # the hop-1 SNR of several tiles, the last one ragged, equals the
+        # where form, with and without out=
+        t = topo(2, 3, path_loss_exp=3.7, dist_hop1=1.3, dist_interf=0.7)
+        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.1, 0.0)
+        budget = LinkBudget(10.0, 4.0, 2.0, 1.0)
+        rng = np.random.default_rng(9)
+        est = ChannelRealization(*(rng.exponential(size=shape) for _ in range(3)))
+        want = snr_matrix_imperfect_where(est, err, t, budget)
+        assert_bits_equal(snr_matrix_imperfect(est, err, t, budget), want)
+        f = np.array(est.interf)
+        assert_bits_equal(_imperfect_snr(est.hop1, est.hop2, f, err, t, budget,
+                                         out=f), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
+           st.integers(0, 2**32 - 1))
+    def test_public_builders_leave_gains(self, case, seed):
+        # sign bits too: a -0.0 gain is read as +0.0 in a copy
+        budget, t, draws = self.case_gains(case, seed)
+        before = [np.array(gains) for gains in (draws.hop1, draws.hop2, draws.interf)]
+        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.0)
+        snr_matrix(draws, t, budget)
+        snr_matrix_imperfect(draws, err, t, budget)
+        relay_power(draws.interf, budget, t)
+        for old, new in zip(before, (draws.hop1, draws.hop2, draws.interf)):
+            assert_bits_equal(new, old)
 
 
 class TestSnrMonotone:

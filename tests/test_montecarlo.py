@@ -35,6 +35,10 @@ from oracles import (
 
 GAMMA_TH = db_to_linear(5.0)
 
+# every model function that builds an SNR matrix: the public builders, the
+# relay-cap step and the CSI kernel that the Monte Carlo pass calls
+BUILDERS = ("snr_matrix", "snr_matrix_imperfect", "_capped_snr", "_imperfect_snr")
+
 
 def topo(num_users=2, num_relays=3, m=2):
     return NetworkTopology(num_users, num_relays, m, path_loss_exp=0.0)
@@ -345,13 +349,13 @@ class TestSaturationFilter:
         applies the relay cap through ``_capped_snr``, counts once), and
         check every assignment call against ``expected``."""
         built, inside = [], []
-        for name in ("snr_matrix", "snr_matrix_imperfect", "_capped_snr"):
-            def build_spy(first, *args, original=getattr(model, name)):
+        for name in BUILDERS:
+            def build_spy(first, *args, original=getattr(model, name), **kwargs):
                 if not inside:
                     built.append(len(getattr(first, "hop1", first)))
                 inside.append(name)
                 try:
-                    return original(first, *args)
+                    return original(first, *args, **kwargs)
                 finally:
                     inside.pop()
             monkeypatch.setattr(model, name, build_spy)
@@ -436,16 +440,29 @@ class TestSaturationFilter:
             assert np.array_equal(selected, maxmin_assign_batch(stack)[1])
         assert next(expected, None) is None
 
+    @pytest.mark.parametrize("csi", [False, True], ids=["relay_cap", "csi"])
+    def test_gains_checked_once_per_block(self, monkeypatch, csi):
+        # a block's interference gains are checked where it draws them,
+        # not again at each of its builds
+        checked, original = [], model._checked_interference
+
+        def check_spy(f_gain):
+            checked.append(len(f_gain))
+            return original(f_gain)
+
+        monkeypatch.setattr(model, "_checked_interference", check_spy)
+        budgets = self.LAMBDA_ALL if csi else self.LAMBDA2
+        estimate_outage(self.T, budgets, "maxmin", [GAMMA_TH] * 4, trials=70_000,
+                        seed=3, csi=self.CSI if csi else None)
+        assert checked == [BLOCK, 70_000 - BLOCK]
+
     def test_csi_sweep_block_memory(self):
         # one 65536-trial 3x4 CSI block over a nine-budget common-SNR
-        # chain: its gains are three 6.3 MB arrays, held with the two
-        # block-sized arrays of an SNR build (32.1 MB measured; 33.6 MB
-        # while the pass held each assignment's relay choices through the
-        # next build, 33.0 MB before trials were skipped).  Smaller leaks
-        # pass this bound, and TestHeldAtBuild catches them: holding the
-        # last assignment's selected SNRs through the next build measures
-        # 33.6 MB, and copying the kept trials of all three gains before
-        # freeing any old one 35.2 MB (38.1 MB with the choices held).
+        # chain: its gains are three 6 MiB arrays, held with a stack and
+        # the copy of its kept trials (28.5 MiB measured).  A build holds
+        # only the relay power's array and a tile of the hop-1 SNR beside
+        # the gains; forming the hop-1 SNR in a block-sized array of its
+        # own measured 30.5 MiB.
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:
@@ -454,17 +471,37 @@ class TestSaturationFilter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2**20
+        assert peak < 29.5 * 2**20
+
+    def test_fig1_block_memory(self):
+        # one 65536-trial 2x3, m = 2 block on fig1's unit budget with its
+        # nine thresholds, whose gains are 3 MiB arrays.  The peak, 9.5
+        # MiB measured, is reached drawing the third gain (two gains and a
+        # tile of its second draw) and again at the build: the hop-1 SNR
+        # and the interference limit are built in the gains' buffers and
+        # the matrix in the limit's, so the budget adds no array.  The
+        # sampler's gains-sized second draw measured 12.5 MiB, the parts
+        # and the matrix in new arrays 15.0 MiB, and holding the other
+        # parts until the budget's stack is assigned 10.7 MiB.
+        thresholds = [GAMMA_TH / db_to_linear(x) for x in range(0, 41, 5)]
+        tracemalloc.start()
+        try:
+            estimate_outage(topo(2, 3, 2), LinkBudget(1.0, 1.0, 1.0, GAMMA_TH),
+                            "maxmin", thresholds, trials=65536, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_fig2_block_memory(self):
         # one 65536-trial 3x3, m = 3 block over fig2's 13 relay caps,
         # whose gains are 4.5 MiB arrays.  The block builds the hop-1 SNR
-        # and the interference limit once and frees the hop-1 and
-        # interference gains, so the peak is drawing the third gain: two
-        # gains held beside its three exponential draws and their sum
-        # (27.0 MiB measured).  Building each cap's matrix from the gains
-        # with its temporaries measured 30.1 MiB, so a bound of 28.5
-        # fails on one more block-sized array held through a build.
+        # and the interference limit once, in the hop-1 and interference
+        # gains' buffers, and each cap's matrix in one new array (22.0 MiB
+        # measured; 22.5 MiB with the parts in new arrays).  Building each
+        # cap's matrix from the gains with its temporaries measured
+        # 30.1 MiB, and one more block-sized array held through a build
+        # fails this bound.
         budgets = [budget_db(25, x, 10) for x in range(0, 61, 5)]
         tracemalloc.start()
         try:
@@ -473,7 +510,7 @@ class TestSaturationFilter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 28.5 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestDoomedTrials:
@@ -811,13 +848,13 @@ def held_at_builds(monkeypatch, run):
     through ``snr_matrix``, which applies the relay cap through
     ``_capped_snr``, records once); returns the records and the peak."""
     held, inside = [], []
-    for name in ("snr_matrix", "snr_matrix_imperfect", "_capped_snr"):
-        def build_spy(*args, original=getattr(model, name)):
+    for name in BUILDERS:
+        def build_spy(*args, original=getattr(model, name), **kwargs):
             if not inside:
                 held.append(tracemalloc.get_traced_memory()[0])
             inside.append(original)
             try:
-                return original(*args)
+                return original(*args, **kwargs)
             finally:
                 inside.pop()
         monkeypatch.setattr(model, name, build_spy)
@@ -862,17 +899,18 @@ class TestHeldAtBuild:
         # a nine-budget common-SNR CSI chain: the three estimate gains
         # (3.10 matrices measured under max-min, 3.12 under random; 3.35
         # with the last stack's selected SNRs held through the next build),
-        # and at the peak the two block-sized arrays of a build too (5.10
-        # matrices under max-min, 5.12 under random; copying the kept
-        # trials of all three gains before freeing any old one measured
-        # 5.81, 35.2 MB, which test_csi_sweep_block_memory's bound passes)
+        # and at the peak a stack and the copy of its kept trials (4.80
+        # matrices under max-min, 4.67 under random; forming the hop-1 SNR
+        # in a block-sized array of its own measured 5.09 and 5.12, and
+        # copying the kept trials of all three gains before freeing any
+        # old one 5.81)
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
         held, peak = held_at_builds(monkeypatch, lambda: estimate_outage(
             self.T, budgets, scheme, [GAMMA_TH] * 9, 65536, 1, csi=self.CSI))
         assert len(held) == 9
         spare = 0.5 * self.SELECTED + self.LIVE
         assert max(held) < 3 * self.MATRIX + spare
-        assert peak < 5 * self.MATRIX + spare
+        assert peak < 4.75 * self.MATRIX + spare
 
 
 class TestThroughputEstimates:
