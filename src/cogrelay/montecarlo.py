@@ -32,7 +32,8 @@ SNR matrix equals, bit for bit, the matrix at an infinite relay cap:
 the matrix only grows with the cap, so it is then fixed for the rest of
 the chain, and so are the trial's selected SNRs, whatever the scheme's
 tie-breaks; throughput keeps them.  One pass serves both estimators,
-with one rule for each decision:
+with one rule for each decision, and assigns each stack in one call,
+left with no trial in none:
 
 - Build.  On a relay-cap chain without CSI, each block builds the parts
   of the SNR matrix that the cap leaves alone once
@@ -56,11 +57,6 @@ with one rule for each decision:
   one before's: every ``lambda2`` sweep and every ``lambda_all`` sweep
   with CSI.  Throughput settles trials only along a relay-cap chain:
   every ``lambda2`` sweep.
-- Join.  Every scheme treats each trial on its own, so the stacks of
-  consecutive budgets are assigned in one call while they hold at most
-  ``_JOIN_ELEMENTS`` entries together, and stacks left with no trial
-  are assigned in none.  Throughput sums the rates of a run of points
-  in one numpy call.
 """
 
 from __future__ import annotations
@@ -92,11 +88,6 @@ BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
 # of the 21 ms of assigning it (one core of a shared Xeon), and copies
 # made for the 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
-
-# Consecutive budgets' stacks are assigned in one call while they hold
-# at most this many SNR entries together (8192 trials at 2x4), and
-# throughput scores runs of points on at most this many rates at a time.
-_JOIN_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,14 +178,12 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
     in a yield of their own whose selected SNRs are None: each of their
     users is in outage at every one of its ``points``.
 
-    Stacks are built, left and joined by the rules of the module
-    docstring, under every scheme alike.  Given each point's outage
-    threshold, doomed trials leave, and so do max-min's served trials;
-    without thresholds, a relay-cap chain's settled trials do.  A trial
-    of the block in neither kind of ``rows`` was decided earlier, and
-    the caller decides what it contributes.  The selected SNRs of joined
-    stacks are slices of one array, so a caller that holds them while it
-    resumes the generator holds that array through the next build.
+    Stacks are built and left by the rules of the module docstring,
+    under every scheme alike.  Given each point's outage threshold,
+    doomed trials leave, and so do max-min's served trials; without
+    thresholds, a relay-cap chain's settled trials do.  A trial of the
+    block in neither kind of ``rows`` was decided earlier, and the
+    caller decides what it contributes.
     """
     groups = _groups(budgets)
     order = list(groups)
@@ -224,7 +213,6 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and tops[later] <= tops[earlier]
                     for earlier, later in steps)
     sampled = topology if csi is None else model._estimated(topology, csi)
-    entries = topology.num_users * topology.num_relays
     for index, block in _blocks(trials):
         rng = _block_rng(seed, index)
         draws = model.sample_realization(sampled, rng, trials=block)
@@ -241,7 +229,6 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         free = (model._capped_snr(*parts, math.inf, topology)
                 if chain and tops is None else None)
         live = np.arange(block)
-        stacks, pending = [], []  # awaiting one joined assignment
         for position, budget in enumerate(order):
             last = position == len(order) - 1
             # the last budget builds in a part that no later build reads
@@ -284,29 +271,16 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             if done:  # with no trial left, as at the last budget
                 parts.clear()
                 free = None
-            stacks.append(snrs)
-            del snrs
+            # every trial of the stack served or doomed: nothing to assign
+            selected = (selection.assign_batch(
+                scheme, snrs, None if maps is None else maps[rows])[1]
+                if len(snrs) else np.empty((0, topology.num_users)))
+            del snrs  # not held while the caller scores
             # once no trial is left, these selected SNRs score every later
             # budget too
-            pending.append((rows, [point for later in order[position:]
-                                   for point in groups[later]]
-                            if done else groups[budget]))
-            if not done and (sum(stack.size for stack in stacks)
-                             + len(live) * entries <= _JOIN_ELEMENTS):
-                continue
-            joined = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-            stacks.clear()
-            picked = None if maps is None else np.concatenate(
-                [maps[rows] for rows, _ in pending])
-            # every trial of the stacks served or doomed: nothing to assign
-            selected = (selection.assign_batch(scheme, joined, picked)[1]
-                        if len(joined) else np.empty((0, topology.num_users)))
-            del joined, picked  # not held while the caller scores
-            start = 0
-            for rows, points in pending:
-                yield index, points, rows, selected[start:start + len(rows)]
-                start += len(rows)
-            pending.clear()
+            points = ([point for later in order[position:]
+                       for point in groups[later]] if done else groups[budget])
+            yield index, points, rows, selected
             del selected, rows  # not held through the next build
             if done:
                 break
@@ -375,59 +349,33 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     :func:`estimate_outage` do.  Along a relay-cap chain, under every
     scheme, a settled trial is assigned no more and keeps, in a
     block-sized array, the selected SNRs it last had (module docstring).
-
-    A block's rates are summed per user for a run of points in one numpy
-    call, on a (points, users, trials) array of at most
-    ``_JOIN_ELEMENTS`` entries (or one point), each row in the order of
-    a column summed on its own; consecutive points of one budget and
-    scale share a row.
+    Each point's rates are ``log1p`` of the scaled SNRs over
+    ``2 M ln 2``, so a rate whose ``1 + SNR`` rounds to 1 stays above 0;
+    they are summed per user in one numpy call.
     """
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
     sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
     sq_sums = np.zeros_like(sums)
-    tau, runs = None, []  # rows of rates to sum, and each row's points
-
-    def score(index):
-        rows = tau[:len(runs)]
-        rows += 1.0
-        np.log2(rows, out=rows)
-        rows /= 2.0 * num_users
-        total = rows.sum(axis=2)
-        np.square(rows, out=rows)
-        square = rows.sum(axis=2)
-        for row, points in enumerate(runs):
-            sums[points, :, index] = total[row]
-            sq_sums[points, :, index] = square[row]
-        runs.clear()
-
+    per_rate = 2.0 * num_users * math.log(2.0)
     current = None
     for index, points, rows, selected in _selected_snrs(
             topology, budgets, scheme, trials, seed):
         if index != current:
-            if runs:
-                score(current)
             current = index
             # a settled trial, in no later rows, keeps its selected SNRs
-            eff = np.empty((min(BLOCK, trials - index * BLOCK), num_users))
-            tau = np.empty((max(1, _JOIN_ELEMENTS // eff.size), num_users,
-                            len(eff)))
-        eff[rows] = selected
+            eff = np.empty((num_users, min(BLOCK, trials - index * BLOCK)))
+            rates = np.empty_like(eff)
+        eff[:, rows] = selected.T
         del selected  # not held while the next stack builds
-        factor = None
         for point in points:
-            # a NaN scale equals none, and takes a row of its own
-            if runs and factors[point] == factor:
-                runs[-1].append(point)
-                continue
-            if len(runs) == len(tau):
-                score(index)
-            factor = factors[point]
-            np.multiply(eff.T, factor, out=tau[len(runs)])
-            runs.append([point])
-    if runs:
-        score(current)
+            np.multiply(eff, factors[point], out=rates)
+            np.log1p(rates, out=rates)
+            rates /= per_rate
+            rates.sum(axis=1, out=sums[point, :, index])
+            np.square(rates, out=rates)
+            rates.sum(axis=1, out=sq_sums[point, :, index])
     out = []
     for point in range(len(budgets)):
         row = []

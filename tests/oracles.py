@@ -355,7 +355,8 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
             rng.bit_generator.state = state
             eff = selected_redrawn(
                 scheme, model.snr_matrix(draws, topology, budget), rng)
-            tau = np.log2(1.0 + scales[point] * eff) / (2.0 * num_users)
+            tau = (np.log1p(scales[point] * eff)
+                   / (2.0 * num_users * math.log(2.0)))
             for u in range(num_users):
                 sums[point, u, index] = tau[:, u].sum()
                 sq_sums[point, u, index] = np.square(tau[:, u]).sum()

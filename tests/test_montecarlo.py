@@ -3,7 +3,6 @@ known truth, and agreement with the closed forms."""
 
 import math
 import tracemalloc
-from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogrelay import model, selection
-from cogrelay.analytic import cdf_min_snr, outage_probability
+from cogrelay.analytic import average_throughput, cdf_min_snr, outage_probability
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     BLOCK,
-    _JOIN_ELEMENTS,
     _block_rng,
     _blocks,
     _selected_snrs,
@@ -281,35 +279,18 @@ def expected_stacks_every(t, budgets, trials, seed, csi=None):
             yield index, len(draws.hop1), build(t, draws, budget, csi)
 
 
-Call = namedtuple("Call", "held rows block built")
-
-
 def spy_assignments(monkeypatch, expected):
-    """Check each assignment call against the next stacks of ``expected``
-    (block index, trials built on, stack) as it is made: its rows, in
-    order, are those stacks bit for bit, each whole in one call, and a
-    call that joins several holds at most ``_JOIN_ELEMENTS`` entries and
-    no 65536-trial stack.  Returns a :class:`Call` per call: the stacks
-    it holds, its rows, its block and the trials its first stack's
-    matrix was built on."""
+    """Check each assignment call against the next stack of ``expected``
+    (block index, trials built on, stack) as it is made: every call
+    holds exactly one stack, bit for bit.  Returns the rows of each
+    call."""
     calls = []
 
     def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
-        rows, largest = 0, 0
-        held = 0
-        while rows < len(gammas):
-            index, built, stack = next(expected)
-            if not held:
-                first = (index, built)
-            got = gammas[rows:rows + len(stack)]
-            assert got.shape == stack.shape
-            assert np.array_equal(got.view(np.int64), stack.view(np.int64))
-            rows += len(stack)
-            largest = max(largest, len(stack))
-            held += 1
-        assert held == 1 or (gammas.size <= _JOIN_ELEMENTS
-                             and largest < BLOCK)
-        calls.append(Call(held, len(gammas), *first))
+        _, _, stack = next(expected)
+        assert gammas.shape == stack.shape
+        assert np.array_equal(gammas.view(np.int64), stack.view(np.int64))
+        calls.append(len(gammas))
         # random's maps come with the stack, one per trial
         assert (maps is None) == (scheme != "random")
         assert maps is None or maps.shape == gammas.shape[:2]
@@ -318,23 +299,13 @@ def spy_assignments(monkeypatch, expected):
     return calls
 
 
-def check_joins(calls, t):
-    """Every scheme makes a call only when the next matrix of the block
-    (built on the trials left) would not fit in it."""
-    entries = t.num_users * t.num_relays
-    for call, after in zip(calls, calls[1:]):
-        if after.block == call.block:
-            assert (call.rows + after.built) * entries > _JOIN_ELEMENTS
-
-
 class TestSaturationFilter:
     """Max-min skips the trials whose bottleneck clears every threshold
     of a budget, and along a budget chain drops them from the draws: the
     estimates equal those of the oracle that assigns every trial at
     every point, each SNR matrix covers the trials that
     :func:`expected_stacks` leaves, and the assignment calls, in order,
-    hold its stacks under the join rule of :func:`spy_assignments` and
-    :func:`check_joins`."""
+    hold its stacks one per call (:func:`spy_assignments`)."""
 
     T = topo(3, 4, 1)
     CSI = CsiErrorModel.from_error_ratios(T, 0.05, 0.05, 0.05)
@@ -359,7 +330,8 @@ class TestSaturationFilter:
                 finally:
                     inside.pop()
             monkeypatch.setattr(model, name, build_spy)
-        return built, spy_assignments(monkeypatch, expected)
+        spy_assignments(monkeypatch, expected)
+        return built
 
     @pytest.mark.parametrize("trials", [1000, 70_000], ids=["1block", "2blocks"])
     @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
@@ -383,19 +355,16 @@ class TestSaturationFilter:
         want = estimate_outage_unfiltered(self.T, budgets, "maxmin", thresholds,
                                           trials, 3, csi=csi)
         stacks = iter(expected)
-        built, calls = self.spy(monkeypatch, stacks)
+        built = self.spy(monkeypatch, stacks)
         got = estimate_outage(self.T, budgets, "maxmin", thresholds, trials, 3,
                               csi=csi)
         assert got == want
         assert next(stacks, None) is None  # every stack was assigned
         assert built == [trials for _, trials, _ in expected]
-        check_joins(calls, self.T)
         # the first budget of each block drops trials; along a chain the
         # next one builds on fewer
         assert all(len(stack) < trials for _, trials, stack in expected[::4])
         assert (expected[1][1] < expected[0][1]) == (order == "chain")
-        if trials == 1000:  # 12000-entry stacks, which join
-            assert max(call.held for call in calls) > 1
 
     @pytest.mark.parametrize("scheme", ["naive", "random"])
     @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
@@ -412,13 +381,12 @@ class TestSaturationFilter:
                                         False, 70_000, 3, csi, scheme))
         assert [len(stack) for _, _, stack in expected] == [65536] * 4 + [4464] * 4
         stacks = iter(expected)
-        built, calls = self.spy(monkeypatch, stacks)
+        built = self.spy(monkeypatch, stacks)
         got = estimate_outage(self.T, self.LAMBDA_ALL, scheme, thresholds,
                               70_000, 3, csi=csi)
         assert got == want
         assert next(stacks, None) is None
         assert built == [65536] * 4 + [4464] * 4
-        check_joins(calls, self.T)
 
     @pytest.mark.parametrize("order", ["chain", "levels_fall"])
     def test_rows_name_the_trials_assigned(self, order):
@@ -536,13 +504,12 @@ class TestDoomedTrials:
                                         trials, 3, csi, scheme))
         # a stack left with no trials is assigned in no call
         stacks = iter([stack for stack in expected if len(stack[2])])
-        built, calls = TestSaturationFilter.spy(monkeypatch, stacks)
+        built = TestSaturationFilter.spy(monkeypatch, stacks)
         got = estimate_outage(t, budgets, scheme, thresholds, trials, 3,
                               csi=csi)
         assert got == want
         assert next(stacks, None) is None
         assert built == [trials for _, trials, _ in expected]
-        check_joins(calls, t)
         return expected
 
     @pytest.mark.parametrize("points", ["one", "several"])
@@ -618,7 +585,7 @@ class TestDoomedTrials:
         stacks = iter([stack for stack in expected_stacks(
             self.T, self.LAMBDA_ALL, [GAMMA_TH] * 4, False, 70_000, 3,
             scheme="naive") if len(stack[2])])
-        built, _ = TestSaturationFilter.spy(monkeypatch, stacks)
+        built = TestSaturationFilter.spy(monkeypatch, stacks)
         seen = {}
         for index, points, rows, selected in _selected_snrs(
                 self.T, self.LAMBDA_ALL, "naive", 70_000, 3,
@@ -696,8 +663,8 @@ class TestSettledCarry:
     SNR matrix reaches the cap-free one: the estimates equal those of the
     oracle that assigns every trial at every budget, and the assignment
     calls, in order, hold the stacks that :func:`expected_stacks_settled`
-    gives (off a chain, :func:`expected_stacks_every`) under the join
-    rule of :func:`spy_assignments` and :func:`check_joins`."""
+    gives (off a chain, :func:`expected_stacks_every`), one per call
+    (:func:`spy_assignments`)."""
 
     T = NetworkTopology(3, 4, 1, dist_hop1=0.9, dist_hop2=1.2,
                         dist_interf=1.3, path_loss_exp=2.7)
@@ -713,7 +680,6 @@ class TestSettledCarry:
                                       scales=[1.0] * len(budgets))
         assert got == want
         assert next(expected, None) is None  # every stack was assigned
-        check_joins(calls, t)
         return calls
 
     @settings(max_examples=25, deadline=None)
@@ -743,10 +709,8 @@ class TestSettledCarry:
         budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10), 1.0)
                    for cap in caps]
         calls = self.check(self.T, budgets, scheme, 70_000, 4, carried=True)
-        # settled trials leave before the last budget, and the small
-        # stacks late in each block join
-        assert sum(call.rows for call in calls) < 70_000 * len(caps)
-        assert max(call.held for call in calls) > 1
+        # settled trials leave before the last budget
+        assert sum(calls) < 70_000 * len(caps)
 
     # a rising relay cap with a falling cap, or with the source or the
     # interference level moving either way: no relay-cap chain.  At 1x2
@@ -778,17 +742,21 @@ class TestSettledCarry:
     FINE_BUDGETS = [budget_db(25, x / 4, 10) for x in range(241)]
 
     @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
-    def test_small_stacks_join_while_they_fit(self, scheme):
+    def test_small_stacks_assign_one_call_per_budget(self, scheme):
+        # the check holds each call to one budget's stack of the trials
+        # left: 149 of the 241 budgets still have trials, whatever the
+        # scheme, and once every trial has settled no budget makes a call
         calls = self.check(self.FINE, self.FINE_BUDGETS, scheme, 1000, 1,
                            carried=True)
-        assert len(calls) < sum(call.held for call in calls) / 4
+        assert len(calls) == 149
 
     def test_small_stack_chain_memory(self):
-        # one 1000-trial 2x4 block over 241 relay caps: the joined stacks
-        # (at most _JOIN_ELEMENTS entries, 0.5 MB), the copy that joins
-        # them, the assignment of 8192 trials and a run of 32 points'
-        # rates (0.5 MB) (2.33 MB measured; 0.56 MB assigning budget by
-        # budget, and 10.2 MB joining the whole chain in one call)
+        # one 1000-trial 2x4 block over 241 relay caps: a budget's stack
+        # (64 KB), its assignment, the block's parts, the carried selected
+        # SNRs and one point's rates (0.56 MiB measured; 2.22 MiB when
+        # consecutive budgets' stacks were assigned in joined calls of up
+        # to 65536 entries, and 10.2 MB joining the whole chain in one
+        # call)
         tracemalloc.start()
         try:
             estimate_throughput(self.FINE, self.FINE_BUDGETS, "maxmin", 1000,
@@ -796,7 +764,7 @@ class TestSettledCarry:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+        assert peak < 2**20
 
     def test_fig4_block_memory(self):
         # one 65536-trial 3x4 block over fig4's nine relay caps: three
@@ -930,6 +898,19 @@ class TestThroughputEstimates:
         t, b = topo(m=1), budget_db(15, 10, 5)
         for est in estimate_throughput(t, b, "maxmin", trials=20_000, seed=10):
             assert est.ci_low <= est.mean <= est.ci_high
+
+    def test_rates_below_rounding_of_one_plus_snr(self):
+        # every SNR at a 1e-20 scale (a lambda_all sweep at -200 dB) is
+        # far below the 1.1e-16 where 1 + SNR rounds to 1: a rate formed
+        # as log2(1 + SNR) reads 0, with interval [0, 0]
+        t, scale = topo(m=1), 1e-20
+        pk = rank_placement_probs(2, 3, "maxmin")
+        exact = average_throughput(t, LinkBudget(scale, scale, scale, 1.0), pk)
+        for est in estimate_throughput(t, LinkBudget(1.0, 1.0, 1.0, 1.0),
+                                       "maxmin", trials=10_000, seed=1,
+                                       scales=scale):
+            assert est.mean > 0
+            assert est.ci_low <= exact <= est.ci_high
 
 
 class TestCdfEstimates:
