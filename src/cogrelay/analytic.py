@@ -11,7 +11,8 @@ mixture against 1/(1+x) with the trapezoid rule in s = ln x, which
 converges geometrically for this analytic, doubly-exponentially
 decaying integrand.  The link-CDF kernel takes the budget levels as
 arrays too, so the throughput of a whole sweep of budgets is read in a
-few batched kernel calls.
+few batched kernel calls, each built when it is made, so memory is
+bounded by one call whatever the number of budgets.
 """
 
 from __future__ import annotations
@@ -396,6 +397,26 @@ def _log_trapezoid(a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, _STEP * x / (1.0 + x)
 
 
+def _throughput_run(topology: NetworkTopology, run, weights: np.ndarray):
+    """The throughput of each ``(budget, nodes, node weights)`` of a run,
+    from one call of the link-CDF and binomial-term kernels on the run's
+    joined nodes; each budget's mixture and integral are then summed on
+    its own slice, so every value is the one its budget gives alone."""
+    counts = [len(x) for _, x, _ in run]
+    levels = _Levels(*(np.repeat([getattr(b, name) for b, _, _ in run], counts)
+                       for name in _Levels._fields))
+    terms = _binomial_terms(
+        *_link_cdf(np.concatenate([x for _, x, _ in run]), topology, levels),
+        len(weights) - 1)
+    out = []
+    start = 0
+    for (_, _, node_weights), count in zip(run, counts):
+        integral = node_weights @ (terms[start:start + count] @ weights)
+        out.append(float(integral) / (2.0 * topology.num_users * math.log(2.0)))
+        start += count
+    return out
+
+
 def average_throughput(topology: NetworkTopology, budget, pk):
     """Average per-user throughput (bits per channel use) under Rayleigh
     fading, including the 1/(2M) half-duplex orthogonal-slot penalty:
@@ -408,11 +429,12 @@ def average_throughput(topology: NetworkTopology, budget, pk):
     :func:`_log_trapezoid`, vectorised over its nodes.
 
     ``budget`` is one :class:`LinkBudget` (the result is a float) or a
-    sequence of them (a list, one value per budget).  The nodes of
-    consecutive budgets are joined, up to ``_NODES_PER_CALL`` per call,
-    and read by one call of the link-CDF and binomial-term kernels; each
-    budget's mixture and integral are then summed on its own slice, so
-    every value is the one its budget gives alone.
+    sequence of them (a list, one value per budget).  Consecutive budgets
+    form runs of up to ``_NODES_PER_CALL`` nodes (a budget alone may
+    exceed it), each read by :func:`_throughput_run`; a run's rules are
+    built as its budgets come and its joined nodes and levels when its
+    call is made, so memory is bounded by one call, not by the number of
+    budgets.
     """
     if topology.nakagami_m != 1:
         raise ValueError("closed-form throughput requires nakagami_m == 1")
@@ -420,37 +442,23 @@ def average_throughput(topology: NetworkTopology, budget, pk):
     budgets = [budget] if single else list(budget)
     if not budgets:
         return []
-    num_users, num_relays = topology.num_users, topology.num_relays
-    probs = _pk_vector(pk, num_users, num_relays)
+    probs = _pk_vector(pk, topology.num_users, topology.num_relays)
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
-    # the link CCDF decays like e^-(a x)
-    rules = [_log_trapezoid(1.0 / (topology.eff_gain_hop1 * b.source_snr)
-                            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
-             for b in budgets]
-    bounds = np.cumsum([0] + [len(x) for x, _ in rules])
-    x = np.concatenate([x for x, _ in rules])
-    levels = [np.repeat([getattr(b, name) for b in budgets], np.diff(bounds))
-              for name in _Levels._fields]
     out = []
-    start = 0
-    while start < len(budgets):
-        # a run of budgets whose nodes fill one call (a budget alone may
+    run, nodes = [], 0  # the budgets of the next call and their node count
+    for b in budgets:
+        # the link CCDF decays like e^-(a x)
+        x, node_weights = _log_trapezoid(
+            1.0 / (topology.eff_gain_hop1 * b.source_snr)
+            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
+        # a run is read once its nodes fill one call (a budget alone may
         # exceed it)
-        stop = start + 1
-        while (stop < len(budgets)
-               and bounds[stop + 1] - bounds[start] <= _NODES_PER_CALL):
-            stop += 1
-        nodes = slice(bounds[start], bounds[stop])
-        terms = _binomial_terms(
-            *_link_cdf(x[nodes], topology,
-                       _Levels(*(level[nodes] for level in levels))),
-            len(weights) - 1)
-        for i in range(start, stop):
-            # each budget's own slice, as it is summed alone
-            rows = terms[bounds[i] - bounds[start]:bounds[i + 1] - bounds[start]]
-            integral = rules[i][1] @ (rows @ weights)
-            out.append(float(integral) / (2.0 * num_users * math.log(2.0)))
-        start = stop
+        if run and nodes + len(x) > _NODES_PER_CALL:
+            out += _throughput_run(topology, run, weights)
+            run, nodes = [], 0
+        run.append((b, x, node_weights))
+        nodes += len(x)
+    out += _throughput_run(topology, run, weights)
     return out[0] if single else out
 
 

@@ -17,11 +17,15 @@ one user, by a recursion over sets of revealed cells for max-min while
 M*N <= ``EXACT_MAXMIN_LIMIT``, and by Monte Carlo for max-min beyond.
 
 Batched max-min counts each entry's strictly larger entries by comparing
-every pair of entries, so tied entries share one count.  That is (M*N)**2
+every pair of entries, in whole-array comparisons of a group of rows
+with every row, so tied entries share one count.  That is (M*N)**2
 comparisons per trial: cheaper than sorting each trial at every shipped
 shape (M*N <= 12), dearer from M*N of about 40.  The chosen map is the
 first minimum of the summed keys, which a min over keys that carry
-their map index in the low bits finds without a per-trial argmin.
+their map index in the low bits finds without a per-trial argmin.  What
+a shape needs for that (its map table, flat entries, key words and
+packed index) is built once per shape, so a call on a small stack pays
+little beyond its numpy calls.
 
 :func:`saturated` tells, per matrix, whether some injective map has
 every entry above a threshold (Hall's condition over the user sets),
@@ -38,6 +42,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +79,18 @@ _CHUNK_ELEMENTS = 1 << 18
 # engine and the rank-placement estimators)
 # ---------------------------------------------------------------------------
 
+class _Plan(NamedTuple):
+    """What max-min assignment needs of a (users, relays) shape, built
+    once per shape (:func:`_plan`)."""
+
+    table: np.ndarray    # (maps, users): each injective map's relays
+    entries: np.ndarray  # (users, maps): the flat entry each map gives a user
+    words: np.ndarray    # key words, as :func:`_key_words`
+    index: np.ndarray    # (maps, 1) int32: the map index :func:`_first_min` packs
+
+
 @lru_cache(maxsize=None)
-def _assignment_table(num_users: int, num_relays: int) -> np.ndarray:
+def _plan(num_users: int, num_relays: int) -> _Plan:
     count = math.perm(num_relays, num_users)
     if count > _MAX_ASSIGNMENT_TABLE:
         raise ValueError(
@@ -83,29 +98,44 @@ def _assignment_table(num_users: int, num_relays: int) -> np.ndarray:
             f"shape ({num_users}, {num_relays}); this exceeds the cap of "
             f"{_MAX_ASSIGNMENT_TABLE}"
         )
-    return np.array(list(itertools.permutations(range(num_relays), num_users)),
-                    dtype=np.intp)
+    table = np.array(list(itertools.permutations(range(num_relays), num_users)),
+                     dtype=np.intp)
+    entries = np.ascontiguousarray((table + num_relays * np.arange(num_users)).T)
+    return _Plan(table, entries, _key_words(num_users, num_relays),
+                 np.arange(count, dtype=np.int32)[:, None])
 
 
 def _effective(g: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
+    """The entry of each trial's (users, relays) matrix that ``chosen``
+    gives each user, by one fancy index whose trial and user indices
+    broadcast: no (trials, users) index array is formed."""
+    trials, num_users, _ = g.shape
+    return g[np.arange(trials)[:, None], np.arange(num_users), chosen]
 
 
 def _larger_counts(entries: np.ndarray) -> np.ndarray:
     """Per entry of entry-major ``entries`` (one row per entry, one
     column per trial), the number of entries of its trial that are
-    strictly larger: 0 for the largest, shared by tied entries.  Each
-    row is compared with every row, (M*N)**2 comparisons per trial,
-    counted in the narrowest unsigned type that holds M*N - 1."""
-    counts = np.zeros(entries.shape, dtype=np.min_scalar_type(len(entries) - 1))
-    larger = np.empty(entries.shape, dtype=bool)
-    for row in entries:
-        np.greater(row, entries, out=larger)
-        counts += larger.view(np.uint8)
+    strictly larger: 0 for the largest, shared by tied entries.  Every
+    row is compared with every row, (M*N)**2 comparisons per trial, in
+    whole-array comparisons of up to 8 rows at a time, so that their
+    bool block is no larger than the float ``entries``; counts are
+    summed in the narrowest unsigned type that holds M*N - 1."""
+    size = len(entries)
+    dtype = np.min_scalar_type(size - 1)
+    groups = -(-size // 8)
+    group = -(-size // groups)  # rows split evenly among the groups
+    larger = np.empty((group, *entries.shape), dtype=bool)
+    counts = None
+    for lo in range(0, size, group):
+        block = larger[:min(group, size - lo)]
+        np.greater(entries[lo:lo + group, None], entries, out=block)
+        # summed as uint8, which needs no cast when the counts are uint8
+        part = np.add.reduce(block.view(np.uint8), axis=0, dtype=dtype)
+        counts = part if counts is None else np.add(counts, part, out=counts)
     return counts
 
 
-@lru_cache(maxsize=None)
 def _key_words(num_users: int, num_relays: int) -> np.ndarray:
     """``words[w, d]``: the key bit, inside word w (0 = least
     significant), of an entry with d strictly larger entries."""
@@ -131,26 +161,29 @@ def _key_words(num_users: int, num_relays: int) -> np.ndarray:
     return words
 
 
-def _first_min(key: np.ndarray) -> np.ndarray:
+def _first_min(key: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``key.argmin(axis=0)`` for a non-negative integer ``key`` with one
-    row per map.  numpy's argmin reduces such an entry-major array one
-    column at a time, about 90 ns per trial at 3x4, while its min runs
-    over whole rows.  So each key is shifted left by the bits of the
-    largest map index and ORs in its own index, one min picks the
-    smallest key and, among equal keys, the first map, and the low bits
-    give that map back.  The packed keys are int32, which always holds
-    an int16 key and holds an int32 one at shapes such as 2x12 and 4x5.
-    A key too wide for that (at 4x6 or 2x20, say, or a word holding the
-    type's maximum for maps that a more significant word ruled out) uses
-    argmin: packing it in int64 costs more than argmin saves (4x5 keys
-    packed in int64 assign a 16384-trial stack in 19.7 ms against
-    15.3 ms by argmin, on one core of a shared Xeon)."""
+    row per map; ``index`` is the int32 column 0..maps-1.  numpy's argmin
+    reduces such an entry-major array one column at a time, about 90 ns
+    per trial at 3x4, while its min runs over whole rows.  So each key
+    is shifted left by the bits of the largest map index and ORs in its
+    own index, one min picks the smallest key and, among equal keys, the
+    first map, and the low bits give that map back.  The packed keys are
+    int32, which always holds an int16 key and holds an int32 one at
+    shapes such as 2x12 and 4x5.  A key too wide for that (at 4x6 or
+    2x20, say, or a word holding the type's maximum for maps that a more
+    significant word ruled out) uses argmin: packing it in int64 costs
+    more than argmin saves (4x5 keys packed in int64 assign a
+    16384-trial stack in 19.7 ms against 15.3 ms by argmin, on one core
+    of a shared Xeon)."""
     shift = (len(key) - 1).bit_length()
-    if int(key.max()) >> (31 - shift):
+    # a key type whose largest value packs (int16 up to 65536 maps) needs
+    # no look at the keys
+    if 8 * key.itemsize - 1 + shift > 31 and int(key.max()) >> (31 - shift):
         return key.argmin(axis=0)
     packed = key.astype(np.int32)
     packed <<= shift
-    packed |= np.arange(len(key), dtype=np.int32)[:, None]
+    packed |= index
     return packed.min(axis=0) & ((1 << shift) - 1)
 
 
@@ -171,10 +204,12 @@ def maxmin_assign_batch(gammas: np.ndarray):
     wide for one int64 are split into words compared most significant
     first.  Trials are processed in chunks of at most ``_CHUNK_ELEMENTS``
     map keys, so memory is bounded for every shape.  Each chunk is
-    transposed to one row per entry: d is counted by comparing rows, the
-    keys are summed from whole rows, and the first minimum is found by a
-    min over whole rows of keys packed with their map index (see
-    :func:`_first_min`).
+    transposed to one row per entry: d is counted by comparing groups
+    of rows with every row, the keys are summed from whole rows, and the
+    first minimum is found by a min over whole rows of keys packed with
+    their map index (see :func:`_first_min`).  The map table, its flat
+    entries, the key words and the packed index are built once per
+    shape (:func:`_plan`).
 
     Returns ``(relay_for_user, effective_snr)`` arrays of shape
     (trials, num_users).
@@ -182,10 +217,8 @@ def maxmin_assign_batch(gammas: np.ndarray):
     g = np.asarray(gammas, dtype=float)
     trials, num_users, num_relays = g.shape
     size = num_users * num_relays
-    table = _assignment_table(num_users, num_relays)
-    cols = table + num_relays * np.arange(num_users)  # flat entry per (map, user)
-    key_words = _key_words(num_users, num_relays)
-    chunk = max(1, _CHUNK_ELEMENTS // max(table.shape[0], size))
+    table, entries, key_words, index = _plan(num_users, num_relays)
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(table), size))
     chosen = np.empty((trials, num_users), dtype=np.intp)
     for lo in range(0, trials, chunk):
         flat = g[lo:lo + chunk].reshape(-1, size)
@@ -193,13 +226,13 @@ def maxmin_assign_batch(gammas: np.ndarray):
         key = None
         for bits_of in key_words[::-1]:
             bits = bits_of.take(larger)
-            total = bits.take(cols[:, 0], axis=0)
+            total = bits.take(entries[0], axis=0)
             for u in range(1, num_users):
-                total += bits.take(cols[:, u], axis=0)
+                total += bits.take(entries[u], axis=0)
             if key is not None:
                 total[key != key.min(axis=0)] = np.iinfo(total.dtype).max
             key = total
-        chosen[lo:lo + chunk] = table[_first_min(key)]
+        table.take(_first_min(key, index), axis=0, out=chosen[lo:lo + chunk])
     return chosen, _effective(g, chosen)
 
 

@@ -6,6 +6,8 @@ matchings, greedy assignment in user order and a uniformly random
 injective map, one SNR matrix at a time; a batched max-min that
 compares sorted float profiles of every injective map, which fixes the
 tie-breaking of the rank-keyed batch on matrices with tied entries;
+the rank-keyed batch with its larger-entry counts formed one row at a
+time, its map table built at every call and an argmin over the maps;
 whether some injective map clears a threshold, by checking every map; the
 global ranks of a batch's selected entries; and two counts of rank
 placement, by enumerating every rank order (any batched scheme) and by
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cogrelay.selection import maxmin_assign_batch
+from cogrelay.selection import _key_words, maxmin_assign_batch
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,34 @@ def maxmin_assign_sorted_batch(gammas):
     chosen = table[alive.argmax(axis=1)]
     eff = np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
     return chosen, eff
+
+
+def maxmin_assign_rowwise_batch(gammas):
+    """The rank-keyed max-min batch as it was first written: each
+    entry's count of strictly larger entries is summed over one
+    comparison per entry row, the map table and its flat entry columns
+    are built at every call, the key words are summed per map and the
+    first minimum is numpy's argmin.  It keys the whole stack at once,
+    so it is for small stacks.  Returns ``(relay_for_user,
+    effective_snr)``."""
+    g = np.asarray(gammas, dtype=float)
+    trials, num_users, num_relays = g.shape
+    size = num_users * num_relays
+    table = np.array(list(itertools.permutations(range(num_relays), num_users)),
+                     dtype=np.intp)
+    cols = table + num_relays * np.arange(num_users)
+    entries = g.reshape(trials, size).T
+    larger = np.zeros(entries.shape, dtype=np.intp)
+    for row in entries:
+        larger += row > entries
+    key = None
+    for bits_of in _key_words(num_users, num_relays)[::-1]:
+        total = bits_of[larger][cols].sum(axis=1, dtype=bits_of.dtype)
+        if key is not None:
+            total[key != key.min(axis=0)] = np.iinfo(total.dtype).max
+        key = total
+    chosen = table[key.argmin(axis=0)]
+    return chosen, np.take_along_axis(g, chosen[:, :, None], axis=2)[:, :, 0]
 
 
 def enumerate_rank_counts(num_users: int, num_relays: int,

@@ -9,7 +9,9 @@ single-link CDF, the Monte Carlo outage and throughput estimators that
 assign every trial at every point, the Poisson race of the link CDF as
 products and from scipy's binomial pmf, and the paper's closed-form
 average throughput (an alternating sum over order statistics of
-exponential-type integrals h(j, at, d), each from a closed recursion)."""
+exponential-type integrals h(j, at, d), each from a closed recursion),
+and the closed-form throughput of a sweep with every budget's trapezoid
+rule, nodes and levels built before the first kernel call."""
 
 import math
 
@@ -19,7 +21,14 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import binom
 
 from cogrelay import model, selection
-from cogrelay.analytic import _pk_vector
+from cogrelay.analytic import (
+    _NODES_PER_CALL,
+    _Levels,
+    _binomial_terms,
+    _link_cdf,
+    _log_trapezoid,
+    _pk_vector,
+)
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     BLOCK,
@@ -523,3 +532,42 @@ def average_throughput_closed(topology: NetworkTopology, budget: LinkBudget,
             sign = -1.0 if i % 2 else 1.0
             pieces.append(sign * p * math.exp(log_coeff) * jsum[t])
     return math.fsum(pieces) / (2.0 * num_users * math.log(2.0))
+
+
+def average_throughput_joined(topology: NetworkTopology, budgets, pk) -> list[float]:
+    """``analytic.average_throughput`` of a sequence of budgets with every
+    budget's trapezoid rule, the joined node array and its three
+    node-length level arrays built up front, then read up to
+    ``_NODES_PER_CALL`` nodes per kernel call: the same calls on the
+    same inputs, with memory that grows with the number of budgets."""
+    budgets = list(budgets)
+    if not budgets:
+        return []
+    num_users, num_relays = topology.num_users, topology.num_relays
+    probs = _pk_vector(pk, num_users, num_relays)
+    weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
+    rules = [_log_trapezoid(1.0 / (topology.eff_gain_hop1 * b.source_snr)
+                            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
+             for b in budgets]
+    bounds = np.cumsum([0] + [len(x) for x, _ in rules])
+    x = np.concatenate([x for x, _ in rules])
+    levels = [np.repeat([getattr(b, name) for b in budgets], np.diff(bounds))
+              for name in _Levels._fields]
+    out = []
+    start = 0
+    while start < len(budgets):
+        stop = start + 1
+        while (stop < len(budgets)
+               and bounds[stop + 1] - bounds[start] <= _NODES_PER_CALL):
+            stop += 1
+        nodes = slice(bounds[start], bounds[stop])
+        terms = _binomial_terms(
+            *_link_cdf(x[nodes], topology,
+                       _Levels(*(level[nodes] for level in levels))),
+            len(weights) - 1)
+        for i in range(start, stop):
+            rows = terms[bounds[i] - bounds[start]:bounds[i + 1] - bounds[start]]
+            integral = rules[i][1] @ (rows @ weights)
+            out.append(float(integral) / (2.0 * num_users * math.log(2.0)))
+        start = stop
+    return out

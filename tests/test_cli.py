@@ -4,6 +4,7 @@ byte determinism, exit codes."""
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +511,20 @@ class TestValidateMode:
         statuses = {name: status for name, status, _ in report.checks}
         assert statuses[check] == "PASS"
         assert absent not in statuses
+
+    def test_throughput_check_has_power(self, monkeypatch):
+        # fig4's closed-form throughput 10% high must fail its Monte Carlo
+        # cross-check at several points (9 of 9 when this was written);
+        # the sweep reads every budget in one call, which returns a list
+        def high(*args, _throughput=analytic.average_throughput):
+            return [1.1 * value for value in _throughput(*args)]
+
+        monkeypatch.setattr(analytic, "average_throughput", high)
+        report = run_validate(load_config(
+            Path(__file__).resolve().parent.parent / "recipes" / "fig4.json"))
+        failed = [name for name, status, _ in report.checks
+                  if name.startswith("analytic-vs-mc@") and status == "FAIL"]
+        assert len(failed) >= 3, report.render()
 
 
 class TestMainEntry:

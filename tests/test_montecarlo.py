@@ -119,6 +119,15 @@ class TestSharedTrials:
         assert many[0] == estimate_throughput(t, b, "maxmin", trials=70_000, seed=6)
         assert many[1][0].mean > many[0][0].mean
 
+    def test_repeated_scales_match_single_calls(self):
+        # the points of one stack that share a scale are scored once
+        t, b = topo(m=1), budget_db(15, 10, 5)
+        scales = [10.0, 1.0, 10.0, 0.5, 1.0]
+        many = estimate_throughput(t, b, "maxmin", trials=70_000, seed=6,
+                                   scales=scales)
+        assert many == [estimate_throughput(t, b, "maxmin", trials=70_000,
+                                            seed=6, scales=x) for x in scales]
+
     def test_budget_sequence_matches_single_calls(self):
         # each budget builds its SNR matrix from the same draws
         t = topo()

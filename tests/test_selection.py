@@ -18,6 +18,7 @@ from assign_oracles import (
     enumerate_rank_counts,
     global_ranks,
     maxmin_assign,
+    maxmin_assign_rowwise_batch,
     maxmin_assign_sorted_batch,
     naive_assign,
     prefix_leaf_rank_counts,
@@ -226,6 +227,53 @@ class TestMaxminBatchOracles:
         assert peak < 256 * 2**20
 
 
+class TestRowwiseKernel:
+    """The batch, with its per-shape plan, grouped larger-entry counts
+    and packed first minimum, against the kernel that counts one row at
+    a time and takes argmin (``maxmin_assign_rowwise_batch``), bit for
+    bit, and the memory of the grouped counts at the widest uint16
+    shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(boundary_stacks))
+    def test_boundary_shapes(self, g):
+        assert_batches_equal(maxmin_assign_batch(g), maxmin_assign_rowwise_batch(g))
+
+    @pytest.mark.parametrize("shape", BOUNDARY_SHAPES + [(1, 1), (2, 4), (3, 4)],
+                             ids=shape_id)
+    def test_all_equal(self, shape):
+        # every map ties, so the first in table order wins
+        for value in (0.0, 0.5, np.inf):
+            g = np.full((3, *shape), value)
+            assert_batches_equal(maxmin_assign_batch(g),
+                                 maxmin_assign_rowwise_batch(g))
+            assert (maxmin_assign_batch(g)[0] == np.arange(shape[0])).all()
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 100, 10922, 10923, 20000])
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 4)], ids=shape_id)
+    def test_trials(self, shape, trials):
+        # 10922 trials fill one 3x4 chunk, 10923 start a second
+        g = np.random.default_rng(trials).random((trials, *shape))
+        assert_batches_equal(maxmin_assign_batch(g), maxmin_assign_rowwise_batch(g))
+        tied = np.floor(4 * g) / 4
+        assert_batches_equal(maxmin_assign_batch(tied),
+                             maxmin_assign_rowwise_batch(tied))
+
+    def test_memory_widest_counts(self):
+        # 1x257: a chunk of 1020 trials is a 2.0 MiB float copy, and
+        # comparing every row with every row at once would make a 64 MiB
+        # bool block; groups of at most 8 rows make 2.0 MiB (7.0 MiB
+        # traced in all, for a 4096-trial stack)
+        g = np.random.default_rng(19).random((4096, 1, 257))
+        tracemalloc.start()
+        try:
+            maxmin_assign_batch(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 @st.composite
 def stacks_and_thresholds(draw, stacks):
     """A stack from ``stacks`` (a function of ``tied``) and a threshold:
@@ -333,7 +381,8 @@ class TestFirstMin:
         key = rng.integers(low, top, size=(maps, 64), dtype=dtype, endpoint=True)
         if tied:
             key[:, 0] = top  # every map ties
-        np.testing.assert_array_equal(selection._first_min(key),
+        index = np.arange(maps, dtype=np.int32)[:, None]
+        np.testing.assert_array_equal(selection._first_min(key, index),
                                       key.argmin(axis=0))
 
 
