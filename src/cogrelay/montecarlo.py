@@ -1,11 +1,14 @@
 """Seeded, reproducible Monte Carlo engine.
 
-Trials are processed in fixed-size blocks and each block draws from its
-own generator seeded by (master seed, block index).  Results therefore
-depend only on (seed, trials, configuration) -- never on how blocks
-might be scheduled across workers -- and block outputs are integer
-counts or compensated partial sums, so aggregation order cannot change
-the answer either.
+Trials are processed in blocks of a fixed number of SNR entries
+(``ENTRIES``), so a block holds fewer trials the more users and relays
+each has, and each block draws from its own generator seeded by (master
+seed, block index).  Results therefore depend only on (seed, trials,
+configuration) -- never on how blocks might be scheduled across workers
+-- and block outputs are integer counts or compensated partial sums, so
+aggregation order cannot change the answer either.  Each block-sized
+array (a gain, an SNR part, a stack) holds at most ``ENTRIES`` floats,
+or one trial's entries where those alone are more.
 
 The outage and throughput estimators score a whole sweep in one pass
 (:func:`_selected_snrs`): each point has a link budget and an outage
@@ -77,16 +80,23 @@ __all__ = [
     "estimate_throughput",
 ]
 
-BLOCK = 1 << 16  # trials per derived random stream (fixed by design)
+# SNR entries per block: a block holds as many trials as fill this many
+# entries of its SNR matrix, and at least one (:func:`_block_trials`), so
+# each block-sized float64 array (a gain, an SNR part, a stack) is at
+# most 1 MiB below 2**17 entries per trial.  Fixed by design: the block
+# size, and with it the random stream, follows from the shape alone.
+ENTRIES = 1 << 17
 
 # Decided trials (served for max-min outage, doomed for outage under
 # every scheme, settled for throughput along a relay-cap chain) leave a
 # stack, and served or settled ones along a chain the block's draws,
 # once each kind is at least this share of the stack; fewer stay in it,
 # where they count no outage, count it at every point, or are assigned
-# the selected SNRs they already have.  Copying a 65536-trial 3x4 stack takes 2.5 ms, an eighth
-# of the 21 ms of assigning it (one core of a shared Xeon), and copies
-# made for the 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
+# the selected SNRs they already have.  Copying a whole 3x4 block's
+# stack (10922 trials) takes 0.07 ms, a thirtieth of the 2.3 ms of
+# assigning it (one core of a shared 2-CPU host); with 65536-trial
+# blocks, copies made for the 0.7% served at fig3's 5 dB point raised
+# its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
 
 
@@ -105,9 +115,18 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _blocks(trials: int):
-    for index, start in enumerate(range(0, trials, BLOCK)):
-        yield index, min(BLOCK, trials - start)
+def _block_trials(topology: NetworkTopology) -> int:
+    """Trials per block: as many as fill ``ENTRIES`` SNR entries, at
+    least one."""
+    return max(1, ENTRIES // (topology.num_users * topology.num_relays))
+
+
+def _blocks(trials: int, topology: NetworkTopology):
+    """Each block's index and trial count; every block but the last
+    holds :func:`_block_trials` trials."""
+    size = _block_trials(topology)
+    for index, start in enumerate(range(0, trials, size)):
+        yield index, min(size, trials - start)
 
 
 def _check_trials(trials: int, minimum: int = 1):
@@ -213,7 +232,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and tops[later] <= tops[earlier]
                     for earlier, later in steps)
     sampled = topology if csi is None else model._estimated(topology, csi)
-    for index, block in _blocks(trials):
+    for index, block in _blocks(trials, topology):
         rng = _block_rng(seed, index)
         draws = model.sample_realization(sampled, rng, trials=block)
         maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
@@ -361,7 +380,8 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
-    sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
+    size = _block_trials(topology)
+    sums = np.zeros((len(budgets), num_users, -(-trials // size)))
     sq_sums = np.zeros_like(sums)
     per_rate = 2.0 * num_users * math.log(2.0)
     current = None
@@ -370,7 +390,7 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
         if index != current:
             current = index
             # a settled trial, in no later rows, keeps its selected SNRs
-            eff = np.empty((num_users, min(BLOCK, trials - index * BLOCK)))
+            eff = np.empty((num_users, min(size, trials - index * size)))
             rates = np.empty_like(eff)
         eff[:, rows] = selected.T
         del selected  # not held while the next stack builds
@@ -400,3 +420,14 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
                                   trials, seed))
         out.append(row)
     return out if np.ndim(scales) else out[0]
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark tracer in perfbench/ looks up on this module; none of
+# them is on a path of the package, and they stay until the tracer drops them
+# ---------------------------------------------------------------------------
+
+# The tracer counts ceil(trials / BLOCK) blocks per estimator call.  Blocks
+# are sized in SNR entries, not trials, so that count is right for a 1x1
+# shape only: a 100000-trial 3x4 call reads 1 block, and draws 10.
+BLOCK = ENTRIES

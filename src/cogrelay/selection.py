@@ -69,8 +69,10 @@ _MAX_ASSIGNMENT_TABLE = 40320
 EXACT_MAXMIN_LIMIT = 24
 
 # Max-min keys are computed for at most this many (trial, map) pairs at
-# a time (10922 trials at 3x4, 24 maps), so that assigning adds little
-# to a Monte Carlo block's channel draws, which stay held across budgets.
+# a time (10922 trials at 3x4, 24 maps), so that memory is bounded for
+# every shape.  A Monte Carlo block holds 10922 trials at 3x4, exactly
+# one chunk, so each of its stacks is assigned in one chunk (2.25 MiB
+# traced for a whole block's stack, beside its 1 MiB gain arrays).
 _CHUNK_ELEMENTS = 1 << 18
 
 

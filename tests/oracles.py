@@ -31,9 +31,9 @@ from cogrelay.analytic import (
 )
 from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
-    BLOCK,
     McEstimate,
     _block_rng,
+    _block_trials,
     _blocks,
     _check_trials,
     wilson_interval,
@@ -277,7 +277,7 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
         path_loss_exp=topology.path_loss_exp,
     )
     hits = np.zeros(len(grid), dtype=np.int64)
-    for index, block in _blocks(trials):
+    for index, block in _blocks(trials, single):
         rng = _block_rng(seed, index)
         draws = model.sample_realization(single, rng, trials=block)
         snr = model.snr_matrix(draws, single, budget).reshape(-1)
@@ -319,7 +319,7 @@ def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
     between points."""
     _check_trials(trials)
     hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
-    for index, block in _blocks(trials):
+    for index, block in _blocks(trials, topology):
         rng = _block_rng(seed, index)
         if csi is None:
             draws = model.sample_realization(topology, rng, trials=block)
@@ -354,9 +354,10 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
     _check_trials(trials)
     num_users = topology.num_users
     scales = [1.0] * len(budgets) if scales is None else scales
-    sums = np.zeros((len(budgets), num_users, -(-trials // BLOCK)))
+    sums = np.zeros((len(budgets), num_users,
+                     -(-trials // _block_trials(topology))))
     sq_sums = np.zeros_like(sums)
-    for index, block in _blocks(trials):
+    for index, block in _blocks(trials, topology):
         rng = _block_rng(seed, index)
         draws = model.sample_realization(topology, rng, trials=block)
         state = rng.bit_generator.state

@@ -27,10 +27,10 @@ from cogrelay.cli import (
     run_sweep,
     run_validate,
 )
-from cogrelay.model import db_to_linear
+from cogrelay.model import NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
-    BLOCK,
     McEstimate,
+    _block_trials,
     estimate_outage,
     estimate_throughput,
 )
@@ -279,6 +279,10 @@ def sweep_config(**overrides):
 
 
 CSI = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05, "error_ratio_f": 0.05}
+# 66536 trials of a 2x3 sweep_config: three full blocks and 1001 trials
+# of a fourth
+BLOCK_2X3 = _block_trials(NetworkTopology(2, 3))
+SPANNING = 3 * BLOCK_2X3 + 1001
 LAMBDA2 = {"sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 20.0,
                      "step_db": 5.0},
            "lambda1_db": 25.0, "lambda3_db": 10.0}
@@ -298,11 +302,11 @@ class TestSweepReuse:
         self.assert_cells_equal_per_point_calls(config)
 
     def test_shared_pass_spans_blocks(self):
-        self.assert_cells_equal_per_point_calls(sweep_config(trials=BLOCK + 1000))
+        self.assert_cells_equal_per_point_calls(sweep_config(trials=SPANNING))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind", ["csi", "lambda2"])
-    @pytest.mark.parametrize("trials", [2000, BLOCK + 1000])
+    @pytest.mark.parametrize("trials", [2000, SPANNING])
     def test_budget_sweep_equals_one_budget_calls(self, scheme, kind, trials):
         # each point reads its own budget from the shared draws
         overrides = {"csi": CSI} if kind == "csi" else LAMBDA2
@@ -331,7 +335,7 @@ class TestSweepReuse:
                 assert shared.mean == pytest.approx(single.mean, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["maxmin", "naive"])
-    @pytest.mark.parametrize("trials", [2000, BLOCK + 1000])
+    @pytest.mark.parametrize("trials", [2000, SPANNING])
     def test_lambda2_throughput_equals_one_budget_calls(self, scheme, trials):
         config = sweep_config(nakagami_m=1, mode="throughput", scheme=scheme,
                               trials=trials, **LAMBDA2)
@@ -346,7 +350,7 @@ class TestSweepReuse:
         {}, {"csi": CSI}, LAMBDA2, {"mode": "throughput", **LAMBDA2},
     ], ids=["lambda_all", "csi", "lambda2", "lambda2-throughput"])
     def test_one_draw_per_block(self, monkeypatch, scheme, overrides):
-        config = sweep_config(nakagami_m=1, scheme=scheme, trials=BLOCK + 1000,
+        config = sweep_config(nakagami_m=1, scheme=scheme, trials=SPANNING,
                               **overrides)
         pk = _rank_distribution(config)
         draws = []
@@ -358,8 +362,8 @@ class TestSweepReuse:
             monkeypatch.setattr(model, name, counted)
         evaluate_sweep(config, pk)
         # every block samples through one call, with or without CSI
-        assert draws == [("sample_realization", BLOCK),
-                         ("sample_realization", 1000)]
+        assert draws == ([("sample_realization", BLOCK_2X3)] * 3
+                         + [("sample_realization", 1001)])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_outage_mc_nonincreasing_in_level(self, tmp_path, scheme):
@@ -375,8 +379,8 @@ class TestSweepReuse:
             assert all(later <= earlier for earlier, later in zip(curve, curve[1:]))
 
     def test_memory_bounded_at_point_cap(self):
-        # a (points, trials) array of one 65536-trial block would take
-        # 5.2 GB as float64; only the thresholds are read from the config
+        # a (points, trials) array of one 10922-trial 3x4 block would take
+        # 874 MB as float64; only the thresholds are read from the config
         config = parse_config({**MINIMAL, "num_users": 3, "num_relays": 4,
                                "nakagami_m": 1,
                                "sweep": {"variable": "lambda_all",
@@ -389,13 +393,35 @@ class TestSweepReuse:
         tracemalloc.start()
         try:
             estimates = estimate_outage(config.topology(), budgets, "maxmin",
-                                        thresholds, BLOCK,
+                                        thresholds,
+                                        _block_trials(config.topology()),
                                         _point_seed(config.seed, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(estimates) == MAX_SWEEP_POINTS
         assert peak < 128 * 2**20
+
+    def test_memory_bounded_at_wide_shape(self):
+        # a naive 1x2000 sweep holds 65 trials per block, whose gains are
+        # three 1 MiB arrays (3.7 MiB traced peak measured); a block of
+        # all 20000 trials would draw 960 MB
+        config = parse_config({**MINIMAL, "num_users": 1, "num_relays": 2000,
+                               "nakagami_m": 1, "scheme": "naive",
+                               "trials": 20_000, "seed": 1})
+        budgets, levels = _mc_points(config, config.sweep.points())
+        thresholds = [budget.threshold_snr / level
+                      for budget, level in zip(budgets, levels)]
+        tracemalloc.start()
+        try:
+            estimates = estimate_outage(config.topology(), budgets, "naive",
+                                        thresholds, config.trials,
+                                        _point_seed(config.seed, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 3
+        assert peak < 16 * 2**20
 
 
 class TestRankDistribution:

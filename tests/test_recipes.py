@@ -14,15 +14,15 @@ from cogrelay.cli import load_config, parse_config, run_sweep
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 GOLDEN_SHA256 = {
-    "fig1": "35813bd0fd8f973acec03358fbedac9d363c1f8e855545a34ad3eec722b7eb6a",
-    "fig2": "aecfc80abd247958c7a70d75c421b1ac4c2ba94e4de4470606b03c3ba923ea25",
-    "fig3": "682999152c5e1adf75871c10f414573ed0a15a1f4a4001d5f48315086a763662",
-    "fig4": "50bfab39f4708d9cb488b4a41c9cb9ea77131c9823f65a56a206e62de2ef5b09",
+    "fig1": "3449a950f1d7991138f2d2b6fc417904172b15fd8b37b00b46c6af05af458ac7",
+    "fig2": "39cd36b0a7e0669b5e26b1fe14a4bf4f2873a9e8b9300b98350dac6161ecb510",
+    "fig3": "42d06b92622ba498d413989c420fcc9af41d3a3a7683253e1115efc7d328f00b",
+    "fig4": "b8d9325456468bcd0a9e4621107c7182dbb756bae7dab7140e4ce0b32ec99b83",
 }
 
 # fig4's levels on 2x4 at 1000 trials and 241 relay caps: the Monte
-# Carlo pass assigns small stacks, which the recipes (65536-trial
-# blocks) barely reach
+# Carlo pass assigns small stacks, which the recipes (blocks of 10922
+# to 21845 trials) barely reach
 FINE_CONFIG = """{
   "num_users": 2, "num_relays": 4, "nakagami_m": 1, "gamma_th_db": 5.0,
   "lambda1_db": 25.0, "lambda3_db": 10.0, "mode": "throughput",
@@ -50,16 +50,18 @@ def fine_config(name: str) -> dict:
 # random outage (no served trial leaves) and random throughput (settled
 # trials leave, as under every scheme), max-min outage on small stacks
 # along a relay-cap chain and along a CSI common-SNR chain, naive CSI
-# outage over two blocks (CSI builds every matrix from the gains), and
-# random 3x4 outage and throughput over two blocks, whose relay maps
-# are drawn once per block.  Each was pinned before random stopped
+# outage over several blocks (CSI builds every matrix from the gains),
+# and random 3x4 outage and throughput over several blocks, whose relay
+# maps are drawn once per block.  Each was pinned before random stopped
 # redrawing its keys at every budget.  The last three start low enough
 # that an eighth or more of their first stacks have every SNR at or
 # below the budget's smallest threshold, in outage under every scheme:
-# naive CSI common-SNR outage over two blocks, random 3x4 relay-cap
+# naive CSI common-SNR outage over several blocks, random 3x4 relay-cap
 # outage from -10 dB, and max-min common-SNR outage from -10 dB, whose
 # one unit budget scores 16 thresholds.  Each was pinned before those
-# trials stopped being assigned.  m = 1, γ_th = 5 dB and seed 1 unless
+# trials stopped being assigned.  The four 70000-trial sweeps were
+# pinned again when blocks came to be sized in SNR entries (a new random
+# stream); the others fit in one block under either size.  m = 1, γ_th = 5 dB and seed 1 unless
 # stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
@@ -114,10 +116,10 @@ PASS_SHA256 = {
     "maxmin-lambda2-outage": "9020b16306d93c1ca0609ca2a00d462a077383186c7e8701c9778e6a84d3621a",
     "maxmin-csi-outage": "9fd868ec8069ac9528470762d972800e188f825617d78e41d2282f28f5ab374e",
     "random-lambda2-throughput": "5470cd64ab9e33c671597f335b3e1142680997841f1002280cd766d5b7b164d3",
-    "naive-csi-lambda2-outage": "786b6c8ef90f2e742476da541a40ff12a843958502fad23cac8e75648dce3264",
-    "random-3x4-lambda2-outage": "6c9344f18d294399aeef0e7a4ccc2040299307b2a69766c3979f9fe6ec349cd8",
-    "random-3x4-lambda2-throughput": "ede5c0ad367f482254f7602b1acbb7f4b35d2a6e8a993c325348048806410159",
-    "naive-csi-outage": "53250eddbc919f5aa451df81020491b9d9bd07969c4ae1784c852fddc74b3633",
+    "naive-csi-lambda2-outage": "d6343e1414ae554d9758928c4943f1fbba0b593b87ccc642c2e4b8ab98ed4f4c",
+    "random-3x4-lambda2-outage": "2cf276c4b9bb8cb3f4abd750a2fb749ba4ef900df97c4d3a194934cb431378bf",
+    "random-3x4-lambda2-throughput": "6c8824fd7339790b4da2ad17c4e483b7c6881cc2b63f2f34bd44dc384be5f480",
+    "naive-csi-outage": "5a39e6ada747cdc21eeafb07f02d4974fceae22ff74ffb69a09f50aec3223af2",
     "random-3x4-lambda2-low-outage": "380bc3c74a1e390d5e16cbddaeed96a88c53e44701692c40795b0bde5ff0a996",
     "maxmin-low-outage": "b6581764194e15c391098929bee9e6d2232e82a46de457422f29b34896fb1a01",
 }

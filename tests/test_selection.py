@@ -202,9 +202,9 @@ class TestMaxminBatchOracles:
         assert_batches_equal(maxmin_assign_batch(g), maxmin_assign_sorted_batch(g))
 
     def test_memory_small_shape(self):
-        # one 65536-trial 3x4 block: the chunk's counts are uint8 and its
-        # keys int16 (3.6 MB measured; 10.8 MB with sorted int64 counts
-        # and int64 keys)
+        # a 65536-trial 3x4 stack, one rank-placement block (six chunks):
+        # the chunk's counts are uint8 and its keys int16 (3.6 MB
+        # measured; 10.8 MB with sorted int64 counts and int64 keys)
         g = np.random.default_rng(18).random((65536, 3, 4))
         tracemalloc.start()
         try:
@@ -215,8 +215,8 @@ class TestMaxminBatchOracles:
         assert peak < 8 * 2**20
 
     def test_memory_bounded(self):
-        # 1680 maps: a (trials, maps, users) float64 profile array of one
-        # 65536-trial block would take 3.5 GB
+        # 1680 maps: a (trials, maps, users) float64 profile array of a
+        # 65536-trial stack would take 3.5 GB
         g = np.random.default_rng(18).random((65536, 4, 8))
         tracemalloc.start()
         try:
