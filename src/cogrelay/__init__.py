@@ -9,10 +9,8 @@ from .analytic import (
     asymptotic_outage_case2,
     average_throughput,
     cdf_kth_largest,
-    cdf_min_snr,
     g_factor,
     outage_floor_imperfect,
-    outage_from_cdf,
     outage_probability,
     outage_probability_imperfect,
     worst_case_rank_prob,

@@ -11,27 +11,28 @@ mixture against 1/(1+x) with the trapezoid rule in s = ln x, which
 converges geometrically for this analytic, doubly-exponentially
 decaying integrand.  The link-CDF kernel takes the budget levels as
 arrays too, so the throughput of a whole sweep of budgets is read in a
-few batched kernel calls, each built when it is made, so memory is
-bounded by one call whatever the number of budgets.
+few batched kernel calls.  Each call is built when it is made and sized
+by the shape from the package's memory budget (``model.ENTRIES``), a
+budget's rule read in pieces where it alone is larger, so memory is
+bounded by one call whatever the number of budgets or the shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import LinkBudget, CsiErrorModel, NetworkTopology, _estimated
+from .model import ENTRIES, LinkBudget, CsiErrorModel, NetworkTopology, _estimated
 from .selection import RankPlacementDistribution
 from .specfun import _regularized_gamma
 
 __all__ = [
-    "cdf_min_snr",
     "cdf_kth_largest",
     "outage_probability",
-    "outage_from_cdf",
     "g_factor",
     "array_gain",
     "asymptotic_outage_case1",
@@ -144,15 +145,6 @@ def _link_cdf(x, topology: NetworkTopology, budget,
     return np.minimum(cdf, 1.0), np.minimum(ccdf, 1.0)
 
 
-def cdf_min_snr(x, topology: NetworkTopology, budget: LinkBudget,
-                csi: CsiErrorModel | None = None):
-    """CDF of the end-to-end SNR of one user-relay link (the smaller hop
-    SNR, with the relay power cap) at a float x >= 0, as a float, or at
-    an array of points; with ``csi``, under imperfect CSI (Rayleigh)."""
-    cdf = _link_cdf(x, topology, budget, csi)[0]
-    return float(cdf) if cdf.ndim == 0 else cdf
-
-
 # ---------------------------------------------------------------------------
 # order statistics and the outage mixture
 # ---------------------------------------------------------------------------
@@ -175,7 +167,6 @@ def _binomial_terms(cdf, ccdf, n: int) -> np.ndarray:
     relative accuracy.
     """
     j = np.arange(n + 1.0)
-    log_comb = np.array([math.log(math.comb(n, i)) for i in range(n + 1)])
     # log 0 becomes a finite -1e300: a zero power of it is then 1, and any
     # other power still underflows to 0
     with np.errstate(divide="ignore"):
@@ -184,9 +175,18 @@ def _binomial_terms(cdf, ccdf, n: int) -> np.ndarray:
     # built with j leading, so every step runs along the points, then
     # laid out with j last
     terms = np.multiply.outer(j, log_f)
-    terms += log_comb.reshape((-1,) + (1,) * log_f.ndim)
+    terms += _log_comb(n).reshape((-1,) + (1,) * log_f.ndim)
     terms += np.multiply.outer(n - j, log_g)
     return np.ascontiguousarray(np.moveaxis(np.exp(terms, out=terms), 0, -1))
+
+
+@lru_cache(maxsize=None)
+def _log_comb(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, built once per n (at n = 2000, its exact
+    binomials took most of a one-budget throughput call), read-only."""
+    out = np.array([math.log(math.comb(n, j)) for j in range(n + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def _pk_vector(pk, num_users: int, num_relays: int) -> np.ndarray:
@@ -234,17 +234,6 @@ def _outage(cdf, ccdf, num_users: int, num_relays: int, pk) -> float:
     probs = _pk_vector(pk, num_users, num_relays)
     weights = np.concatenate(([0.0], np.cumsum(probs[::-1])))
     return min(1.0, float(_binomial_mixture(cdf, ccdf, weights)))
-
-
-def outage_from_cdf(cdf_value: float, num_users: int, num_relays: int,
-                    pk) -> float:
-    """Outage at a point where the link CDF equals ``cdf_value``.
-
-    ``pk`` may be a :class:`RankPlacementDistribution` (its user-average
-    probabilities are used) or a plain per-rank probability vector, e.g.
-    one row of ``per_user`` for a scheme that treats users unequally.
-    """
-    return _outage(cdf_value, 1.0 - cdf_value, num_users, num_relays, pk)
 
 
 def outage_probability(gamma_th: float, topology: NetworkTopology,
@@ -370,9 +359,6 @@ def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
 _STEP = 0.2  # trapezoid step in s = ln x
 _S_SPAN = 40.0  # first node at e^-40 times the integrand's scale min(1, 1/a)
 _DECAY_MAX = 750.0  # e^-(a x) underflows to zero before a x reaches this
-# trapezoid nodes of consecutive budgets read in one kernel call (a
-# budget takes 233 nodes, and 5 more per unit of ln(1/a) below a = 1)
-_NODES_PER_CALL = 4096
 
 
 class _Levels(NamedTuple):
@@ -397,24 +383,32 @@ def _log_trapezoid(a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, _STEP * x / (1.0 + x)
 
 
-def _throughput_run(topology: NetworkTopology, run, weights: np.ndarray):
-    """The throughput of each ``(budget, nodes, node weights)`` of a run,
-    from one call of the link-CDF and binomial-term kernels on the run's
-    joined nodes; each budget's mixture and integral are then summed on
-    its own slice, so every value is the one its budget gives alone."""
-    counts = [len(x) for _, x, _ in run]
-    levels = _Levels(*(np.repeat([getattr(b, name) for b, _, _ in run], counts)
+def _nodes_per_call(topology: NetworkTopology) -> int:
+    """Trapezoid nodes read in one kernel call.  A call holds about four
+    (nodes, M*N + 1) arrays of binomial terms, so each gets a quarter of
+    ``ENTRIES``: 3640 nodes at 2x4, 16 at 1x2000 (a budget's rule takes
+    233 nodes, and 5 more per unit of ln(1/a) below a = 1)."""
+    size = topology.num_users * topology.num_relays
+    return max(1, ENTRIES // (4 * (size + 1)))
+
+
+def _throughput_run(topology: NetworkTopology, run, weights: np.ndarray, out):
+    """Add to ``out[i]`` the throughput of each ``(i, budget, nodes, node
+    weights)`` piece of a run, from one call of the link-CDF and
+    binomial-term kernels on the run's joined nodes; each piece's
+    mixture and integral are summed on its own slice, so a budget read
+    in one piece gets, bit for bit, the value it gives alone."""
+    counts = [len(x) for _, _, x, _ in run]
+    levels = _Levels(*(np.repeat([getattr(b, name) for _, b, _, _ in run], counts)
                        for name in _Levels._fields))
     terms = _binomial_terms(
-        *_link_cdf(np.concatenate([x for _, x, _ in run]), topology, levels),
+        *_link_cdf(np.concatenate([x for _, _, x, _ in run]), topology, levels),
         len(weights) - 1)
-    out = []
     start = 0
-    for (_, _, node_weights), count in zip(run, counts):
+    for (i, _, _, node_weights), count in zip(run, counts):
         integral = node_weights @ (terms[start:start + count] @ weights)
-        out.append(float(integral) / (2.0 * topology.num_users * math.log(2.0)))
+        out[i] += float(integral) / (2.0 * topology.num_users * math.log(2.0))
         start += count
-    return out
 
 
 def average_throughput(topology: NetworkTopology, budget, pk):
@@ -430,11 +424,12 @@ def average_throughput(topology: NetworkTopology, budget, pk):
 
     ``budget`` is one :class:`LinkBudget` (the result is a float) or a
     sequence of them (a list, one value per budget).  Consecutive budgets
-    form runs of up to ``_NODES_PER_CALL`` nodes (a budget alone may
-    exceed it), each read by :func:`_throughput_run`; a run's rules are
-    built as its budgets come and its joined nodes and levels when its
-    call is made, so memory is bounded by one call, not by the number of
-    budgets.
+    form runs of up to :func:`_nodes_per_call` nodes, each read by
+    :func:`_throughput_run`; a rule longer than that is read in pieces of
+    that many nodes, and its integral summed over them.  A run's rules
+    are built as its budgets come and its joined nodes and levels when
+    its call is made, so memory is bounded by one call, not by the
+    number of budgets or the shape.
     """
     if topology.nakagami_m != 1:
         raise ValueError("closed-form throughput requires nakagami_m == 1")
@@ -444,21 +439,24 @@ def average_throughput(topology: NetworkTopology, budget, pk):
         return []
     probs = _pk_vector(pk, topology.num_users, topology.num_relays)
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
+    per_call = _nodes_per_call(topology)
     out = []
-    run, nodes = [], 0  # the budgets of the next call and their node count
+    run, nodes = [], 0  # the pieces of the next call and their node count
     for b in budgets:
         # the link CCDF decays like e^-(a x)
         x, node_weights = _log_trapezoid(
             1.0 / (topology.eff_gain_hop1 * b.source_snr)
             + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
-        # a run is read once its nodes fill one call (a budget alone may
-        # exceed it)
-        if run and nodes + len(x) > _NODES_PER_CALL:
-            out += _throughput_run(topology, run, weights)
-            run, nodes = [], 0
-        run.append((b, x, node_weights))
-        nodes += len(x)
-    out += _throughput_run(topology, run, weights)
+        out.append(0.0)
+        for start in range(0, len(x), per_call):
+            piece = x[start:start + per_call]
+            if nodes + len(piece) > per_call:  # the run fills one call
+                _throughput_run(topology, run, weights, out)
+                run, nodes = [], 0
+            run.append((len(out) - 1, b, piece,
+                        node_weights[start:start + per_call]))
+            nodes += len(piece)
+    _throughput_run(topology, run, weights, out)
     return out[0] if single else out
 
 

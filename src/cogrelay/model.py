@@ -31,6 +31,14 @@ __all__ = [
     "snr_matrix_imperfect",
 ]
 
+# The package's one memory budget, in float64 entries (1 MiB), from
+# which every array that grows with the work is sized: a Monte Carlo or
+# sampled rank-placement block holds as many trials as fill this many
+# SNR entries (at least one), and a closed-form throughput call as many
+# nodes as keep its (M*N + 1)-wide term arrays to a quarter of it.  Fixed
+# by design: the block size, and so the random stream, follows the shape.
+ENTRIES = 1 << 17
+
 # entries per tile of the kernels that walk a gains-sized array in
 # pieces (512 KiB of float64), so they hold no second array of its size.
 # A Monte Carlo block's gains (1 MiB) are two tiles, and the tiles still
@@ -38,7 +46,7 @@ __all__ = [
 # is reused, took 0.58 ms, and 1.25 ms with the hop-1 SNR formed in a
 # fresh block-sized temporary; a second m = 2 gamma draw, 1.6 against
 # 2.3 ms (one core of a shared 2-CPU host)
-_TILE = 1 << 16
+_TILE = ENTRIES // 2
 
 
 def db_to_linear(value_db: float) -> float:

@@ -1,14 +1,14 @@
 """Seeded, reproducible Monte Carlo engine.
 
-Trials are processed in blocks of a fixed number of SNR entries
-(``ENTRIES``), so a block holds fewer trials the more users and relays
-each has, and each block draws from its own generator seeded by (master
-seed, block index).  Results therefore depend only on (seed, trials,
-configuration) -- never on how blocks might be scheduled across workers
--- and block outputs are integer counts or compensated partial sums, so
-aggregation order cannot change the answer either.  Each block-sized
-array (a gain, an SNR part, a stack) holds at most ``ENTRIES`` floats,
-or one trial's entries where those alone are more.
+Trials are processed in blocks of the package's memory budget
+(``model.ENTRIES`` SNR entries), so a block holds fewer trials the more
+users and relays each has, and each block draws from its own generator
+seeded by (master seed, block index).  Results therefore depend only on
+(seed, trials, configuration).  Outage counts are integers; throughput
+folds each block's sums into one running total per point and user, in
+block order, so a call holds nothing per block beyond the block it is
+on.  Each block-sized array (a gain, an SNR part, a stack) holds at most
+``ENTRIES`` floats, or one trial's entries where those alone are more.
 
 The outage and throughput estimators score a whole sweep in one pass
 (:func:`_selected_snrs`): each point has a link budget and an outage
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, selection
-from .model import CsiErrorModel, LinkBudget, NetworkTopology
+from .model import ENTRIES, CsiErrorModel, LinkBudget, NetworkTopology
 
 __all__ = [
     "McEstimate",
@@ -79,13 +79,6 @@ __all__ = [
     "estimate_outage",
     "estimate_throughput",
 ]
-
-# SNR entries per block: a block holds as many trials as fill this many
-# entries of its SNR matrix, and at least one (:func:`_block_trials`), so
-# each block-sized float64 array (a gain, an SNR part, a stack) is at
-# most 1 MiB below 2**17 entries per trial.  Fixed by design: the block
-# size, and with it the random stream, follows from the shape alone.
-ENTRIES = 1 << 17
 
 # Decided trials (served for max-min outage, doomed for outage under
 # every scheme, settled for throughput along a relay-cap chain) leave a
@@ -375,14 +368,14 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     Each point's rates are ``log1p`` of the scaled SNRs over
     ``2 M ln 2``, so a rate whose ``1 + SNR`` rounds to 1 stays above 0;
     they are summed per user in one numpy call, once per distinct scale
-    among the points a stack scores.
+    among the points a stack scores, into each point's running totals.
     """
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
     size = _block_trials(topology)
-    sums = np.zeros((len(budgets), num_users, -(-trials // size)))
-    sq_sums = np.zeros_like(sums)
+    # each point's and user's sums of rates and of squared rates
+    totals = np.zeros((2, len(budgets), num_users))
     per_rate = 2.0 * num_users * math.log(2.0)
     current = None
     for index, points, rows, selected in _selected_snrs(
@@ -398,7 +391,7 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
         # scored once, and its sums go to all of its points (a one-point
         # stack skips np.unique, which costs about as much as a scoring)
         distinct, which = (np.unique(factors[points], return_inverse=True)
-                           if len(points) > 1 else (factors[points], 0))
+                           if len(points) > 1 else (factors[points], [0]))
         scored = np.empty((2, len(distinct), num_users))
         for scale, total, sq_total in zip(distinct, *scored):
             np.multiply(eff, scale, out=rates)
@@ -407,14 +400,14 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
             rates.sum(axis=1, out=total)
             np.square(rates, out=rates)
             rates.sum(axis=1, out=sq_total)
-        sums[points, :, index], sq_sums[points, :, index] = scored[:, which]
+        # a block scores each point once, so ``points`` holds no repeat
+        totals[:, points] += scored[:, which]
     out = []
-    # as lists, so that fsum reads Python floats rather than array items
-    for point_sums, point_sq_sums in zip(sums.tolist(), sq_sums.tolist()):
+    for point_sums, point_sq_sums in zip(*totals.tolist()):
         row = []
-        for user_sums, user_sq_sums in zip(point_sums, point_sq_sums):
-            mean = math.fsum(user_sums) / trials
-            var = max(0.0, math.fsum(user_sq_sums) / trials - mean * mean)
+        for total, sq_total in zip(point_sums, point_sq_sums):
+            mean = total / trials
+            var = max(0.0, sq_total / trials - mean * mean)
             half = z * math.sqrt(var / trials)
             row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
                                   trials, seed))

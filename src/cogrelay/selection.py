@@ -46,6 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import ENTRIES
+
 __all__ = [
     "RankPlacementDistribution",
     "maxmin_assign_batch",
@@ -69,11 +71,11 @@ _MAX_ASSIGNMENT_TABLE = 40320
 EXACT_MAXMIN_LIMIT = 24
 
 # Max-min keys are computed for at most this many (trial, map) pairs at
-# a time (10922 trials at 3x4, 24 maps), so that memory is bounded for
-# every shape.  A Monte Carlo block holds 10922 trials at 3x4, exactly
-# one chunk, so each of its stacks is assigned in one chunk (2.25 MiB
-# traced for a whole block's stack, beside its 1 MiB gain arrays).
-_CHUNK_ELEMENTS = 1 << 18
+# a time, so that memory is bounded for every shape.  A Monte Carlo
+# block holds 10922 trials at 3x4 (24 maps), exactly one chunk, so each
+# of its stacks is assigned in one chunk (2.25 MiB traced for a whole
+# block's stack, beside its 1 MiB gain arrays).
+_CHUNK_ELEMENTS = 2 * ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +531,11 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     ``maxmin`` with one user takes rank 1 at every N; with more it is
     exact while M*N <= ``EXACT_MAXMIN_LIMIT``, counting rank orders in
     Python integers by a recursion over sets of revealed cells, and
-    beyond that it samples ``trials`` i.i.d. matrices from ``rng``.  All
-    of them work on rank patterns only, which is exact because every
-    scheme here is invariant to monotone transformations of the entries.
+    beyond that it samples ``trials`` i.i.d. matrices from ``rng``, in
+    blocks of ``ENTRIES`` entries drawn in turn from its one stream, so
+    the counts do not depend on the block size.  All of them work on
+    rank patterns only, which is exact because every scheme here is
+    invariant to monotone transformations of the entries.
     """
     if num_users < 1 or num_relays < num_users:
         raise ValueError("need num_relays >= num_users >= 1")
@@ -566,9 +570,9 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     counts = np.zeros((num_users, mn), dtype=np.int64)
-    done = 0
-    while done < trials:
-        block = min(trials - done, 1 << 16)
+    size = max(1, ENTRIES // mn)
+    for start in range(0, trials, size):
+        block = min(size, trials - start)
         values = rng.random((block, num_users, num_relays))
         _, eff = assign_batch(scheme, values)
         flat = values.reshape(block, mn)
@@ -576,6 +580,5 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
             # rank - 1: the number of entries strictly larger
             counts[u] += np.bincount((flat > eff[:, u, None]).sum(axis=1),
                                      minlength=mn)
-        done += block
     return RankPlacementDistribution(num_users, num_relays, scheme, "monte-carlo",
                                      trials, counts / float(trials))

@@ -10,8 +10,9 @@ assign every trial at every point, the Poisson race of the link CDF as
 products and from scipy's binomial pmf, and the paper's closed-form
 average throughput (an alternating sum over order statistics of
 exponential-type integrals h(j, at, d), each from a closed recursion),
-and the closed-form throughput of a sweep with every budget's trapezoid
-rule, nodes and levels built before the first kernel call."""
+the closed-form throughput of a sweep with every budget's trapezoid
+rule, nodes and levels built before the first kernel call, and sampled
+rank placement in blocks of 65536 trials whatever the shape."""
 
 import math
 
@@ -20,9 +21,9 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc
 from scipy.stats import binom
 
-from cogrelay import model, selection
+from assign_oracles import global_ranks
+from cogrelay import analytic, model, selection
 from cogrelay.analytic import (
-    _NODES_PER_CALL,
     _Levels,
     _binomial_terms,
     _link_cdf,
@@ -33,7 +34,6 @@ from cogrelay.model import LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     McEstimate,
     _block_rng,
-    _block_trials,
     _blocks,
     _check_trials,
     wilson_interval,
@@ -109,7 +109,8 @@ def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
 def cdf_min_snr_rayleigh(x: float, topology: NetworkTopology,
                          budget: LinkBudget) -> float:
     """Rayleigh-fading single-link CDF in the compact form
-    1 - e^(-a x) (b + c/(x + d)); equal to ``cdf_min_snr`` with shape 1."""
+    1 - e^(-a x) (b + c/(x + d)); equal at shape 1 to the CDF of
+    ``analytic._link_cdf``."""
     if topology.nakagami_m != 1:
         raise ValueError("compact Rayleigh CDF requires nakagami_m == 1")
     if x < 0:
@@ -350,12 +351,12 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
     every point builds its SNR matrix and assigns every trial from the
     generator state after the draws.  No trial is carried from one
     budget to the next.  The sums are formed as the engine forms them,
-    so equal selected SNRs give equal estimates."""
+    each block's added to the running totals in block order, so equal
+    selected SNRs give equal estimates."""
     _check_trials(trials)
     num_users = topology.num_users
     scales = [1.0] * len(budgets) if scales is None else scales
-    sums = np.zeros((len(budgets), num_users,
-                     -(-trials // _block_trials(topology))))
+    sums = np.zeros((len(budgets), num_users))
     sq_sums = np.zeros_like(sums)
     for index, block in _blocks(trials, topology):
         rng = _block_rng(seed, index)
@@ -368,14 +369,14 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
             tau = (np.log1p(scales[point] * eff)
                    / (2.0 * num_users * math.log(2.0)))
             for u in range(num_users):
-                sums[point, u, index] = tau[:, u].sum()
-                sq_sums[point, u, index] = np.square(tau[:, u]).sum()
+                sums[point, u] += tau[:, u].sum()
+                sq_sums[point, u] += np.square(tau[:, u]).sum()
     out = []
     for point in range(len(budgets)):
         row = []
         for u in range(num_users):
-            mean = math.fsum(sums[point, u]) / trials
-            var = max(0.0, math.fsum(sq_sums[point, u]) / trials - mean * mean)
+            mean = sums[point, u] / trials
+            var = max(0.0, sq_sums[point, u] / trials - mean * mean)
             half = z * math.sqrt(var / trials)
             row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
                                   trials, seed))
@@ -539,14 +540,16 @@ def average_throughput_joined(topology: NetworkTopology, budgets, pk) -> list[fl
     """``analytic.average_throughput`` of a sequence of budgets with every
     budget's trapezoid rule, the joined node array and its three
     node-length level arrays built up front, then read up to
-    ``_NODES_PER_CALL`` nodes per kernel call: the same calls on the
-    same inputs, with memory that grows with the number of budgets."""
+    ``analytic._nodes_per_call`` nodes per kernel call: at a shape where
+    no budget's rule is longer than that, the same calls on the same
+    inputs, with memory that grows with the number of budgets."""
     budgets = list(budgets)
     if not budgets:
         return []
     num_users, num_relays = topology.num_users, topology.num_relays
     probs = _pk_vector(pk, num_users, num_relays)
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
+    per_call = analytic._nodes_per_call(topology)
     rules = [_log_trapezoid(1.0 / (topology.eff_gain_hop1 * b.source_snr)
                             + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
              for b in budgets]
@@ -559,7 +562,7 @@ def average_throughput_joined(topology: NetworkTopology, budgets, pk) -> list[fl
     while start < len(budgets):
         stop = start + 1
         while (stop < len(budgets)
-               and bounds[stop + 1] - bounds[start] <= _NODES_PER_CALL):
+               and bounds[stop + 1] - bounds[start] <= per_call):
             stop += 1
         nodes = slice(bounds[start], bounds[stop])
         terms = _binomial_terms(
@@ -572,3 +575,21 @@ def average_throughput_joined(topology: NetworkTopology, budgets, pk) -> list[fl
             out.append(float(integral) / (2.0 * num_users * math.log(2.0)))
         start = stop
     return out
+
+
+def rank_placement_sampled(num_users: int, num_relays: int, scheme: str,
+                           trials: int, seed: int, block: int = 1 << 16):
+    """Per-user rank-placement counts over ``trials`` matrices drawn from
+    ``default_rng(seed)`` in blocks of ``block`` trials, each assigned
+    by the batched scheme: how ``selection.rank_placement_probs``
+    samples, with a block size that does not follow the shape."""
+    rng = np.random.default_rng(seed)
+    mn = num_users * num_relays
+    counts = np.zeros((num_users, mn), dtype=np.int64)
+    for start in range(0, trials, block):
+        values = rng.random((min(block, trials - start), num_users, num_relays))
+        eff = selection.assign_batch(scheme, values)[1]
+        ranks = global_ranks(values, eff)
+        for u in range(num_users):
+            counts[u] += np.bincount(ranks[:, u] - 1, minlength=mn)
+    return counts

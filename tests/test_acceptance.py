@@ -35,10 +35,10 @@ from assign_oracles import global_ranks, maxmin_assign
 from oracles import average_throughput_closed, h_closed
 from cogrelay import selection
 from cogrelay.analytic import (
+    _link_cdf,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
     average_throughput,
-    cdf_min_snr,
     outage_floor_imperfect,
     outage_probability,
     outage_probability_imperfect,
@@ -198,7 +198,8 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
     t = topo(3, 4, 1)
     err0 = CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
     budget = common_budget(20.0)
-    gap = max(abs(cdf_min_snr(x, t, budget, err0) - cdf_min_snr(x, t, budget))
+    gap = max(abs(_link_cdf(x, t, budget, err0)[0]
+                  - _link_cdf(x, t, budget)[0])
               for x in np.linspace(0.0, 40.0, 200))
     ok &= gap <= 1e-12
     details.append(f"zero-error gap={gap:.1e}")

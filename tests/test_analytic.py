@@ -22,17 +22,16 @@ from cogrelay.analytic import (
     _binomial_mixture,
     _link_cdf,
     _log_trapezoid,
+    _outage,
     _race,
     array_gain,
     asymptotic_outage_case1,
     asymptotic_outage_case2,
     average_throughput,
     cdf_kth_largest,
-    cdf_min_snr,
     g_factor,
     h_integral,
     outage_floor_imperfect,
-    outage_from_cdf,
     outage_probability,
     outage_probability_imperfect,
     worst_case_rank_prob,
@@ -87,13 +86,13 @@ def cdf_conditional_oracle(x, topology, budget):
 
 class TestCdfMinSnr:
     def test_zero_at_origin(self):
-        assert cdf_min_snr(0.0, topo(), budget_db(10, 10, 10)) == 0.0
+        assert _link_cdf(0.0, topo(), budget_db(10, 10, 10))[0] == 0.0
 
     def test_rayleigh_reduction_identity(self):
         t = topo(m=1)
         b = budget_db(14, 7, 3)
         for x in np.linspace(0.01, 40, 150):
-            assert cdf_min_snr(x, t, b) == pytest.approx(
+            assert _link_cdf(x, t, b)[0] == pytest.approx(
                 cdf_min_snr_rayleigh(x, t, b), abs=1e-12)
 
     def test_against_conditional_quadrature(self):
@@ -105,7 +104,7 @@ class TestCdfMinSnr:
         ]
         for t, b in cases:
             for x in (0.3, 1.0, GAMMA_TH, 9.0):
-                assert cdf_min_snr(x, t, b) == pytest.approx(
+                assert _link_cdf(x, t, b)[0] == pytest.approx(
                     cdf_conditional_oracle(x, t, b), rel=1e-8), (t.nakagami_m, x)
 
     def test_monotone_nondecreasing(self):
@@ -113,26 +112,26 @@ class TestCdfMinSnr:
         t = topo(m=2)
         b = budget_db(10, 10, 10)
         grid = np.linspace(0.0, 200.0, 1000)
-        vals = [cdf_min_snr(x, t, b) for x in grid]
+        vals = [_link_cdf(x, t, b)[0] for x in grid]
         assert all(later >= earlier - 4 * math.ulp(1.0)
                    for earlier, later in zip(vals, vals[1:]))
 
     def test_approaches_one(self):
         t = topo(m=2)
         b = budget_db(10, 10, 10)
-        assert cdf_min_snr(1e6 * b.source_snr, t, b) > 1 - 1e-6
+        assert _link_cdf(1e6 * b.source_snr, t, b)[0] > 1 - 1e-6
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            cdf_min_snr(-1.0, topo(), budget_db(10, 10, 10))
+            _link_cdf(-1.0, topo(), budget_db(10, 10, 10))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_huge_threshold_saturates(self, m):
         # finite, but (o3 x)^k (o2 l3)^m / shifted^(k+m) overflowed here
         x = db_to_linear(3000)
         t, b = topo(m=m), budget_db(10, 10, 10)
-        assert cdf_min_snr(x, t, b) == 1.0
-        assert cdf_min_snr(x, t, replace(b, relay_snr_cap=math.inf)) == 1.0
+        assert _link_cdf(x, t, b)[0] == 1.0
+        assert _link_cdf(x, t, replace(b, relay_snr_cap=math.inf))[0] == 1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overflowed_argument_saturates(self, m):
@@ -195,7 +194,7 @@ class TestLinkCdfOracle:
                         ref_f, ref_g = link_cdf_quad(point, t, b, csi)
                         assert_close(f, ref_f, 1e-13)
                         assert_close(g, ref_g, 1e-13)
-                    assert cdf_min_snr(x[1], t, b, csi) == cdf[1]
+                    assert _link_cdf(x[1], t, b, csi)[0] == cdf[1]
 
     @pytest.mark.parametrize("m, level_db, cap, x", [
         (2, 40, True, 1.0),  # fig1's top point, where the former sum cancelled
@@ -244,7 +243,8 @@ class TestLinkCdfOracle:
         t, _, x = case
         low, high = (LinkBudget(*(db_to_linear(s),) * 3, GAMMA_TH)
                      for s in (0.0, step_db))
-        assert cdf_min_snr(x, t, high) <= cdf_min_snr(x, t, low) * (1 + 1e-13)
+        assert (_link_cdf(x, t, high)[0]
+                <= _link_cdf(x, t, low)[0] * (1 + 1e-13))
 
 
 @st.composite
@@ -359,7 +359,7 @@ class TestOutageProbability:
         t = topo(1, 1, 2)
         b = budget_db(10, 10, 10)
         assert outage_probability(GAMMA_TH, t, b, [1.0]) == pytest.approx(
-            cdf_min_snr(GAMMA_TH, t, b), rel=1e-14)
+            _link_cdf(GAMMA_TH, t, b)[0], rel=1e-14)
 
     def test_threshold_limits(self):
         t = topo()
@@ -375,14 +375,14 @@ class TestOutageProbability:
         b = budget_db(10, 10, 10)
         uniform = np.full(6, 1 / 6)
         assert outage_probability(GAMMA_TH, t, b, uniform) == pytest.approx(
-            cdf_min_snr(GAMMA_TH, t, b), rel=1e-12)
+            _link_cdf(GAMMA_TH, t, b)[0], rel=1e-12)
 
     @pytest.mark.parametrize("f", [1e-3, 0.3, 0.9])
     def test_uniform_ranks_give_parent_cdf(self, f):
         # the same collapse at M*N = 1000, a shape the parser admits for
         # the random scheme
         n = 1000
-        assert outage_from_cdf(f, 1, n, [1.0 / n] * n) == pytest.approx(
+        assert _outage(f, 1.0 - f, 1, n, [1.0 / n] * n) == pytest.approx(
             f, rel=1e-12)
 
 
@@ -447,7 +447,7 @@ class TestGFactor:
             lam = 1e6
             b = LinkBudget(lam, lam, lam, 1.0)
             x = 1.0
-            est = cdf_min_snr(x, t, b) * lam ** m / x ** m
+            est = _link_cdf(x, t, b)[0] * lam ** m / x ** m
             assert est == pytest.approx(g_factor(t), rel=1e-3), m
 
 
@@ -542,17 +542,17 @@ class TestImperfectCsi:
         err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
         b = budget_db(18, 18, 18)
         for x in np.linspace(0.01, 30, 120):
-            assert cdf_min_snr(x, self.t34, b, err) == pytest.approx(
-                cdf_min_snr(x, self.t34, b), abs=1e-12)
+            assert _link_cdf(x, self.t34, b, err)[0] == pytest.approx(
+                _link_cdf(x, self.t34, b)[0], abs=1e-12)
 
     def test_zero_at_origin(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
-        assert cdf_min_snr(0.0, self.t34, budget_db(18, 18, 18), err) == 0.0
+        assert _link_cdf(0.0, self.t34, budget_db(18, 18, 18), err)[0] == 0.0
 
     def test_rejects_nonrayleigh(self):
         err = CsiErrorModel(1, 1, 1, 0, 0, 0)
         with pytest.raises(ValueError, match="nakagami_m == 1"):
-            cdf_min_snr(1.0, topo(m=2), budget_db(10, 10, 10), err)
+            _link_cdf(1.0, topo(m=2), budget_db(10, 10, 10), err)
 
     def test_floor_vanishes_without_error(self):
         err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
@@ -731,7 +731,7 @@ class TestAverageThroughput:
 
 def throughput_per_budget(topology, budget, pk):
     """:func:`average_throughput` at one budget, from its own trapezoid
-    rule and one kernel call at the budget's scalar levels."""
+    rule, read whole in one kernel call at the budget's scalar levels."""
     probs = np.concatenate((pk, np.zeros(topology.num_users
                                          * topology.num_relays - len(pk))))
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
@@ -746,43 +746,85 @@ def throughput_per_budget(topology, budget, pk):
 level_db = st.floats(-30.0, 70.0)
 
 
+@st.composite
+def throughput_sweeps(draw):
+    """A Rayleigh topology of a shape up to 4x6 with random gains and
+    distances, up to 30 budgets with levels from -30 to 70 dB (or an
+    infinite relay cap), and rank-law rows: naive's per-user rows or one
+    random law."""
+    num_users, num_relays = draw(st.sampled_from(
+        [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4), (4, 6)]))
+    gains = draw(st.tuples(*[st.floats(0.2, 5.0)] * 6))
+    t = NetworkTopology(num_users, num_relays, 1, *gains[:3],
+                        dist_hop1=gains[3], dist_hop2=gains[4],
+                        dist_interf=gains[5], path_loss_exp=2.0)
+    levels = draw(st.lists(st.tuples(level_db, level_db | st.just(math.inf),
+                                     level_db),
+                           min_size=1, max_size=30))
+    budgets = [LinkBudget(db_to_linear(l1),
+                          math.inf if l2 == math.inf else db_to_linear(l2),
+                          db_to_linear(l3), 1.0)
+               for l1, l2, l3 in levels]
+    if draw(st.booleans()):
+        rows = rank_placement_probs(num_users, num_relays, "naive").per_user
+    else:
+        pk = np.random.default_rng(draw(st.integers(0, 2**16))).random(
+            num_users * num_relays)
+        rows = [pk / pk.sum()]
+    return t, budgets, rows
+
+
 class TestBatchedThroughput:
     """A sequence of budgets is read by joined kernel calls, and each
-    value equals, bit for bit, the one its budget gives alone."""
+    value equals, bit for bit, the one its budget gives alone; a budget
+    whose rule is longer than one call is read in pieces, within 1e-13
+    of that value.  A rule takes at most 340 nodes at these levels."""
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 4), (3, 3),
-                                  (3, 4), (4, 4), (4, 6)]),
-           gains=st.tuples(*[st.floats(0.2, 5.0)] * 6),
-           levels=st.lists(st.tuples(level_db, level_db | st.just(math.inf),
-                                     level_db),
-                           min_size=1, max_size=30),
-           naive=st.booleans(), seed=st.integers(0, 2**16),
-           per_call=st.sampled_from([None, 1, 300, 1000]))
-    def test_equals_per_budget_form(self, shape, gains, levels, naive, seed,
-                                    per_call):
-        num_users, num_relays = shape
-        t = NetworkTopology(num_users, num_relays, 1, *gains[:3],
-                            dist_hop1=gains[3], dist_hop2=gains[4],
-                            dist_interf=gains[5], path_loss_exp=2.0)
-        budgets = [LinkBudget(db_to_linear(l1),
-                              math.inf if l2 == math.inf else db_to_linear(l2),
-                              db_to_linear(l3), 1.0)
-                   for l1, l2, l3 in levels]
-        if naive:
-            rows = rank_placement_probs(num_users, num_relays, "naive").per_user
-        else:
-            pk = np.random.default_rng(seed).random(num_users * num_relays)
-            rows = [pk / pk.sum()]
+    @given(sweep=throughput_sweeps(),
+           per_call=st.sampled_from([None, 340, 1000]))
+    def test_equals_per_budget_form(self, sweep, per_call):
+        t, budgets, rows = sweep
         with pytest.MonkeyPatch.context() as patch:
             if per_call is not None:
-                patch.setattr(analytic, "_NODES_PER_CALL", per_call)
+                patch.setattr(analytic, "_nodes_per_call", lambda _: per_call)
             for row in rows:
                 batched = average_throughput(t, budgets, row)
                 assert batched == [throughput_per_budget(t, b, row)
                                    for b in budgets]
                 assert batched == [average_throughput(t, b, row)
                                    for b in budgets]
+
+    @settings(max_examples=20, deadline=None)
+    @given(sweep=throughput_sweeps(), per_call=st.sampled_from([16, 100, 300]))
+    def test_pieces_meet_per_budget_form(self, sweep, per_call):
+        t, budgets, rows = sweep
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytic, "_nodes_per_call", lambda _: per_call)
+            for row in rows:
+                batched = average_throughput(t, budgets, row)
+                for value, b in zip(batched, budgets):
+                    assert value == pytest.approx(
+                        throughput_per_budget(t, b, row), rel=1e-13, abs=0)
+
+    def test_wide_shape_memory_bounded(self):
+        # naive 1x2000 over 17 relay caps: 4096 nodes per call, whatever
+        # the shape, held 2001-wide term arrays of 64 MB each (118.6 MiB
+        # traced peak); sized by the shape, a call reads 16 nodes, so
+        # each rule is read in pieces (0.75 MiB measured)
+        t = topo(1, 2000, 1)
+        pk = rank_placement_probs(1, 2000, "naive")
+        budgets = [budget_db(25.0, l2, 10.0) for l2 in np.linspace(0.0, 40.0, 17)]
+        tracemalloc.start()
+        try:
+            values = average_throughput(t, budgets, pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for value, b in zip(values, budgets):
+            assert value == pytest.approx(throughput_per_budget(t, b, pk.probs),
+                                          rel=1e-13, abs=0)
 
     def test_long_sweep_memory_bounded(self):
         # 9984 relay caps from 0 to 60 dB at 2x4: with every rule, node
@@ -860,4 +902,3 @@ class TestRace:
         cdf, ccdf = _link_cdf(9.0, t, budget_db(10, 10, 10))
         assert 0.0 < cdf < 1.0
         assert cdf + ccdf == pytest.approx(1.0, rel=1e-12)
-        assert cdf_min_snr(9.0, t, budget_db(10, 10, 10)) == float(cdf)

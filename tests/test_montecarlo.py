@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogrelay import model, selection
-from cogrelay.analytic import average_throughput, cdf_min_snr, outage_probability
+from cogrelay.analytic import _link_cdf, average_throughput, outage_probability
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     ENTRIES,
@@ -183,7 +183,7 @@ class TestOutageEstimates:
         # 95% Wilson interval must cover the exact single-link value in
         # 93..97% of 200 independent repetitions
         t, b = topo(1, 1, 1), budget_db(10, 10, 10)
-        truth = cdf_min_snr(GAMMA_TH, t, b)
+        truth = _link_cdf(GAMMA_TH, t, b)[0]
         covered = sum(
             (lambda e: e.ci_low <= truth <= e.ci_high)(
                 estimate_outage(t, b, "maxmin", GAMMA_TH, trials=4000,
@@ -945,6 +945,26 @@ class TestThroughputEstimates:
             assert est.ci_low <= exact <= est.ci_high
 
 
+    def test_memory_does_not_grow_with_blocks(self):
+        # naive 1x2000 at 500 scales: a block holds 65 trials, and each
+        # point's sums fold into running totals, so 64 blocks peak where
+        # one does (3.0 MiB measured); sums kept per block grew the
+        # peak by 0.5 MiB
+        t = topo(1, 2000, 1)
+        budget, scales = budget_db(10, 10, 10), np.logspace(-3, 3, 500)
+        block = _block_trials(t)
+        peaks = []
+        for trials in (block, 64 * block, block):  # the first one warms up
+            tracemalloc.start()
+            try:
+                estimate_throughput(t, budget, "naive", trials, 1, scales=scales)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert block == 65
+        assert peaks[1] < peaks[2] + 2**16
+
+
 class TestCdfEstimates:
     def test_grid_zero_and_monotone(self):
         t, b = topo(1, 1, 2), budget_db(10, 10, 10)
@@ -959,7 +979,7 @@ class TestCdfEstimates:
         grid = np.linspace(0.2, 25, 20)
         ests = estimate_cdf(t, b, grid, trials=1_000_000, seed=12, z=3.0)
         for x, est in zip(grid, ests):
-            exact = cdf_min_snr(float(x), t, b)
+            exact = _link_cdf(float(x), t, b)[0]
             assert est.ci_low <= exact <= est.ci_high, x
 
     def test_rejects_unsorted_grid(self):

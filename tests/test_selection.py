@@ -25,8 +25,9 @@ from assign_oracles import (
     random_assign,
     saturated_by_maps,
 )
+from oracles import rank_placement_sampled
 from cogrelay import selection
-from cogrelay.analytic import outage_from_cdf, worst_case_rank_prob
+from cogrelay.analytic import _outage, worst_case_rank_prob
 from cogrelay.selection import (
     EXACT_MAXMIN_LIMIT,
     assign_batch,
@@ -560,6 +561,21 @@ class TestRankPlacement:
         with pytest.raises(ValueError, match="trials"):
             rank_placement_probs(5, 5, "maxmin", trials=0)
 
+    def test_sampled_memory_bounded_at_wide_shape(self):
+        # 2x40 max-min samples: 65536-trial blocks, whatever the shape,
+        # drew 21 MB of values per block (48.4 MiB traced peak); blocks
+        # of ENTRIES // 80 trials take 7.0 MiB, with the same counts
+        tracemalloc.start()
+        try:
+            d = rank_placement_probs(2, 40, "maxmin", trials=65536, rng=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        want = rank_placement_sampled(2, 40, "maxmin", 65536, 40) / 65536.0
+        assert (d.method, d.trials) == ("monte-carlo", 65536)
+        np.testing.assert_array_equal(d.per_user, want)
+
 
 class TestExactMaxminPk:
     """The set recursion against enumeration of every rank order (float
@@ -629,7 +645,7 @@ class TestNaiveClosedFormPk:
         num_users, num_relays = shape
         d = rank_placement_probs(*shape, "naive")
         for u, row in enumerate(d.per_user):
-            assert outage_from_cdf(cdf, *shape, row) == pytest.approx(
+            assert _outage(cdf, 1.0 - cdf, *shape, row) == pytest.approx(
                 cdf ** (num_relays - u), rel=1e-10)
 
     def test_within_monte_carlo(self):
