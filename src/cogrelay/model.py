@@ -32,21 +32,24 @@ __all__ = [
 ]
 
 # The package's one memory budget, in float64 entries (1 MiB), from
-# which every array that grows with the work is sized: a Monte Carlo or
-# sampled rank-placement block holds as many trials as fill this many
-# SNR entries (at least one), and a closed-form throughput call as many
-# nodes as keep its (M*N + 1)-wide term arrays to a quarter of it.  Fixed
-# by design: the block size, and so the random stream, follows the shape.
+# which every array that grows with the work is sized: a sampled
+# rank-placement block holds as many trials as fill this many SNR entries
+# (at least one), a Monte Carlo block, two of which run at once, as many
+# as fill half of it, and a closed-form throughput call as many nodes as
+# keep its (M*N + 1)-wide term arrays to a quarter of it.  Fixed by
+# design: the block size, and so the random stream, follows the shape.
 ENTRIES = 1 << 17
 
 # entries per tile of the kernels that walk a gains-sized array in
-# pieces (512 KiB of float64), so they hold no second array of its size.
-# A Monte Carlo block's gains (1 MiB) are two tiles, and the tiles still
-# pay in time as well: a 3x4 CSI build of one block, whose tile buffer
-# is reused, took 0.58 ms, and 1.25 ms with the hop-1 SNR formed in a
-# fresh block-sized temporary; a second m = 2 gamma draw, 1.6 against
-# 2.3 ms (one core of a shared 2-CPU host)
-_TILE = ENTRIES // 2
+# pieces (256 KiB of float64), so they hold no second array of its size.
+# A Monte Carlo block's gains (512 KiB, two of which are drawn at once)
+# are two tiles, and the tiles pay in time as well: on a block of twice
+# that size, a 3x4 CSI build whose tile buffer is reused took 0.58 ms,
+# and 1.25 ms with the hop-1 SNR formed in a fresh block-sized
+# temporary; a second m = 2 gamma draw, 1.6 against 2.3 ms (one core of
+# a shared 2-CPU host).  The tiles follow the stream in order, so their
+# size never changes a draw.
+_TILE = ENTRIES // 4
 
 
 def db_to_linear(value_db: float) -> float:

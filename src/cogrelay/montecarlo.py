@@ -1,22 +1,30 @@
 """Seeded, reproducible Monte Carlo engine.
 
-Trials are processed in blocks of the package's memory budget
-(``model.ENTRIES`` SNR entries), so a block holds fewer trials the more
-users and relays each has, and each block draws from its own generator
-seeded by (master seed, block index).  Results therefore depend only on
-(seed, trials, configuration).  Outage counts are integers; throughput
-folds each block's sums into one running total per point and user, in
-block order, so a call holds nothing per block beyond the block it is
-on.  Each block-sized array (a gain, an SNR part, a stack) holds at most
-``ENTRIES`` floats, or one trial's entries where those alone are more.
+Trials are processed in blocks of half the package's memory budget
+(``_SHARE``, ``model.ENTRIES // 2`` SNR entries), so a block holds
+``max(1, ENTRIES // (2 M N))`` trials, fewer the more users and relays
+each has: 10922 at 2x3, 5461 at 3x4.  Each block draws from its own
+generator seeded by (master seed, block index), and the block rule
+follows the shape alone, never the CPU count.  On two or more CPUs the
+blocks run in lock-step pairs, the second of each pair on a thread of
+its own (:func:`_in_pairs`): numpy releases the GIL in its random fills
+and in its passes over whole arrays, so the two overlap, and two blocks
+in flight hold what one block of the whole budget would.  Each block
+turns its trials into a result of its own, outage's integer hits or
+throughput's sums of rates per point and user, and the results are
+added in block order.  Results therefore depend only on (seed, trials,
+configuration), bit for bit on one CPU or several, and a call holds
+nothing per block beyond the two blocks in flight.  Each block-sized
+array (a gain, an SNR part, a stack) holds at most ``_SHARE`` floats, or
+one trial's entries where those alone are more.
 
-The outage and throughput estimators score a whole sweep in one pass
-(:func:`_selected_snrs`): each point has a link budget and an outage
-threshold (or SNR scale).  Each block draws its channel gains, and under
-``random`` each trial's relay map, once; then, budget by budget, it
-builds the SNR matrix, assigns, and scores every point of that budget.
-All points thus share one random stream, so their estimates are
-correlated.  A budget with one outage threshold counts the selected SNRs
+The outage and throughput estimators score a whole sweep in one pass,
+block by block (:func:`_selected_snrs`): each point has a link budget
+and an outage threshold (or SNR scale).  Each block draws its channel
+gains, and under ``random`` each trial's relay map, once; then, budget
+by budget, it builds the SNR matrix, assigns, and scores every point of
+that budget.  All points thus share one random stream, so their
+estimates are correlated.  A budget with one outage threshold counts the selected SNRs
 at or below it in one pass; a budget with several sorts them once per
 block, so every threshold costs one binary search rather than a pass
 over the trials.
@@ -65,6 +73,8 @@ left with no trial in none:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +95,16 @@ __all__ = [
 # stack, and served or settled ones along a chain the block's draws,
 # once each kind is at least this share of the stack; fewer stay in it,
 # where they count no outage, count it at every point, or are assigned
-# the selected SNRs they already have.  Copying a whole 3x4 block's
-# stack (10922 trials) takes 0.07 ms, a thirtieth of the 2.3 ms of
-# assigning it (one core of a shared 2-CPU host); with 65536-trial
-# blocks, copies made for the 0.7% served at fig3's 5 dB point raised
-# its peak RSS 2.5%.
+# the selected SNRs they already have.  Copying a 10922-trial 3x4 stack
+# takes 0.07 ms, a thirtieth of the 2.3 ms of assigning it (one core of
+# a shared 2-CPU host); with 65536-trial blocks, copies made for the
+# 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
+
+# Two blocks are in flight at once (:func:`_in_pairs`), so each holds
+# half of the package's memory budget: a block as many trials as fill
+# this many SNR entries, and a throughput scoring tile this many floats.
+_SHARE = ENTRIES // 2
 
 
 @dataclass(frozen=True)
@@ -109,9 +123,9 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _block_trials(topology: NetworkTopology) -> int:
-    """Trials per block: as many as fill ``ENTRIES`` SNR entries, at
-    least one."""
-    return max(1, ENTRIES // (topology.num_users * topology.num_relays))
+    """Trials per block: as many as fill ``_SHARE`` SNR entries, at least
+    one."""
+    return max(1, _SHARE // (topology.num_users * topology.num_relays))
 
 
 def _blocks(trials: int, topology: NetworkTopology):
@@ -120,6 +134,51 @@ def _blocks(trials: int, topology: NetworkTopology):
     size = _block_trials(topology)
     for index, start in enumerate(range(0, trials, size)):
         yield index, min(size, trials - start)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_pairs(run, blocks):
+    """Yield ``run(block)`` for each block, in block order.
+
+    On two or more CPUs the blocks run in lock-step pairs: the second of
+    a pair on a thread of its own, the first in the caller.  The thread
+    is joined before either result is yielded, or either block's
+    exception raised, so at most two blocks and their two results are
+    alive at once, and no thread outlives a pair.
+    """
+    blocks = list(blocks)
+    if len(blocks) < 2 or _cpu_count() < 2:
+        yield from map(run, blocks)
+        return
+    for first, second in zip(blocks[::2], blocks[1::2]):
+        done = []  # the second block's result and exception
+
+        def work(block=second):
+            try:
+                done.append((run(block), None))
+            except BaseException as error:  # raised again in the caller
+                done.append((None, error))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        try:
+            result = run(first)
+        finally:
+            thread.join()
+        later, error = done.pop()
+        if error is not None:
+            raise error
+        yield result
+        yield later
+    if len(blocks) % 2:
+        yield run(blocks[-1])
 
 
 def _check_trials(trials: int, minimum: int = 1):
@@ -178,30 +237,29 @@ def _leaving(mask):
     return None
 
 
-def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
-                   trials: int, seed: int, csi: CsiErrorModel | None = None,
-                   thresholds=None):
-    """Yield ``(block index, points, rows, selected SNRs)`` per block and
-    distinct budget: ``points`` indexes the budgets equal to it, ``rows``
-    the trials of the block it assigned, in order, and the selected SNRs
-    are theirs, row for row.  Once no trial of a block is left, the last
-    yield also carries the points of every later budget.  The doomed
-    trials that leave a budget's stack come before its assigned trials,
-    in a yield of their own whose selected SNRs are None: each of their
-    users is in outage at every one of its ``points``.
+def _selected_snrs(topology: NetworkTopology, budgets, scheme: str, seed: int,
+                   csi: CsiErrorModel | None = None, thresholds=None):
+    """The pass over one block of a sweep of ``budgets``: a function of
+    a block's index and trial count that yields ``(points, rows,
+    selected SNRs)`` per distinct budget, in order of first use.
+    ``points`` indexes the budgets equal to it, ``rows`` the trials of
+    the block it assigned, in order, and the selected SNRs are theirs,
+    row for row.  Once no trial of the block is left, the last yield
+    also carries the points of every later budget.  The doomed trials
+    that leave a budget's stack come before its assigned trials, in a
+    yield of their own whose selected SNRs are None: each of their users
+    is in outage at every one of its ``points``.
 
-    Stacks are built and left by the rules of the module docstring,
-    under every scheme alike.  Given each point's outage threshold,
-    doomed trials leave, and so do max-min's served trials; without
-    thresholds, a relay-cap chain's settled trials do.  A trial of the
-    block in neither kind of ``rows`` was decided earlier, and the
-    caller decides what it contributes.
+    Given each point's outage threshold, doomed trials leave, and so do
+    max-min's served trials; without thresholds, a relay-cap chain's
+    settled trials do (module docstring), under every scheme alike.  A
+    trial of the block in neither kind of ``rows`` was decided earlier,
+    and the caller decides what it contributes.
     """
     groups = _groups(budgets)
     order = list(groups)
-    if not order:
-        return
     steps = list(zip(order, order[1:]))
+    # a relay-cap chain without CSI: the parts are built once per block
     capped = csi is None and all(
         later.source_snr == earlier.source_snr
         and later.interference_snr_cap == earlier.interference_snr_cap
@@ -224,10 +282,14 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                     and later.interference_snr_cap >= earlier.interference_snr_cap
                     and tops[later] <= tops[earlier]
                     for earlier, later in steps)
+    # the topology drawn from: the estimates under CSI
     sampled = topology if csi is None else model._estimated(topology, csi)
-    for index, block in _blocks(trials, topology):
+
+    def block(index: int, trials: int):
+        if not order:
+            return
         rng = _block_rng(seed, index)
-        draws = model.sample_realization(sampled, rng, trials=block)
+        draws = model.sample_realization(sampled, rng, trials=trials)
         maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
         if capped:  # the parts overwrite the gains they are built from
             parts = [*model._snr_parts(draws, topology, order[0],
@@ -240,7 +302,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
         del draws
         free = (model._capped_snr(*parts, math.inf, topology)
                 if chain and tops is None else None)
-        live = np.arange(block)
+        live = np.arange(trials)
         for position, budget in enumerate(order):
             last = position == len(order) - 1
             # the last budget builds in a part that no later build reads
@@ -261,7 +323,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
                 doomed, gone = (_leaving(mask) for mask in selection.decided(
                     snrs, bottoms[budget], None if tops is None else tops[budget]))
                 if doomed is not None:  # in outage at every point
-                    yield index, groups[budget], rows[doomed], None
+                    yield groups[budget], rows[doomed], None
                 skipped = [mask for mask in (doomed, gone) if mask is not None]
                 if skipped:  # assigned nowhere
                     kept = ~np.logical_or.reduce(skipped)
@@ -296,10 +358,12 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str,
             # budget too
             points = ([point for later in order[position:]
                        for point in groups[later]] if done else groups[budget])
-            yield index, points, rows, selected
+            yield points, rows, selected
             del selected, rows  # not held through the next build
             if done:
                 break
+
+    return block
 
 
 def estimate_outage(topology: NetworkTopology, budget, scheme: str,
@@ -325,34 +389,61 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
     above the budget's smallest threshold.  Neither kind is assigned once
     it is an eighth or more of the stack; along a budget chain served
     trials leave the block's draws, and doomed ones stay for the next
-    budget (module docstring).
+    budget (module docstring).  Each block counts its own integer hits,
+    and the counts are added in block order.
     """
     _check_trials(trials)
     budgets, thresholds = _per_point(budget, gamma_th)
     if np.isnan(thresholds).any():
         raise ValueError("outage thresholds must not be NaN")
-    hits = np.zeros((len(budgets), topology.num_users), dtype=np.int64)
-    # a served trial, which is in no rows, is in outage nowhere
-    for _, points, rows, eff in _selected_snrs(topology, budgets, scheme,
-                                               trials, seed, csi, thresholds):
-        if eff is None:  # doomed: every user is in outage at every point
-            hits[points] += len(rows)
-        elif len(points) == 1:
-            # column by column: a count along axis 0 of the (trials,
-            # users) array takes about 5x as long at three users
-            hits[points[0]] += [np.count_nonzero(column <= thresholds[points[0]])
-                                for column in eff.T]
-        else:
-            # several thresholds: each counts up to its right insertion point
-            for user, column in enumerate(np.sort(eff.T, axis=1)):
-                hits[points, user] += np.searchsorted(column, thresholds[points],
-                                                      side="right")
-        del rows, eff  # not held while the next stack builds
+    selected_snrs = _selected_snrs(topology, budgets, scheme, seed, csi,
+                                   thresholds)
+    shape = (len(budgets), topology.num_users)
+
+    def count(block):
+        hits = np.zeros(shape, dtype=np.int64)
+        # a served trial, which is in no rows, is in outage nowhere
+        for points, rows, eff in selected_snrs(*block):
+            if eff is None:  # doomed: every user is in outage at every point
+                hits[points] += len(rows)
+            elif len(points) == 1:
+                # column by column: a count along axis 0 of the (trials,
+                # users) array takes about 5x as long at three users
+                hits[points[0]] += [np.count_nonzero(column <= thresholds[points[0]])
+                                    for column in eff.T]
+            else:
+                # several thresholds: each counts up to its right insertion point
+                for user, column in enumerate(np.sort(eff.T, axis=1)):
+                    hits[points, user] += np.searchsorted(column, thresholds[points],
+                                                          side="right")
+            del rows, eff  # not held while the next stack builds
+        return hits
+
+    hits = np.zeros(shape, dtype=np.int64)
+    for block_hits in _in_pairs(count, _blocks(trials, topology)):
+        hits += block_hits
     out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
                        trials, seed)
             for h in row]
            for row in hits]
     return out if np.ndim(gamma_th) else out[0]
+
+
+def _rate_sums(eff, scales, per_rate: float):
+    """Each scale's per-user sums, over the trials of ``eff`` (users,
+    trials), of the rates ``log1p(scale * SNR) / per_rate`` and of their
+    squares, (2, scales, users).  The scales are scored together in
+    (scales, users, trials) tiles of at most ``_SHARE`` floats."""
+    step = max(1, _SHARE // eff.size)
+    sums = np.empty((2, len(scales), len(eff)))
+    for start in range(0, len(scales), step):
+        rates = np.multiply.outer(scales[start:start + step], eff)
+        np.log1p(rates, out=rates)
+        rates /= per_rate
+        rates.sum(axis=2, out=sums[0, start:start + step])
+        np.square(rates, out=rates)
+        rates.sum(axis=2, out=sums[1, start:start + step])
+    return sums
 
 
 def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
@@ -366,42 +457,36 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
     scheme, a settled trial is assigned no more and keeps, in a
     block-sized array, the selected SNRs it last had (module docstring).
     Each point's rates are ``log1p`` of the scaled SNRs over
-    ``2 M ln 2``, so a rate whose ``1 + SNR`` rounds to 1 stays above 0;
-    they are summed per user in one numpy call, once per distinct scale
-    among the points a stack scores, into each point's running totals.
+    ``2 M ln 2``, so a rate whose ``1 + SNR`` rounds to 1 stays above 0.
+    A stack scores each distinct scale among its points once
+    (:func:`_rate_sums`); each block sums every point once, and the
+    blocks' sums are added to running totals in block order.
     """
     _check_trials(trials)
     num_users = topology.num_users
     budgets, factors = _per_point(budget, scales)
-    size = _block_trials(topology)
-    # each point's and user's sums of rates and of squared rates
-    totals = np.zeros((2, len(budgets), num_users))
+    selected_snrs = _selected_snrs(topology, budgets, scheme, seed)
     per_rate = 2.0 * num_users * math.log(2.0)
-    current = None
-    for index, points, rows, selected in _selected_snrs(
-            topology, budgets, scheme, trials, seed):
-        if index != current:
-            current = index
-            # a settled trial, in no later rows, keeps its selected SNRs
-            eff = np.empty((num_users, min(size, trials - index * size)))
-            rates = np.empty_like(eff)
-        eff[:, rows] = selected.T
-        del selected  # not held while the next stack builds
-        # the points of one scale read the same rates: each scale is
-        # scored once, and its sums go to all of its points (a one-point
-        # stack skips np.unique, which costs about as much as a scoring)
-        distinct, which = (np.unique(factors[points], return_inverse=True)
-                           if len(points) > 1 else (factors[points], [0]))
-        scored = np.empty((2, len(distinct), num_users))
-        for scale, total, sq_total in zip(distinct, *scored):
-            np.multiply(eff, scale, out=rates)
-            np.log1p(rates, out=rates)
-            rates /= per_rate
-            rates.sum(axis=1, out=total)
-            np.square(rates, out=rates)
-            rates.sum(axis=1, out=sq_total)
-        # a block scores each point once, so ``points`` holds no repeat
-        totals[:, points] += scored[:, which]
+    # each point's and user's sums of rates and of squared rates
+    shape = (2, len(budgets), num_users)
+
+    def score(block):
+        sums = np.zeros(shape)
+        # a settled trial, in no later rows, keeps its selected SNRs
+        eff = np.empty((num_users, block[1]))
+        for points, rows, selected in selected_snrs(*block):
+            eff[:, rows] = selected.T
+            del selected  # not held while the next stack builds
+            # the points of one scale read the same rates (a one-point
+            # stack skips np.unique, which costs about as much as a scoring)
+            distinct, which = (np.unique(factors[points], return_inverse=True)
+                               if len(points) > 1 else (factors[points], [0]))
+            sums[:, points] = _rate_sums(eff, distinct, per_rate)[:, which]
+        return sums
+
+    totals = np.zeros(shape)
+    for sums in _in_pairs(score, _blocks(trials, topology)):
+        totals += sums
     out = []
     for point_sums, point_sq_sums in zip(*totals.tolist()):
         row = []
@@ -421,6 +506,7 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
 # ---------------------------------------------------------------------------
 
 # The tracer counts ceil(trials / BLOCK) blocks per estimator call.  Blocks
-# are sized in SNR entries, not trials, so that count is right for a 1x1
-# shape only: a 100000-trial 3x4 call reads 1 block, and draws 10.
+# are sized in SNR entries, not trials, and hold half of ``ENTRIES``, so
+# that count is right for no shape: a 100000-trial 3x4 call reads 1 block,
+# and draws 19.
 BLOCK = ENTRIES

@@ -279,10 +279,10 @@ def sweep_config(**overrides):
 
 
 CSI = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05, "error_ratio_f": 0.05}
-# 66536 trials of a 2x3 sweep_config: three full blocks and 1001 trials
-# of a fourth
+# 66536 trials of a 2x3 sweep_config: six full blocks, three pairs on
+# two CPUs, and 1004 trials of a seventh, which runs alone
 BLOCK_2X3 = _block_trials(NetworkTopology(2, 3))
-SPANNING = 3 * BLOCK_2X3 + 1001
+SPANNING = 6 * BLOCK_2X3 + 1004
 LAMBDA2 = {"sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 20.0,
                      "step_db": 5.0},
            "lambda1_db": 25.0, "lambda3_db": 10.0}
@@ -360,10 +360,13 @@ class TestSweepReuse:
                 draws.append((_name, kwargs["trials"]))
                 return _sample(*args, **kwargs)
             monkeypatch.setattr(model, name, counted)
+        # on one CPU the blocks run in order (on two, a pair's blocks
+        # draw on two threads in either order)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
         evaluate_sweep(config, pk)
         # every block samples through one call, with or without CSI
-        assert draws == ([("sample_realization", BLOCK_2X3)] * 3
-                         + [("sample_realization", 1001)])
+        assert draws == ([("sample_realization", BLOCK_2X3)] * 6
+                         + [("sample_realization", 1004)])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_outage_mc_nonincreasing_in_level(self, tmp_path, scheme):
@@ -403,9 +406,10 @@ class TestSweepReuse:
         assert peak < 128 * 2**20
 
     def test_memory_bounded_at_wide_shape(self):
-        # a naive 1x2000 sweep holds 65 trials per block, whose gains are
-        # three 1 MiB arrays (3.7 MiB traced peak measured); a block of
-        # all 20000 trials would draw 960 MB
+        # a naive 1x2000 sweep holds 32 trials per block, whose gains are
+        # three 512 KiB arrays, with two blocks in flight on two CPUs (3.0
+        # MiB traced peak measured); a block of all 20000 trials would
+        # draw 960 MB
         config = parse_config({**MINIMAL, "num_users": 1, "num_relays": 2000,
                                "nakagami_m": 1, "scheme": "naive",
                                "trials": 20_000, "seed": 1})

@@ -2,6 +2,8 @@
 known truth, and agreement with the closed forms."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogrelay import model, selection
+from cogrelay import model, montecarlo, selection
 from cogrelay.analytic import _link_cdf, average_throughput, outage_probability
 from cogrelay.model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
 from cogrelay.montecarlo import (
     ENTRIES,
+    _SHARE,
     _block_rng,
     _block_trials,
     _blocks,
+    _in_pairs,
     _selected_snrs,
     estimate_outage,
     estimate_throughput,
@@ -43,6 +47,20 @@ def topo(num_users=2, num_relays=3, m=2):
     return NetworkTopology(num_users, num_relays, m, path_loss_exp=0.0)
 
 
+def selected_snrs(t, budgets, scheme, trials, seed, csi=None, thresholds=None):
+    """The pass's yields over every block of a run, in block order, each
+    led by its block's index."""
+    block = _selected_snrs(t, budgets, scheme, seed, csi, thresholds)
+    for index, size in _blocks(trials, t):
+        for points, rows, selected in block(index, size):
+            yield index, points, rows, selected
+
+
+def cpus(monkeypatch, count):
+    """Have the pass see ``count`` CPUs."""
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: count)
+
+
 # the trials of one 3x4 block, and of a 3x4 run over a full block and
 # 4464 trials of a second
 BLOCK_3X4 = _block_trials(topo(3, 4, 1))
@@ -50,19 +68,21 @@ TWO_BLOCKS = BLOCK_3X4 + 4464
 
 
 class TestBlockRule:
-    """A block holds as many trials as fill ``ENTRIES`` SNR entries, and
-    at least one; the blocks of a run cover its trials in order."""
+    """A block holds as many trials as fill half of ``ENTRIES`` SNR
+    entries, and at least one (on any CPU count: TestThreads); the blocks
+    of a run cover its trials in order."""
 
     @pytest.mark.parametrize("shape, trials", [
-        ((2, 3), 21845), ((3, 4), 10922), ((2, 4), 16384), ((1, 1), 131072),
-        ((1, ENTRIES + 1), 1),
-    ], ids=["2x3", "3x4", "2x4", "1x1", "wider_than_entries"])
+        ((2, 3), 10922), ((3, 4), 5461), ((2, 4), 8192), ((1, 1), 65536),
+        ((1, ENTRIES // 2 + 1), 1), ((1, ENTRIES + 1), 1),
+    ], ids=["2x3", "3x4", "2x4", "1x1", "wider_than_share", "wider_than_entries"])
     def test_trials_per_block(self, shape, trials):
+        assert _SHARE == ENTRIES // 2
         assert _block_trials(topo(*shape)) == trials
 
     def test_blocks_cover_the_trials(self):
-        assert list(_blocks(25_000, topo(3, 4))) == [(0, 10922), (1, 10922),
-                                                    (2, 3156)]
+        assert list(_blocks(25_000, topo(3, 4))) == [
+            (0, 5461), (1, 5461), (2, 5461), (3, 5461), (4, 3156)]
 
 
 class TestWilsonInterval:
@@ -109,7 +129,7 @@ class TestSharedTrials:
     each entry equals the single-value call on the same seed."""
 
     def test_threshold_sequence_matches_single_calls(self):
-        # 70000 trials span two blocks
+        # 70000 trials span seven blocks
         t, b = topo(), budget_db(10, 10, 10)
         thresholds = [0.5 * GAMMA_TH, GAMMA_TH, 4.0 * GAMMA_TH]
         many = estimate_outage(t, b, "maxmin", thresholds, trials=70_000, seed=3)
@@ -121,8 +141,8 @@ class TestSharedTrials:
         # points sorts and searches.  Thresholds taken from the selected
         # SNRs tie with a trial, and a tie counts as an outage.
         t, b = topo(), budget_db(10, 10, 10)
-        blocks = [eff for _, _, _, eff in _selected_snrs(t, [b], "maxmin",
-                                                         70_000, 3)]
+        blocks = [eff for _, _, _, eff in selected_snrs(t, [b], "maxmin",
+                                                        70_000, 3)]
         first = np.sort(blocks[0], axis=0)
         for x, tied in ((float(first[0, 0]), True),
                         (float(first[len(first) // 2, 1]), True),
@@ -316,7 +336,10 @@ def spy_assignments(monkeypatch, expected):
     """Check each assignment call against the next stack of ``expected``
     (block index, trials built on, stack) as it is made: every call
     holds exactly one stack, bit for bit.  Returns the rows of each
-    call."""
+    call.  The pass runs on one thread, so that its calls come in block
+    order (on two, a pair's blocks interleave theirs; TestThreads shows
+    that the estimates are the same)."""
+    cpus(monkeypatch, 1)
     calls = []
 
     def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
@@ -433,7 +456,7 @@ class TestSaturationFilter:
         expected = expected_stacks(self.T, budgets, thresholds,
                                    order == "chain", TWO_BLOCKS, 3)
         draws = dict(block_draws(self.T, TWO_BLOCKS, 3))
-        for index, points, rows, selected in _selected_snrs(
+        for index, points, rows, selected in selected_snrs(
                 self.T, budgets, "maxmin", TWO_BLOCKS, 3, thresholds=thresholds):
             assert selected is not None  # no stack is an eighth doomed
             _, _, stack = next(expected)
@@ -445,7 +468,8 @@ class TestSaturationFilter:
     @pytest.mark.parametrize("csi", [False, True], ids=["relay_cap", "csi"])
     def test_gains_checked_once_per_block(self, monkeypatch, csi):
         # a block's interference gains are checked where it draws them,
-        # not again at each of its builds
+        # not again at each of its builds; on one CPU, block by block
+        cpus(monkeypatch, 1)
         checked, original = [], model._checked_interference
 
         def check_spy(f_gain):
@@ -459,56 +483,70 @@ class TestSaturationFilter:
                         csi=self.CSI if csi else None)
         assert checked == [BLOCK_3X4, 4464]
 
-    def test_csi_sweep_block_memory(self):
-        # one 3x4 CSI block over a nine-budget common-SNR chain: its gains
-        # are three 1 MiB arrays, held with a stack while max-min assigns
-        # it in one chunk (5.06 MiB measured).  A build holds only the
-        # relay power's array and a tile of the hop-1 SNR beside the
-        # gains, and one more block-sized array fails this bound.
+    def test_csi_sweep_block_memory(self, monkeypatch):
+        # a pair of 3x4 CSI blocks on two CPUs over a nine-budget
+        # common-SNR chain: each block's gains are three 512 KiB arrays,
+        # held with a stack while max-min assigns it in one chunk (2.56
+        # MiB measured for one block, 5.05-5.11 for the pair).  A build
+        # holds only the relay power's array and a tile of the hop-1 SNR
+        # beside the gains, and one more block-sized array in each block
+        # fails this bound.
+        cpus(monkeypatch, 2)
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:
             estimate_outage(self.T, budgets, "maxmin", [GAMMA_TH] * 9,
-                            trials=BLOCK_3X4, seed=1, csi=self.CSI)
+                            trials=2 * BLOCK_3X4, seed=1, csi=self.CSI)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5.5 * 2**20
 
-    def test_fig1_block_memory(self):
-        # one 2x3, m = 2 block on fig1's unit budget with its nine
-        # thresholds, whose gains are 1 MiB arrays.  The peak, 3.5 MiB
-        # measured, is reached drawing the third gain (two gains and a
-        # tile of its second draw) and again at the build: the hop-1 SNR
-        # and the interference limit are built in the gains' buffers and
-        # the matrix in the limit's, so the budget adds no array.  The
-        # sampler's gains-sized second draw (4.0 MiB measured), or the
-        # parts in new arrays, fails this bound.
+    def test_fig1_block_memory(self, monkeypatch):
+        # 2x3, m = 2 blocks on fig1's unit budget with its nine
+        # thresholds, whose gains are 512 KiB arrays.  A block peaks
+        # drawing its third gain (two gains and a tile of its second
+        # draw) and again at the build: the hop-1 SNR and the
+        # interference limit are built in the gains' buffers and the
+        # matrix in the limit's, so the budget adds no array (1.76 MiB
+        # measured for one block, 3.20-3.51 for a pair on two CPUs).  The
+        # bound was set for one block of twice the size, so a block alone
+        # must keep to half of it.  A sampler tile of a whole gain
+        # (``model._TILE`` at ``ENTRIES // 2``: 2.01 MiB for one block,
+        # 3.51-4.01 for a pair), or the parts in new arrays, fails it.
         t = topo(2, 3, 2)
         thresholds = [GAMMA_TH / db_to_linear(x) for x in range(0, 41, 5)]
-        tracemalloc.start()
-        try:
-            estimate_outage(t, LinkBudget(1.0, 1.0, 1.0, GAMMA_TH), "maxmin",
-                            thresholds, trials=_block_trials(t), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.75 * 2**20
+        peaks = {}
+        # the pair four times, since its blocks peak together in some runs
+        for count in (1, 2, 2, 2, 2):
+            cpus(monkeypatch, count)
+            tracemalloc.start()
+            try:
+                estimate_outage(t, LinkBudget(1.0, 1.0, 1.0, GAMMA_TH), "maxmin",
+                                thresholds, trials=count * _block_trials(t), seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[count] = max(peak, peaks.get(count, 0))
+        assert peaks[1] < 3.75 / 2 * 2**20
+        assert peaks[2] < 3.75 * 2**20
 
-    def test_fig2_block_memory(self):
-        # one 3x3, m = 3 block over fig2's 13 relay caps, whose gains are
-        # 1 MiB arrays.  The block builds the hop-1 SNR and the
-        # interference limit once, in the hop-1 and interference gains'
-        # buffers, and each cap's matrix in one new array (4.89 MiB
-        # measured).  Building each cap's matrix from the gains with its
+    def test_fig2_block_memory(self, monkeypatch):
+        # a pair of 3x3, m = 3 blocks on two CPUs over fig2's 13 relay
+        # caps, whose gains are 512 KiB arrays.  Each block builds the
+        # hop-1 SNR and the interference limit once, in the hop-1 and
+        # interference gains' buffers, and each cap's matrix in one new
+        # array (2.46 MiB measured for one block, 4.46-4.76 for the
+        # pair).  Building each cap's matrix from the gains with its
         # temporaries, or one more block-sized array held through a
         # build, fails this bound.
+        cpus(monkeypatch, 2)
         t = topo(3, 3, 3)
         budgets = [budget_db(25, x, 10) for x in range(0, 61, 5)]
         tracemalloc.start()
         try:
             estimate_outage(t, budgets, "maxmin", [GAMMA_TH] * 13,
-                            trials=_block_trials(t), seed=1)
+                            trials=2 * _block_trials(t), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,7 +640,7 @@ class TestDoomedTrials:
         largest = build(self.T, draws, budget).max(axis=(1, 2))
         tie = int(np.argsort(largest)[len(largest) * 3 // 10])
         threshold = float(largest[tie])
-        rows = [rows for index, _, rows, selected in _selected_snrs(
+        rows = [rows for index, _, rows, selected in selected_snrs(
                     self.T, [budget], "naive", TWO_BLOCKS, 3,
                     thresholds=[threshold])
                 if index == 0 and selected is None]
@@ -621,7 +659,7 @@ class TestDoomedTrials:
             scheme="naive") if len(stack[2])])
         built = TestSaturationFilter.spy(monkeypatch, stacks)
         seen = {}
-        for index, points, rows, selected in _selected_snrs(
+        for index, points, rows, selected in selected_snrs(
                 self.T, self.LAMBDA_ALL, "naive", TWO_BLOCKS, 3,
                 thresholds=[GAMMA_TH] * 4):
             kind = "assigned" if selected is not None else "doomed"
@@ -640,8 +678,8 @@ class TestDoomedTrials:
             assert np.setdiff1d(doomed[0], doomed[2]).size > 0
 
     def test_fig3_low_point_assigns_few(self, monkeypatch):
-        # 65536 3x4 CSI trials (six full blocks and 4 trials of a
-        # seventh) at fig3's 0 dB point: 99% of the trials have every SNR
+        # 65536 3x4 CSI trials (twelve full blocks and 4 trials of a
+        # thirteenth) at fig3's 0 dB point: 99% of the trials have every SNR
         # at or below the threshold
         budget = budget_db(0, 0, 0)
         want = estimate_outage_unfiltered(self.T, [budget], "maxmin",
@@ -801,19 +839,22 @@ class TestSettledCarry:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_fig4_block_memory(self):
-        # one 3x4 block over fig4's nine relay caps: three 1 MiB parts of
-        # the SNR matrix (hop-1 SNR, interference limit, hop-2 gain) and
-        # the cap-free matrix, the matrix at one cap built in place, and
-        # the carried selected SNRs, with max-min assigning the first
-        # cap's whole stack in one chunk (7.84 MiB measured).  One more
-        # block-sized array held through a build fails this bound.
-        # Smaller leaks pass it, such as the last assignment's selected
-        # SNRs held through the next build (TestHeldAtBuild catches it).
+    def test_fig4_block_memory(self, monkeypatch):
+        # a pair of 3x4 blocks on two CPUs over fig4's nine relay caps:
+        # in each, three 512 KiB parts of the SNR matrix (hop-1 SNR,
+        # interference limit, hop-2 gain) and the cap-free matrix, the
+        # matrix at one cap built in place, and the carried selected
+        # SNRs, with max-min assigning the first cap's whole stack in one
+        # chunk (3.80 MiB measured for one block, 7.52-7.56 for the
+        # pair).  One more block-sized array held through a build in each
+        # block fails this bound.  Smaller leaks pass it, such as the last
+        # assignment's selected SNRs held through the next build
+        # (TestHeldAtBuild catches it).
+        cpus(monkeypatch, 2)
         budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
         tracemalloc.start()
         try:
-            estimate_throughput(self.T, budgets, "maxmin", BLOCK_3X4, 1,
+            estimate_throughput(self.T, budgets, "maxmin", 2 * BLOCK_3X4, 1,
                                 scales=[1.0] * 9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -821,18 +862,21 @@ class TestSettledCarry:
         assert peak < 8.5 * 2**20
 
     @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
-    def test_three_cap_block_memory(self, scheme):
-        # one 3x4 block over three relay caps: the three parts of the SNR
-        # matrix and the cap-free matrix, the matrix at one cap and the
-        # carried selected SNRs, whatever the scheme, and max-min's
-        # working set for a whole stack (7.84 MiB measured under max-min,
-        # 6.43 under naive, 6.18 under random).  One more 1 MiB
-        # block-sized array, such as naive marking taken relays in a copy
-        # of the whole stack, fails each scheme's bound.
+    def test_three_cap_block_memory(self, monkeypatch, scheme):
+        # a pair of 3x4 blocks on two CPUs over three relay caps: in each,
+        # the three parts of the SNR matrix and the cap-free matrix, the
+        # matrix at one cap and the carried selected SNRs, whatever the
+        # scheme, and max-min's working set for a whole stack (per block
+        # 3.80 MiB measured under max-min, 3.15 under naive, 3.06 under
+        # random; per pair 7.20-7.53, 6.22-6.35 and 5.83-6.20).  One more
+        # 512 KiB block-sized array in each block, such as naive marking
+        # taken relays in a copy of the whole stack, fails each scheme's
+        # bound.
+        cpus(monkeypatch, 2)
         budgets = [budget_db(25, x, 10) for x in (0, 20, 40)]
         tracemalloc.start()
         try:
-            estimate_throughput(self.T, budgets, scheme, BLOCK_3X4, 1,
+            estimate_throughput(self.T, budgets, scheme, 2 * BLOCK_3X4, 1,
                                 scales=[1.0] * 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -945,24 +989,147 @@ class TestThroughputEstimates:
             assert est.ci_low <= exact <= est.ci_high
 
 
-    def test_memory_does_not_grow_with_blocks(self):
-        # naive 1x2000 at 500 scales: a block holds 65 trials, and each
-        # point's sums fold into running totals, so 64 blocks peak where
-        # one does (3.0 MiB measured); sums kept per block grew the
-        # peak by 0.5 MiB
+    def test_memory_does_not_grow_with_blocks(self, monkeypatch):
+        # naive 1x2000 at 500 scales: a block holds 32 trials, and each
+        # point's sums fold into running totals, so on one CPU 64 blocks
+        # peak where one does (1.5 MiB measured), and on two no higher
+        # than two blocks at their peaks at once (3.0 MiB measured); sums
+        # kept per block grew the peak by 0.5 MiB.  Where the two blocks
+        # of a pair peak depends on the threads' timing, so the bound on
+        # two CPUs is two single blocks' peaks
         t = topo(1, 2000, 1)
         budget, scales = budget_db(10, 10, 10), np.logspace(-3, 3, 500)
         block = _block_trials(t)
         peaks = []
-        for trials in (block, 64 * block, block):  # the first one warms up
+        # the first one warms up
+        for count, trials in ((1, block), (1, 64 * block), (1, block),
+                              (2, 64 * block)):
+            cpus(monkeypatch, count)
             tracemalloc.start()
             try:
                 estimate_throughput(t, budget, "naive", trials, 1, scales=scales)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert block == 65
+        assert block == 32
         assert peaks[1] < peaks[2] + 2**16
+        assert peaks[3] < 2 * peaks[2] + 2**16
+
+    def test_scales_scored_together_match_one_call_each(self):
+        # 2x3 over two full blocks: a tile holds three of its scales
+        # (65536 floats over 2 x 10922 selected SNRs), so ten scales of
+        # one stack take four tiles, and each scale's estimates equal, bit
+        # for bit, those of a call that scores it alone
+        t, b = topo(m=1), budget_db(15, 10, 5)
+        trials, scales = 2 * _block_trials(t), list(np.logspace(-2, 2, 10))
+        assert _SHARE // (t.num_users * _block_trials(t)) == 3
+        many = estimate_throughput(t, b, "maxmin", trials, 6, scales=scales)
+        assert many == [estimate_throughput(t, b, "maxmin", trials, 6, scales=x)
+                        for x in scales]
+
+
+class TestThreads:
+    """On two CPUs the blocks run in pairs, the second of each on a
+    thread of its own: every estimate has the same bits as on one CPU,
+    no thread outlives a call, and an error in either block of a pair
+    reaches the caller once both are done."""
+
+    T = TestSaturationFilter.T
+    CSI = TestSaturationFilter.CSI
+    TRIALS = 2 * BLOCK_3X4 + 1000  # a pair, then a block alone
+
+    def run(self, kind, scheme):
+        if kind == "throughput":  # a relay-cap chain, where trials settle
+            budgets = [budget_db(25, x, 10) for x in (0, 20, 40)]
+            return estimate_throughput(self.T, budgets, scheme, self.TRIALS, 4,
+                                       scales=[1.0] * 3)
+        budgets = [budget_db(x, x, x) for x in (0, 5, 10)]
+        return estimate_outage(self.T, budgets, scheme, [GAMMA_TH] * 3,
+                               self.TRIALS, 4,
+                               csi=self.CSI if kind == "csi" else None)
+
+    @pytest.mark.parametrize("kind", ["outage", "csi", "throughput"])
+    @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
+    def test_same_bits_on_one_cpu_and_two(self, monkeypatch, kind, scheme):
+        on_main, sample = [], model.sample_realization
+
+        def sample_spy(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(model, "sample_realization", sample_spy)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        results = {}
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            on_main.clear()
+            # the threads switch every 10 us, so the blocks of a pair
+            # interleave their Python steps at many points
+            sys.setswitchinterval(1e-5)
+            try:
+                results[count] = self.run(kind, scheme)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == before
+            # on two CPUs block 1 draws on a thread of its own
+            assert len(on_main) == 3
+            assert on_main.count(False) == (count == 2)
+        assert results[1] == results[2]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "thread"])
+    @pytest.mark.parametrize("kind", ["outage", "throughput"])
+    def test_block_error_reaches_caller(self, monkeypatch, kind, failing):
+        # assignment raises on one block of the first pair (block 1 runs on
+        # the second thread); the thread is joined before the error is
+        # raised in the caller
+        cpus(monkeypatch, 2)
+        current, block_rng = threading.local(), montecarlo._block_rng
+
+        def rng_spy(seed, index):
+            current.index = index
+            return block_rng(seed, index)
+
+        def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
+            if current.index == failing:
+                raise RuntimeError(f"block {failing}")
+            return original(scheme, gammas, maps)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", rng_spy)
+        monkeypatch.setattr(selection, "assign_batch", assign_spy)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {failing}"):
+            self.run(kind, "maxmin")
+        assert threading.active_count() == before
+
+    def test_pairs_run_together_in_block_order(self, monkeypatch):
+        # both blocks of a pair must be running for the barrier to pass,
+        # and no third one runs beside them
+        cpus(monkeypatch, 2)
+        barrier, lock, running, most = threading.Barrier(2, timeout=30), \
+            threading.Lock(), [0], [0]
+
+        def run(block):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            if block < 4:  # block 4 runs alone
+                barrier.wait()
+            with lock:
+                running[0] -= 1
+            return block, threading.current_thread() is threading.main_thread()
+
+        assert list(_in_pairs(run, range(5))) == [
+            (0, True), (1, False), (2, True), (3, False), (4, True)]
+        assert most[0] == 2
+
+    def test_pairs_closed_early_leave_no_thread(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        before = threading.active_count()
+        pairs = _in_pairs(lambda block: 2 * block, range(5))
+        assert next(pairs) == 0
+        assert threading.active_count() == before  # joined before the yield
+        pairs.close()
+        assert threading.active_count() == before
 
 
 class TestCdfEstimates:

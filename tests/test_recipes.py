@@ -14,15 +14,15 @@ from cogrelay.cli import load_config, parse_config, run_sweep
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 GOLDEN_SHA256 = {
-    "fig1": "3449a950f1d7991138f2d2b6fc417904172b15fd8b37b00b46c6af05af458ac7",
-    "fig2": "39cd36b0a7e0669b5e26b1fe14a4bf4f2873a9e8b9300b98350dac6161ecb510",
-    "fig3": "42d06b92622ba498d413989c420fcc9af41d3a3a7683253e1115efc7d328f00b",
-    "fig4": "b8d9325456468bcd0a9e4621107c7182dbb756bae7dab7140e4ce0b32ec99b83",
+    "fig1": "b11f379021a3c831d5296e7741225b7bffeccfb8bf43bc0c2a34dbc01e2c3292",
+    "fig2": "c5aac4c3cbf4e92508ef026460ce8c46374f3cd5531dd6ec48d9838c4df5cc6e",
+    "fig3": "b06821b7915312e8a302b6b7ffeab09d5d2a2936a05518a8b901515f4acf3e9c",
+    "fig4": "ec8f676f4dc641f95a4af605eab0aba04ad9cf5edf1f64c5414a7d7a14180d66",
 }
 
 # fig4's levels on 2x4 at 1000 trials and 241 relay caps: the Monte
-# Carlo pass assigns small stacks, which the recipes (blocks of 10922
-# to 21845 trials) barely reach
+# Carlo pass assigns small stacks, which the recipes (blocks of 5461
+# to 10922 trials) barely reach
 FINE_CONFIG = """{
   "num_users": 2, "num_relays": 4, "nakagami_m": 1, "gamma_th_db": 5.0,
   "lambda1_db": 25.0, "lambda3_db": 10.0, "mode": "throughput",
@@ -60,9 +60,10 @@ def fine_config(name: str) -> dict:
 # outage from -10 dB, and max-min common-SNR outage from -10 dB, whose
 # one unit budget scores 16 thresholds.  Each was pinned before those
 # trials stopped being assigned.  The four 70000-trial sweeps were
-# pinned again when blocks came to be sized in SNR entries (a new random
-# stream); the others fit in one block under either size.  m = 1, γ_th = 5 dB and seed 1 unless
-# stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
+# pinned again when blocks came to be sized in SNR entries, and again
+# when a block came to hold half of that budget (each a new random
+# stream); the others fit in one block under every size.  m = 1, γ_th = 5 dB and seed
+# 1 unless stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
                     "error_ratio_f": 0.05}}
@@ -116,10 +117,10 @@ PASS_SHA256 = {
     "maxmin-lambda2-outage": "9020b16306d93c1ca0609ca2a00d462a077383186c7e8701c9778e6a84d3621a",
     "maxmin-csi-outage": "9fd868ec8069ac9528470762d972800e188f825617d78e41d2282f28f5ab374e",
     "random-lambda2-throughput": "5470cd64ab9e33c671597f335b3e1142680997841f1002280cd766d5b7b164d3",
-    "naive-csi-lambda2-outage": "d6343e1414ae554d9758928c4943f1fbba0b593b87ccc642c2e4b8ab98ed4f4c",
-    "random-3x4-lambda2-outage": "2cf276c4b9bb8cb3f4abd750a2fb749ba4ef900df97c4d3a194934cb431378bf",
-    "random-3x4-lambda2-throughput": "6c8824fd7339790b4da2ad17c4e483b7c6881cc2b63f2f34bd44dc384be5f480",
-    "naive-csi-outage": "5a39e6ada747cdc21eeafb07f02d4974fceae22ff74ffb69a09f50aec3223af2",
+    "naive-csi-lambda2-outage": "e276691f4c6269fbe8f612d3f35c25ac86217b95885e8ae6d70096369cff358e",
+    "random-3x4-lambda2-outage": "71ba72767f4c5dcdff4aa6266d88ddfb7061ad20acd9b4bb66159c05dce1e652",
+    "random-3x4-lambda2-throughput": "153e4ca9689a56f44b330419367bb132d99d0e6fbe8c3aa197d3bef75b90a6f8",
+    "naive-csi-outage": "5011576b3ad582c598cb2750b78dbe8a824619590eed50d8bbd797692d5fb18c",
     "random-3x4-lambda2-low-outage": "380bc3c74a1e390d5e16cbddaeed96a88c53e44701692c40795b0bde5ff0a996",
     "maxmin-low-outage": "b6581764194e15c391098929bee9e6d2232e82a46de457422f29b34896fb1a01",
 }
