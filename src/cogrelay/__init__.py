@@ -21,7 +21,6 @@ from .model import (
     LinkBudget,
     NetworkTopology,
     db_to_linear,
-    relay_power,
     sample_estimated_realization,
     sample_realization,
     snr_matrix,

@@ -113,8 +113,8 @@ def _link_cdf(x, topology: NetworkTopology, budget,
     b = m / o3.  So F2 = P(m, a c) plus A's wins of the race from c on,
     and G2 = P(m, b c) Q(m, a c) plus B's; an infinite cap is c = 0.
     Under imperfect CSI (Rayleigh) this runs on the estimate gains, and
-    the estimation errors multiply G by e^(-x e), with
-    e = err_var_hop1 / est_gain_hop1 + err_var_hop2 / est_gain_hop2.
+    the estimation errors multiply G by e^(-x e), e the model's
+    :attr:`~cogrelay.model.CsiErrorModel.error_rate`.
     """
     x = np.asarray(x, dtype=float)
     if not x.min(initial=0.0) >= 0:
@@ -137,8 +137,7 @@ def _link_cdf(x, topology: NetworkTopology, budget,
     cdf = p1 + q1 * (pa + win_a)
     ccdf = q1 * (pb * qa + win_b)
     if csi is not None:
-        rate = (csi.err_var_hop1 / csi.est_gain_hop1
-                + csi.err_var_hop2 / csi.est_gain_hop2)
+        rate = csi.error_rate
         keep = np.exp(-x * rate)
         cdf, ccdf = -np.expm1(-x * rate) + keep * cdf, keep * ccdf
     # sums near 1 may round a few ulp above it
@@ -256,8 +255,7 @@ def outage_floor_imperfect(gamma_th: float, err: CsiErrorModel,
     """High-SNR outage floor with imperfect CSI: only the error-to-
     estimate variance ratios survive the limit, so the floor is SNR
     independent and the diversity order is lost entirely."""
-    rate = (err.err_var_hop1 / err.est_gain_hop1
-            + err.err_var_hop2 / err.est_gain_hop2)
+    rate = err.error_rate
     return _outage(-math.expm1(-gamma_th * rate), math.exp(-gamma_th * rate),
                    num_users, num_relays, pk)
 

@@ -5,10 +5,12 @@ All transmit powers are carried as ratios to the receiver noise power
 at runtime.  Conversion from dB happens once, at the configuration
 boundary (see :func:`db_to_linear`).
 
-Both SNR-matrix builders are chains of correctly rounded steps, each
-monotone in the budget levels, so a matrix is non-decreasing, bit for
-bit, in every level; the Monte Carlo engine relies on that to carry a
-trial that clears a threshold along a sweep.
+Every hop's SNR is h / (σ² + dᵇ/λ), λ the source power on hop 1 and the
+relay power on hop 2, σ² the hop's estimation-error variance: 0 under
+perfect CSI, the zero-error case bit for bit.  Its steps round each
+monotonically in the budget levels, so a matrix is non-decreasing, bit
+for bit, in every level; the Monte Carlo engine relies on that to carry
+a trial that clears a threshold along a sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "db_to_linear",
     "sample_realization",
     "sample_estimated_realization",
-    "relay_power",
     "snr_matrix",
     "snr_matrix_imperfect",
 ]
@@ -191,6 +192,13 @@ class CsiErrorModel:
             err_var_interf=topology.mean_gain_interf * ratio_interf,
         )
 
+    @property
+    def error_rate(self) -> float:
+        """e = err_var_hop1 / est_gain_hop1 + err_var_hop2 / est_gain_hop2:
+        the estimation errors scale a link's SNR CCDF at x by e^(-x e)."""
+        return (self.err_var_hop1 / self.est_gain_hop1
+                + self.err_var_hop2 / self.est_gain_hop2)
+
 
 def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.ndarray:
     # sum of m exponentials of mean mean/m == squared Nakagami-m amplitude;
@@ -229,11 +237,16 @@ def sample_realization(topology: NetworkTopology, rng: np.random.Generator,
     )
 
 
+def _require_rayleigh(topology: NetworkTopology):
+    """The imperfect-CSI model's one fading law: Rayleigh (m = 1)."""
+    if topology.nakagami_m != 1:
+        raise ValueError("imperfect-CSI model requires nakagami_m == 1")
+
+
 def _estimated(topology: NetworkTopology, err: CsiErrorModel) -> NetworkTopology:
     """The topology with ``err``'s estimate gains as mean gains (Rayleigh
     only), all that imperfect-CSI statistics need beside the errors."""
-    if topology.nakagami_m != 1:
-        raise ValueError("imperfect-CSI model requires nakagami_m == 1")
+    _require_rayleigh(topology)
     return replace(topology, mean_gain_hop1=err.est_gain_hop1,
                    mean_gain_hop2=err.est_gain_hop2,
                    mean_gain_interf=err.est_gain_interf)
@@ -272,97 +285,97 @@ def _interference_limit(f, budget: LinkBudget, topology: NetworkTopology,
         return np.divide(budget.interference_snr_cap * d3b, f, out=out)
 
 
-def relay_power(f_gain, budget: LinkBudget, topology: NetworkTopology):
-    """Relay transmit power over noise: the peak-power cap or the level
-    that meets the interference cap at the primary receiver, whichever
-    binds.  A zero interference gain (+0.0 or -0.0) means the cap cannot
-    bind, so the peak power is returned; a negative or NaN gain raises
-    ``ValueError``."""
-    out = _interference_limit(_checked_interference(f_gain), budget, topology)
-    np.minimum(out, budget.relay_snr_cap, out=out)
-    return float(out) if out.ndim == 0 else out
+def _hop1_noise(err: CsiErrorModel | None, topology: NetworkTopology,
+                source_snr: float) -> float:
+    """Hop 1's noise over its gain, σ1² + d1ᵇ/λ1, with σ1² = 0 under
+    perfect CSI (``err`` None)."""
+    err_var = 0.0 if err is None else err.err_var_hop1
+    return err_var + topology.dist_hop1 ** topology.path_loss_exp / source_snr
+
+
+def _hop2_snr(limit, hop2, relay_snr_cap: float, err: CsiErrorModel | None,
+              topology: NetworkTopology, out: np.ndarray) -> np.ndarray:
+    """Hop 2's SNR h2 / (σ2² + d2ᵇ/P), P = min(limit, cap) the relay
+    power and σ2² = 0 under perfect CSI (``err`` None), in the array
+    ``out``, which may be ``limit``."""
+    np.minimum(limit, relay_snr_cap, out=out)
+    np.divide(topology.dist_hop2 ** topology.path_loss_exp, out, out=out)
+    out += 0.0 if err is None else err.err_var_hop2
+    # +inf where P is infinite, or so large that the SNR overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(hop2, out, out=out)
 
 
 def _snr_parts(realization: ChannelRealization, topology: NetworkTopology,
-               budget: LinkBudget, out=(None, None)):
-    """The parts of :func:`snr_matrix` that the relay cap leaves alone:
-    the hop-1 SNR λ1·h1/d1ᵇ and the interference limit λ3·d3ᵇ/f (see
-    :func:`_interference_limit`), each in a new array or in its array of
-    the pair ``out``.  A Monte Carlo block, which owns its gains and
-    reads them no more, passes its hop-1 and interference gains; the
-    steps, and so the bits, are the same."""
+               budget: LinkBudget, err: CsiErrorModel | None,
+               out=(None, None)):
+    """The parts of the SNR matrix that the relay cap leaves alone: the
+    hop-1 SNR h1 / (σ1² + d1ᵇ/λ1) and the interference limit λ3·d3ᵇ/f
+    (see :func:`_interference_limit`), each in a new array or in its
+    array of the pair ``out``.  A Monte Carlo block, which owns its
+    gains and reads them no more, passes its hop-1 and interference
+    gains; the steps, and so the bits, are the same."""
     f = _checked_interference(realization.interf)
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    hop1_snr = np.multiply(budget.source_snr, realization.hop1, out=out[0])
-    hop1_snr /= d1b
+    hop1_snr = np.divide(realization.hop1,
+                         _hop1_noise(err, topology, budget.source_snr),
+                         out=out[0])
     return hop1_snr, _interference_limit(f, budget, topology, out=out[1])
 
 
 def _capped_snr(hop1_snr, limit, hop2, relay_snr_cap: float,
-                topology: NetworkTopology, out=None):
-    """The SNR matrix from its parts at one relay cap:
-    min(hop-1 SNR, min(limit, cap)·h2/d2ᵇ), in ``out`` or one new array.
+                err: CsiErrorModel | None, topology: NetworkTopology,
+                out=None) -> np.ndarray:
+    """The SNR matrix from its parts at one relay cap: the smaller of
+    the hop-1 SNR and :func:`_hop2_snr`, in ``out`` or one new array.
     ``out`` may be ``limit``, which a Monte Carlo block passes at its
     last budget, where no later build reads the parts; never the hop-1
     SNR or ``hop2``, which a later step reads."""
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    # in place in one array: a Monte Carlo block holds the parts and the
-    # cap-free matrix while it builds each budget's matrix
-    hop2_snr = np.minimum(limit, relay_snr_cap, out=out)
-    hop2_snr *= hop2
-    hop2_snr /= d2b
-    # 0-d parts without out= give numpy scalars, which cannot take an
-    # out= array
-    return np.minimum(hop1_snr, hop2_snr,
-                      out=hop2_snr if isinstance(hop2_snr, np.ndarray) else None)
+    if out is None:
+        out = np.empty(np.shape(limit))
+    hop2_snr = _hop2_snr(limit, hop2, relay_snr_cap, err, topology, out)
+    return np.minimum(hop1_snr, hop2_snr, out=hop2_snr)
+
+
+def _tiled_snr(hop1, hop2, f, err: CsiErrorModel | None,
+               topology: NetworkTopology, budget: LinkBudget,
+               out=None) -> np.ndarray:
+    """The SNR matrix at one budget from the gains, the interference
+    gains ``f`` checked by :func:`_checked_interference`, in ``out`` or
+    a new array.  Hop 2 is built in place in the relay power's array
+    (:func:`_hop2_snr`), then the hop-1 SNR is formed one tile of at
+    most ``_TILE`` entries at a time and its minimum taken into that
+    array, so no second array of the gains' size is held.  ``out`` may
+    be ``f``, which a Monte Carlo block passes at its last budget; never
+    ``hop1`` or ``hop2``."""
+    snrs = _interference_limit(f, budget, topology, out=out)
+    _hop2_snr(snrs, hop2, budget.relay_snr_cap, err, topology, snrs)
+    noise1 = _hop1_noise(err, topology, budget.source_snr)
+    # tiles of whole rows along the leading (trials) axis
+    hop1, stack = np.atleast_1d(hop1), np.atleast_1d(snrs)
+    rows = max(1, _TILE // max(1, math.prod(stack.shape[1:])))
+    tile = np.empty((min(rows, len(stack)),) + stack.shape[1:])
+    for start in range(0, len(stack), rows):
+        hop2_part = stack[start:start + rows]
+        hop1_part = np.divide(hop1[start:start + rows], noise1,
+                              out=tile[:len(hop2_part)])
+        np.minimum(hop1_part, hop2_part, out=hop2_part)
+    return snrs
 
 
 def snr_matrix(realization: ChannelRealization, topology: NetworkTopology,
                budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR of every user-relay pair: the smaller of the two
-    decode-and-forward hop SNRs, λ1·h1/d1ᵇ and P·h2/d2ᵇ with P the relay
-    power of :func:`relay_power`.  Shape matches the realization arrays,
-    which it leaves unchanged.
-
-    It is built from the parts that do not depend on the relay cap
-    (:func:`_snr_parts`) and then the cap (:func:`_capped_snr`), the
-    split along which a Monte Carlo block builds the parts once for a
-    whole relay-cap chain; either way the steps and their bits are the
-    same."""
-    hop1_snr, limit = _snr_parts(realization, topology, budget)
-    return _capped_snr(hop1_snr, limit, realization.hop2,
-                       budget.relay_snr_cap, topology)
-
-
-def _imperfect_snr(hop1, hop2, f, err: CsiErrorModel,
-                   topology: NetworkTopology, budget: LinkBudget, out=None):
-    """:func:`snr_matrix_imperfect` of the estimate gains, the
-    interference gains ``f`` checked by :func:`_checked_interference`,
-    in ``out`` or a new array.  Hop 2 is built in place in the relay
-    power's array, then the hop-1 SNR is formed one tile of at most
-    ``_TILE`` entries at a time and its minimum taken into that array,
-    so no second array of the gains' size is held.  ``out`` may be
-    ``f``, which a Monte Carlo block passes at its last budget; never
-    ``hop1`` or ``hop2``."""
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    hop2_snr = _interference_limit(f, budget, topology, out=out)
-    np.minimum(hop2_snr, budget.relay_snr_cap, out=hop2_snr)
-    np.divide(d2b, hop2_snr, out=hop2_snr)
-    hop2_snr += err.err_var_hop2
-    np.divide(hop2, hop2_snr, out=hop2_snr)
-    noise1 = err.err_var_hop1 + d1b / budget.source_snr
-    if hop2_snr.ndim == 0:  # 0-d: a numpy scalar without out=
-        return np.minimum(np.divide(hop1, noise1), hop2_snr, out=out)
-    # tiles of whole rows along the leading (trials) axis
-    rows = max(1, _TILE // max(1, math.prod(hop2_snr.shape[1:])))
-    tile = np.empty((min(rows, len(hop2_snr)),) + hop2_snr.shape[1:])
-    for start in range(0, len(hop2_snr), rows):
-        hop2_part = hop2_snr[start:start + rows]
-        hop1_part = np.divide(hop1[start:start + rows], noise1,
-                              out=tile[:len(hop2_part)])
-        np.minimum(hop1_part, hop2_part, out=hop2_part)
-    return hop2_snr
+    decode-and-forward hop SNRs, each h / (dᵇ/λ), λ the source power on
+    hop 1 and on hop 2 the relay power, the peak-power cap or the level
+    λ3·d3ᵇ/f that meets the interference cap at the primary receiver,
+    whichever binds (the peak at a zero gain f of either sign; a
+    negative or NaN f raises ``ValueError``).  Shape matches the
+    realization arrays, which it leaves unchanged; 0-d gains give a
+    numpy scalar.  The bits are those of the zero-error case of
+    :func:`snr_matrix_imperfect`."""
+    return _tiled_snr(realization.hop1, realization.hop2,
+                      _checked_interference(realization.interf), None,
+                      topology, budget)[()]
 
 
 def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
@@ -373,11 +386,11 @@ def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
     estimates are left unchanged.
 
     Each hop's SNR is h / (σ² + dᵇ/λ), with λ the source power on hop 1
-    and the relay power on hop 2.  Every step of it rounds monotonically
-    in λ, and λ in each budget level, so the matrix is non-decreasing,
-    bit for bit, in every level, as :func:`snr_matrix` is."""
-    if topology.nakagami_m != 1:
-        raise ValueError("imperfect-CSI model requires nakagami_m == 1")
-    return _imperfect_snr(estimates.hop1, estimates.hop2,
-                          _checked_interference(estimates.interf), err,
-                          topology, budget)
+    and the relay power on hop 2 (see :func:`snr_matrix`, the case
+    σ² = 0).  Every step of it rounds monotonically in λ, and λ in each
+    budget level, so the matrix is non-decreasing, bit for bit, in every
+    level.  Rayleigh fading only."""
+    _require_rayleigh(topology)
+    return _tiled_snr(estimates.hop1, estimates.hop2,
+                      _checked_interference(estimates.interf), err,
+                      topology, budget)[()]

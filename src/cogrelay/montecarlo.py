@@ -46,16 +46,17 @@ tie-breaks; throughput keeps them.  One pass serves both estimators,
 with one rule for each decision, and assigns each stack in one call,
 left with no trial in none:
 
-- Build.  On a relay-cap chain without CSI, each block builds the parts
-  of the SNR matrix that the cap leaves alone once
-  (:func:`model._snr_parts`), in the buffers of the hop-1 and
-  interference gains it drew, and each budget applies only its cap
-  (:func:`model._capped_snr`).  Every other run builds each budget's
-  matrix from the block's gains, which under CSI are the estimates,
-  their interference gains checked once per block.  The last budget
-  builds in a part's buffer (the interference limit, or under CSI the
-  interference gains), which no later build reads, and the block drops
-  its parts before that stack is decided and assigned.
+- Build.  Each hop's SNR is h / (σ² + dᵇ/λ), σ² = 0 without CSI, on
+  the gains a block drew (under CSI, the estimates).  On a relay-cap
+  chain, with CSI or without, each block builds the parts of the SNR
+  matrix that the cap leaves alone once (:func:`model._snr_parts`), in
+  the buffers of the hop-1 and interference gains, and each budget
+  applies only its cap (:func:`model._capped_snr`).  Every other run
+  builds each budget's matrix from the gains
+  (:func:`model._tiled_snr`), their interference gains checked once per
+  block.  The last budget builds in a part's buffer (the interference
+  limit, or the interference gains), which no later build reads, and
+  the block drops its parts before that stack is decided and assigned.
 - Leave.  Once the served, the doomed or the settled trials are an
   eighth or more of a stack, they leave it: served and doomed trials
   before it is assigned, settled trials after.  Along a chain the SNR
@@ -259,8 +260,8 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str, seed: int,
     groups = _groups(budgets)
     order = list(groups)
     steps = list(zip(order, order[1:]))
-    # a relay-cap chain without CSI: the parts are built once per block
-    capped = csi is None and all(
+    # a relay-cap chain: the parts are built once per block
+    capped = all(
         later.source_snr == earlier.source_snr
         and later.interference_snr_cap == earlier.interference_snr_cap
         and later.relay_snr_cap >= earlier.relay_snr_cap
@@ -292,29 +293,25 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str, seed: int,
         draws = model.sample_realization(sampled, rng, trials=trials)
         maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
         if capped:  # the parts overwrite the gains they are built from
-            parts = [*model._snr_parts(draws, topology, order[0],
+            parts = [*model._snr_parts(draws, topology, order[0], csi,
                                        out=(draws.hop1, draws.interf)),
                      draws.hop2]
-        else:
-            parts = [draws.hop1, draws.hop2, draws.interf]
-            if csi is not None:  # once per block, not at every build
-                parts[2] = model._checked_interference(parts[2])
+        else:  # the interference gains checked once per block
+            parts = [draws.hop1, draws.hop2,
+                     model._checked_interference(draws.interf)]
         del draws
-        free = (model._capped_snr(*parts, math.inf, topology)
+        free = (model._capped_snr(*parts, math.inf, csi, topology)
                 if chain and tops is None else None)
         live = np.arange(trials)
         for position, budget in enumerate(order):
             last = position == len(order) - 1
             # the last budget builds in a part that no later build reads
             if capped:
-                snrs = model._capped_snr(*parts, budget.relay_snr_cap, topology,
-                                         out=parts[1] if last else None)
-            elif csi is None:
-                snrs = model.snr_matrix(model.ChannelRealization(*parts),
-                                        topology, budget)
+                snrs = model._capped_snr(*parts, budget.relay_snr_cap, csi,
+                                         topology, out=parts[1] if last else None)
             else:
-                snrs = model._imperfect_snr(*parts, csi, topology, budget,
-                                            out=parts[2] if last else None)
+                snrs = model._tiled_snr(*parts, csi, topology, budget,
+                                        out=parts[2] if last else None)
             if last:  # not held while the block's last stacks decide and assign
                 parts.clear()
                 free = None

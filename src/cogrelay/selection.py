@@ -27,12 +27,12 @@ a shape needs for that (its map table, flat entries, key words and
 packed index) is built once per shape, so a call on a small stack pays
 little beyond its numpy calls.
 
-:func:`saturated` tells, per matrix, whether some injective map has
+:func:`decided` tells, per matrix, whether some injective map has
 every entry above a threshold (Hall's condition over the user sets),
-which is whether the max-min bottleneck is above it.  :func:`decided`
-also tells whether no entry is above a lower threshold, so that every
-scheme leaves every user at or below it; the Monte Carlo engine skips
-the trials where either holds.
+which is whether the max-min bottleneck is above it, and whether no
+entry is above a lower threshold, so that every scheme leaves every
+user at or below it; the Monte Carlo engine skips the trials where
+either holds.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "naive_assign_batch",
     "relay_maps",
     "assign_batch",
-    "saturated",
     "decided",
     "rank_placement_probs",
 ]
@@ -302,27 +301,20 @@ def _above(g: np.ndarray, threshold: float) -> np.ndarray:
     ).reshape(num_users, num_relays, trials)
 
 
-def saturated(gammas: np.ndarray, threshold: float) -> np.ndarray:
-    """Per matrix of a stack, whether some injective user->relay map
-    gives every user an entry above ``threshold``; the max-min bottleneck
-    is then above it too, so no user is at or below it.
+def decided(gammas: np.ndarray, low: float, high: float | None = None):
+    """Per matrix of a stack, ``(doomed, served)``.  A matrix is doomed
+    when no entry is above ``low``: whatever injective map a scheme
+    picks, every user's entry is at or below ``low``.  It is served (None
+    without ``high``) when some injective user->relay map gives every
+    user an entry above ``high``, as the max-min bottleneck then is.
 
     Such a map exists iff every set X of users has entries above the
     threshold in at least |X| relays (Hall's theorem).  The 2**M - 1 sets
     are visited depth first, each as the union of its parent set's relays
     and one more user's, so memory holds at most M unions whatever the
-    number of maps.  Entries are compared once (:func:`_above`), so each
-    union and count runs over whole rows of trials.
-    """
-    return decided(gammas, threshold, threshold)[1]
-
-
-def decided(gammas: np.ndarray, low: float, high: float | None = None):
-    """Per matrix of a stack, ``(doomed, served)``.  A matrix is doomed
-    when no entry is above ``low``: whatever injective map a scheme
-    picks, every user's entry is at or below ``low``.  Given ``high``,
-    ``served`` is :func:`saturated` at ``high``, else None; at
-    ``high == low`` one comparison serves both tests."""
+    number of maps.  Entries are compared once per threshold
+    (:func:`_above`), so each union and count runs over whole rows of
+    trials; at ``high == low`` one comparison serves both tests."""
     g = np.asarray(gammas, dtype=float)
     above = _above(g, low)
     doomed = ~above.any(axis=(0, 1))

@@ -1,11 +1,10 @@
 """Test-side helpers and oracles that the package itself does not need:
-link budgets given in dB, the SNR matrix with each hop in one
-expression, the relay cap and imperfect-CSI SNR matrix in their masked
-(``np.where``) form, the compact Rayleigh link CDF, the
-link CDF and CCDF by quadrature over the interference gain, the high-SNR
-coefficient in its factorial form, gamma gains as m exponential draws
-summed at once, a Monte Carlo estimate of the
-single-link CDF, the Monte Carlo outage and throughput estimators that
+link budgets given in dB, the relay cap and the SNR matrix (perfect
+CSI its zero-error case) in their masked (``np.where``) form, the
+compact Rayleigh link CDF, the link CDF and CCDF by quadrature over
+the interference gain, the high-SNR coefficient in its factorial form,
+gamma gains as m exponential draws summed at once, a Monte Carlo
+estimate of the single-link CDF, the Monte Carlo outage and throughput estimators that
 assign every trial at every point, the Poisson race of the link CDF as
 products and from scipy's binomial pmf, and the paper's closed-form
 average throughput (an alternating sum over order statistics of
@@ -66,42 +65,19 @@ def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):
     return float(out) if out.ndim == 0 else out
 
 
-def snr_matrix_direct(realization, topology: NetworkTopology,
-                      budget: LinkBudget):
-    """``model.snr_matrix`` with each hop in one expression:
-    min(λ1 h1 / d1^b, P h2 / d2^b), with P the relay power min(cap,
-    I d3^b / f) from one division, +inf at a zero gain of either sign,
-    and ValueError at a negative or NaN gain.  This is the form that the
-    package's split into parts built once per block and a per-budget
-    cap step must reproduce bit for bit."""
-    f = np.asarray(realization.interf, dtype=float)
-    low = f.min(initial=np.inf)
-    if not low >= 0:
-        raise ValueError("interference gain must be >= 0")
-    if low == 0:
-        f = f + 0.0
-    d3b = topology.dist_interf ** topology.path_loss_exp
-    power = np.empty(f.shape)
-    with np.errstate(divide="ignore"):
-        np.divide(budget.interference_snr_cap * d3b, f, out=power)
-    np.minimum(power, budget.relay_snr_cap, out=power)
-    power = float(power) if power.ndim == 0 else power
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
-    hop1_snr = budget.source_snr * realization.hop1 / d1b
-    hop2_snr = power * realization.hop2 / d2b
-    return np.minimum(hop1_snr, hop2_snr)
-
-
 def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
                                budget: LinkBudget) -> np.ndarray:
     """``model.snr_matrix_imperfect`` with :func:`relay_power_where` for
     the relay cap, written without in-place steps: each hop's SNR is
-    h / (σ² + dᵇ/λ), with λ the source power and the relay power."""
+    h / (σ² + dᵇ/λ), with λ the source power and the relay power.  At
+    zero error it is ``model.snr_matrix``, the form that the package's
+    split into parts built once per block and a per-budget cap step
+    must reproduce bit for bit."""
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     q = np.asarray(relay_power_where(estimates.interf, budget, topology))
-    hop2_snr = estimates.hop2 / (err.err_var_hop2 + d2b / q)
+    with np.errstate(divide="ignore"):  # an infinite relay power: +inf
+        hop2_snr = estimates.hop2 / (err.err_var_hop2 + d2b / q)
     hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
     return np.minimum(hop1_snr, hop2_snr)
 

@@ -1,7 +1,9 @@
 """Channel model checks: sampling statistics, the relay power constraint
-and SNR-matrix construction for perfect and imperfect CSI."""
+and SNR-matrix construction for perfect and imperfect CSI, perfect CSI
+being the zero-error case of one formula."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
@@ -17,7 +19,6 @@ from cogrelay.model import (
     LinkBudget,
     NetworkTopology,
     db_to_linear,
-    relay_power,
     sample_estimated_realization,
     sample_realization,
     snr_matrix,
@@ -28,20 +29,34 @@ from cogrelay.model import (
     _capped_snr,
     _checked_interference,
     _gamma_gains,
-    _imperfect_snr,
     _snr_parts,
+    _tiled_snr,
 )
-from oracles import (
-    gamma_gains_summed,
-    relay_power_where,
-    snr_matrix_direct,
-    snr_matrix_imperfect_where,
-)
+from oracles import gamma_gains_summed, snr_matrix_imperfect_where
 
 
 def topo(num_users=2, num_relays=3, m=1, **kw):
     kw.setdefault("path_loss_exp", 0.0)
     return NetworkTopology(num_users, num_relays, m, **kw)
+
+
+def zero_error(t):
+    """The error model of perfect CSI: every error variance 0."""
+    return CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
+
+
+def hop2_only(f_gain):
+    """Gains that leave the relay cap alone to decide the SNR: hop 1 out
+    of the way (an infinite gain), unit hop-2 gains and the interference
+    gains ``f_gain``.  At unit distances each entry's SNR is then
+    1 / (1 / P), the relay power P up to the rounding of two divisions."""
+    f = np.asarray(f_gain, dtype=float)
+    return ChannelRealization(np.full(f.shape, np.inf), np.ones(f.shape), f)
+
+
+def relay_snr(f_gain, budget, t):
+    """:func:`snr_matrix` on :func:`hop2_only` gains."""
+    return snr_matrix(hop2_only(f_gain), t, budget)
 
 
 class TestTopologyValidation:
@@ -116,40 +131,44 @@ class TestSampling:
 
 
 class TestRelayPower:
+    """The relay power, the peak-power cap or the level that meets the
+    interference cap at the primary receiver, whichever binds, seen
+    through the SNR matrix of :func:`hop2_only` gains."""
+
     budget = LinkBudget(source_snr=10.0, relay_snr_cap=10.0,
                         interference_snr_cap=5.0, threshold_snr=1.0)
 
     def test_deep_fade_gives_peak_power(self):
-        assert relay_power(0.0, self.budget, topo()) == 10.0
+        assert relay_snr(0.0, self.budget, topo()) == 10.0
 
     def test_boundary_gain(self):
         # both arms equal at f = d3^beta * L3 / L2
-        assert relay_power(0.5, self.budget, topo()) == pytest.approx(10.0)
+        assert relay_snr(0.5, self.budget, topo()) == pytest.approx(10.0)
 
     def test_interference_limited(self):
-        assert relay_power(1.0, self.budget, topo()) == pytest.approx(5.0)
-        assert relay_power(2 * 0.5, self.budget, topo()) == pytest.approx(5.0)
+        assert relay_snr(1.0, self.budget, topo()) == pytest.approx(5.0)
+        assert relay_snr(2 * 0.5, self.budget, topo()) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-300], ids=["nan", "negative"])
     @pytest.mark.parametrize("wrap", [float, lambda f: np.array([0.3, f, 0.0])],
                              ids=["scalar", "array"])
     def test_rejects_negative_and_nan(self, bad, wrap):
         with pytest.raises(ValueError, match="interference gain must be >= 0"):
-            relay_power(wrap(bad), self.budget, topo())
+            relay_snr(wrap(bad), self.budget, topo())
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
     def test_signed_zero_gives_peak_power(self, zero):
         # a bare 5 / -0.0 is -inf, which would undercut the peak power
-        q = relay_power(zero, self.budget, topo())
-        assert type(q) is float and q == 10.0
+        q = relay_snr(zero, self.budget, topo())
+        assert type(q) is np.float64 and q == 10.0
         np.testing.assert_array_equal(
-            relay_power(np.array([zero, 1.0, zero]), self.budget, topo()),
+            relay_snr(np.array([zero, 1.0, zero]), self.budget, topo()),
             [10.0, 5.0, 10.0])
 
     def test_range(self):
         rng = np.random.default_rng(4)
         f = rng.exponential(size=10_000)
-        q = relay_power(f, self.budget, topo())
+        q = relay_snr(f, self.budget, topo())
         assert np.all(q > 0)
         assert np.all(q <= self.budget.relay_snr_cap)
 
@@ -160,8 +179,8 @@ class TestRelayPower:
         rng = np.random.default_rng(5)
         trials = 1_000_000
         f = sample_realization(t, rng, trials=trials).interf.reshape(-1)
-        q = relay_power(f, self.budget, t)
-        hit = np.sum(q == self.budget.relay_snr_cap)
+        q = relay_snr(f, self.budget, t)
+        hit = np.sum(q == relay_snr(0.0, self.budget, t))
         expected = gammainc(m, m * 0.5 / omega)
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hit / trials - expected) <= 3 * se
@@ -201,8 +220,10 @@ class TestRelayCapOracle:
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases))
     def test_relay_power_matches_where_form(self, case):
         budget, t, f = case
-        assert_bits_equal(relay_power(f, budget, t),
-                          relay_power_where(f, budget, t))
+        gains = hop2_only(f)
+        assert_bits_equal(snr_matrix(gains, t, budget),
+                          snr_matrix_imperfect_where(gains, zero_error(t), t,
+                                                     budget))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
@@ -220,39 +241,55 @@ class TestRelayCapOracle:
                           snr_matrix_imperfect_where(est, err, t, budget))
 
 
+@st.composite
+def split_cases(draw, ndim):
+    """A budget, a topology with hop distances, and gains of ``ndim``
+    axes: :func:`interference_cases` with exponential hop gains.  With
+    :func:`knee_caps`, what the relay-cap tests run on."""
+    budget, t, f = draw(interference_cases(ndim))
+    t = replace(t, dist_hop1=draw(st.floats(0.1, 10.0)),
+                dist_hop2=draw(st.floats(0.1, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = ChannelRealization(rng.exponential(size=f.shape),
+                               rng.exponential(size=f.shape), f)
+    base = LinkBudget(draw(st.floats(1e-3, 1e6)), budget.relay_snr_cap,
+                      budget.interference_snr_cap, 1.0)
+    return base, t, draws
+
+
+def knee_caps(base, t, draws):
+    """``base`` at its own relay cap, an infinite one, and, for up to
+    three positive interference gains f, the knee I d3^b / f, where both
+    arms of the relay power meet, and one ulp either side of it."""
+    d3b = t.dist_interf ** t.path_loss_exp
+    gains = np.asarray(draws.interf).reshape(-1)
+    caps = [base.relay_snr_cap, math.inf]
+    for gain in gains[gains > 0][:3]:
+        knee = base.interference_snr_cap * d3b / gain
+        caps += [np.nextafter(knee, 0.0), knee, np.nextafter(knee, np.inf)]
+    return [replace(base, relay_snr_cap=float(cap)) for cap in caps]
+
+
 class TestSnrSplit:
     """``snr_matrix``, and the cap step that a Monte Carlo block runs per
     budget on parts it builds once (``_snr_parts``, ``_capped_snr``),
-    equal bit for bit the one-expression form of ``tests/oracles.py``:
-    at relay caps on an entry's knee I d3^b / f and one ulp either side
-    of it, at +0.0 and -0.0 gains, at an infinite cap, at path-loss
-    exponents 0, 2 and 3.7 and for 0-d, 1-d and (trials, M, N) gains."""
+    equal bit for bit the where form of ``tests/oracles.py`` at zero
+    error: at relay caps on an entry's knee I d3^b / f and one ulp
+    either side of it, at +0.0 and -0.0 gains, at an infinite cap, at
+    path-loss exponents 0, 2 and 3.7 and for 0-d, 1-d and (trials, M, N)
+    gains."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
-           st.floats(1e-3, 1e6), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
-           st.integers(0, 2**32 - 1))
-    def test_matches_direct_form(self, case, source, d1, d2, seed):
-        budget, t, f = case
-        t = replace(t, dist_hop1=d1, dist_hop2=d2)
-        rng = np.random.default_rng(seed)
-        draws = ChannelRealization(rng.exponential(size=f.shape),
-                                   rng.exponential(size=f.shape), f)
-        base = LinkBudget(source, budget.relay_snr_cap,
-                          budget.interference_snr_cap, 1.0)
-        d3b = t.dist_interf ** t.path_loss_exp
-        gains = np.asarray(f).reshape(-1)
-        caps = [base.relay_snr_cap, math.inf]
-        for gain in gains[gains > 0][:3]:
-            knee = base.interference_snr_cap * d3b / gain
-            caps += [np.nextafter(knee, 0.0), knee, np.nextafter(knee, np.inf)]
-        hop1_snr, limit = _snr_parts(draws, t, base)
-        for cap in caps:
-            capped = replace(base, relay_snr_cap=float(cap))
-            want = snr_matrix_direct(draws, t, capped)
+    @given(st.sampled_from([0, 1, 3]).flatmap(split_cases))
+    def test_matches_direct_form(self, case):
+        base, t, draws = case
+        hop1_snr, limit = _snr_parts(draws, t, base, None)
+        for capped in knee_caps(base, t, draws):
+            want = snr_matrix_imperfect_where(draws, zero_error(t), t, capped)
             assert_bits_equal(snr_matrix(draws, t, capped), want)
             assert_bits_equal(
-                _capped_snr(hop1_snr, limit, draws.hop2, float(cap), t), want)
+                _capped_snr(hop1_snr, limit, draws.hop2, capped.relay_snr_cap,
+                            None, t)[()], want)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-300], ids=["nan", "negative"])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)],
@@ -261,10 +298,12 @@ class TestSnrSplit:
         f = np.full(shape, 0.5)
         f.reshape(-1)[-1] = bad
         draws = ChannelRealization(np.ones(shape), np.ones(shape), f)
-        budget = LinkBudget(1.0, 1.0, 1.0, 1.0)
-        for build in (snr_matrix, snr_matrix_direct, _snr_parts):
+        budget, t = LinkBudget(1.0, 1.0, 1.0, 1.0), topo(1, 3)
+        for build in (lambda: snr_matrix(draws, t, budget),
+                      lambda: snr_matrix_imperfect(draws, zero_error(t), t, budget),
+                      lambda: _snr_parts(draws, t, budget, None)):
             with pytest.raises(ValueError, match="interference gain must be >= 0"):
-                build(draws, topo(1, 3), budget)
+                build()
 
 
 class TestOutBuffers:
@@ -282,21 +321,26 @@ class TestOutBuffers:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
-           st.floats(1e-3, 1e6), st.integers(0, 2**32 - 1))
-    def test_capped_snr(self, case, source, seed):
+           st.floats(1e-3, 1e6), st.floats(0.0, 0.9), st.floats(0.0, 0.9),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_capped_snr(self, case, source, r1, r2, csi, seed):
+        # with and without CSI, the parts and one cap equal the build
+        # from the gains at one budget
         budget, t, draws = self.case_gains(case, seed)
         base = LinkBudget(source, budget.relay_snr_cap,
                           budget.interference_snr_cap, 1.0)
-        want = _capped_snr(*_snr_parts(draws, t, base), draws.hop2,
-                           base.relay_snr_cap, t)
+        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0) if csi else None
+        want = (snr_matrix_imperfect(draws, err, t, base) if csi
+                else snr_matrix(draws, t, base))
         # the parts in the gains' own buffers, as a block builds them
         own = ChannelRealization(np.array(draws.hop1), draws.hop2,
                                  np.array(draws.interf))
-        hop1_snr, limit = _snr_parts(own, t, base, out=(own.hop1, own.interf))
+        hop1_snr, limit = _snr_parts(own, t, base, err,
+                                     out=(own.hop1, own.interf))
         assert hop1_snr is own.hop1 and limit is own.interf
         for out in (np.empty(np.shape(limit)), limit):  # the limit last
             got = _capped_snr(hop1_snr, limit, draws.hop2, base.relay_snr_cap,
-                              t, out=out)
+                              err, t, out=out)
             assert got is out
             assert_bits_equal(np.asarray(got), np.asarray(want))
 
@@ -309,7 +353,7 @@ class TestOutBuffers:
         want = snr_matrix_imperfect(est, err, t, budget)
         f = np.array(_checked_interference(est.interf))
         for out in (np.empty(f.shape), f):  # the interference gains last
-            got = _imperfect_snr(est.hop1, est.hop2, f, err, t, budget, out=out)
+            got = _tiled_snr(est.hop1, est.hop2, f, err, t, budget, out=out)
             assert got is out
             assert_bits_equal(np.asarray(got), np.asarray(want))
 
@@ -326,8 +370,8 @@ class TestOutBuffers:
         want = snr_matrix_imperfect_where(est, err, t, budget)
         assert_bits_equal(snr_matrix_imperfect(est, err, t, budget), want)
         f = np.array(est.interf)
-        assert_bits_equal(_imperfect_snr(est.hop1, est.hop2, f, err, t, budget,
-                                         out=f), want)
+        assert_bits_equal(_tiled_snr(est.hop1, est.hop2, f, err, t, budget,
+                                     out=f), want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
@@ -339,7 +383,6 @@ class TestOutBuffers:
         err = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.0)
         snr_matrix(draws, t, budget)
         snr_matrix_imperfect(draws, err, t, budget)
-        relay_power(draws.interf, budget, t)
         for old, new in zip(before, (draws.hop1, draws.hop2, draws.interf)):
             assert_bits_equal(new, old)
 
@@ -390,6 +433,18 @@ class TestSnrMatrix:
         b = LinkBudget(10, 10, 5, 1)
         assert snr_matrix(real, t, b)[0, 0] == pytest.approx(5.0)
 
+    def test_huge_relay_power_gives_inf_without_warning(self):
+        # at an infinite relay cap, a zero interference gain leaves hop 2
+        # no noise and a gain of 1e-307 so little that its SNR overflows:
+        # both read +inf, with no warning (which this test raises)
+        real = ChannelRealization(np.full((1, 3), np.inf), np.full((1, 3), 100.0),
+                                  np.array([[0.0, 1e-307, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snr = snr_matrix(real, topo(1, 3), LinkBudget(1.0, math.inf, 10.0, 1.0))
+        assert snr[0, :2].tolist() == [math.inf, math.inf]
+        assert snr[0, 2] == pytest.approx(1000.0)
+
     def test_min_contract(self):
         t = topo(2, 3, 2)
         rng = np.random.default_rng(6)
@@ -419,16 +474,18 @@ class TestSnrMatrix:
 
 
 class TestImperfectSnrMatrix:
-    def test_zero_error_reduces_to_perfect(self):
-        t = topo(2, 3, 1)
-        err = CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
-        rng = np.random.default_rng(8)
-        real = sample_realization(t, rng, trials=200)
-        b = LinkBudget(db_to_linear(15), db_to_linear(10), db_to_linear(5),
-                       db_to_linear(5))
-        np.testing.assert_allclose(
-            snr_matrix_imperfect(real, err, t, b), snr_matrix(real, t, b),
-            rtol=1e-14)
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([0, 1, 3]).flatmap(split_cases))
+    def test_zero_error_reduces_to_perfect(self, case):
+        # perfect CSI is the zero-error case, bit for bit: at m = 1, for
+        # 0-d, 1-d and (trials, M, N) gains, at +0.0 and -0.0
+        # interference gains, an infinite cap, and caps on a knee and
+        # one ulp either side of it
+        base, t, draws = case
+        for capped in knee_caps(base, t, draws):
+            assert_bits_equal(snr_matrix(draws, t, capped),
+                              snr_matrix_imperfect(draws, zero_error(t), t,
+                                                   capped))
 
     def test_first_hop_ceiling_at_high_power(self):
         # raising the source power cannot push hop-1 SNR past |h|^2/err

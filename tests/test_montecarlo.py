@@ -39,8 +39,8 @@ from oracles import (
 GAMMA_TH = db_to_linear(5.0)
 
 # every model function that builds an SNR matrix: the public builders, the
-# relay-cap step and the CSI kernel that the Monte Carlo pass calls
-BUILDERS = ("snr_matrix", "snr_matrix_imperfect", "_capped_snr", "_imperfect_snr")
+# relay-cap step and the per-budget kernel that the Monte Carlo pass calls
+BUILDERS = ("snr_matrix", "snr_matrix_imperfect", "_capped_snr", "_tiled_snr")
 
 
 def topo(num_users=2, num_relays=3, m=2):
@@ -373,7 +373,7 @@ class TestSaturationFilter:
     def spy(monkeypatch, expected):
         """Record the trial count of every SNR matrix built, from the
         gains or from the parts (a build through ``snr_matrix``, which
-        applies the relay cap through ``_capped_snr``, counts once), and
+        builds through ``_tiled_snr``, counts once), and
         check every assignment call against ``expected``."""
         built, inside = [], []
         for name in BUILDERS:
@@ -482,6 +482,24 @@ class TestSaturationFilter:
                         trials=TWO_BLOCKS, seed=3,
                         csi=self.CSI if csi else None)
         assert checked == [BLOCK_3X4, 4464]
+
+    @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
+    def test_relay_cap_parts_built_once_per_block(self, monkeypatch, csi):
+        # a relay-cap chain, with CSI or without, builds the parts that
+        # the cap leaves alone once per block and each budget's matrix
+        # from them, never from the gains; on one CPU, block by block
+        cpus(monkeypatch, 1)
+        calls = []
+        for name in ("_snr_parts", "_tiled_snr"):
+            def spy(first, *args, name=name, original=getattr(model, name),
+                    **kwargs):
+                calls.append((name, len(getattr(first, "hop1", first))))
+                return original(first, *args, **kwargs)
+            monkeypatch.setattr(model, name, spy)
+        estimate_outage(self.T, self.LAMBDA2, "maxmin", [GAMMA_TH] * 4,
+                        trials=TWO_BLOCKS, seed=3,
+                        csi=self.CSI if csi else None)
+        assert calls == [("_snr_parts", BLOCK_3X4), ("_snr_parts", 4464)]
 
     def test_csi_sweep_block_memory(self, monkeypatch):
         # a pair of 3x4 CSI blocks on two CPUs over a nine-budget
@@ -888,8 +906,8 @@ class TestSettledCarry:
 def held_at_builds(monkeypatch, run):
     """Run ``run()`` under tracemalloc with the SNR builders patched to
     record the memory traced as each outermost build starts (a build
-    through ``snr_matrix``, which applies the relay cap through
-    ``_capped_snr``, records once); returns the records and the peak."""
+    through ``snr_matrix``, which builds through ``_tiled_snr``, records
+    once); returns the records and the peak."""
     held, inside = [], []
     for name in BUILDERS:
         def build_spy(*args, original=getattr(model, name), **kwargs):

@@ -50,20 +50,23 @@ def fine_config(name: str) -> dict:
 # random outage (no served trial leaves) and random throughput (settled
 # trials leave, as under every scheme), max-min outage on small stacks
 # along a relay-cap chain and along a CSI common-SNR chain, naive CSI
-# outage over several blocks (CSI builds every matrix from the gains),
-# and random 3x4 outage and throughput over several blocks, whose relay
-# maps are drawn once per block.  Each was pinned before random stopped
+# relay-cap outage over several blocks (pinned when CSI built every
+# matrix from the gains), and random 3x4 outage and throughput over
+# several blocks, whose relay maps are drawn once per block.  Each was pinned before random stopped
 # redrawing its keys at every budget.  The last three start low enough
 # that an eighth or more of their first stacks have every SNR at or
 # below the budget's smallest threshold, in outage under every scheme:
 # naive CSI common-SNR outage over several blocks, random 3x4 relay-cap
 # outage from -10 dB, and max-min common-SNR outage from -10 dB, whose
 # one unit budget scores 16 thresholds.  Each was pinned before those
-# trials stopped being assigned.  The four 70000-trial sweeps were
-# pinned again when blocks came to be sized in SNR entries, and again
-# when a block came to hold half of that budget (each a new random
-# stream); the others fit in one block under every size.  m = 1, γ_th = 5 dB and seed
-# 1 unless stated; the lambda2 sweeps hold λ1 = 25 dB and λ3 = 10 dB.
+# trials stopped being assigned.  Max-min CSI relay-cap outage over
+# several blocks was pinned before CSI relay-cap sweeps came to build
+# their SNR parts once per block, as perfect-CSI ones do.  The four
+# 70000-trial sweeps were pinned again when blocks came to be sized in
+# SNR entries, and again when a block came to hold half of that budget
+# (each a new random stream); the others fit in one block under every
+# size.  m = 1, γ_th = 5 dB and seed 1 unless stated; the lambda2 sweeps
+# hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
                     "error_ratio_f": 0.05}}
@@ -109,6 +112,9 @@ PASS_CONFIGS = {
     "maxmin-low-outage": {
         "num_users": 2, "num_relays": 3, "scheme": "maxmin", "trials": 5000,
         **sweep("lambda_all", 5.0, 1.0, -10.0)},
+    "maxmin-csi-lambda2-outage": {
+        "num_users": 3, "num_relays": 4, "scheme": "maxmin", "trials": 20000,
+        **CSI_5PCT, **LAMBDA2, **sweep("lambda2", 40.0, 5.0)},
 }
 
 PASS_SHA256 = {
@@ -123,6 +129,7 @@ PASS_SHA256 = {
     "naive-csi-outage": "5011576b3ad582c598cb2750b78dbe8a824619590eed50d8bbd797692d5fb18c",
     "random-3x4-lambda2-low-outage": "380bc3c74a1e390d5e16cbddaeed96a88c53e44701692c40795b0bde5ff0a996",
     "maxmin-low-outage": "b6581764194e15c391098929bee9e6d2232e82a46de457422f29b34896fb1a01",
+    "maxmin-csi-lambda2-outage": "30aadaf53587f0186f8ccea75d01d045c0f9076268ce01693ce0e332e98dc276",
 }
 
 

@@ -37,7 +37,6 @@ from cogrelay.selection import (
     naive_assign_batch,
     rank_placement_probs,
     relay_maps,
-    saturated,
 )
 
 
@@ -288,13 +287,13 @@ def stacks_and_thresholds(draw, stacks):
 
 
 class TestSaturated:
-    """Hall's test against a check of every injective map, and against
-    what it stands for: a served matrix is one whose max-min bottleneck
-    is above the threshold."""
+    """Hall's test (``decided``'s served mask) against a check of every
+    injective map, and against what it stands for: a served matrix is
+    one whose max-min bottleneck is above the threshold."""
 
     @staticmethod
     def check(g, threshold):
-        served = saturated(g, threshold)
+        served = decided(g, threshold, threshold)[1]
         assert served.dtype == bool and served.shape == (len(g),)
         np.testing.assert_array_equal(served, saturated_by_maps(g, threshold))
         bottleneck = maxmin_assign_batch(g)[1].min(axis=1)
@@ -317,20 +316,20 @@ class TestSaturated:
         g = np.array([[[2.0, 2.0, 0.0, 0.0],
                        [2.0, 2.0, 0.0, 0.0],
                        [2.0, 2.0, 0.0, 0.0]]])
-        assert saturated(g, 1.0).tolist() == [False]
+        assert decided(g, 1.0, 1.0)[1].tolist() == [False]
         g[0, 2, 3] = 2.0
-        assert saturated(g, 1.0).tolist() == [True]
+        assert decided(g, 1.0, 1.0)[1].tolist() == [True]
         self.check(g, 1.0)
 
     def test_empty_stack(self):
-        assert saturated(np.zeros((0, 3, 4)), 1.0).shape == (0,)
+        assert decided(np.zeros((0, 3, 4)), 1.0, 1.0)[1].shape == (0,)
 
 
 class TestDecided:
     """A doomed matrix is one with no entry above ``low``: every scheme
     then selects an SNR at or below ``low`` for every user.  ``served``
-    is :func:`saturated` at ``high``, whether one comparison serves both
-    tests (``high == low``) or not."""
+    is Hall's test at ``high``, checked against every injective map,
+    whether one comparison serves both tests (``high == low``) or not."""
 
     @settings(max_examples=200, deadline=None)
     @given(stacks_and_thresholds(snr_stacks),
@@ -349,7 +348,7 @@ class TestDecided:
         if high is None:
             assert served is None
         else:
-            np.testing.assert_array_equal(served, saturated(g, high))
+            np.testing.assert_array_equal(served, saturated_by_maps(g, high))
 
     def test_largest_entry_at_low_is_doomed(self):
         # outage is at or below the threshold, so a tie dooms
