@@ -355,7 +355,7 @@ def asymptotic_outage_case2(gamma_th: float, topology: NetworkTopology,
 # ---------------------------------------------------------------------------
 
 _STEP = 0.2  # trapezoid step in s = ln x
-_S_SPAN = 40.0  # first node at e^-40 times the integrand's scale min(1, 1/a)
+_S_SPAN = 40.0  # first node at e^-40 times the integrand's scale min(1, 1/a, d)
 _DECAY_MAX = 750.0  # e^-(a x) underflows to zero before a x reaches this
 
 
@@ -368,15 +368,19 @@ class _Levels(NamedTuple):
     interference_snr_cap: np.ndarray
 
 
-def _log_trapezoid(a: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_trapezoid(a: float, d: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights of the trapezoid rule for the integral of
     g(x) / (1+x) over x >= 0, for g bounded by 1 and decaying like
     e^-(a x): with x = e^s the integrand becomes g(e^s) e^s / (1+e^s),
     analytic in a strip about the real s axis and decaying exponentially
     at one end and doubly exponentially at the other, so the rule at a
     fixed step converges geometrically (Trefethen and Weideman, SIAM
-    Review 56, 2014)."""
-    s_min = -_S_SPAN - max(0.0, math.log(a))
+    Review 56, 2014).  The rule drops the integral below its first node,
+    at most that node since g <= 1, so the node sits at e^-40 times the
+    smallest scale on which g falls: 1, 1/a, or ``d``, which ``a`` does
+    not see (hop 2's interference-limited SNR scale).  A ``d`` of 0
+    leaves g at 0, with nothing below the node to drop."""
+    s_min = -_S_SPAN - max(0.0, math.log(a), -math.log(d) if d > 0 else 0.0)
     x = np.exp(np.arange(s_min, math.log(_DECAY_MAX / a), _STEP))
     return x, _STEP * x / (1.0 + x)
 
@@ -441,10 +445,13 @@ def average_throughput(topology: NetworkTopology, budget, pk):
     out = []
     run, nodes = [], 0  # the pieces of the next call and their node count
     for b in budgets:
-        # the link CCDF decays like e^-(a x)
+        # the link CCDF decays like e^-(a x), and hop 2's from the scale
+        # d of its interference-limited SNR on (see :func:`_link_cdf`)
         x, node_weights = _log_trapezoid(
             1.0 / (topology.eff_gain_hop1 * b.source_snr)
-            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
+            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap),
+            topology.eff_gain_hop2 * b.interference_snr_cap
+            / topology.eff_gain_interf)
         out.append(0.0)
         for start in range(0, len(x), per_call):
             piece = x[start:start + per_call]
@@ -484,5 +491,5 @@ def h_integral(j: int, at: float, d: float) -> float:
         raise ValueError(f"at must be > 0, got {at}")
     if not d > 0:
         raise ValueError(f"d must be > 0, got {d}")
-    x, node_weights = _log_trapezoid(at)
+    x, node_weights = _log_trapezoid(at, math.inf)
     return float(node_weights @ (np.exp(-at * x) / (x + d) ** int(j)))

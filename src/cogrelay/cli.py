@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, montecarlo
-from .model import CsiErrorModel, LinkBudget, NetworkTopology, db_to_linear
+from .model import CsiErrorModel, LinkBudget, NetworkTopology, _flow, db_to_linear
 from .selection import (
     _MAX_ASSIGNMENT_TABLE,
     RankPlacementDistribution,
@@ -184,13 +184,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def _check_range(key: str, value: float, compute, what: str):
     """Refuse ``key`` unless ``compute()``, its ``what``, is a positive
-    float whose reciprocal is finite too: neither 0 nor subnormal."""
-    try:
-        result = compute()
-    except OverflowError:
-        result = math.inf
-    if result in (0.0, math.inf) or 1 / result == math.inf:
-        size, flow = ("large", "over") if result == math.inf else ("small", "under")
+    float whose reciprocal is finite too: neither 0 nor subnormal
+    (:func:`model._flow`)."""
+    flow = _flow(compute)
+    if flow is not None:
+        size = "large" if flow == "over" else "small"
         raise ConfigError(f"{key}={value} is too {size}: its {what} "
                           f"{flow}flows a float")
 
@@ -248,18 +246,20 @@ def _validate(config: ExperimentConfig):
         if sweep.variable == "lambda_all" and getattr(config, key) is not None:
             raise ConfigError(f"{key} does not apply to a lambda_all sweep, "
                               f"which sets every power level to the swept value")
-    try:
-        config.topology()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     for key, gain_key in (("d1", "omega_h1"), ("d2", "omega_h2"),
                           ("d3", "omega_f")):
         distance, gain = getattr(config, key), getattr(config, gain_key)
+        if not (distance > 0 and gain > 0 and config.path_loss_exp >= 0):
+            continue  # refused by name with the topology below
         _check_range(key, distance, lambda: distance ** config.path_loss_exp,
                      f"path loss {key}^path_loss_exp")
         _check_range(gain_key, gain,
                      lambda: gain / distance ** config.path_loss_exp,
                      f"effective gain {gain_key}/{key}^path_loss_exp")
+    try:
+        config.topology()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     maps = math.perm(config.num_relays, config.num_users)
     if config.scheme == "maxmin" and maps > _MAX_ASSIGNMENT_TABLE:
         raise ConfigError(

@@ -7,10 +7,14 @@ boundary (see :func:`db_to_linear`).
 
 Every hop's SNR is h / (σ² + dᵇ/λ), λ the source power on hop 1 and the
 relay power on hop 2, σ² the hop's estimation-error variance: 0 under
-perfect CSI, the zero-error case bit for bit.  Its steps round each
-monotonically in the budget levels, so a matrix is non-decreasing, bit
-for bit, in every level; the Monte Carlo engine relies on that to carry
-a trial that clears a threshold along a sweep.
+perfect CSI, the zero-error case bit for bit.  One builder forms it
+(:func:`_snr`).  The relay power is min(λ3·d3ᵇ/f, λ2), so hop 2's noise
+is the larger of d2ᵇ/(λ3·d3ᵇ/f), which the relay cap leaves alone
+(:func:`_hop2_floor`), and d2ᵇ/λ2, bit for bit, since a correctly
+rounded division by a positive number is monotone.  Its steps round
+each monotonically in the budget levels, so a matrix is non-decreasing,
+bit for bit, in every level; the Monte Carlo engine relies on that to
+carry a trial that clears a threshold along a sweep.
 """
 
 from __future__ import annotations
@@ -42,19 +46,27 @@ __all__ = [
 ENTRIES = 1 << 17
 
 # entries per tile of the kernels that walk a gains-sized array in
-# pieces (256 KiB of float64), so they hold no second array of its size.
-# A Monte Carlo block's gains (512 KiB, two of which are drawn at once)
-# are two tiles, and the tiles pay in time as well: on a block of twice
-# that size, a 3x4 CSI build whose tile buffer is reused took 0.58 ms,
-# and 1.25 ms with the hop-1 SNR formed in a fresh block-sized
-# temporary; a second m = 2 gamma draw, 1.6 against 2.3 ms (one core of
-# a shared 2-CPU host).  The tiles follow the stream in order, so their
-# size never changes a draw.
+# pieces (256 KiB of float64), so they hold no second array of its size:
+# a Monte Carlo block's gains are two tiles.  A reused tile buffer pays
+# in time too: a 3x4 CSI build took 0.58 ms, and 1.25 ms with a fresh
+# block-sized temporary (one core of a shared 2-CPU host).  The tiles
+# follow the stream in order, so their size never changes a draw.
 _TILE = ENTRIES // 4
 
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
+
+
+def _flow(compute) -> str | None:
+    """"over" where ``compute()`` overflows a float (or divides by 0),
+    "under" where it is 0 or subnormal, whose reciprocal overflows."""
+    try:
+        result = compute()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    return ("over" if result == math.inf else
+            "under" if result == 0.0 or 1 / result == math.inf else None)
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,20 @@ class NetworkTopology:
                      "dist_hop1", "dist_hop2", "dist_interf"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.path_loss_exp < 0:
+        if not self.path_loss_exp >= 0:
             raise ValueError(f"path_loss_exp must be >= 0, got {self.path_loss_exp}")
+        # the parser's rule, for every topology: each path loss and
+        # effective gain, and its reciprocal, is a finite float
+        b = self.path_loss_exp
+        for hop in ("hop1", "hop2", "interf"):
+            gain, dist = getattr(self, f"mean_gain_{hop}"), getattr(self, f"dist_{hop}")
+            where = f"at mean_gain_{hop}={gain}, dist_{hop}={dist}, path_loss_exp={b}"
+            for what, flow in (
+                    (f"path loss dist_{hop}^path_loss_exp", _flow(lambda: dist ** b)),
+                    (f"effective gain mean_gain_{hop}/dist_{hop}^path_loss_exp",
+                     _flow(lambda: gain / dist ** b))):
+                if flow is not None:
+                    raise ValueError(f"{what} {flow}flows a float {where}")
 
     # mean gains after distance-dependent path loss
     @property
@@ -201,14 +225,11 @@ class CsiErrorModel:
 
 
 def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.ndarray:
-    # sum of m exponentials of mean mean/m == squared Nakagami-m amplitude;
-    # avoids any rejection-sampling edge cases and is trivially verifiable.
-    # Bit for bit rng.exponential(mean / m, (m,) + shape).sum(axis=0) on
-    # the same stream: that scales each standard draw and adds the draws
-    # one at a time, but holds all m of them.  The second and later draws
-    # fill one tile of at most _TILE entries at a time, walking the
-    # gains in order, so the generator gives the same stream and no
-    # second gains-sized array is held
+    # sum of m exponentials of mean mean/m == squared Nakagami-m amplitude
+    # (no rejection sampling): bit for bit rng.exponential(mean / m, (m,) +
+    # shape).sum(axis=0) on the same stream, without holding all m draws,
+    # since the second and later draws fill one tile of at most _TILE
+    # entries at a time, walking the gains in order
     scale = mean / m
     gains = rng.standard_exponential(size=shape)
     gains *= scale
@@ -271,85 +292,41 @@ def _checked_interference(f_gain) -> np.ndarray:
     return f + 0.0 if low == 0 else f  # -0.0 + 0.0 is +0.0
 
 
-def _interference_limit(f, budget: LinkBudget, topology: NetworkTopology,
-                        out=None):
-    """The relay power at which the interference at the primary receiver
-    meets its cap, λ3·d3ᵇ/f, of gains checked by
-    :func:`_checked_interference`, in ``out`` (which may be ``f``) or a
-    new array: +inf at a zero gain, and wherever it overflows, where
-    the cap cannot bind."""
+def _hop2_floor(f, budget: LinkBudget, topology: NetworkTopology, out=None):
+    """Hop 2's noise over its gain at an infinite relay cap, d2ᵇ/(λ3·d3ᵇ/f),
+    of gains checked by :func:`_checked_interference`, in ``out`` (which
+    may be ``f``) or a new array: 0 at a zero gain, and wherever λ3·d3ᵇ/f
+    overflows, where the interference cap cannot bind."""
+    if out is None:
+        out = np.empty(np.shape(f))
     d3b = topology.dist_interf ** topology.path_loss_exp
-    if out is None:
-        out = np.empty(f.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(budget.interference_snr_cap * d3b, f, out=out)
+        np.divide(budget.interference_snr_cap * d3b, f, out=out)
+        return np.divide(topology.dist_hop2 ** topology.path_loss_exp, out,
+                         out=out)
 
 
-def _hop1_noise(err: CsiErrorModel | None, topology: NetworkTopology,
-                source_snr: float) -> float:
-    """Hop 1's noise over its gain, σ1² + d1ᵇ/λ1, with σ1² = 0 under
-    perfect CSI (``err`` None)."""
-    err_var = 0.0 if err is None else err.err_var_hop1
-    return err_var + topology.dist_hop1 ** topology.path_loss_exp / source_snr
-
-
-def _hop2_snr(limit, hop2, relay_snr_cap: float, err: CsiErrorModel | None,
-              topology: NetworkTopology, out: np.ndarray) -> np.ndarray:
-    """Hop 2's SNR h2 / (σ2² + d2ᵇ/P), P = min(limit, cap) the relay
-    power and σ2² = 0 under perfect CSI (``err`` None), in the array
-    ``out``, which may be ``limit``."""
-    np.minimum(limit, relay_snr_cap, out=out)
-    np.divide(topology.dist_hop2 ** topology.path_loss_exp, out, out=out)
-    out += 0.0 if err is None else err.err_var_hop2
-    # +inf where P is infinite, or so large that the SNR overflows
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(hop2, out, out=out)
-
-
-def _snr_parts(realization: ChannelRealization, topology: NetworkTopology,
-               budget: LinkBudget, err: CsiErrorModel | None,
-               out=(None, None)):
-    """The parts of the SNR matrix that the relay cap leaves alone: the
-    hop-1 SNR h1 / (σ1² + d1ᵇ/λ1) and the interference limit λ3·d3ᵇ/f
-    (see :func:`_interference_limit`), each in a new array or in its
-    array of the pair ``out``.  A Monte Carlo block, which owns its
-    gains and reads them no more, passes its hop-1 and interference
-    gains; the steps, and so the bits, are the same."""
-    f = _checked_interference(realization.interf)
-    hop1_snr = np.divide(realization.hop1,
-                         _hop1_noise(err, topology, budget.source_snr),
-                         out=out[0])
-    return hop1_snr, _interference_limit(f, budget, topology, out=out[1])
-
-
-def _capped_snr(hop1_snr, limit, hop2, relay_snr_cap: float,
-                err: CsiErrorModel | None, topology: NetworkTopology,
-                out=None) -> np.ndarray:
-    """The SNR matrix from its parts at one relay cap: the smaller of
-    the hop-1 SNR and :func:`_hop2_snr`, in ``out`` or one new array.
-    ``out`` may be ``limit``, which a Monte Carlo block passes at its
-    last budget, where no later build reads the parts; never the hop-1
-    SNR or ``hop2``, which a later step reads."""
+def _snr(hop1, hop2, floor2, budget: LinkBudget, err: CsiErrorModel | None,
+         topology: NetworkTopology, out=None) -> np.ndarray:
+    """The SNR matrix at one budget from the gains and hop 2's cap-free
+    noise ``floor2`` (:func:`_hop2_floor`), σ² = 0 under perfect CSI
+    (``err`` None), in ``out`` or a new array.  Hop 2's SNR is built in
+    place, its noise max(floor2, d2ᵇ/λ2), then the hop-1 SNR is formed
+    one tile of at most ``_TILE`` entries at a time and its minimum taken
+    into that array, so no second array of the gains' size is held.
+    ``out`` may be ``floor2``, which a Monte Carlo block passes where no
+    later build reads it; never ``hop1`` or ``hop2``."""
     if out is None:
-        out = np.empty(np.shape(limit))
-    hop2_snr = _hop2_snr(limit, hop2, relay_snr_cap, err, topology, out)
-    return np.minimum(hop1_snr, hop2_snr, out=hop2_snr)
-
-
-def _tiled_snr(hop1, hop2, f, err: CsiErrorModel | None,
-               topology: NetworkTopology, budget: LinkBudget,
-               out=None) -> np.ndarray:
-    """The SNR matrix at one budget from the gains, the interference
-    gains ``f`` checked by :func:`_checked_interference`, in ``out`` or
-    a new array.  Hop 2 is built in place in the relay power's array
-    (:func:`_hop2_snr`), then the hop-1 SNR is formed one tile of at
-    most ``_TILE`` entries at a time and its minimum taken into that
-    array, so no second array of the gains' size is held.  ``out`` may
-    be ``f``, which a Monte Carlo block passes at its last budget; never
-    ``hop1`` or ``hop2``."""
-    snrs = _interference_limit(f, budget, topology, out=out)
-    _hop2_snr(snrs, hop2, budget.relay_snr_cap, err, topology, snrs)
-    noise1 = _hop1_noise(err, topology, budget.source_snr)
+        out = np.empty(np.shape(floor2))
+    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    snrs = np.maximum(floor2, d2b / budget.relay_snr_cap, out=out)
+    snrs += 0.0 if err is None else err.err_var_hop2
+    # +inf where the noise is 0 (an infinite relay power without
+    # error), or so small that the SNR overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(hop2, snrs, out=snrs)
+    noise1 = ((0.0 if err is None else err.err_var_hop1)
+              + topology.dist_hop1 ** topology.path_loss_exp / budget.source_snr)
     # tiles of whole rows along the leading (trials) axis
     hop1, stack = np.atleast_1d(hop1), np.atleast_1d(snrs)
     rows = max(1, _TILE // max(1, math.prod(stack.shape[1:])))
@@ -371,26 +348,22 @@ def snr_matrix(realization: ChannelRealization, topology: NetworkTopology,
     whichever binds (the peak at a zero gain f of either sign; a
     negative or NaN f raises ``ValueError``).  Shape matches the
     realization arrays, which it leaves unchanged; 0-d gains give a
-    numpy scalar.  The bits are those of the zero-error case of
-    :func:`snr_matrix_imperfect`."""
-    return _tiled_snr(realization.hop1, realization.hop2,
-                      _checked_interference(realization.interf), None,
-                      topology, budget)[()]
+    numpy scalar."""
+    floor2 = _hop2_floor(_checked_interference(realization.interf), budget,
+                         topology)
+    return _snr(realization.hop1, realization.hop2, floor2, budget, None,
+                topology, out=floor2)[()]
 
 
 def snr_matrix_imperfect(estimates: ChannelRealization, err: CsiErrorModel,
                          topology: NetworkTopology,
                          budget: LinkBudget) -> np.ndarray:
     """End-to-end SNR built from estimated channels with the residual
-    estimation error folded into the effective noise of each hop; the
-    estimates are left unchanged.
-
-    Each hop's SNR is h / (σ² + dᵇ/λ), with λ the source power on hop 1
-    and the relay power on hop 2 (see :func:`snr_matrix`, the case
-    σ² = 0).  Every step of it rounds monotonically in λ, and λ in each
-    budget level, so the matrix is non-decreasing, bit for bit, in every
-    level.  Rayleigh fading only."""
+    estimation error folded into the effective noise of each hop, each
+    hop's SNR h / (σ² + dᵇ/λ) (:func:`snr_matrix` is the case σ² = 0);
+    the estimates are left unchanged.  Rayleigh fading only."""
     _require_rayleigh(topology)
-    return _tiled_snr(estimates.hop1, estimates.hop2,
-                      _checked_interference(estimates.interf), err,
-                      topology, budget)[()]
+    floor2 = _hop2_floor(_checked_interference(estimates.interf), budget,
+                         topology)
+    return _snr(estimates.hop1, estimates.hop2, floor2, budget, err, topology,
+                out=floor2)[()]

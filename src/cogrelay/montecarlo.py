@@ -47,16 +47,15 @@ with one rule for each decision, and assigns each stack in one call,
 left with no trial in none:
 
 - Build.  Each hop's SNR is h / (σ² + dᵇ/λ), σ² = 0 without CSI, on
-  the gains a block drew (under CSI, the estimates).  On a relay-cap
-  chain, with CSI or without, each block builds the parts of the SNR
-  matrix that the cap leaves alone once (:func:`model._snr_parts`), in
-  the buffers of the hop-1 and interference gains, and each budget
-  applies only its cap (:func:`model._capped_snr`).  Every other run
-  builds each budget's matrix from the gains
-  (:func:`model._tiled_snr`), their interference gains checked once per
-  block.  The last budget builds in a part's buffer (the interference
-  limit, or the interference gains), which no later build reads, and
-  the block drops its parts before that stack is decided and assigned.
+  the gains a block drew (under CSI, the estimates), each budget's
+  matrix in one call (:func:`model._snr`) from the gains and hop 2's
+  noise at an infinite relay cap (:func:`model._hop2_floor`), the
+  interference gains checked once per block.  A relay-cap chain, with
+  CSI or without, leaves that noise alone and builds it once per block,
+  in the interference gains' buffer; every other run builds it per
+  budget, and each matrix in it.  The last budget builds in that buffer
+  too, and the block drops its gains and noise before that stack is
+  decided and assigned.
 - Leave.  Once the served, the doomed or the settled trials are an
   eighth or more of a stack, they leave it: served and doomed trials
   before it is assigned, settled trials after.  Along a chain the SNR
@@ -76,7 +75,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,9 +181,9 @@ def _in_pairs(run, blocks):
         yield run(blocks[-1])
 
 
-def _check_trials(trials: int, minimum: int = 1):
-    if trials < minimum:
-        raise ValueError(f"trials must be >= {minimum}, got {trials}")
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):
@@ -260,7 +259,7 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str, seed: int,
     groups = _groups(budgets)
     order = list(groups)
     steps = list(zip(order, order[1:]))
-    # a relay-cap chain: the parts are built once per block
+    # a relay-cap chain: hop 2's cap-free noise is built once per block
     capped = all(
         later.source_snr == earlier.source_snr
         and later.interference_snr_cap == earlier.interference_snr_cap
@@ -292,26 +291,21 @@ def _selected_snrs(topology: NetworkTopology, budgets, scheme: str, seed: int,
         rng = _block_rng(seed, index)
         draws = model.sample_realization(sampled, rng, trials=trials)
         maps = selection.relay_maps(scheme, rng, draws.hop1.shape)
-        if capped:  # the parts overwrite the gains they are built from
-            parts = [*model._snr_parts(draws, topology, order[0], csi,
-                                       out=(draws.hop1, draws.interf)),
-                     draws.hop2]
-        else:  # the interference gains checked once per block
-            parts = [draws.hop1, draws.hop2,
-                     model._checked_interference(draws.interf)]
+        parts = [draws.hop1, draws.hop2, model._checked_interference(draws.interf)]
         del draws
-        free = (model._capped_snr(*parts, math.inf, csi, topology)
-                if chain and tops is None else None)
+        if capped:  # hop 2's cap-free noise, in the interference gains' buffer
+            parts[2] = model._hop2_floor(parts[2], order[0], topology, out=parts[2])
+        free = (model._snr(*parts, replace(order[0], relay_snr_cap=math.inf),
+                           csi, topology) if chain and tops is None else None)
         live = np.arange(trials)
         for position, budget in enumerate(order):
             last = position == len(order) - 1
-            # the last budget builds in a part that no later build reads
-            if capped:
-                snrs = model._capped_snr(*parts, budget.relay_snr_cap, csi,
-                                         topology, out=parts[1] if last else None)
-            else:
-                snrs = model._tiled_snr(*parts, csi, topology, budget,
-                                        out=parts[2] if last else None)
+            floor2 = parts[2] if capped else model._hop2_floor(
+                parts[2], budget, topology, out=parts[2] if last else None)
+            # in hop 2's noise, a budget's own or the block's at its last
+            snrs = model._snr(parts[0], parts[1], floor2, budget, csi, topology,
+                              out=floor2 if last or not capped else None)
+            del floor2  # else the full stack is held while it is cut
             if last:  # not held while the block's last stacks decide and assign
                 parts.clear()
                 free = None
@@ -502,8 +496,6 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
 # them is on a path of the package, and they stay until the tracer drops them
 # ---------------------------------------------------------------------------
 
-# The tracer counts ceil(trials / BLOCK) blocks per estimator call.  Blocks
-# are sized in SNR entries, not trials, and hold half of ``ENTRIES``, so
-# that count is right for no shape: a 100000-trial 3x4 call reads 1 block,
-# and draws 19.
+# The tracer counts ceil(trials / BLOCK) blocks per estimator call, right
+# for no shape: a 100000-trial 3x4 call reads 1 block, and draws 19.
 BLOCK = ENTRIES

@@ -71,12 +71,14 @@ def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
     the relay cap, written without in-place steps: each hop's SNR is
     h / (σ² + dᵇ/λ), with λ the source power and the relay power.  At
     zero error it is ``model.snr_matrix``, the form that the package's
-    split into parts built once per block and a per-budget cap step
-    must reproduce bit for bit."""
+    one builder, hop 2's noise the larger of its cap-free part and
+    d2ᵇ/λ2, must reproduce bit for bit."""
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     q = np.asarray(relay_power_where(estimates.interf, budget, topology))
-    with np.errstate(divide="ignore"):  # an infinite relay power: +inf
+    # +inf at an infinite relay power, or one so large that the SNR
+    # overflows
+    with np.errstate(divide="ignore", over="ignore"):
         hop2_snr = estimates.hop2 / (err.err_var_hop2 + d2b / q)
     hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
     return np.minimum(hop1_snr, hop2_snr)
@@ -527,7 +529,9 @@ def average_throughput_joined(topology: NetworkTopology, budgets, pk) -> list[fl
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
     per_call = analytic._nodes_per_call(topology)
     rules = [_log_trapezoid(1.0 / (topology.eff_gain_hop1 * b.source_snr)
-                            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
+                            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap),
+                            topology.eff_gain_hop2 * b.interference_snr_cap
+                            / topology.eff_gain_interf)
              for b in budgets]
     bounds = np.cumsum([0] + [len(x) for x, _ in rules])
     x = np.concatenate([x for x, _ in rules])

@@ -712,12 +712,38 @@ class TestAverageThroughput:
     @pytest.mark.parametrize("level_db", [-150.0, -200.0, -250.0])
     def test_low_snr_matches_paper_closed_form(self, shape, level_db):
         # the integrand's mass sits at x ~ 1/a, far below x = 1; the
-        # paper's closed form cancels little at these shapes
+        # paper's closed form cancels little at these shapes.  No
+        # absolute tolerance: approx's default 1e-12 would pass any of
+        # these values, 1e-26 to 1e-16
         t = topo(*shape, 1)
         b = budget_db(level_db, level_db, 10)
         pk = rank_placement_probs(*shape, "maxmin")
         assert average_throughput(t, b, pk) == pytest.approx(
-            average_throughput_closed(t, b, pk), rel=1e-10)
+            average_throughput_closed(t, b, pk), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("l3", [-60.0, -100.0, -120.0, -140.0, -150.0])
+    def test_interference_limited_head(self, monkeypatch, l3):
+        # 2x3 max-min at 100 dB source and relay powers: hop 2's SNR
+        # scale d = o2 l3 / o3 lies far below 1/a, so a rule that starts
+        # at e^-40 min(1, 1/a) drops a head of up to 4.9e-5 of the
+        # integral (at -150 dB).  The reference is a rule of step 0.05
+        # that starts at e^-160 times the same scale
+        t = topo(2, 3, 1)
+        b = budget_db(100, 100, l3)
+        pk = rank_placement_probs(2, 3, "maxmin")
+        got = average_throughput(t, b, pk)
+        monkeypatch.setattr(analytic, "_STEP", 0.05)
+        monkeypatch.setattr(analytic, "_S_SPAN", 160.0)
+        want = average_throughput(t, b, pk)
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_hop2_scale_underflow_gives_zero(self):
+        # d = o2 l3 / o3 = 1e-300 * 1e-300 rounds to 0: hop 2's SNR is 0,
+        # so the integrand is 0 and no head is dropped, where log(d) of
+        # the rule's first node would raise
+        t = topo(1, 2, 1, mean_gain_hop2=1e-300)
+        assert average_throughput(t, LinkBudget(100.0, 1e300, 1e-300, 1.0),
+                                  [0.5, 0.5]) == 0.0
 
     def test_rejects_nonrayleigh(self):
         with pytest.raises(ValueError, match="nakagami_m == 1"):
@@ -737,7 +763,9 @@ def throughput_per_budget(topology, budget, pk):
     weights = np.concatenate(([0.0], np.cumsum(probs)))[::-1]
     a = (1.0 / (topology.eff_gain_hop1 * budget.source_snr)
          + 1.0 / (topology.eff_gain_hop2 * budget.relay_snr_cap))
-    x, node_weights = _log_trapezoid(a)
+    d = (topology.eff_gain_hop2 * budget.interference_snr_cap
+         / topology.eff_gain_interf)
+    x, node_weights = _log_trapezoid(a, d)
     integral = node_weights @ _binomial_mixture(
         *_link_cdf(x, topology, budget), weights)
     return float(integral) / (2.0 * topology.num_users * math.log(2.0))

@@ -3,6 +3,7 @@ and SNR-matrix construction for perfect and imperfect CSI, perfect CSI
 being the zero-error case of one formula."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -26,11 +27,10 @@ from cogrelay.model import (
 )
 from cogrelay.model import (
     _TILE,
-    _capped_snr,
     _checked_interference,
     _gamma_gains,
-    _snr_parts,
-    _tiled_snr,
+    _hop2_floor,
+    _snr,
 )
 from oracles import gamma_gains_summed, snr_matrix_imperfect_where
 
@@ -76,6 +76,45 @@ class TestTopologyValidation:
         t = NetworkTopology(1, 1, 1, mean_gain_hop1=2.0, dist_hop1=2.0,
                             path_loss_exp=3.0)
         assert t.eff_gain_hop1 == pytest.approx(2.0 / 8.0)
+
+    @pytest.mark.parametrize("hop", ["hop1", "hop2", "interf"])
+    @pytest.mark.parametrize("dist, flow", [(1e200, "over"), (1e-200, "under"),
+                                            (1e-160, "under")],
+                             ids=["inf", "zero", "subnormal"])
+    def test_path_loss_in_float_range(self, hop, dist, flow):
+        # d^b at b = 2: an overflow raised a bare OverflowError from **,
+        # and a 0 interference path loss gave NaN SNRs at a zero gain
+        with pytest.raises(ValueError, match=re.escape(
+                f"dist_{hop}^path_loss_exp {flow}flows a float at "
+                f"mean_gain_{hop}=1.0, dist_{hop}={dist}, path_loss_exp=2.0")):
+            NetworkTopology(1, 3, path_loss_exp=2.0, **{f"dist_{hop}": dist})
+
+    @pytest.mark.parametrize("hop", ["hop1", "hop2", "interf"])
+    @pytest.mark.parametrize("gain, dist, flow", [(1e300, 1e-10, "over"),
+                                                  (1e-300, 1e10, "under"),
+                                                  (1e-300, 1e3, "under")],
+                             ids=["inf", "zero", "subnormal"])
+    def test_effective_gain_in_float_range(self, hop, gain, dist, flow):
+        # omega / d^b at b = 4: 1e340, 1e-340 and 1e-312, while the
+        # path loss itself, 1e-40, 1e40 or 1e12, is in range
+        with pytest.raises(ValueError, match=re.escape(
+                f"effective gain mean_gain_{hop}/dist_{hop}^path_loss_exp "
+                f"{flow}flows a float at mean_gain_{hop}={gain}")):
+            NetworkTopology(1, 3, path_loss_exp=4.0,
+                            **{f"mean_gain_{hop}": gain, f"dist_{hop}": dist})
+
+    def test_range_edges_admitted(self):
+        # the smallest normal path loss and effective gain are admitted,
+        # and every SNR built on them is a number, with no warning
+        tiny = np.finfo(float).tiny
+        t = NetworkTopology(1, 3, path_loss_exp=1.0, dist_interf=tiny,
+                            mean_gain_hop2=tiny)
+        draws = ChannelRealization(np.ones(3), np.ones(3),
+                                   np.array([0.0, 1.0, np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snrs = snr_matrix(draws, t, LinkBudget(1.0, 1.0, 1.0, 1.0))
+        assert not np.isnan(snrs).any()
 
 
 class TestSampling:
@@ -271,11 +310,11 @@ def knee_caps(base, t, draws):
 
 
 class TestSnrSplit:
-    """``snr_matrix``, and the cap step that a Monte Carlo block runs per
-    budget on parts it builds once (``_snr_parts``, ``_capped_snr``),
-    equal bit for bit the where form of ``tests/oracles.py`` at zero
-    error: at relay caps on an entry's knee I d3^b / f and one ulp
-    either side of it, at +0.0 and -0.0 gains, at an infinite cap, at
+    """``snr_matrix``, and the builder that a Monte Carlo block runs per
+    budget on hop 2's cap-free noise built once (``_hop2_floor``,
+    ``_snr``), equal bit for bit the where form of ``tests/oracles.py``
+    at zero error: at relay caps on an entry's knee I d3^b / f and one
+    ulp either side of it, at +0.0 and -0.0 gains, at an infinite cap, at
     path-loss exponents 0, 2 and 3.7 and for 0-d, 1-d and (trials, M, N)
     gains."""
 
@@ -283,13 +322,12 @@ class TestSnrSplit:
     @given(st.sampled_from([0, 1, 3]).flatmap(split_cases))
     def test_matches_direct_form(self, case):
         base, t, draws = case
-        hop1_snr, limit = _snr_parts(draws, t, base, None)
+        floor2 = _hop2_floor(_checked_interference(draws.interf), base, t)
         for capped in knee_caps(base, t, draws):
             want = snr_matrix_imperfect_where(draws, zero_error(t), t, capped)
             assert_bits_equal(snr_matrix(draws, t, capped), want)
             assert_bits_equal(
-                _capped_snr(hop1_snr, limit, draws.hop2, capped.relay_snr_cap,
-                            None, t)[()], want)
+                _snr(draws.hop1, draws.hop2, floor2, capped, None, t)[()], want)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-300], ids=["nan", "negative"])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 3)],
@@ -301,16 +339,17 @@ class TestSnrSplit:
         budget, t = LinkBudget(1.0, 1.0, 1.0, 1.0), topo(1, 3)
         for build in (lambda: snr_matrix(draws, t, budget),
                       lambda: snr_matrix_imperfect(draws, zero_error(t), t, budget),
-                      lambda: _snr_parts(draws, t, budget, None)):
+                      lambda: _checked_interference(draws.interf)):
             with pytest.raises(ValueError, match="interference gain must be >= 0"):
                 build()
 
 
 class TestOutBuffers:
-    """The kernels that a Monte Carlo block runs in its own buffers give,
-    with ``out=``, the bits they give without it, also where ``out`` is
-    the part each overwrites at a block's last budget, and the public
-    builders leave the caller's gains as they were."""
+    """The builder and its part, which a Monte Carlo block runs in its
+    own buffers, give with ``out=`` the bits they give without it, also
+    where ``out`` is hop 2's cap-free noise, which a block's last budget
+    overwrites, and the public builders leave the caller's gains as they
+    were."""
 
     @staticmethod
     def case_gains(case, seed):
@@ -320,41 +359,43 @@ class TestOutBuffers:
                                              rng.exponential(size=f.shape), f)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
-           st.floats(1e-3, 1e6), st.floats(0.0, 0.9), st.floats(0.0, 0.9),
-           st.booleans(), st.integers(0, 2**32 - 1))
-    def test_capped_snr(self, case, source, r1, r2, csi, seed):
-        # with and without CSI, the parts and one cap equal the build
-        # from the gains at one budget
-        budget, t, draws = self.case_gains(case, seed)
-        base = LinkBudget(source, budget.relay_snr_cap,
-                          budget.interference_snr_cap, 1.0)
+    @given(st.sampled_from([0, 1, 3]).flatmap(split_cases),
+           st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.booleans())
+    def test_capped_snr(self, case, r1, r2, csi):
+        # with and without CSI: hop 2's cap-free noise built once in the
+        # interference gains' own buffer, as a relay-cap chain builds it,
+        # and each relay cap, on a knee and one ulp either side, built in
+        # a new array and, at the last cap, in that noise's buffer
+        base, t, draws = case
         err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0) if csi else None
-        want = (snr_matrix_imperfect(draws, err, t, base) if csi
-                else snr_matrix(draws, t, base))
-        # the parts in the gains' own buffers, as a block builds them
-        own = ChannelRealization(np.array(draws.hop1), draws.hop2,
-                                 np.array(draws.interf))
-        hop1_snr, limit = _snr_parts(own, t, base, err,
-                                     out=(own.hop1, own.interf))
-        assert hop1_snr is own.hop1 and limit is own.interf
-        for out in (np.empty(np.shape(limit)), limit):  # the limit last
-            got = _capped_snr(hop1_snr, limit, draws.hop2, base.relay_snr_cap,
-                              err, t, out=out)
-            assert got is out
+        f = np.array(_checked_interference(draws.interf))
+        floor2 = _hop2_floor(f, base, t, out=f)
+        assert floor2 is f
+        caps = knee_caps(base, t, draws)
+        for position, capped in enumerate(caps):
+            want = snr_matrix_imperfect_where(draws, err or zero_error(t), t,
+                                              capped)
+            out = floor2 if position == len(caps) - 1 else None
+            got = _snr(draws.hop1, draws.hop2, floor2, capped, err, t, out=out)
+            assert out is None or got is out
             assert_bits_equal(np.asarray(got), np.asarray(want))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),
            st.floats(0.0, 0.9), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
     def test_imperfect_snr(self, case, r1, r2, seed):
+        # a budget's own noise and matrix, as a block builds them off a
+        # relay-cap chain: both in new arrays, the matrix in the noise's
+        # buffer, and both in the interference gains' buffer
         budget, t, est = self.case_gains(case, seed)
         err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
         want = snr_matrix_imperfect(est, err, t, budget)
         f = np.array(_checked_interference(est.interf))
-        for out in (np.empty(f.shape), f):  # the interference gains last
-            got = _tiled_snr(est.hop1, est.hop2, f, err, t, budget, out=out)
-            assert got is out
+        for into in ("new", "floor", "gains"):
+            floor2 = _hop2_floor(f, budget, t, out=f if into == "gains" else None)
+            out = None if into == "new" else floor2
+            got = _snr(est.hop1, est.hop2, floor2, budget, err, t, out=out)
+            assert out is None or got is out
             assert_bits_equal(np.asarray(got), np.asarray(want))
 
     @pytest.mark.parametrize("shape", [(2 * _TILE + 3,), (3 * (_TILE // 6) + 5, 2, 3)],
@@ -370,8 +411,9 @@ class TestOutBuffers:
         want = snr_matrix_imperfect_where(est, err, t, budget)
         assert_bits_equal(snr_matrix_imperfect(est, err, t, budget), want)
         f = np.array(est.interf)
-        assert_bits_equal(_tiled_snr(est.hop1, est.hop2, f, err, t, budget,
-                                     out=f), want)
+        floor2 = _hop2_floor(f, budget, t, out=f)
+        assert_bits_equal(_snr(est.hop1, est.hop2, floor2, budget, err, t,
+                               out=floor2), want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([0, 1, 3]).flatmap(interference_cases),

@@ -38,9 +38,9 @@ from oracles import (
 
 GAMMA_TH = db_to_linear(5.0)
 
-# every model function that builds an SNR matrix: the public builders, the
-# relay-cap step and the per-budget kernel that the Monte Carlo pass calls
-BUILDERS = ("snr_matrix", "snr_matrix_imperfect", "_capped_snr", "_tiled_snr")
+# every model function that builds an SNR matrix: the public builders and
+# the one builder under them, which the Monte Carlo pass calls
+BUILDERS = ("snr_matrix", "snr_matrix_imperfect", "_snr")
 
 
 def topo(num_users=2, num_relays=3, m=2):
@@ -371,9 +371,9 @@ class TestSaturationFilter:
 
     @staticmethod
     def spy(monkeypatch, expected):
-        """Record the trial count of every SNR matrix built, from the
-        gains or from the parts (a build through ``snr_matrix``, which
-        builds through ``_tiled_snr``, counts once), and
+        """Record the trial count of every SNR matrix built (a build
+        through ``snr_matrix``, which builds through ``_snr``, counts
+        once), and
         check every assignment call against ``expected``."""
         built, inside = [], []
         for name in BUILDERS:
@@ -483,32 +483,47 @@ class TestSaturationFilter:
                         csi=self.CSI if csi else None)
         assert checked == [BLOCK_3X4, 4464]
 
+    @staticmethod
+    def spy_floors(monkeypatch):
+        """Record the trial count of every build of hop 2's cap-free
+        noise, on one CPU, block by block."""
+        cpus(monkeypatch, 1)
+        floors, original = [], model._hop2_floor
+
+        def spy(f, *args, **kwargs):
+            floors.append(len(f))
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_hop2_floor", spy)
+        return floors
+
     @pytest.mark.parametrize("csi", [False, True], ids=["perfect", "csi"])
     def test_relay_cap_parts_built_once_per_block(self, monkeypatch, csi):
-        # a relay-cap chain, with CSI or without, builds the parts that
-        # the cap leaves alone once per block and each budget's matrix
-        # from them, never from the gains; on one CPU, block by block
-        cpus(monkeypatch, 1)
-        calls = []
-        for name in ("_snr_parts", "_tiled_snr"):
-            def spy(first, *args, name=name, original=getattr(model, name),
-                    **kwargs):
-                calls.append((name, len(getattr(first, "hop1", first))))
-                return original(first, *args, **kwargs)
-            monkeypatch.setattr(model, name, spy)
+        # a relay-cap chain, with CSI or without, builds hop 2's cap-free
+        # noise once per block, and each budget's matrix from it
+        floors = self.spy_floors(monkeypatch)
         estimate_outage(self.T, self.LAMBDA2, "maxmin", [GAMMA_TH] * 4,
                         trials=TWO_BLOCKS, seed=3,
                         csi=self.CSI if csi else None)
-        assert calls == [("_snr_parts", BLOCK_3X4), ("_snr_parts", 4464)]
+        assert floors == [BLOCK_3X4, 4464]
+
+    def test_csi_common_snr_builds_noise_per_budget(self, monkeypatch):
+        # a CSI common-SNR chain moves the interference cap, so each
+        # budget builds hop 2's cap-free noise of its own
+        floors = self.spy_floors(monkeypatch)
+        estimate_outage(self.T, self.LAMBDA_ALL, "maxmin", [GAMMA_TH] * 4,
+                        trials=TWO_BLOCKS, seed=3, csi=self.CSI)
+        assert floors == [BLOCK_3X4] * 4 + [4464] * 4
 
     def test_csi_sweep_block_memory(self, monkeypatch):
         # a pair of 3x4 CSI blocks on two CPUs over a nine-budget
         # common-SNR chain: each block's gains are three 512 KiB arrays,
         # held with a stack while max-min assigns it in one chunk (2.56
         # MiB measured for one block, 5.05-5.11 for the pair).  A build
-        # holds only the relay power's array and a tile of the hop-1 SNR
-        # beside the gains, and one more block-sized array in each block
-        # fails this bound.
+        # holds only hop 2's noise, which its matrix is built in, and a
+        # tile of the hop-1 SNR beside the gains, and one more block-sized
+        # array in each block (a budget's noise still held while its stack
+        # is cut, say) fails this bound.
         cpus(monkeypatch, 2)
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
         tracemalloc.start()
@@ -524,14 +539,14 @@ class TestSaturationFilter:
         # 2x3, m = 2 blocks on fig1's unit budget with its nine
         # thresholds, whose gains are 512 KiB arrays.  A block peaks
         # drawing its third gain (two gains and a tile of its second
-        # draw) and again at the build: the hop-1 SNR and the
-        # interference limit are built in the gains' buffers and the
-        # matrix in the limit's, so the budget adds no array (1.76 MiB
+        # draw) and again at the build: hop 2's cap-free noise is built
+        # in the interference gains' buffer and the matrix in the
+        # noise's, so the budget adds no array beside a tile (1.76 MiB
         # measured for one block, 3.20-3.51 for a pair on two CPUs).  The
         # bound was set for one block of twice the size, so a block alone
         # must keep to half of it.  A sampler tile of a whole gain
         # (``model._TILE`` at ``ENTRIES // 2``: 2.01 MiB for one block,
-        # 3.51-4.01 for a pair), or the parts in new arrays, fails it.
+        # 3.51-4.01 for a pair), or the noise in a new array, fails it.
         t = topo(2, 3, 2)
         thresholds = [GAMMA_TH / db_to_linear(x) for x in range(0, 41, 5)]
         peaks = {}
@@ -904,15 +919,19 @@ class TestSettledCarry:
 
 
 def held_at_builds(monkeypatch, run):
-    """Run ``run()`` under tracemalloc with the SNR builders patched to
-    record the memory traced as each outermost build starts (a build
-    through ``snr_matrix``, which builds through ``_tiled_snr``, records
-    once); returns the records and the peak."""
-    held, inside = [], []
-    for name in BUILDERS:
-        def build_spy(*args, original=getattr(model, name), **kwargs):
-            if not inside:
+    """Run ``run()`` under tracemalloc with the SNR builders and hop 2's
+    cap-free noise patched to record the memory traced as each outermost
+    build starts: at its part where it builds one, so a build of the
+    noise and the matrix built on it record once, as does a build
+    through ``snr_matrix``, which builds through ``_snr``; returns the
+    records and the peak."""
+    held, inside, last = [], [], [None]
+    for name in BUILDERS + ("_hop2_floor",):
+        def build_spy(*args, name=name, original=getattr(model, name), **kwargs):
+            if not inside and not (name == "_snr" and last[0] == "_hop2_floor"):
                 held.append(tracemalloc.get_traced_memory()[0])
+            if not inside:
+                last[0] = name
             inside.append(original)
             try:
                 return original(*args, **kwargs)
@@ -952,7 +971,7 @@ class TestHeldAtBuild:
         budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
         held, _ = held_at_builds(monkeypatch, lambda: estimate_throughput(
             self.T, budgets, scheme, BLOCK_3X4, 1, scales=[1.0] * 9))
-        assert len(held) == 10  # the cap-free matrix, then each cap
+        assert len(held) == 10  # the part with the cap-free matrix, then each cap
         assert max(held) < (4 * self.MATRIX + 2.5 * self.SELECTED
                             + self.LIVE)
 
