@@ -257,9 +257,33 @@ def _validate(config: ExperimentConfig):
                      lambda: gain / distance ** config.path_loss_exp,
                      f"effective gain {gain_key}/{key}^path_loss_exp")
     try:
-        config.topology()
+        topology = config.topology()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the closed forms divide by each hop's effective gain times its level
+    # and by the interference gain times the relay level, and read hop 2's
+    # interference-limited SNR scale o2·λ3/o3 in a ratio that an infinite
+    # scale turns into NaN; each grows with its level, so a sweep's ends
+    # bound it
+    ends = (("sweep start_db", sweep.start_db), ("sweep stop_db", sweep.stop_db))
+    source, interference = (
+        ((("lambda1_db", config.lambda1_db),), (("lambda3_db", config.lambda3_db),))
+        if sweep.variable == "lambda2" else (ends, ends))
+    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
+                  topology.eff_gain_interf)
+    for levels, gain, gain_key, key in ((source, o1, "omega_h1", "d1"),
+                                        (ends, o2, "omega_h2", "d2"),
+                                        (ends, o3, "omega_f", "d3")):
+        for level_key, value in levels:
+            _check_range(level_key, value, lambda: gain * db_to_linear(value),
+                         f"linear value times the effective gain "
+                         f"{gain_key}/{key}^path_loss_exp")
+    for level_key, value in interference:
+        if _flow(lambda: o2 * db_to_linear(value) / o3) == "over":
+            raise ConfigError(
+                f"{level_key}={value} is too large: its linear value times "
+                f"omega_h2/d2^path_loss_exp over omega_f/d3^path_loss_exp "
+                f"overflows a float")
     maps = math.perm(config.num_relays, config.num_users)
     if config.scheme == "maxmin" and maps > _MAX_ASSIGNMENT_TABLE:
         raise ConfigError(

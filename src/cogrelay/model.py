@@ -320,7 +320,8 @@ def _snr(hop1, hop2, floor2, budget: LinkBudget, err: CsiErrorModel | None,
         out = np.empty(np.shape(floor2))
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     snrs = np.maximum(floor2, d2b / budget.relay_snr_cap, out=out)
-    snrs += 0.0 if err is None else err.err_var_hop2
+    if err is not None:
+        snrs += err.err_var_hop2
     # +inf where the noise is 0 (an infinite relay power without
     # error), or so small that the SNR overflows
     with np.errstate(divide="ignore", over="ignore"):

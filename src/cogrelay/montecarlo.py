@@ -5,18 +5,21 @@ Trials are processed in blocks of half the package's memory budget
 ``max(1, ENTRIES // (2 M N))`` trials, fewer the more users and relays
 each has: 10922 at 2x3, 5461 at 3x4.  Each block draws from its own
 generator seeded by (master seed, block index), and the block rule
-follows the shape alone, never the CPU count.  On two or more CPUs the
-blocks run in lock-step pairs, the second of each pair on a thread of
-its own (:func:`_in_pairs`): numpy releases the GIL in its random fills
-and in its passes over whole arrays, so the two overlap, and two blocks
-in flight hold what one block of the whole budget would.  Each block
-turns its trials into a result of its own, outage's integer hits or
-throughput's sums of rates per point and user, and the results are
-added in block order.  Results therefore depend only on (seed, trials,
-configuration), bit for bit on one CPU or several, and a call holds
-nothing per block beyond the two blocks in flight.  Each block-sized
-array (a gain, an SNR part, a stack) holds at most ``_SHARE`` floats, or
-one trial's entries where those alone are more.
+follows the shape alone, never the CPU count.  On two or more CPUs a
+call with two or more blocks forks one worker process, which runs every
+second block while the caller runs the others (:func:`_in_pairs`):
+each process holds one block at a time, so the two hold what one block
+of the whole budget would.  A block is thousands of numpy calls of a
+few microseconds each, which two threads would serialise on the GIL.
+The worker shares the caller's pages copy-on-write and owns only what
+its blocks write.  Each block turns its trials into a result of its
+own, outage's integer hits or throughput's sums of rates per point and
+user, and the results are added in block order.  Results therefore
+depend only on (seed, trials, configuration), bit for bit on one CPU or
+several, and a call holds nothing per block beyond the blocks in
+flight.  Each block-sized array (a gain, an SNR part, a stack) holds at
+most ``_SHARE`` floats, or one trial's entries where those alone are
+more.
 
 The outage and throughput estimators score a whole sweep in one pass,
 block by block (:func:`_selected_snrs`): each point has a link budget
@@ -74,7 +77,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,9 +106,10 @@ __all__ = [
 # 0.7% served at fig3's 5 dB point raised its peak RSS 2.5%.
 _DROP_SHARE = 1 / 8
 
-# Two blocks are in flight at once (:func:`_in_pairs`), so each holds
-# half of the package's memory budget: a block as many trials as fill
-# this many SNR entries, and a throughput scoring tile this many floats.
+# Two blocks are in flight at once, one in the caller and one in its
+# worker process (:func:`_in_pairs`), so each holds half of the
+# package's memory budget: a block as many trials as fill this many SNR
+# entries, and a throughput scoring tile this many floats.
 _SHARE = ENTRIES // 2
 
 
@@ -147,38 +153,66 @@ def _cpu_count() -> int:
 def _in_pairs(run, blocks):
     """Yield ``run(block)`` for each block, in block order.
 
-    On two or more CPUs the blocks run in lock-step pairs: the second of
-    a pair on a thread of its own, the first in the caller.  The thread
-    is joined before either result is yielded, or either block's
-    exception raised, so at most two blocks and their two results are
-    alive at once, and no thread outlives a pair.
+    On two or more CPUs the blocks run in pairs: a worker process forked
+    for the call runs every second block, and the caller the others.
+    The worker sends each block's result down a pipe as soon as it is
+    done, and after each of its own blocks the caller yields its result,
+    then reads and yields the worker's next one, so each process holds
+    one block at a time and the results come in block order.  An
+    exception raised in a worker's block is raised again in the caller,
+    of the same type and with the same message.  On any exception, and
+    when the generator is closed early, the caller kills the worker and
+    reaps it, so no process outlives the call.  The blocks run one after
+    another in the caller with fewer than two blocks, on one CPU, where
+    ``os.fork`` is missing, or where a second thread is alive, which a
+    forked child would not carry and whose locks it could find held.
     """
     blocks = list(blocks)
-    if len(blocks) < 2 or _cpu_count() < 2:
+    if (len(blocks) < 2 or _cpu_count() < 2 or not hasattr(os, "fork")
+            or len(sys._current_frames()) > 1):
         yield from map(run, blocks)
         return
-    for first, second in zip(blocks[::2], blocks[1::2]):
-        done = []  # the second block's result and exception
-
-        def work(block=second):
-            try:
-                done.append((run(block), None))
-            except BaseException as error:  # raised again in the caller
-                done.append((None, error))
-
-        thread = threading.Thread(target=work)
-        thread.start()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the worker; it never returns to the caller's code
         try:
-            result = run(first)
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for block in blocks[1::2]:
+                    try:
+                        result, error = run(block), None
+                    except BaseException as raised:  # raised again in the caller
+                        result, error = None, raised
+                    # pickled whole first, so the pipe never holds half a result
+                    pipe.write(pickle.dumps((result, error)))
+                    pipe.flush()
+                    if error is not None:
+                        break
         finally:
-            thread.join()
-        later, error = done.pop()
-        if error is not None:
-            raise error
-        yield result
-        yield later
-    if len(blocks) % 2:
-        yield run(blocks[-1])
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            for index, block in enumerate(blocks):
+                if index % 2 == 0:
+                    yield run(block)
+                    continue
+                try:
+                    result, error = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError("the Monte Carlo worker process "
+                                       "exited without a result") from None
+                if error is not None:
+                    raise error
+                yield result
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _check_trials(trials: int):

@@ -192,6 +192,40 @@ class TestConfigParsing:
         assert all(name in err for name in overrides if name != "path_loss_exp")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["outage", "throughput"])
+    @pytest.mark.parametrize("overrides, key, gain_key", [
+        ({"omega_h2": 1e-300}, "sweep start_db", "omega_h2"),
+        ({"omega_h1": 1e-300}, "sweep start_db", "omega_h1"),
+        ({"omega_f": 1e-300}, "sweep start_db", "omega_f"),
+        ({"omega_h1": 1e-300, "lambda1_db": -3000.0, "lambda3_db": 0.0,
+          "sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 0.0,
+                    "step_db": 5.0}}, "lambda1_db", "omega_h1"),
+        # hop 2's interference-limited SNR scale o2·λ3/o3 overflows: it
+        # read outage_exact = 1 where the Monte Carlo estimate read 0
+        ({"omega_f": 1e-300, "sweep": {"variable": "lambda_all",
+                                       "start_db": 3000.0, "stop_db": 3000.0,
+                                       "step_db": 5.0}},
+         "sweep start_db", "omega_f"),
+    ], ids=["relay", "source", "interference", "lambda1", "scale"])
+    def test_gain_times_level_out_of_range_rejected(self, tmp_path, capsys,
+                                                     mode, overrides, key,
+                                                     gain_key):
+        # a gain and a level each in range, whose product, a divisor of the
+        # closed forms, is 0: the first config passed the parser and died
+        # with a ZeroDivisionError, in the link CDF in outage mode and in
+        # average_throughput in throughput mode
+        config = {"num_users": 1, "num_relays": 2, "nakagami_m": 1,
+                  "gamma_th_db": 5.0, "path_loss_exp": 2.0, "mode": mode,
+                  "sweep": {"variable": "lambda_all", "start_db": -3000.0,
+                            "stop_db": -3000.0, "step_db": 5.0},
+                  "trials": 1000, "seed": 1, **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}=")
+        assert gain_key in err and "Traceback" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_interference_gain_runs_without_warning(self, tmp_path):
         # an effective interference gain of 1e-306 is admitted; the
@@ -360,8 +394,8 @@ class TestSweepReuse:
                 draws.append((_name, kwargs["trials"]))
                 return _sample(*args, **kwargs)
             monkeypatch.setattr(model, name, counted)
-        # on one CPU the blocks run in order (on two, a pair's blocks
-        # draw on two threads in either order)
+        # on one CPU every block draws here, in order (on two, every
+        # second block draws in the worker process)
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
         evaluate_sweep(config, pk)
         # every block samples through one call, with or without CSI

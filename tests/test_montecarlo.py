@@ -2,10 +2,13 @@
 known truth, and agreement with the closed forms."""
 
 import math
-import sys
+import os
+import select
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +62,22 @@ def selected_snrs(t, budgets, scheme, trials, seed, csi=None, thresholds=None):
 def cpus(monkeypatch, count):
     """Have the pass see ``count`` CPUs."""
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: count)
+
+
+def process_peak(monkeypatch, run):
+    """The larger traced peak of ``run()`` in this process on one CPU,
+    with its blocks one after another, and on two, where the blocks of
+    the worker process are not traced here: what one process holds."""
+    peaks = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
 
 
 # the trials of one 3x4 block, and of a 3x4 run over a full block and
@@ -516,74 +535,50 @@ class TestSaturationFilter:
         assert floors == [BLOCK_3X4] * 4 + [4464] * 4
 
     def test_csi_sweep_block_memory(self, monkeypatch):
-        # a pair of 3x4 CSI blocks on two CPUs over a nine-budget
-        # common-SNR chain: each block's gains are three 512 KiB arrays,
-        # held with a stack while max-min assigns it in one chunk (2.56
-        # MiB measured for one block, 5.05-5.11 for the pair).  A build
-        # holds only hop 2's noise, which its matrix is built in, and a
-        # tile of the hop-1 SNR beside the gains, and one more block-sized
-        # array in each block (a budget's noise still held while its stack
-        # is cut, say) fails this bound.
-        cpus(monkeypatch, 2)
+        # two 3x4 CSI blocks over a nine-budget common-SNR chain, in one
+        # process or a pair: each block's gains are three 512 KiB arrays,
+        # held with a stack while max-min assigns it in one chunk (2.57
+        # MiB measured per process).  A build holds only hop 2's noise,
+        # which its matrix is built in, and a tile of the hop-1 SNR beside
+        # the gains, and one more block-sized array (a budget's noise
+        # still held while its stack is cut, say) fails this bound.
         budgets = [budget_db(x, x, x) for x in range(0, 41, 5)]
-        tracemalloc.start()
-        try:
-            estimate_outage(self.T, budgets, "maxmin", [GAMMA_TH] * 9,
-                            trials=2 * BLOCK_3X4, seed=1, csi=self.CSI)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5 * 2**20
+        peak = process_peak(monkeypatch, lambda: estimate_outage(
+            self.T, budgets, "maxmin", [GAMMA_TH] * 9, trials=2 * BLOCK_3X4,
+            seed=1, csi=self.CSI))
+        assert peak < 2.75 * 2**20
 
     def test_fig1_block_memory(self, monkeypatch):
-        # 2x3, m = 2 blocks on fig1's unit budget with its nine
-        # thresholds, whose gains are 512 KiB arrays.  A block peaks
-        # drawing its third gain (two gains and a tile of its second
-        # draw) and again at the build: hop 2's cap-free noise is built
-        # in the interference gains' buffer and the matrix in the
-        # noise's, so the budget adds no array beside a tile (1.76 MiB
-        # measured for one block, 3.20-3.51 for a pair on two CPUs).  The
-        # bound was set for one block of twice the size, so a block alone
-        # must keep to half of it.  A sampler tile of a whole gain
-        # (``model._TILE`` at ``ENTRIES // 2``: 2.01 MiB for one block,
-        # 3.51-4.01 for a pair), or the noise in a new array, fails it.
+        # two 2x3, m = 2 blocks on fig1's unit budget with its nine
+        # thresholds, in one process or a pair, whose gains are 512 KiB
+        # arrays.  A block peaks drawing its third gain (two gains and a
+        # tile of its second draw) and again at the build: hop 2's
+        # cap-free noise is built in the interference gains' buffer and
+        # the matrix in the noise's, so the budget adds no array beside a
+        # tile (1.84 MiB measured per process).  A sampler tile of a whole
+        # gain (``model._TILE`` at ``ENTRIES // 2``: 2.01 MiB for one
+        # block), or the noise in a new array, fails this bound.
         t = topo(2, 3, 2)
         thresholds = [GAMMA_TH / db_to_linear(x) for x in range(0, 41, 5)]
-        peaks = {}
-        # the pair four times, since its blocks peak together in some runs
-        for count in (1, 2, 2, 2, 2):
-            cpus(monkeypatch, count)
-            tracemalloc.start()
-            try:
-                estimate_outage(t, LinkBudget(1.0, 1.0, 1.0, GAMMA_TH), "maxmin",
-                                thresholds, trials=count * _block_trials(t), seed=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            peaks[count] = max(peak, peaks.get(count, 0))
-        assert peaks[1] < 3.75 / 2 * 2**20
-        assert peaks[2] < 3.75 * 2**20
+        peak = process_peak(monkeypatch, lambda: estimate_outage(
+            t, LinkBudget(1.0, 1.0, 1.0, GAMMA_TH), "maxmin", thresholds,
+            trials=2 * _block_trials(t), seed=1))
+        assert peak < 3.75 / 2 * 2**20
 
     def test_fig2_block_memory(self, monkeypatch):
-        # a pair of 3x3, m = 3 blocks on two CPUs over fig2's 13 relay
-        # caps, whose gains are 512 KiB arrays.  Each block builds the
-        # hop-1 SNR and the interference limit once, in the hop-1 and
-        # interference gains' buffers, and each cap's matrix in one new
-        # array (2.46 MiB measured for one block, 4.46-4.76 for the
-        # pair).  Building each cap's matrix from the gains with its
+        # two 3x3, m = 3 blocks over fig2's 13 relay caps, in one process
+        # or a pair, whose gains are 512 KiB arrays.  Each block builds
+        # hop 2's cap-free noise once, in the interference gains' buffer,
+        # and each cap's matrix in one new array (2.46 MiB measured per
+        # process).  Building each cap's matrix from the gains with its
         # temporaries, or one more block-sized array held through a
         # build, fails this bound.
-        cpus(monkeypatch, 2)
         t = topo(3, 3, 3)
         budgets = [budget_db(25, x, 10) for x in range(0, 61, 5)]
-        tracemalloc.start()
-        try:
-            estimate_outage(t, budgets, "maxmin", [GAMMA_TH] * 13,
-                            trials=2 * _block_trials(t), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5 * 2**20
+        peak = process_peak(monkeypatch, lambda: estimate_outage(
+            t, budgets, "maxmin", [GAMMA_TH] * 13,
+            trials=2 * _block_trials(t), seed=1))
+        assert peak < 2.75 * 2**20
 
 
 class TestDoomedTrials:
@@ -873,48 +868,34 @@ class TestSettledCarry:
         assert peak < 2**20
 
     def test_fig4_block_memory(self, monkeypatch):
-        # a pair of 3x4 blocks on two CPUs over fig4's nine relay caps:
-        # in each, three 512 KiB parts of the SNR matrix (hop-1 SNR,
-        # interference limit, hop-2 gain) and the cap-free matrix, the
-        # matrix at one cap built in place, and the carried selected
-        # SNRs, with max-min assigning the first cap's whole stack in one
-        # chunk (3.80 MiB measured for one block, 7.52-7.56 for the
-        # pair).  One more block-sized array held through a build in each
-        # block fails this bound.  Smaller leaks pass it, such as the last
+        # two 3x4 blocks over fig4's nine relay caps, in one process or a
+        # pair: in a block, three 512 KiB parts of the SNR matrix (hop-1
+        # SNR, interference limit, hop-2 gain) and the cap-free matrix,
+        # the matrix at one cap built in place, and the carried selected
+        # SNRs, with max-min assigning the
+        # first cap's whole stack in one chunk (3.80 MiB measured per
+        # process).  One more block-sized array held through a build
+        # fails this bound.  Smaller leaks pass it, such as the last
         # assignment's selected SNRs held through the next build
         # (TestHeldAtBuild catches it).
-        cpus(monkeypatch, 2)
         budgets = [budget_db(25, x, 10) for x in range(0, 41, 5)]
-        tracemalloc.start()
-        try:
-            estimate_throughput(self.T, budgets, "maxmin", 2 * BLOCK_3X4, 1,
-                                scales=[1.0] * 9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8.5 * 2**20
+        peak = process_peak(monkeypatch, lambda: estimate_throughput(
+            self.T, budgets, "maxmin", 2 * BLOCK_3X4, 1, scales=[1.0] * 9))
+        assert peak < 4.25 * 2**20
 
     @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
     def test_three_cap_block_memory(self, monkeypatch, scheme):
-        # a pair of 3x4 blocks on two CPUs over three relay caps: in each,
-        # the three parts of the SNR matrix and the cap-free matrix, the
-        # matrix at one cap and the carried selected SNRs, whatever the
-        # scheme, and max-min's working set for a whole stack (per block
-        # 3.80 MiB measured under max-min, 3.15 under naive, 3.06 under
-        # random; per pair 7.20-7.53, 6.22-6.35 and 5.83-6.20).  One more
-        # 512 KiB block-sized array in each block, such as naive marking
-        # taken relays in a copy of the whole stack, fails each scheme's
-        # bound.
-        cpus(monkeypatch, 2)
+        # two 3x4 blocks over three relay caps, in one process or a pair:
+        # in a block, the three parts of the SNR matrix, the matrix at one
+        # cap and the carried selected SNRs, whatever the scheme, and
+        # max-min's working set for a whole stack (per process 3.80 MiB
+        # measured under max-min, 3.16 under naive, 3.07 under random).
+        # One more 512 KiB block-sized array, such as naive marking taken
+        # relays in a copy of the whole stack, fails each scheme's bound.
         budgets = [budget_db(25, x, 10) for x in (0, 20, 40)]
-        tracemalloc.start()
-        try:
-            estimate_throughput(self.T, budgets, scheme, 2 * BLOCK_3X4, 1,
-                                scales=[1.0] * 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = {"maxmin": 8.5, "naive": 7.0, "random": 6.75}[scheme]
+        peak = process_peak(monkeypatch, lambda: estimate_throughput(
+            self.T, budgets, scheme, 2 * BLOCK_3X4, 1, scales=[1.0] * 3))
+        bound = {"maxmin": 4.25, "naive": 3.5, "random": 3.375}[scheme]
         assert peak < bound * 2**20
 
 
@@ -1028,12 +1009,10 @@ class TestThroughputEstimates:
 
     def test_memory_does_not_grow_with_blocks(self, monkeypatch):
         # naive 1x2000 at 500 scales: a block holds 32 trials, and each
-        # point's sums fold into running totals, so on one CPU 64 blocks
-        # peak where one does (1.5 MiB measured), and on two no higher
-        # than two blocks at their peaks at once (3.0 MiB measured); sums
-        # kept per block grew the peak by 0.5 MiB.  Where the two blocks
-        # of a pair peak depends on the threads' timing, so the bound on
-        # two CPUs is two single blocks' peaks
+        # point's sums fold into running totals, so 64 blocks peak where
+        # one does (1.5 MiB measured), on one CPU and in the caller's
+        # process on two, which reads the worker's sums one block at a
+        # time; sums kept per block grew the peak by 0.5 MiB
         t = topo(1, 2000, 1)
         budget, scales = budget_db(10, 10, 10), np.logspace(-3, 3, 500)
         block = _block_trials(t)
@@ -1050,7 +1029,7 @@ class TestThroughputEstimates:
                 tracemalloc.stop()
         assert block == 32
         assert peaks[1] < peaks[2] + 2**16
-        assert peaks[3] < 2 * peaks[2] + 2**16
+        assert peaks[3] < peaks[2] + 2**16
 
     def test_scales_scored_together_match_one_call_each(self):
         # 2x3 over two full blocks: a tile holds three of its scales
@@ -1066,10 +1045,12 @@ class TestThroughputEstimates:
 
 
 class TestThreads:
-    """On two CPUs the blocks run in pairs, the second of each on a
-    thread of its own: every estimate has the same bits as on one CPU,
-    no thread outlives a call, and an error in either block of a pair
-    reaches the caller once both are done."""
+    """On two CPUs the blocks run in pairs, every second one in a worker
+    process forked for the call: every estimate has the same bits as on
+    one CPU, an error raised in a block of either process reaches the
+    caller with its type and message, no child process or thread
+    outlives a call, and where a fork is unsafe or missing the pass
+    forks nothing."""
 
     T = TestSaturationFilter.T
     CSI = TestSaturationFilter.CSI
@@ -1085,42 +1066,55 @@ class TestThreads:
                                self.TRIALS, 4,
                                csi=self.CSI if kind == "csi" else None)
 
+    @staticmethod
+    def spy_forks(monkeypatch):
+        """Record the pid of every child the pass forks."""
+        forks, fork = [], os.fork
+
+        def fork_spy():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork_spy)
+        return forks
+
+    @staticmethod
+    def assert_none_left(threads):
+        with pytest.raises(ChildProcessError):  # no child, running or done
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("kind", ["outage", "csi", "throughput"])
     @pytest.mark.parametrize("scheme", ["maxmin", "naive", "random"])
     def test_same_bits_on_one_cpu_and_two(self, monkeypatch, kind, scheme):
-        on_main, sample = [], model.sample_realization
+        drawn_here, sample = [], model.sample_realization
 
         def sample_spy(*args, **kwargs):
-            on_main.append(threading.current_thread() is threading.main_thread())
+            drawn_here.append(True)  # a worker's appends stay in the worker
             return sample(*args, **kwargs)
 
         monkeypatch.setattr(model, "sample_realization", sample_spy)
-        before, interval = threading.active_count(), sys.getswitchinterval()
+        forks, threads = self.spy_forks(monkeypatch), threading.active_count()
         results = {}
         for count in (1, 2):
             cpus(monkeypatch, count)
-            on_main.clear()
-            # the threads switch every 10 us, so the blocks of a pair
-            # interleave their Python steps at many points
-            sys.setswitchinterval(1e-5)
-            try:
-                results[count] = self.run(kind, scheme)
-            finally:
-                sys.setswitchinterval(interval)
-            assert threading.active_count() == before
-            # on two CPUs block 1 draws on a thread of its own
-            assert len(on_main) == 3
-            assert on_main.count(False) == (count == 2)
+            drawn_here.clear()
+            results[count] = self.run(kind, scheme)
+            self.assert_none_left(threads)
+            # on two CPUs block 1 draws in the one worker forked
+            assert len(drawn_here) == (3 if count == 1 else 2)
+            assert len(forks) == count - 1
         assert results[1] == results[2]
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "thread"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
     @pytest.mark.parametrize("kind", ["outage", "throughput"])
     def test_block_error_reaches_caller(self, monkeypatch, kind, failing):
-        # assignment raises on one block of the first pair (block 1 runs on
-        # the second thread); the thread is joined before the error is
-        # raised in the caller
+        # assignment raises on one block of the first pair (block 1 runs in
+        # the worker); the worker is killed and reaped before the error
+        # leaves the pass
         cpus(monkeypatch, 2)
-        current, block_rng = threading.local(), montecarlo._block_rng
+        current, block_rng = SimpleNamespace(), montecarlo._block_rng
 
         def rng_spy(seed, index):
             current.index = index
@@ -1128,45 +1122,79 @@ class TestThreads:
 
         def assign_spy(scheme, gammas, maps=None, original=selection.assign_batch):
             if current.index == failing:
-                raise RuntimeError(f"block {failing}")
+                raise LookupError(f"block {failing}")
             return original(scheme, gammas, maps)
 
         monkeypatch.setattr(montecarlo, "_block_rng", rng_spy)
         monkeypatch.setattr(selection, "assign_batch", assign_spy)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"block {failing}"):
+        forks, threads = self.spy_forks(monkeypatch), threading.active_count()
+        with pytest.raises(LookupError, match=f"^block {failing}$"):
             self.run(kind, "maxmin")
-        assert threading.active_count() == before
+        assert len(forks) == 1
+        self.assert_none_left(threads)
 
     def test_pairs_run_together_in_block_order(self, monkeypatch):
-        # both blocks of a pair must be running for the barrier to pass,
-        # and no third one runs beside them
+        # each of blocks 0-3 signals the other process and waits for its
+        # signal, so a block of the caller and one of the worker run at
+        # once; block 4 runs alone
         cpus(monkeypatch, 2)
-        barrier, lock, running, most = threading.Barrier(2, timeout=30), \
-            threading.Lock(), [0], [0]
+        forks, caller = self.spy_forks(monkeypatch), os.getpid()
+        to_worker, to_caller = os.pipe(), os.pipe()
 
         def run(block):
-            with lock:
-                running[0] += 1
-                most[0] = max(most[0], running[0])
-            if block < 4:  # block 4 runs alone
-                barrier.wait()
-            with lock:
-                running[0] -= 1
-            return block, threading.current_thread() is threading.main_thread()
+            mine, theirs = ((to_worker, to_caller) if os.getpid() == caller
+                            else (to_caller, to_worker))
+            if block < 4:
+                os.write(mine[1], b"x")
+                assert select.select([theirs[0]], [], [], 30)[0]
+                assert os.read(theirs[0], 1) == b"x"
+            return block, os.getpid()
 
-        assert list(_in_pairs(run, range(5))) == [
-            (0, True), (1, False), (2, True), (3, False), (4, True)]
-        assert most[0] == 2
+        try:
+            results = list(_in_pairs(run, range(5)))
+        finally:
+            for end in (*to_worker, *to_caller):
+                os.close(end)
+        [worker] = forks
+        assert results == [(0, caller), (1, worker), (2, caller), (3, worker),
+                           (4, caller)]
 
     def test_pairs_closed_early_leave_no_thread(self, monkeypatch):
+        # the worker's first block would take a minute: closing the pass
+        # kills the worker rather than wait for it
         cpus(monkeypatch, 2)
-        before = threading.active_count()
-        pairs = _in_pairs(lambda block: 2 * block, range(5))
+        forks, threads = self.spy_forks(monkeypatch), threading.active_count()
+        pairs = _in_pairs(lambda block: time.sleep(60 * (block % 2)) or 2 * block,
+                          range(5))
         assert next(pairs) == 0
-        assert threading.active_count() == before  # joined before the yield
+        assert len(forks) == 1
+        start = time.monotonic()
         pairs.close()
-        assert threading.active_count() == before
+        assert time.monotonic() - start < 30
+        self.assert_none_left(threads)
+
+    @pytest.mark.parametrize("why", ["thread", "one_cpu", "no_fork"])
+    def test_no_fork_where_unsafe_or_missing(self, monkeypatch, why):
+        # a second thread alive, one CPU, or no os.fork: the blocks run one
+        # after another in the caller, with the same bits
+        cpus(monkeypatch, 1)
+        expected = self.run("csi", "maxmin")
+        forks = self.spy_forks(monkeypatch)
+        if why == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        cpus(monkeypatch, 1 if why == "one_cpu" else 2)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        if why == "thread":
+            helper.start()
+        try:
+            assert self.run("csi", "maxmin") == expected
+        finally:
+            release.set()
+            if why == "thread":
+                helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert forks == []
 
 
 class TestCdfEstimates:
