@@ -45,6 +45,20 @@ __all__ = [
 # design: the block size, and so the random stream, follows the shape.
 ENTRIES = 1 << 17
 
+# Residency: each process faults its Monte Carlo working set in once.
+# glibc's malloc serves an array above its mmap threshold (128 KiB at
+# start) from a fresh mapping, returned to the kernel when freed, and
+# raises that threshold to the size of a mapped array it frees, and the
+# heap's trim threshold to twice it (mallopt(3)).  Freed early, one
+# unwritten array of 2 * ENTRIES floats (2 MiB) sets them to 2 and
+# 4 MiB, so every block-sized array a block frees stays in a heap that
+# the next block reuses, where each block faulted a block's 2.5 MiB in
+# again (11,400 minor faults per warm 3x4 CSI fig3 estimator call, 0
+# with it).  It runs at import, before any block and before the Monte
+# Carlo worker is forked, which inherits the thresholds; 1 MiB was not
+# enough.  Other allocators ignore it, and no result depends on it.
+np.empty(2 * ENTRIES)
+
 # entries per tile of the kernels that walk a gains-sized array in
 # pieces (256 KiB of float64), so they hold no second array of its size:
 # a Monte Carlo block's gains are two tiles.  A reused tile buffer pays

@@ -12,7 +12,11 @@ each process holds one block at a time, so the two hold what one block
 of the whole budget would.  A block is thousands of numpy calls of a
 few microseconds each, which two threads would serialise on the GIL.
 The worker shares the caller's pages copy-on-write and owns only what
-its blocks write.  Each block turns its trials into a result of its
+its blocks write.  Each process faults its working set in once: under
+glibc, ``model`` raises malloc's mmap and trim thresholds at import,
+which the worker inherits, so a block's freed arrays stay in a heap
+that the next block, and the next call, reuses (``model``'s residency
+comment).  Each block turns its trials into a result of its
 own, outage's integer hits or throughput's sums of rates per point and
 user, and the results are added in block order.  Results therefore
 depend only on (seed, trials, configuration), bit for bit on one CPU or

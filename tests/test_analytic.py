@@ -737,6 +737,45 @@ class TestAverageThroughput:
         want = average_throughput(t, b, pk)
         assert abs(got - want) <= 1e-10 * want
 
+    def test_interference_limited_matches_mpmath(self):
+        # the head case at its deepest level (-150 dB), against the
+        # integral of S(x) / (1+x) at 40 digits: the Rayleigh link CDF in
+        # closed form, e^-(a x) (b + (1-b) d/(x+d)) its CCDF, and S its
+        # binomial mixture with the exact pk of every rank order.  S is
+        # about 1 below hop 2's scale d = 1e-15 and 6 p1 d/x above it,
+        # until the cap-bound part b e^-(a x), b = 1e-25, takes over by
+        # 1/a = 5e9, so the interval is split every 1000-fold from d on
+        mp = pytest.importorskip("mpmath")
+        from assign_oracles import enumerate_rank_counts
+
+        t = topo(2, 3, 1)
+        b = budget_db(100, 100, -150)
+        counts = [int(c) for c in enumerate_rank_counts(2, 3).sum(axis=0)]
+        n = len(counts)
+        with mp.workdps(40):
+            o1, o2, o3, l1, l2, l3 = map(mp.mpf, (
+                t.eff_gain_hop1, t.eff_gain_hop2, t.eff_gain_interf,
+                b.source_snr, b.relay_snr_cap, b.interference_snr_cap))
+            a = 1 / (o1 * l1) + 1 / (o2 * l2)
+            capped = -mp.expm1(-l3 / (o3 * l2))  # P(the relay cap binds)
+            d = o2 * l3 / o3
+            pk = [mp.mpf(c) / sum(counts) for c in counts]
+            # w_j: the ranks above the point when j entries are below it
+            w = [mp.fsum(pk[:n - j]) for j in range(n + 1)]
+
+            def survival(x):
+                keep = mp.exp(-a * x)
+                ccdf = keep * (capped + (1 - capped) * d / (x + d))
+                cdf = -mp.expm1(-a * x) + keep * (1 - capped) * x / (x + d)
+                return mp.fsum(mp.binomial(n, j) * cdf ** j * ccdf ** (n - j)
+                               * w[j] for j in range(n + 1))
+
+            splits = [0] + [d * mp.mpf(10) ** k for k in range(0, 30, 3)] + [mp.inf]
+            want = (mp.quad(lambda x: survival(x) / (1 + x), splits)
+                    / (2 * t.num_users * mp.log(2)))
+        got = average_throughput(t, b, rank_placement_probs(2, 3, "maxmin"))
+        assert abs(got - want) <= 1e-10 * want
+
     def test_hop2_scale_underflow_gives_zero(self):
         # d = o2 l3 / o3 = 1e-300 * 1e-300 rounds to 0: hop 2's SNR is 0,
         # so the integrand is 0 and no head is dropped, where log(d) of

@@ -3,11 +3,15 @@ known truth, and agreement with the closed forms."""
 
 import math
 import os
+import platform
 import select
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1195,6 +1199,54 @@ class TestThreads:
                 helper.join(timeout=30)
         assert not helper.is_alive()
         assert forks == []
+
+
+# fig3's one-CPU estimator call, run twice in a fresh interpreter, which
+# prints the minor page faults of the second call
+SECOND_CALL_FAULTS = """
+import resource, sys
+from cogrelay import cli, montecarlo
+montecarlo._cpu_count = lambda: 1
+config = cli.load_config(sys.argv[1])
+budgets, levels = cli._mc_points(config, config.sweep.points())
+gamma_th = cli.db_to_linear(config.gamma_th_db)
+
+def call():
+    montecarlo.estimate_outage(
+        config.topology(), budgets, config.scheme,
+        [gamma_th / level for level in levels], config.trials,
+        cli._point_seed(config.seed, 0), csi=config.csi_model())
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+call()
+before = faults()
+call()
+print(faults() - before)
+"""
+
+
+class TestResidency:
+    """Each process faults its Monte Carlo working set in once: a block
+    reuses the heap that the block before it freed (``model``'s
+    residency comment)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the residency rule acts on glibc's malloc")
+    def test_warm_call_takes_no_faults(self):
+        # in a fresh interpreter: this process may already have raised
+        # glibc's thresholds by freeing a large array, which would pass
+        # this check without the rule (a warm fig3 call took 7,200-11,400
+        # faults where each block faulted its arrays in again)
+        src = Path(model.__file__).resolve().parents[1]
+        recipe = Path(__file__).resolve().parents[1] / "recipes" / "fig3.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", SECOND_CALL_FAULTS, str(recipe)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert int(done.stdout) < 1000
 
 
 class TestCdfEstimates:
