@@ -130,10 +130,12 @@ def _link_cdf(x, topology: NetworkTopology, budget,
     ac, bc = x * (m / (o2 * l2)), m * l3 / (o3 * l2)
     pa, qa, poi_a = _regularized_gamma(m, ac)
     pb, qb, poi_b = _regularized_gamma(m, bc)
-    # r = a / (a + b) = x / (x + d)
+    # r = a / (a + b) = x / (x + d), and s = 1 where d is inf (an
+    # infinite interference cap), which d / total would read as inf/inf
     d = o2 * l3 / o3
     total = x + d
-    win_a, win_b = _race(m, poi_a, poi_b, x / total, d / total)
+    s = np.divide(d, total, out=np.ones(np.shape(total)), where=d < math.inf)
+    win_a, win_b = _race(m, poi_a, poi_b, x / total, s)
     cdf = p1 + q1 * (pa + win_a)
     ccdf = q1 * (pb * qa + win_b)
     if csi is not None:

@@ -125,13 +125,12 @@ class ExperimentConfig:
         )
 
     def budget_at(self, sweep_db: float) -> LinkBudget:
-        gamma_th = db_to_linear(self.gamma_th_db)
         if self.sweep.variable == "lambda_all":
             lam = db_to_linear(sweep_db)
-            return LinkBudget(lam, lam, lam, gamma_th)
+            return LinkBudget(lam, lam, lam)
         return LinkBudget(db_to_linear(self.lambda1_db),
                           db_to_linear(sweep_db),
-                          db_to_linear(self.lambda3_db), gamma_th)
+                          db_to_linear(self.lambda3_db))
 
 
 def _field_schema(cls) -> dict[str, tuple[type, bool]]:
@@ -351,7 +350,7 @@ def _mc_points(config: ExperimentConfig, points: list[float]):
     Every other point uses its own budget at level 1.
     """
     if config.sweep.variable == "lambda_all" and config.csi is None:
-        unit = LinkBudget(1.0, 1.0, 1.0, db_to_linear(config.gamma_th_db))
+        unit = LinkBudget(1.0, 1.0, 1.0)
         return [unit] * len(points), [db_to_linear(point_db) for point_db in points]
     return [config.budget_at(point_db) for point_db in points], [1.0] * len(points)
 
@@ -361,64 +360,56 @@ def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
     """Closed forms and their Monte Carlo cross-check (interval at
     ``z``) at every sweep point; ``pk`` is the run's rank-placement
     distribution.  The Monte Carlo side is one estimator call on the
-    stream of point 0."""
+    stream of point 0; each closed form is read at every point once per
+    distinct pk row."""
     topology, csi = config.topology(), config.csi_model()
     gamma_th = db_to_linear(config.gamma_th_db)
     points = config.sweep.points()
     budgets, levels = _mc_points(config, points)
+    exact_budgets = [config.budget_at(point_db) for point_db in points]
     seed = _point_seed(config.seed, 0)
     if config.mode == "throughput":
         mc = montecarlo.estimate_throughput(
             topology, budgets, config.scheme, config.trials, seed, z=z,
             scales=levels)
-        # one call per distinct pk row reads every point's budget
         exact = _per_user(pk, lambda row: analytic.average_throughput(
-            topology, [config.budget_at(point_db) for point_db in points], row))
-        return [PointResult(point_db, list(values), None, None, estimates)
-                for point_db, values, estimates in zip(points, zip(*exact), mc)]
+            topology, exact_budgets, row))
+        return [PointResult(point_db, values, None, None, estimates)
+                for point_db, values, estimates in zip(points, exact, mc)]
     mc = montecarlo.estimate_outage(
         topology, budgets, config.scheme,
         [gamma_th / level for level in levels], config.trials, seed,
         z=z, csi=csi)
-    return [_closed_forms(config, point_db, pk, estimates)
-            for point_db, estimates in zip(points, mc)]
+    if csi is None:
+        exact = _per_user(pk, lambda row: [analytic.outage_probability(
+            gamma_th, topology, budget, row) for budget in exact_budgets])
+    else:
+        exact = _per_user(pk, lambda row: [analytic.outage_probability_imperfect(
+            gamma_th, topology, budget, csi, row) for budget in exact_budgets])
+    lambda_all = config.sweep.variable == "lambda_all"
+    asym1 = asym2 = [None] * len(points)
+    if lambda_all and csi is None and config.scheme == "maxmin":
+        asym1 = [analytic.asymptotic_outage_case1(
+            gamma_th, db_to_linear(point_db), topology) for point_db in points]
+    if not lambda_all and csi is None:
+        asym2 = _per_user(pk, lambda row: [analytic.asymptotic_outage_case2(
+            gamma_th, topology, budget, row) for budget in exact_budgets])
+    if lambda_all and csi is not None:
+        asym2 = _per_user(pk, lambda row: [analytic.outage_floor_imperfect(
+            gamma_th, csi, config.num_users, config.num_relays, row)] * len(points))
+    return [PointResult(*cells) for cells in zip(points, exact, asym1, asym2, mc)]
 
 
-def _per_user(pk: RankPlacementDistribution, closed_form) -> list:
-    """``closed_form(row)`` for every user's pk row, evaluated once per
-    distinct row (max-min rows are all equal when pk is exact)."""
-    values: dict[bytes, object] = {}
+def _per_user(pk: RankPlacementDistribution, closed_form) -> list[list]:
+    """``closed_form(row)``, one value per sweep point, for every user's
+    pk row, evaluated once per distinct row (max-min rows are all equal
+    when pk is exact); returned as one per-user list per point."""
+    values: dict[bytes, list] = {}
     for row in pk.per_user:
         if row.tobytes() not in values:
             values[row.tobytes()] = closed_form(row)
-    return [values[row.tobytes()] for row in pk.per_user]
-
-
-def _closed_forms(config: ExperimentConfig, point_db: float,
-                  pk: RankPlacementDistribution,
-                  mc: list[montecarlo.McEstimate]) -> PointResult:
-    """The outage closed forms of one sweep point."""
-    topology, csi = config.topology(), config.csi_model()
-    budget = config.budget_at(point_db)
-    gamma_th = budget.threshold_snr
-    if csi is None:
-        exact = _per_user(pk, lambda row: analytic.outage_probability(
-            gamma_th, topology, budget, row))
-    else:
-        exact = _per_user(pk, lambda row: analytic.outage_probability_imperfect(
-            gamma_th, topology, budget, csi, row))
-    lambda_all = config.sweep.variable == "lambda_all"
-    asym1 = asym2 = None
-    if lambda_all and csi is None and config.scheme == "maxmin":
-        asym1 = analytic.asymptotic_outage_case1(
-            gamma_th, db_to_linear(point_db), topology)
-    if not lambda_all and csi is None:
-        asym2 = _per_user(pk, lambda row: analytic.asymptotic_outage_case2(
-            gamma_th, topology, budget, row))
-    if lambda_all and csi is not None:
-        asym2 = _per_user(pk, lambda row: analytic.outage_floor_imperfect(
-            gamma_th, csi, config.num_users, config.num_relays, row))
-    return PointResult(point_db, exact, asym1, asym2, mc)
+    return [list(point) for point in zip(*(values[row.tobytes()]
+                                           for row in pk.per_user))]
 
 
 def _write(config: ExperimentConfig, output, lines: list[str]) -> Path:
@@ -575,7 +566,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
                                                 num_relays, pk.per_user[0])
         lam = db_to_linear(80)
         exact80 = analytic.outage_probability_imperfect(
-            gamma_th, topology, LinkBudget(lam, lam, lam, gamma_th), csi,
+            gamma_th, topology, LinkBudget(lam, lam, lam), csi,
             pk.per_user[0])
         rel = abs(exact80 - floor) / floor
         report.add("imperfect-csi-floor", "PASS" if rel <= 1e-3 else "FAIL",

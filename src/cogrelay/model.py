@@ -159,17 +159,14 @@ class LinkBudget:
     ``relay_snr_cap``     peak relay transmit power / noise
     ``interference_snr_cap``  peak tolerable interference at the primary
                           receiver / noise
-    ``threshold_snr``     outage threshold
     """
 
     source_snr: float
     relay_snr_cap: float
     interference_snr_cap: float
-    threshold_snr: float
 
     def __post_init__(self):
-        for name in ("source_snr", "relay_snr_cap", "interference_snr_cap",
-                     "threshold_snr"):
+        for name in ("source_snr", "relay_snr_cap", "interference_snr_cap"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 

@@ -27,10 +27,10 @@ more.
 
 The outage and throughput estimators score a whole sweep in one pass,
 block by block (:func:`_selected_snrs`): each point has a link budget
-and an outage threshold (or SNR scale).  Each block draws its channel
-gains, and under ``random`` each trial's relay map, once; then, budget
-by budget, it builds the SNR matrix, assigns, and scores every point of
-that budget.  All points thus share one random stream, so their
+(three power levels) and an outage threshold (or SNR scale).  Each
+block draws its channel gains, and under ``random`` each trial's relay
+map, once; then, budget by budget, it builds the SNR matrix, assigns,
+and scores every point of that budget.  All points thus share one random stream, so their
 estimates are correlated.  A budget with one outage threshold counts the selected SNRs
 at or below it in one pass; a budget with several sorts them once per
 block, so every threshold costs one binary search rather than a pass
@@ -260,7 +260,7 @@ def _per_point(budget, values):
 
 
 def _groups(budgets) -> dict[LinkBudget, list[int]]:
-    """The points of each distinct budget, budgets in order of first use."""
+    """The points of each distinct budget (its levels), in order of first use."""
     groups: dict[LinkBudget, list[int]] = {}
     for point, budget in enumerate(budgets):
         groups.setdefault(budget, []).append(point)

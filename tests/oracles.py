@@ -44,10 +44,9 @@ from cogrelay.specfun import (
 )
 
 
-def budget_db(l1, l2, l3, gth=5.0):
-    """Source power, relay cap, interference cap and threshold in dB."""
-    return LinkBudget(db_to_linear(l1), db_to_linear(l2), db_to_linear(l3),
-                      db_to_linear(gth))
+def budget_db(l1, l2, l3):
+    """Source power, relay cap and interference cap in dB."""
+    return LinkBudget(db_to_linear(l1), db_to_linear(l2), db_to_linear(l3))
 
 
 def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):

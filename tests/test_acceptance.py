@@ -76,7 +76,7 @@ def topo(num_users, num_relays, m):
 
 def common_budget(lam_db):
     lam = db_to_linear(lam_db)
-    return LinkBudget(lam, lam, lam, GAMMA_TH)
+    return LinkBudget(lam, lam, lam)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ def test_criterion_4_outage_floor(pk33):
     for m in (1, 3):
         t = topo(3, 3, m)
         budget = LinkBudget(db_to_linear(25.0), db_to_linear(60.0),
-                            db_to_linear(10.0), GAMMA_TH)
+                            db_to_linear(10.0))
         exact = outage_probability(GAMMA_TH, t, budget, pk33)
         floor = asymptotic_outage_case2(GAMMA_TH, t, budget, pk33)
         rel = abs(exact - floor) / floor
@@ -189,7 +189,7 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
         # floor against the 80 dB evaluation
         lam = db_to_linear(80.0)
         exact80 = outage_probability_imperfect(
-            GAMMA_TH, t, LinkBudget(lam, lam, lam, GAMMA_TH), err, pk)
+            GAMMA_TH, t, LinkBudget(lam, lam, lam), err, pk)
         floor = outage_floor_imperfect(GAMMA_TH, err, num_users, 4, pk)
         rel = abs(exact80 - floor) / floor
         ok &= rel <= 1e-3
@@ -213,7 +213,7 @@ def test_criterion_6_throughput(pk34):
     worst_rel = worst_paper = 0.0
     for index, lam2_db in enumerate((0, 10, 20, 30, 40)):
         budget = LinkBudget(db_to_linear(25.0), db_to_linear(lam2_db),
-                            db_to_linear(10.0), GAMMA_TH)
+                            db_to_linear(10.0))
         closed = average_throughput(t, budget, pk34)
         est = estimate_throughput(t, budget, "maxmin", trials=MC_TRIALS,
                                   seed=900 + index, z=3.0)[0]

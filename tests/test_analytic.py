@@ -6,6 +6,7 @@ the throughput integrals."""
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -141,6 +142,32 @@ class TestCdfMinSnr:
             cdf, ccdf = _link_cdf(db_to_linear(3000), t, budget_db(10, 10, 10))
         assert (cdf, ccdf) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_infinite_interference_cap(self, m):
+        # hop 2's race reads s = d / (x + d), inf/inf at l3 = inf; m = 8
+        # takes the race's log-space branch.  With no interference cap the
+        # relay always sends at its peak, so the link is two capped hops
+        t, x = topo(m=m), 3.16
+        pk = rank_placement_probs(2, 3, "maxmin").per_user[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf, ccdf = _link_cdf(x, t, LinkBudget(100.0, 100.0, math.inf))
+            outage = [outage_probability(x, t, LinkBudget(100.0, 100.0, l3), pk)
+                      for l3 in (1e8, 1e12, math.inf)]
+        a = m * x / 100.0  # both hops: unit gains at level 100
+        assert cdf == pytest.approx(
+            gammainc(m, a) + gammaincc(m, a) * gammainc(m, a), rel=1e-12)
+        assert ccdf == pytest.approx(gammaincc(m, a) ** 2, rel=1e-12)
+        # the outage reaches its limit, bit for bit, by l3 = 1e8
+        assert outage[0] == outage[1] == outage[2] > 0
+        if m == 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rates = [average_throughput(t, LinkBudget(100.0, 100.0, l3), pk)
+                         for l3 in (1e8, 1e12, math.inf)]
+            assert rates[0] == rates[1] == rates[2] == pytest.approx(1.52536,
+                                                                      rel=1e-5)
+
 
 LEVELS_DB = range(0, 70, 10)
 
@@ -149,7 +176,7 @@ def link_budgets(level_db):
     """Common-SNR budget, its relay cap 7 dB lower (the cap binds more
     often) and an infinite relay cap (the relay-cap floor)."""
     lam = db_to_linear(level_db)
-    return [LinkBudget(lam, cap, lam, GAMMA_TH)
+    return [LinkBudget(lam, cap, lam)
             for cap in (lam, db_to_linear(level_db - 7), math.inf)]
 
 
@@ -169,8 +196,7 @@ def link_cases(draw):
              mean_gain_hop2=draw(gain), mean_gain_interf=draw(gain),
              dist_interf=draw(gain), path_loss_exp=2.0)
     cap = draw(st.one_of(level.map(db_to_linear), st.just(math.inf)))
-    b = LinkBudget(db_to_linear(draw(level)), cap, db_to_linear(draw(level)),
-                   GAMMA_TH)
+    b = LinkBudget(db_to_linear(draw(level)), cap, db_to_linear(draw(level)))
     return t, b, GAMMA_TH * 10.0 ** draw(st.floats(-4.0, 2.0))
 
 
@@ -209,7 +235,7 @@ class TestLinkCdfOracle:
         from oracles import link_cdf_mpmath
 
         t, lam = topo(m=m), db_to_linear(level_db)
-        b = LinkBudget(lam, lam if cap else math.inf, lam, GAMMA_TH)
+        b = LinkBudget(lam, lam if cap else math.inf, lam)
         cdf, ccdf = _link_cdf(x * GAMMA_TH, t, b)
         ref_f, ref_g = link_cdf_mpmath(x * GAMMA_TH, t, b)
         assert_close(cdf, float(ref_f), 1e-14)
@@ -241,7 +267,7 @@ class TestLinkCdfOracle:
     @given(link_cases(), st.floats(0.0, 30.0))
     def test_nonincreasing_in_common_snr(self, case, step_db):
         t, _, x = case
-        low, high = (LinkBudget(*(db_to_linear(s),) * 3, GAMMA_TH)
+        low, high = (LinkBudget(*(db_to_linear(s),) * 3)
                      for s in (0.0, step_db))
         assert (_link_cdf(x, t, high)[0]
                 <= _link_cdf(x, t, low)[0] * (1 + 1e-13))
@@ -272,7 +298,7 @@ class TestOutageProperties:
     @given(outage_cases(), st.floats(0.0, 30.0))
     def test_nonincreasing_in_common_snr(self, case, step_db):
         t, _, x, pk = case
-        low, high = (LinkBudget(*(db_to_linear(s),) * 3, GAMMA_TH)
+        low, high = (LinkBudget(*(db_to_linear(s),) * 3)
                      for s in (10.0, 10.0 + step_db))
         assert outage_probability(x, t, high, pk) <= \
             outage_probability(x, t, low, pk) * (1 + 1e-13)
@@ -445,7 +471,7 @@ class TestGFactor:
         for m in (1, 2):
             t = topo(1, 1, m)
             lam = 1e6
-            b = LinkBudget(lam, lam, lam, 1.0)
+            b = LinkBudget(lam, lam, lam)
             x = 1.0
             est = _link_cdf(x, t, b)[0] * lam ** m / x ** m
             assert est == pytest.approx(g_factor(t), rel=1e-3), m
@@ -456,7 +482,7 @@ class TestAsymptotics:
         t = topo()
         pk = rank_placement_probs(2, 3, "maxmin")
         lam = db_to_linear(60)
-        b = LinkBudget(lam, lam, lam, GAMMA_TH)
+        b = LinkBudget(lam, lam, lam)
         exact = outage_probability(GAMMA_TH, t, b, pk)
         asym = asymptotic_outage_case1(GAMMA_TH, lam, t)
         assert 0.95 <= asym / exact <= 1.05
@@ -487,7 +513,7 @@ class TestAsymptotics:
         pk = rank_placement_probs(3, 3, "maxmin")
         for m in (1, 3):
             t = topo(3, 3, m)
-            b = LinkBudget(db_to_linear(25), 1e8, db_to_linear(10), GAMMA_TH)
+            b = LinkBudget(db_to_linear(25), 1e8, db_to_linear(10))
             exact = outage_probability(GAMMA_TH, t, b, pk)
             floor = asymptotic_outage_case2(GAMMA_TH, t, b, pk)
             assert abs(exact - floor) / floor < 1e-3, m
@@ -563,7 +589,7 @@ class TestImperfectCsi:
         err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
         pk = rank_placement_probs(3, 4, "maxmin")
         lam = 1e8
-        b = LinkBudget(lam, lam, lam, GAMMA_TH)
+        b = LinkBudget(lam, lam, lam)
         exact = outage_probability_imperfect(GAMMA_TH, self.t34, b, err, pk)
         floor = outage_floor_imperfect(GAMMA_TH, err, 3, 4, pk)
         assert abs(exact - floor) / floor < 1e-3
@@ -781,7 +807,7 @@ class TestAverageThroughput:
         # so the integrand is 0 and no head is dropped, where log(d) of
         # the rule's first node would raise
         t = topo(1, 2, 1, mean_gain_hop2=1e-300)
-        assert average_throughput(t, LinkBudget(100.0, 1e300, 1e-300, 1.0),
+        assert average_throughput(t, LinkBudget(100.0, 1e300, 1e-300),
                                   [0.5, 0.5]) == 0.0
 
     def test_rejects_nonrayleigh(self):
@@ -790,7 +816,7 @@ class TestAverageThroughput:
 
     def test_nonnegative(self):
         t = topo(1, 1, 1)
-        b = LinkBudget(1e-6, 1e-6, 1e-6, 1.0)
+        b = LinkBudget(1e-6, 1e-6, 1e-6)
         assert average_throughput(t, b, [1.0]) >= 0.0
 
 
@@ -830,7 +856,7 @@ def throughput_sweeps(draw):
                            min_size=1, max_size=30))
     budgets = [LinkBudget(db_to_linear(l1),
                           math.inf if l2 == math.inf else db_to_linear(l2),
-                          db_to_linear(l3), 1.0)
+                          db_to_linear(l3))
                for l1, l2, l3 in levels]
     if draw(st.booleans()):
         rows = rank_placement_probs(num_users, num_relays, "naive").per_user

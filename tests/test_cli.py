@@ -425,8 +425,8 @@ class TestSweepReuse:
                                          "step_db": 0.25}})
         budgets, levels = _mc_points(config, config.sweep.points())
         assert len(levels) == MAX_SWEEP_POINTS
-        thresholds = [budget.threshold_snr / level
-                      for budget, level in zip(budgets, levels)]
+        gamma_th = db_to_linear(config.gamma_th_db)
+        thresholds = [gamma_th / level for level in levels]
         tracemalloc.start()
         try:
             estimates = estimate_outage(config.topology(), budgets, "maxmin",
@@ -448,8 +448,8 @@ class TestSweepReuse:
                                "nakagami_m": 1, "scheme": "naive",
                                "trials": 20_000, "seed": 1})
         budgets, levels = _mc_points(config, config.sweep.points())
-        thresholds = [budget.threshold_snr / level
-                      for budget, level in zip(budgets, levels)]
+        gamma_th = db_to_linear(config.gamma_th_db)
+        thresholds = [gamma_th / level for level in levels]
         tracemalloc.start()
         try:
             estimates = estimate_outage(config.topology(), budgets, "naive",
@@ -668,7 +668,8 @@ class TestPerUserFloor:
         assert len(top) == 3
         for row, pk_row in zip(top, pk.per_user):
             floor = analytic.asymptotic_outage_case2(
-                budget.threshold_snr, config.topology(), budget, pk_row)
+                db_to_linear(config.gamma_th_db), config.topology(), budget,
+                pk_row)
             assert row[4] == cli._fmt(floor)
             assert abs(float(row[2]) - floor) <= 1e-9 * floor
         assert len({row[4] for row in top}) == 3

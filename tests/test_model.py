@@ -113,7 +113,7 @@ class TestTopologyValidation:
                                    np.array([0.0, 1.0, np.inf]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            snrs = snr_matrix(draws, t, LinkBudget(1.0, 1.0, 1.0, 1.0))
+            snrs = snr_matrix(draws, t, LinkBudget(1.0, 1.0, 1.0))
         assert not np.isnan(snrs).any()
 
 
@@ -175,7 +175,7 @@ class TestRelayPower:
     through the SNR matrix of :func:`hop2_only` gains."""
 
     budget = LinkBudget(source_snr=10.0, relay_snr_cap=10.0,
-                        interference_snr_cap=5.0, threshold_snr=1.0)
+                        interference_snr_cap=5.0)
 
     def test_deep_fade_gives_peak_power(self):
         assert relay_snr(0.0, self.budget, topo()) == 10.0
@@ -230,8 +230,7 @@ def interference_cases(draw, ndim):
     """A budget, a topology and interference gains of ``ndim`` axes
     (three: trials, M, N): exponential draws mixed with +0.0, -0.0 and
     the gain d3^b I / cap at which both arms of the relay cap meet."""
-    budget = LinkBudget(1.0, draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)),
-                        1.0)
+    budget = LinkBudget(1.0, draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)))
     t = topo(2, 3, dist_interf=draw(st.floats(0.1, 10.0)),
              path_loss_exp=draw(st.sampled_from([0.0, 2.0, 3.7])))
     shape = (draw(st.integers(1, 3)), 2, 3) if ndim == 3 else (7,) * ndim
@@ -271,7 +270,7 @@ class TestRelayCapOracle:
         # 0-d estimates give a numpy scalar, as the where form does
         budget, t, f = case
         budget = LinkBudget(10.0, budget.relay_snr_cap,
-                            budget.interference_snr_cap, 1.0)
+                            budget.interference_snr_cap)
         err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
         rng = np.random.default_rng(seed)
         est = ChannelRealization(rng.exponential(size=f.shape),
@@ -292,7 +291,7 @@ def split_cases(draw, ndim):
     draws = ChannelRealization(rng.exponential(size=f.shape),
                                rng.exponential(size=f.shape), f)
     base = LinkBudget(draw(st.floats(1e-3, 1e6)), budget.relay_snr_cap,
-                      budget.interference_snr_cap, 1.0)
+                      budget.interference_snr_cap)
     return base, t, draws
 
 
@@ -336,7 +335,7 @@ class TestSnrSplit:
         f = np.full(shape, 0.5)
         f.reshape(-1)[-1] = bad
         draws = ChannelRealization(np.ones(shape), np.ones(shape), f)
-        budget, t = LinkBudget(1.0, 1.0, 1.0, 1.0), topo(1, 3)
+        budget, t = LinkBudget(1.0, 1.0, 1.0), topo(1, 3)
         for build in (lambda: snr_matrix(draws, t, budget),
                       lambda: snr_matrix_imperfect(draws, zero_error(t), t, budget),
                       lambda: _checked_interference(draws.interf)):
@@ -405,7 +404,7 @@ class TestOutBuffers:
         # where form, with and without out=
         t = topo(2, 3, path_loss_exp=3.7, dist_hop1=1.3, dist_interf=0.7)
         err = CsiErrorModel.from_error_ratios(t, 0.05, 0.1, 0.0)
-        budget = LinkBudget(10.0, 4.0, 2.0, 1.0)
+        budget = LinkBudget(10.0, 4.0, 2.0)
         rng = np.random.default_rng(9)
         est = ChannelRealization(*(rng.exponential(size=shape) for _ in range(3)))
         want = snr_matrix_imperfect_where(est, err, t, budget)
@@ -448,7 +447,7 @@ class TestSnrMonotone:
         raised[level] = {"ulp": np.nextafter(levels[level], np.inf),
                          "tiny": levels[level] * (1 + 1e-12),
                          "large": levels[level] * 1.5}[step]
-        low, high = LinkBudget(*levels, 1.0), LinkBudget(*raised, 1.0)
+        low, high = LinkBudget(*levels), LinkBudget(*raised)
         rng = np.random.default_rng(seed)
         draws = ChannelRealization(rng.exponential(size=f.shape),
                                    rng.exponential(size=f.shape), f)
@@ -463,7 +462,7 @@ class TestSnrMatrix:
         t = topo(1, 1, 1)
         real = ChannelRealization(np.zeros((1, 1)), np.ones((1, 1)),
                                   np.ones((1, 1)))
-        b = LinkBudget(10, 10, 10, 1)
+        b = LinkBudget(10, 10, 10)
         assert snr_matrix(real, t, b)[0, 0] == 0.0
 
     def test_hand_evaluated_min(self):
@@ -472,7 +471,7 @@ class TestSnrMatrix:
         t = topo(1, 1, 1)
         real = ChannelRealization(np.ones((1, 1)), np.ones((1, 1)),
                                   np.ones((1, 1)))
-        b = LinkBudget(10, 10, 5, 1)
+        b = LinkBudget(10, 10, 5)
         assert snr_matrix(real, t, b)[0, 0] == pytest.approx(5.0)
 
     def test_huge_relay_power_gives_inf_without_warning(self):
@@ -483,7 +482,7 @@ class TestSnrMatrix:
                                   np.array([[0.0, 1e-307, 1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            snr = snr_matrix(real, topo(1, 3), LinkBudget(1.0, math.inf, 10.0, 1.0))
+            snr = snr_matrix(real, topo(1, 3), LinkBudget(1.0, math.inf, 10.0))
         assert snr[0, :2].tolist() == [math.inf, math.inf]
         assert snr[0, 2] == pytest.approx(1000.0)
 
@@ -491,8 +490,7 @@ class TestSnrMatrix:
         t = topo(2, 3, 2)
         rng = np.random.default_rng(6)
         real = sample_realization(t, rng, trials=1000)
-        b = LinkBudget(db_to_linear(12), db_to_linear(9), db_to_linear(3),
-                       db_to_linear(5))
+        b = LinkBudget(db_to_linear(12), db_to_linear(9), db_to_linear(3))
         g = snr_matrix(real, t, b)
         assert np.all(g <= b.source_snr * real.hop1 + 1e-12)
         assert np.all(g <= b.relay_snr_cap * real.hop2 + 1e-12)
@@ -502,7 +500,7 @@ class TestSnrMatrix:
         # plain dual-hop DF law 1 - (1-F1)(1-F2)
         m = 2
         t = topo(1, 1, m)
-        b = LinkBudget(10.0, 8.0, 1e9, 1.0)
+        b = LinkBudget(10.0, 8.0, 1e9)
         rng = np.random.default_rng(7)
         trials = 1_000_000
         real = sample_realization(t, rng, trials=trials)
@@ -536,7 +534,7 @@ class TestImperfectSnrMatrix:
         gain = 2.0
         real = ChannelRealization(np.array([[gain]]), np.array([[1e9]]),
                                   np.array([[1e-9]]))
-        b = LinkBudget(1e8, 1e12, 1e12, 1.0)
+        b = LinkBudget(1e8, 1e12, 1e12)
         g = snr_matrix_imperfect(real, err, t, b)
         assert g[0, 0] == pytest.approx(gain / 0.05, rel=1e-6)
 
@@ -545,7 +543,7 @@ class TestImperfectSnrMatrix:
         err = CsiErrorModel(0.9, 0.8, 0.7, 0.1, 0.2, 0.3)
         real = ChannelRealization(np.array([[0.5]]), np.array([[0.4]]),
                                   np.array([[0.6]]))
-        b = LinkBudget(20.0, 8.0, 4.0, 1.0)
+        b = LinkBudget(20.0, 8.0, 4.0)
         q = min(8.0, 4.0 / 0.6)
         hop1 = 20.0 * 0.5 / (20.0 * 0.1 + 1.0)
         hop2 = q * 0.4 / (q * 0.2 + 1.0)
@@ -558,7 +556,7 @@ class TestImperfectSnrMatrix:
         real = ChannelRealization(np.ones((1, 1)), np.ones((1, 1)),
                                   np.ones((1, 1)))
         with pytest.raises(ValueError, match="nakagami_m == 1"):
-            snr_matrix_imperfect(real, err, t, LinkBudget(1, 1, 1, 1))
+            snr_matrix_imperfect(real, err, t, LinkBudget(1, 1, 1))
 
 
 class TestCsiErrorModel:

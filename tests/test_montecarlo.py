@@ -565,7 +565,7 @@ class TestSaturationFilter:
         t = topo(2, 3, 2)
         thresholds = [GAMMA_TH / db_to_linear(x) for x in range(0, 41, 5)]
         peak = process_peak(monkeypatch, lambda: estimate_outage(
-            t, LinkBudget(1.0, 1.0, 1.0, GAMMA_TH), "maxmin", thresholds,
+            t, LinkBudget(1.0, 1.0, 1.0), "maxmin", thresholds,
             trials=2 * _block_trials(t), seed=1))
         assert peak < 3.75 / 2 * 2**20
 
@@ -799,7 +799,7 @@ class TestSettledCarry:
         t = replace(self.T, num_users=shape[0], num_relays=shape[1])
         caps = [db_to_linear(c) for c in caps_db]
         caps += knee_caps(t, l1, l3, 1000, seed, picks)
-        budgets = [LinkBudget(db_to_linear(l1), cap, db_to_linear(l3), 1.0)
+        budgets = [LinkBudget(db_to_linear(l1), cap, db_to_linear(l3))
                    for cap in sorted(set(caps))]
         # a repeated budget scores with the first of its kind
         budgets.append(budgets[0])
@@ -811,7 +811,7 @@ class TestSettledCarry:
         # fig4's levels, with caps at knees of block 0 between them
         caps = sorted([db_to_linear(x) for x in range(0, 41, 5)]
                       + knee_caps(self.T, 25.0, 10.0, TWO_BLOCKS, 4, [3, 5000]))
-        budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10), 1.0)
+        budgets = [LinkBudget(db_to_linear(25), cap, db_to_linear(10))
                    for cap in caps]
         calls = self.check(self.T, budgets, scheme, TWO_BLOCKS, 4, carried=True)
         # settled trials leave before the last budget
@@ -982,7 +982,7 @@ class TestHeldAtBuild:
 class TestThroughputEstimates:
     def test_vanishes_without_power(self):
         t = topo(1, 1, 1)
-        b = LinkBudget(1e-9, 1e-9, 1e-9, 1.0)
+        b = LinkBudget(1e-9, 1e-9, 1e-9)
         est = estimate_throughput(t, b, "maxmin", trials=5_000, seed=2)[0]
         assert est.mean < 1e-8
 
@@ -1003,8 +1003,8 @@ class TestThroughputEstimates:
         # as log2(1 + SNR) reads 0, with interval [0, 0]
         t, scale = topo(m=1), 1e-20
         pk = rank_placement_probs(2, 3, "maxmin")
-        exact = average_throughput(t, LinkBudget(scale, scale, scale, 1.0), pk)
-        for est in estimate_throughput(t, LinkBudget(1.0, 1.0, 1.0, 1.0),
+        exact = average_throughput(t, LinkBudget(scale, scale, scale), pk)
+        for est in estimate_throughput(t, LinkBudget(1.0, 1.0, 1.0),
                                        "maxmin", trials=10_000, seed=1,
                                        scales=scale):
             assert est.mean > 0
