@@ -127,7 +127,10 @@ def _link_cdf(x, topology: NetworkTopology, budget,
     l1, l2, l3 = (budget.source_snr, budget.relay_snr_cap,
                   budget.interference_snr_cap)
     p1, q1, _ = _regularized_gamma(m, x * (m / (o1 * l1)))
-    ac, bc = x * (m / (o2 * l2)), m * l3 / (o3 * l2)
+    # c = 0 at an infinite relay cap, where l3 / l2 may read inf/inf
+    ac = x * (m / (o2 * l2))
+    bc = np.divide(m * l3, o3 * l2, out=np.zeros(np.broadcast(l2, l3).shape),
+                   where=l2 < math.inf)
     pa, qa, poi_a = _regularized_gamma(m, ac)
     pb, qb, poi_b = _regularized_gamma(m, bc)
     # r = a / (a + b) = x / (x + d), and s = 1 where d is inf (an
@@ -449,10 +452,15 @@ def average_throughput(topology: NetworkTopology, budget, pk):
     for b in budgets:
         # the link CCDF decays like e^-(a x), and hop 2's from the scale
         # d of its interference-limited SNR on (see :func:`_link_cdf`)
+        a = (1.0 / (topology.eff_gain_hop1 * b.source_snr)
+             + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap))
+        if not a > 0:  # the rule's last node e^s = 750/a is then inf
+            raise ValueError(
+                f"closed-form throughput needs a finite source_snr or "
+                f"relay_snr_cap, got source_snr={b.source_snr} and "
+                f"relay_snr_cap={b.relay_snr_cap}")
         x, node_weights = _log_trapezoid(
-            1.0 / (topology.eff_gain_hop1 * b.source_snr)
-            + 1.0 / (topology.eff_gain_hop2 * b.relay_snr_cap),
-            topology.eff_gain_hop2 * b.interference_snr_cap
+            a, topology.eff_gain_hop2 * b.interference_snr_cap
             / topology.eff_gain_interf)
         out.append(0.0)
         for start in range(0, len(x), per_call):

@@ -75,15 +75,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class CsiSpec:
-    """Error-to-total variance ratio of each channel estimate."""
-
-    error_ratio_h1: float
-    error_ratio_h2: float
-    error_ratio_f: float
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     num_users: int
     num_relays: int
@@ -103,7 +94,7 @@ class ExperimentConfig:
     mode: str = "outage"
     trials: int = 100_000
     seed: int = 0
-    csi: CsiSpec | None = None
+    csi: CsiErrorModel | None = None
     output: str | None = None
 
     def topology(self) -> NetworkTopology:
@@ -114,14 +105,6 @@ class ExperimentConfig:
             mean_gain_interf=self.omega_f,
             dist_hop1=self.d1, dist_hop2=self.d2, dist_interf=self.d3,
             path_loss_exp=self.path_loss_exp,
-        )
-
-    def csi_model(self) -> CsiErrorModel | None:
-        if self.csi is None:
-            return None
-        return CsiErrorModel.from_error_ratios(
-            self.topology(), self.csi.error_ratio_h1,
-            self.csi.error_ratio_h2, self.csi.error_ratio_f,
         )
 
     def budget_at(self, sweep_db: float) -> LinkBudget:
@@ -145,7 +128,8 @@ def _field_schema(cls) -> dict[str, tuple[type, bool]]:
     return schema
 
 
-_SCHEMA = {cls: _field_schema(cls) for cls in (ExperimentConfig, SweepSpec, CsiSpec)}
+_SCHEMA = {cls: _field_schema(cls)
+           for cls in (ExperimentConfig, SweepSpec, CsiErrorModel)}
 _JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
@@ -168,9 +152,13 @@ def _build(cls, block: dict, where: str):
     for key, (_, required) in schema.items():
         if required and key not in block:
             raise ConfigError(f"missing required {where} key: {key!r}")
-    return cls(**{key: _build(schema[key][0], value, key)
-                  if isinstance(value, dict) else value
-                  for key, value in block.items()})
+    kwargs = {key: _build(schema[key][0], value, key)
+              if isinstance(value, dict) else value
+              for key, value in block.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a block that refuses its own values
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -230,9 +218,6 @@ def _validate(config: ExperimentConfig):
         if config.nakagami_m != 1:
             raise ConfigError("csi block requires nakagami_m == 1 "
                               "(the imperfect-CSI model is Rayleigh only)")
-        for key, value in asdict(config.csi).items():
-            if not 0 <= value < 1:
-                raise ConfigError(f"csi {key} must be in [0, 1), got {value}")
     if config.mode == "throughput":
         if config.nakagami_m != 1:
             raise ConfigError("throughput mode requires nakagami_m == 1")
@@ -362,7 +347,7 @@ def evaluate_sweep(config: ExperimentConfig, pk: RankPlacementDistribution,
     distribution.  The Monte Carlo side is one estimator call on the
     stream of point 0; each closed form is read at every point once per
     distinct pk row."""
-    topology, csi = config.topology(), config.csi_model()
+    topology, csi = config.topology(), config.csi
     gamma_th = db_to_linear(config.gamma_th_db)
     points = config.sweep.points()
     budgets, levels = _mc_points(config, points)
@@ -485,7 +470,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     INCONCLUSIVE rather than FAIL."""
     report = ValidationReport()
     topology = config.topology()
-    csi = config.csi_model()
+    csi = config.csi
     pk = _rank_distribution(config)
     gamma_th = db_to_linear(config.gamma_th_db)
     num_users, num_relays = config.num_users, config.num_relays

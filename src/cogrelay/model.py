@@ -8,7 +8,11 @@ boundary (see :func:`db_to_linear`).
 Every hop's SNR is h / (σ² + dᵇ/λ), λ the source power on hop 1 and the
 relay power on hop 2, σ² the hop's estimation-error variance: 0 under
 perfect CSI, the zero-error case bit for bit.  One builder forms it
-(:func:`_snr`).  The relay power is min(λ3·d3ᵇ/f, λ2), so hop 2's noise
+(:func:`_snr`).  Under imperfect CSI (:class:`CsiErrorModel`, the
+config's three error ratios r) each estimate keeps Ω·(1 - r) of its
+link's mean gain Ω: the hop ratios act as noise, σ² = Ω·r, and
+``error_ratio_f`` only lowers the estimated interference gain that sets
+the relay power.  The relay power is min(λ3·d3ᵇ/f, λ2), so hop 2's noise
 is the larger of d2ᵇ/(λ3·d3ᵇ/f), which the relay cap leaves alone
 (:func:`_hop2_floor`), and d2ᵇ/λ2, bit for bit, since a correctly
 rounded division by a positive number is monotone.  Its steps round
@@ -186,53 +190,28 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class CsiErrorModel:
-    """Channel-estimation error model (Rayleigh fading only).
+    """Channel-estimation error model (Rayleigh fading only): the
+    error-to-total variance ratio r of each channel estimate, the
+    config's ``csi`` block.  An estimate's mean gain is Ω·(1 - r) of its
+    link's Ω (:func:`_estimated`), and its independent error's variance
+    Ω·r, which :func:`_snr` adds to its hop's noise."""
 
-    Estimated channels are complex Gaussian with the ``est_gain_*``
-    variances and the independent estimation errors have the
-    ``err_var_*`` variances; the true gain splits as est + err.
-    """
-
-    est_gain_hop1: float
-    est_gain_hop2: float
-    est_gain_interf: float
-    err_var_hop1: float
-    err_var_hop2: float
-    err_var_interf: float
+    error_ratio_h1: float
+    error_ratio_h2: float
+    error_ratio_f: float
 
     def __post_init__(self):
-        for name in ("est_gain_hop1", "est_gain_hop2", "est_gain_interf"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("err_var_hop1", "err_var_hop2", "err_var_interf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @classmethod
-    def from_error_ratios(cls, topology: NetworkTopology,
-                          ratio_hop1: float, ratio_hop2: float,
-                          ratio_interf: float) -> "CsiErrorModel":
-        """Split each true mean gain into estimate + error given the
-        error-to-total variance ratios."""
-        for name, r in (("ratio_hop1", ratio_hop1), ("ratio_hop2", ratio_hop2),
-                        ("ratio_interf", ratio_interf)):
-            if not 0 <= r < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {r}")
-        return cls(
-            est_gain_hop1=topology.mean_gain_hop1 * (1 - ratio_hop1),
-            est_gain_hop2=topology.mean_gain_hop2 * (1 - ratio_hop2),
-            est_gain_interf=topology.mean_gain_interf * (1 - ratio_interf),
-            err_var_hop1=topology.mean_gain_hop1 * ratio_hop1,
-            err_var_hop2=topology.mean_gain_hop2 * ratio_hop2,
-            err_var_interf=topology.mean_gain_interf * ratio_interf,
-        )
+        for name in ("error_ratio_h1", "error_ratio_h2", "error_ratio_f"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def error_rate(self) -> float:
-        """e = err_var_hop1 / est_gain_hop1 + err_var_hop2 / est_gain_hop2:
-        the estimation errors scale a link's SNR CCDF at x by e^(-x e)."""
-        return (self.err_var_hop1 / self.est_gain_hop1
-                + self.err_var_hop2 / self.est_gain_hop2)
+        """e = r1/(1 - r1) + r2/(1 - r2), each hop's error variance over
+        its estimate gain: the estimation errors scale a link's SNR CCDF
+        at x by e^(-x e)."""
+        r1, r2 = self.error_ratio_h1, self.error_ratio_h2
+        return r1 / (1 - r1) + r2 / (1 - r2)
 
 
 def _gamma_gains(rng: np.random.Generator, m: int, mean: float, shape) -> np.ndarray:
@@ -276,12 +255,15 @@ def _require_rayleigh(topology: NetworkTopology):
 
 
 def _estimated(topology: NetworkTopology, err: CsiErrorModel) -> NetworkTopology:
-    """The topology with ``err``'s estimate gains as mean gains (Rayleigh
-    only), all that imperfect-CSI statistics need beside the errors."""
+    """The topology with each mean gain Ω cut to its estimate's Ω·(1 - r)
+    (Rayleigh only), all that imperfect-CSI statistics need beside the
+    errors."""
     _require_rayleigh(topology)
-    return replace(topology, mean_gain_hop1=err.est_gain_hop1,
-                   mean_gain_hop2=err.est_gain_hop2,
-                   mean_gain_interf=err.est_gain_interf)
+    return replace(
+        topology,
+        mean_gain_hop1=topology.mean_gain_hop1 * (1 - err.error_ratio_h1),
+        mean_gain_hop2=topology.mean_gain_hop2 * (1 - err.error_ratio_h2),
+        mean_gain_interf=topology.mean_gain_interf * (1 - err.error_ratio_f))
 
 
 def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
@@ -320,11 +302,12 @@ def _hop2_floor(f, budget: LinkBudget, topology: NetworkTopology, out=None):
 def _snr(hop1, hop2, floor2, budget: LinkBudget, err: CsiErrorModel | None,
          topology: NetworkTopology, out=None) -> np.ndarray:
     """The SNR matrix at one budget from the gains and hop 2's cap-free
-    noise ``floor2`` (:func:`_hop2_floor`), σ² = 0 under perfect CSI
-    (``err`` None), in ``out`` or a new array.  Hop 2's SNR is built in
-    place, its noise max(floor2, d2ᵇ/λ2), then the hop-1 SNR is formed
-    one tile of at most ``_TILE`` entries at a time and its minimum taken
-    into that array, so no second array of the gains' size is held.
+    noise ``floor2`` (:func:`_hop2_floor`), each hop's σ² = Ω·r, Ω its
+    true mean gain (0 under perfect CSI, ``err`` None), in ``out`` or a
+    new array.  Hop 2's SNR is built in place, its noise max(floor2,
+    d2ᵇ/λ2), then the hop-1 SNR is formed one tile of at most ``_TILE``
+    entries at a time and its minimum taken into that array, so no
+    second array of the gains' size is held.
     ``out`` may be ``floor2``, which a Monte Carlo block passes where no
     later build reads it; never ``hop1`` or ``hop2``."""
     if out is None:
@@ -332,22 +315,22 @@ def _snr(hop1, hop2, floor2, budget: LinkBudget, err: CsiErrorModel | None,
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     snrs = np.maximum(floor2, d2b / budget.relay_snr_cap, out=out)
     if err is not None:
-        snrs += err.err_var_hop2
-    # +inf where the noise is 0 (an infinite relay power without
-    # error), or so small that the SNR overflows
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(hop2, snrs, out=snrs)
-    noise1 = ((0.0 if err is None else err.err_var_hop1)
+        snrs += topology.mean_gain_hop2 * err.error_ratio_h2
+    noise1 = ((0.0 if err is None else topology.mean_gain_hop1 * err.error_ratio_h1)
               + topology.dist_hop1 ** topology.path_loss_exp / budget.source_snr)
     # tiles of whole rows along the leading (trials) axis
     hop1, stack = np.atleast_1d(hop1), np.atleast_1d(snrs)
     rows = max(1, _TILE // max(1, math.prod(stack.shape[1:])))
     tile = np.empty((min(rows, len(stack)),) + stack.shape[1:])
-    for start in range(0, len(stack), rows):
-        hop2_part = stack[start:start + rows]
-        hop1_part = np.divide(hop1[start:start + rows], noise1,
-                              out=tile[:len(hop2_part)])
-        np.minimum(hop1_part, hop2_part, out=hop2_part)
+    # +inf where a hop's noise is 0 (an infinite power without error), or
+    # so small that the SNR overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(hop2, snrs, out=snrs)
+        for start in range(0, len(stack), rows):
+            hop2_part = stack[start:start + rows]
+            hop1_part = np.divide(hop1[start:start + rows], noise1,
+                                  out=tile[:len(hop2_part)])
+            np.minimum(hop1_part, hop2_part, out=hop2_part)
     return snrs
 
 

@@ -125,7 +125,6 @@ class McEstimate:
     ci_low: float
     ci_high: float
     trials: int
-    seed: int
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -451,8 +450,7 @@ def estimate_outage(topology: NetworkTopology, budget, scheme: str,
     hits = np.zeros(shape, dtype=np.int64)
     for block_hits in _in_pairs(count, _blocks(trials, topology)):
         hits += block_hits
-    out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
-                       trials, seed)
+    out = [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z), trials)
             for h in row]
            for row in hits]
     return out if np.ndim(gamma_th) else out[0]
@@ -523,8 +521,7 @@ def estimate_throughput(topology: NetworkTopology, budget, scheme: str,
             mean = total / trials
             var = max(0.0, sq_total / trials - mean * mean)
             half = z * math.sqrt(var / trials)
-            row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
-                                  trials, seed))
+            row.append(McEstimate(mean, max(0.0, mean - half), mean + half, trials))
         out.append(row)
     return out if np.ndim(scales) else out[0]
 

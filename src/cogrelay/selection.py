@@ -361,13 +361,6 @@ class RankPlacementDistribution:
     def worst_rank(self) -> int:
         return (self.num_users - 1) * self.num_relays + 1
 
-    def std_error(self) -> np.ndarray:
-        """Binomial standard error of ``probs`` (zeros for exact mode)."""
-        p = self.probs
-        if self.trials == 0:
-            return np.zeros_like(p)
-        return np.sqrt(p * (1 - p) / (self.trials * self.num_users))
-
 
 # Exact max-min rank placement.  Reveal the cells of a matrix in uniform
 # random order from the largest down.  The bottleneck is the first cell c

@@ -1,6 +1,7 @@
 """Test-side helpers and oracles that the package itself does not need:
 link budgets given in dB, the relay cap and the SNR matrix (perfect
-CSI its zero-error case) in their masked (``np.where``) form, the
+CSI its zero-error case) in their masked (``np.where``) form, each
+mean gain's split into an estimate gain and an error variance, the
 compact Rayleigh link CDF, the link CDF and CCDF by quadrature over
 the interference gain, the high-SNR coefficient in its factorial form,
 gamma gains as m exponential draws summed at once, a Monte Carlo
@@ -64,6 +65,18 @@ def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):
     return float(out) if out.ndim == 0 else out
 
 
+def csi_split(topology: NetworkTopology, err) -> tuple[tuple, tuple]:
+    """Each mean gain Ω split into its estimate's gain Ω·(1 - r) and its
+    error's variance Ω·r, for the hop-1, hop-2 and interference links,
+    the two triples in that order: the six values an error model once
+    held, derived where the package reads them."""
+    gains = (topology.mean_gain_hop1, topology.mean_gain_hop2,
+             topology.mean_gain_interf)
+    ratios = (err.error_ratio_h1, err.error_ratio_h2, err.error_ratio_f)
+    return (tuple(g * (1 - r) for g, r in zip(gains, ratios)),
+            tuple(g * r for g, r in zip(gains, ratios)))
+
+
 def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
                                budget: LinkBudget) -> np.ndarray:
     """``model.snr_matrix_imperfect`` with :func:`relay_power_where` for
@@ -75,11 +88,11 @@ def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
     d1b = topology.dist_hop1 ** topology.path_loss_exp
     d2b = topology.dist_hop2 ** topology.path_loss_exp
     q = np.asarray(relay_power_where(estimates.interf, budget, topology))
-    # +inf at an infinite relay power, or one so large that the SNR
-    # overflows
+    err_var_hop1, err_var_hop2, _ = csi_split(topology, err)[1]
+    # +inf at an infinite power, or one so large that the SNR overflows
     with np.errstate(divide="ignore", over="ignore"):
-        hop2_snr = estimates.hop2 / (err.err_var_hop2 + d2b / q)
-    hop1_snr = estimates.hop1 / (err.err_var_hop1 + d1b / budget.source_snr)
+        hop2_snr = estimates.hop2 / (err_var_hop2 + d2b / q)
+        hop1_snr = estimates.hop1 / (err_var_hop1 + d1b / budget.source_snr)
     return np.minimum(hop1_snr, hop2_snr)
 
 
@@ -124,11 +137,11 @@ def link_cdf_quad(x: float, topology: NetworkTopology, budget: LinkBudget,
         e1 = e2 = 0.0
     else:
         loss = topology.path_loss_exp
-        o1 = csi.est_gain_hop1 / topology.dist_hop1 ** loss
-        o2 = csi.est_gain_hop2 / topology.dist_hop2 ** loss
-        o3 = csi.est_gain_interf / topology.dist_interf ** loss
-        e1 = csi.err_var_hop1 / csi.est_gain_hop1
-        e2 = csi.err_var_hop2 / csi.est_gain_hop2
+        (est1, est2, est3), (var1, var2, _) = csi_split(topology, csi)
+        o1 = est1 / topology.dist_hop1 ** loss
+        o2 = est2 / topology.dist_hop2 ** loss
+        o3 = est3 / topology.dist_interf ** loss
+        e1, e2 = var1 / est1, var2 / est2
     a, b, c = m * x / (o2 * l3), m / o3, l3 / l2
 
     def density(g):
@@ -261,8 +274,7 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
         snr = model.snr_matrix(draws, single, budget).reshape(-1)
         hits += np.searchsorted(np.sort(snr), grid, side="right")
     return [
-        McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
-                   trials, seed)
+        McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z), trials)
         for h in hits
     ]
 
@@ -313,8 +325,7 @@ def estimate_outage_unfiltered(topology: NetworkTopology, budgets, scheme: str,
                 snrs = model.snr_matrix_imperfect(draws, csi, topology, budget)
             eff = selected_redrawn(scheme, snrs, rng)
             hits[point] += (eff <= threshold).sum(axis=0)
-    return [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z),
-                        trials, seed)
+    return [[McEstimate(int(h) / trials, *wilson_interval(int(h), trials, z), trials)
              for h in row]
             for row in hits]
 
@@ -355,8 +366,7 @@ def estimate_throughput_unsettled(topology: NetworkTopology, budgets,
             mean = sums[point, u] / trials
             var = max(0.0, sq_sums[point, u] / trials - mean * mean)
             half = z * math.sqrt(var / trials)
-            row.append(McEstimate(mean, max(0.0, mean - half), mean + half,
-                                  trials, seed))
+            row.append(McEstimate(mean, max(0.0, mean - half), mean + half, trials))
         out.append(row)
     return out
 

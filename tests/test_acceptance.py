@@ -176,7 +176,7 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
     ok = True
     for num_users, pk in ((3, pk34), (4, pk44)):
         t = topo(num_users, 4, 1)
-        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.05)
+        err = CsiErrorModel(0.05, 0.05, 0.05)
         # analytic inside 3-sigma MC interval along the sweep
         for index, lam_db in enumerate((0, 10, 20, 30, 40)):
             budget = common_budget(lam_db)
@@ -196,7 +196,7 @@ def test_criterion_5_imperfect_csi(pk34, pk44):
         details.append(f"M={num_users} floor rel={rel:.2e}")
     # zero error ratios revert to the perfect-CSI Rayleigh curve
     t = topo(3, 4, 1)
-    err0 = CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
+    err0 = CsiErrorModel(0.0, 0.0, 0.0)
     budget = common_budget(20.0)
     gap = max(abs(_link_cdf(x, t, budget, err0)[0]
                   - _link_cdf(x, t, budget)[0])

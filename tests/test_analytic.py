@@ -168,6 +168,31 @@ class TestCdfMinSnr:
             assert rates[0] == rates[1] == rates[2] == pytest.approx(1.52536,
                                                                       rel=1e-5)
 
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_infinite_relay_and_interference_caps(self, m):
+        # c = l3 / l2 reads inf/inf at l2 = l3 = inf: the relay sends at
+        # its infinite peak, c = 0, and the outage is the one at an
+        # infinite relay cap and a finite but huge interference cap
+        t = topo(m=m)
+        pk = rank_placement_probs(2, 3, "maxmin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outage = [outage_probability(3.16, t, LinkBudget(100.0, math.inf, l3), pk)
+                      for l3 in (1e200, math.inf)]
+        assert outage[0] == outage[1] < 1.0
+        if m == 1:
+            assert outage[1] == pytest.approx(3.1435523e-5, rel=1e-7)
+
+    def test_all_levels_infinite_meet_csi_floor(self):
+        t, err = topo(m=1), CsiErrorModel(0.05, 0.1, 0.2)
+        pk = rank_placement_probs(2, 3, "maxmin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = outage_probability_imperfect(
+                GAMMA_TH, t, LinkBudget(math.inf, math.inf, math.inf), err, pk)
+        floor = outage_floor_imperfect(GAMMA_TH, err, 2, 3, pk)
+        assert exact == pytest.approx(floor, rel=1e-15, abs=0)
+
 
 LEVELS_DB = range(0, 70, 10)
 
@@ -209,7 +234,7 @@ class TestLinkCdfOracle:
     def test_matches_quadrature(self, m):
         t = topo(m=m)
         ratios = (0.0, 0.05, 0.2) if m == 1 else ()
-        csis = [None] + [CsiErrorModel.from_error_ratios(t, r, r, r)
+        csis = [None] + [CsiErrorModel(r, r, r)
                          for r in ratios]
         x = np.array([1e-3, 1.0, 30.0]) * GAMMA_TH
         for level_db in LEVELS_DB:
@@ -565,28 +590,28 @@ class TestImperfectCsi:
     t34 = topo(3, 4, 1)
 
     def test_zero_error_reverts_to_perfect(self):
-        err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
+        err = CsiErrorModel(0.0, 0.0, 0.0)
         b = budget_db(18, 18, 18)
         for x in np.linspace(0.01, 30, 120):
             assert _link_cdf(x, self.t34, b, err)[0] == pytest.approx(
                 _link_cdf(x, self.t34, b)[0], abs=1e-12)
 
     def test_zero_at_origin(self):
-        err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
+        err = CsiErrorModel(0.05, 0.05, 0.05)
         assert _link_cdf(0.0, self.t34, budget_db(18, 18, 18), err)[0] == 0.0
 
     def test_rejects_nonrayleigh(self):
-        err = CsiErrorModel(1, 1, 1, 0, 0, 0)
+        err = CsiErrorModel(0, 0, 0)
         with pytest.raises(ValueError, match="nakagami_m == 1"):
             _link_cdf(1.0, topo(m=2), budget_db(10, 10, 10), err)
 
     def test_floor_vanishes_without_error(self):
-        err = CsiErrorModel.from_error_ratios(self.t34, 0.0, 0.0, 0.0)
+        err = CsiErrorModel(0.0, 0.0, 0.0)
         pk = rank_placement_probs(3, 4, "maxmin")
         assert outage_floor_imperfect(GAMMA_TH, err, 3, 4, pk) == 0.0
 
     def test_floor_equals_high_snr_limit(self):
-        err = CsiErrorModel.from_error_ratios(self.t34, 0.05, 0.05, 0.05)
+        err = CsiErrorModel(0.05, 0.05, 0.05)
         pk = rank_placement_probs(3, 4, "maxmin")
         lam = 1e8
         b = LinkBudget(lam, lam, lam)
@@ -598,8 +623,7 @@ class TestImperfectCsi:
         pk = rank_placement_probs(2, 2, "maxmin")
         floors = []
         for ratio in (0.01, 0.05, 0.1, 0.2):
-            err = CsiErrorModel.from_error_ratios(topo(2, 2, 1), ratio,
-                                                  ratio, ratio)
+            err = CsiErrorModel(ratio, ratio, ratio)
             floors.append(outage_floor_imperfect(GAMMA_TH, err, 2, 2, pk))
         assert all(later > earlier for earlier, later in zip(floors, floors[1:]))
 
@@ -675,6 +699,14 @@ class TestHIntegral:
 
 
 class TestAverageThroughput:
+    @pytest.mark.parametrize("l3", [100.0, math.inf])
+    def test_infinite_source_and_relay_levels_refused(self, l3):
+        # the rule's last node is 750/a, a = 1/(o1 l1) + 1/(o2 l2) = 0; at
+        # a finite l3 hop 2 is interference-limited and the rate finite
+        with pytest.raises(ValueError, match="source_snr=inf and relay_snr_cap=inf"):
+            average_throughput(topo(m=1), LinkBudget(math.inf, math.inf, l3),
+                               [1.0])
+
     def test_single_link_vs_quadrature(self):
         t = topo(1, 1, 1)
         b = budget_db(25, 10, 10)

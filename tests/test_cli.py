@@ -79,6 +79,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="nakagami_m == 1"):
             load_config(path)
 
+    @pytest.mark.parametrize("ratio", [1.0, -0.1])
+    def test_csi_ratio_out_of_range_named_once(self, ratio):
+        # the error model refuses the ratio, and the parser names its block
+        # once: ConfigError is a ValueError, which must not be wrapped again
+        raw = {**MINIMAL, "nakagami_m": 1,
+               "csi": {"error_ratio_h1": 0.05, "error_ratio_h2": ratio,
+                       "error_ratio_f": 0.05}}
+        with pytest.raises(ConfigError) as caught:
+            parse_config(raw)
+        assert str(caught.value) == (
+            f"csi error_ratio_h2 must be in [0, 1), got {ratio}")
+
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {"bogus": 1})
         with pytest.raises(ConfigError, match="'bogus'"):
@@ -356,7 +368,7 @@ class TestSweepReuse:
             assert point.mc == estimate_outage(
                 config.topology(), config.budget_at(point.sweep_db),
                 config.scheme, gamma_th, config.trials, seed,
-                csi=config.csi_model()), point.sweep_db
+                csi=config.csi), point.sweep_db
 
     def test_throughput_shared_pass_matches_per_point_path(self):
         config = sweep_config(nakagami_m=1, mode="throughput")
@@ -502,15 +514,15 @@ class TestRankDistribution:
 class TestMcVerdict:
     def test_wide_interval_holding_value_is_inconclusive(self):
         # fig1 at 30 dB: no hits in 1e5 trials at z=3
-        est = McEstimate(0.0, 0.0, 9.0e-5, 100_000, 0)
+        est = McEstimate(0.0, 0.0, 9.0e-5, 100_000)
         assert _mc_verdict(1.6e-7, est)[0] == "INCONCLUSIVE"
 
     def test_narrow_interval_holding_value_passes(self):
-        est = McEstimate(0.100, 0.098, 0.102, 100_000, 0)
+        est = McEstimate(0.100, 0.098, 0.102, 100_000)
         assert _mc_verdict(0.0995, est)[0] == "PASS"
 
     def test_narrow_interval_missing_value_fails(self):
-        est = McEstimate(0.100, 0.098, 0.102, 100_000, 0)
+        est = McEstimate(0.100, 0.098, 0.102, 100_000)
         assert _mc_verdict(0.11, est)[0] == "FAIL"
 
 

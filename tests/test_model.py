@@ -5,7 +5,7 @@ being the zero-error case of one formula."""
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,11 +28,12 @@ from cogrelay.model import (
 from cogrelay.model import (
     _TILE,
     _checked_interference,
+    _estimated,
     _gamma_gains,
     _hop2_floor,
     _snr,
 )
-from oracles import gamma_gains_summed, snr_matrix_imperfect_where
+from oracles import csi_split, gamma_gains_summed, snr_matrix_imperfect_where
 
 
 def topo(num_users=2, num_relays=3, m=1, **kw):
@@ -40,9 +41,8 @@ def topo(num_users=2, num_relays=3, m=1, **kw):
     return NetworkTopology(num_users, num_relays, m, **kw)
 
 
-def zero_error(t):
-    """The error model of perfect CSI: every error variance 0."""
-    return CsiErrorModel.from_error_ratios(t, 0.0, 0.0, 0.0)
+# the error model of perfect CSI: every error ratio 0
+ZERO_ERROR = CsiErrorModel(0.0, 0.0, 0.0)
 
 
 def hop2_only(f_gain):
@@ -157,14 +157,14 @@ class TestSampling:
 
     def test_estimated_sampling_uses_estimate_variance(self):
         t = topo(1, 1, 1)
-        err = CsiErrorModel.from_error_ratios(t, 0.2, 0.2, 0.2)
+        err = CsiErrorModel(0.2, 0.2, 0.2)
         rng = np.random.default_rng(3)
         draws = sample_estimated_realization(t, err, rng, trials=500_000)
         assert draws.hop1.mean() == pytest.approx(0.8, rel=0.01)
 
     def test_estimated_sampling_rejects_nonrayleigh(self):
         t = topo(1, 1, 2)
-        err = CsiErrorModel(1, 1, 1, 0, 0, 0)
+        err = CsiErrorModel(0, 0, 0)
         with pytest.raises(ValueError, match="nakagami_m == 1"):
             sample_estimated_realization(t, err, np.random.default_rng(0))
 
@@ -260,7 +260,7 @@ class TestRelayCapOracle:
         budget, t, f = case
         gains = hop2_only(f)
         assert_bits_equal(snr_matrix(gains, t, budget),
-                          snr_matrix_imperfect_where(gains, zero_error(t), t,
+                          snr_matrix_imperfect_where(gains, ZERO_ERROR, t,
                                                      budget))
 
     @settings(max_examples=60, deadline=None)
@@ -271,7 +271,7 @@ class TestRelayCapOracle:
         budget, t, f = case
         budget = LinkBudget(10.0, budget.relay_snr_cap,
                             budget.interference_snr_cap)
-        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        err = CsiErrorModel(r1, r2, 0.0)
         rng = np.random.default_rng(seed)
         est = ChannelRealization(rng.exponential(size=f.shape),
                                  rng.exponential(size=f.shape), f)
@@ -323,7 +323,7 @@ class TestSnrSplit:
         base, t, draws = case
         floor2 = _hop2_floor(_checked_interference(draws.interf), base, t)
         for capped in knee_caps(base, t, draws):
-            want = snr_matrix_imperfect_where(draws, zero_error(t), t, capped)
+            want = snr_matrix_imperfect_where(draws, ZERO_ERROR, t, capped)
             assert_bits_equal(snr_matrix(draws, t, capped), want)
             assert_bits_equal(
                 _snr(draws.hop1, draws.hop2, floor2, capped, None, t)[()], want)
@@ -337,7 +337,7 @@ class TestSnrSplit:
         draws = ChannelRealization(np.ones(shape), np.ones(shape), f)
         budget, t = LinkBudget(1.0, 1.0, 1.0), topo(1, 3)
         for build in (lambda: snr_matrix(draws, t, budget),
-                      lambda: snr_matrix_imperfect(draws, zero_error(t), t, budget),
+                      lambda: snr_matrix_imperfect(draws, ZERO_ERROR, t, budget),
                       lambda: _checked_interference(draws.interf)):
             with pytest.raises(ValueError, match="interference gain must be >= 0"):
                 build()
@@ -366,13 +366,13 @@ class TestOutBuffers:
         # and each relay cap, on a knee and one ulp either side, built in
         # a new array and, at the last cap, in that noise's buffer
         base, t, draws = case
-        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0) if csi else None
+        err = CsiErrorModel(r1, r2, 0.0) if csi else None
         f = np.array(_checked_interference(draws.interf))
         floor2 = _hop2_floor(f, base, t, out=f)
         assert floor2 is f
         caps = knee_caps(base, t, draws)
         for position, capped in enumerate(caps):
-            want = snr_matrix_imperfect_where(draws, err or zero_error(t), t,
+            want = snr_matrix_imperfect_where(draws, err or ZERO_ERROR, t,
                                               capped)
             out = floor2 if position == len(caps) - 1 else None
             got = _snr(draws.hop1, draws.hop2, floor2, capped, err, t, out=out)
@@ -387,7 +387,7 @@ class TestOutBuffers:
         # relay-cap chain: both in new arrays, the matrix in the noise's
         # buffer, and both in the interference gains' buffer
         budget, t, est = self.case_gains(case, seed)
-        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        err = CsiErrorModel(r1, r2, 0.0)
         want = snr_matrix_imperfect(est, err, t, budget)
         f = np.array(_checked_interference(est.interf))
         for into in ("new", "floor", "gains"):
@@ -403,7 +403,7 @@ class TestOutBuffers:
         # the hop-1 SNR of several tiles, the last one ragged, equals the
         # where form, with and without out=
         t = topo(2, 3, path_loss_exp=3.7, dist_hop1=1.3, dist_interf=0.7)
-        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.1, 0.0)
+        err = CsiErrorModel(0.05, 0.1, 0.0)
         budget = LinkBudget(10.0, 4.0, 2.0)
         rng = np.random.default_rng(9)
         est = ChannelRealization(*(rng.exponential(size=shape) for _ in range(3)))
@@ -421,7 +421,7 @@ class TestOutBuffers:
         # sign bits too: a -0.0 gain is read as +0.0 in a copy
         budget, t, draws = self.case_gains(case, seed)
         before = [np.array(gains) for gains in (draws.hop1, draws.hop2, draws.interf)]
-        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.0)
+        err = CsiErrorModel(0.05, 0.05, 0.0)
         snr_matrix(draws, t, budget)
         snr_matrix_imperfect(draws, err, t, budget)
         for old, new in zip(before, (draws.hop1, draws.hop2, draws.interf)):
@@ -451,7 +451,7 @@ class TestSnrMonotone:
         rng = np.random.default_rng(seed)
         draws = ChannelRealization(rng.exponential(size=f.shape),
                                    rng.exponential(size=f.shape), f)
-        err = CsiErrorModel.from_error_ratios(t, r1, r2, 0.0)
+        err = CsiErrorModel(r1, r2, 0.0)
         assert np.all(snr_matrix(draws, t, high) >= snr_matrix(draws, t, low))
         assert np.all(snr_matrix_imperfect(draws, err, t, high)
                       >= snr_matrix_imperfect(draws, err, t, low))
@@ -524,13 +524,13 @@ class TestImperfectSnrMatrix:
         base, t, draws = case
         for capped in knee_caps(base, t, draws):
             assert_bits_equal(snr_matrix(draws, t, capped),
-                              snr_matrix_imperfect(draws, zero_error(t), t,
+                              snr_matrix_imperfect(draws, ZERO_ERROR, t,
                                                    capped))
 
     def test_first_hop_ceiling_at_high_power(self):
         # raising the source power cannot push hop-1 SNR past |h|^2/err
         t = topo(1, 1, 1)
-        err = CsiErrorModel(0.95, 0.95, 0.95, 0.05, 0.05, 0.05)
+        err = CsiErrorModel(0.05, 0.05, 0.05)
         gain = 2.0
         real = ChannelRealization(np.array([[gain]]), np.array([[1e9]]),
                                   np.array([[1e-9]]))
@@ -540,7 +540,7 @@ class TestImperfectSnrMatrix:
 
     def test_scalar_hand_value(self):
         t = topo(1, 1, 1)
-        err = CsiErrorModel(0.9, 0.8, 0.7, 0.1, 0.2, 0.3)
+        err = CsiErrorModel(0.1, 0.2, 0.3)
         real = ChannelRealization(np.array([[0.5]]), np.array([[0.4]]),
                                   np.array([[0.6]]))
         b = LinkBudget(20.0, 8.0, 4.0)
@@ -552,7 +552,7 @@ class TestImperfectSnrMatrix:
 
     def test_rejects_nonrayleigh(self):
         t = topo(1, 1, 3)
-        err = CsiErrorModel(1, 1, 1, 0, 0, 0)
+        err = CsiErrorModel(0, 0, 0)
         real = ChannelRealization(np.ones((1, 1)), np.ones((1, 1)),
                                   np.ones((1, 1)))
         with pytest.raises(ValueError, match="nakagami_m == 1"):
@@ -560,12 +560,55 @@ class TestImperfectSnrMatrix:
 
 
 class TestCsiErrorModel:
+    def test_fields_are_the_config_ratios(self):
+        assert [f.name for f in fields(CsiErrorModel)] == [
+            "error_ratio_h1", "error_ratio_h2", "error_ratio_f"]
+
     def test_ratio_split(self):
         t = topo(1, 1, 1, mean_gain_hop1=2.0)
-        err = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.05)
-        assert err.est_gain_hop1 == pytest.approx(1.9)
-        assert err.err_var_hop1 == pytest.approx(0.1)
+        err = CsiErrorModel(0.05, 0.05, 0.05)
+        assert _estimated(t, err).mean_gain_hop1 == pytest.approx(1.9)
+        assert csi_split(t, err)[1][0] == pytest.approx(0.1)
 
     def test_ratio_bounds(self):
-        with pytest.raises(ValueError, match="ratio_hop1"):
-            CsiErrorModel.from_error_ratios(topo(1, 1, 1), 1.0, 0.0, 0.0)
+        for ratio in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"error_ratio_h1 must be in [0, 1), got {ratio}")):
+                CsiErrorModel(ratio, 0.0, 0.0)
+
+    @pytest.mark.parametrize("omega", [0.25, 1.0, 2.0, 0.3, 1.7, 3.0])
+    def test_error_rate_matches_split(self, omega):
+        # r1/(1 - r1) + r2/(1 - r2) against the split's (Ω r)/(Ω (1 - r)):
+        # bit for bit at a power-of-two Ω, within a few ulp otherwise
+        t = topo(1, 1, 1, mean_gain_hop1=omega, mean_gain_hop2=omega)
+        for r1, r2 in ((0.05, 0.1), (0.1, 0.1), (0.3, 0.7)):
+            err = CsiErrorModel(r1, r2, 0.0)
+            (e1, e2, _), (v1, v2, _) = csi_split(t, err)
+            want = v1 / e1 + v2 / e2
+            if math.frexp(omega)[0] == 0.5:
+                assert err.error_rate == want
+            else:
+                assert abs(err.error_rate - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("gains", [(1.0, 1.0, 1.0), (1.7, 0.3, 3.0)])
+    def test_estimates_and_snr_match_split(self, gains):
+        # the estimates are drawn at the split's estimate gains and each
+        # hop's SNR takes its error variance as noise, bit for bit, at
+        # unit and non-unit gains
+        t = topo(2, 3, mean_gain_hop1=gains[0], mean_gain_hop2=gains[1],
+                 mean_gain_interf=gains[2], dist_hop1=1.5, dist_hop2=0.8,
+                 dist_interf=2.0, path_loss_exp=3.0)
+        err = CsiErrorModel(0.05, 0.1, 0.2)
+        (est1, est2, est3), _ = csi_split(t, err)
+        got_rng, want_rng = (np.random.default_rng(11) for _ in range(2))
+        est = sample_estimated_realization(t, err, got_rng, trials=50)
+        want = sample_realization(
+            replace(t, mean_gain_hop1=est1, mean_gain_hop2=est2,
+                    mean_gain_interf=est3), want_rng, trials=50)
+        for name in ("hop1", "hop2", "interf"):
+            assert_bits_equal(getattr(est, name), getattr(want, name))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        for budget in (LinkBudget(10.0, 5.0, 2.0), LinkBudget(1e3, 1e4, 30.0),
+                       LinkBudget(math.inf, math.inf, 30.0)):
+            assert_bits_equal(snr_matrix_imperfect(est, err, t, budget),
+                              snr_matrix_imperfect_where(est, err, t, budget))

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,6 +259,19 @@ class TestOutageEstimates:
         hits = [round(e.mean * e.trials) for e in ests]
         assert abs(two_proportion_z(hits[0], hits[1], 500_000)) < 3
 
+    def test_infinite_source_level(self):
+        # hop 1's noise is 0 at an infinite source level: its SNR is +inf,
+        # not a divide-by-zero warning, and hop 2 alone decides
+        t, b = topo(), LinkBudget(math.inf, 10.0, 10.0)
+        pk = rank_placement_probs(2, 3, "maxmin")
+        exact = outage_probability(GAMMA_TH, t, b, pk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = estimate_outage(t, b, "maxmin", GAMMA_TH, trials=50_000,
+                                   seed=9, z=3.0)
+        for est in ests:
+            assert est.ci_low <= exact <= est.ci_high
+
     @pytest.mark.parametrize("gamma_th", [np.nan, [GAMMA_TH, np.nan]],
                              ids=["one", "sequence"])
     def test_rejects_nan_threshold(self, gamma_th):
@@ -387,7 +401,7 @@ class TestSaturationFilter:
     hold its stacks one per call (:func:`spy_assignments`)."""
 
     T = topo(3, 4, 1)
-    CSI = CsiErrorModel.from_error_ratios(T, 0.05, 0.05, 0.05)
+    CSI = CsiErrorModel(0.05, 0.05, 0.05)
     # common SNR rising, and the relay cap rising at fixed other levels
     LAMBDA_ALL = [budget_db(x, x, x) for x in (0, 2, 4, 6)]
     LAMBDA2 = [budget_db(25, x, 10) for x in (0, 2, 4, 6)]
@@ -644,7 +658,7 @@ class TestDoomedTrials:
         # At 2x3 a fifth of the largest entries lie below a fifth of the
         # bottlenecks (at 3x4 no eighth does)
         t = topo(2, 3, 1)
-        csi = CsiErrorModel.from_error_ratios(t, 0.05, 0.05, 0.05) if csi else None
+        csi = CsiErrorModel(0.05, 0.05, 0.05) if csi else None
         budgets = [budget_db(x, x, x) for x in (5, 10, 15)]
         draws = next(block_draws(t, 70_000, 3, csi))[1]
         snrs = build(t, draws, budgets[0], csi)
@@ -1215,7 +1229,7 @@ def call():
     montecarlo.estimate_outage(
         config.topology(), budgets, config.scheme,
         [gamma_th / level for level in levels], config.trials,
-        cli._point_seed(config.seed, 0), csi=config.csi_model())
+        cli._point_seed(config.seed, 0), csi=config.csi)
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -65,7 +65,9 @@ def fine_config(name: str) -> dict:
 # 70000-trial sweeps were pinned again when blocks came to be sized in
 # SNR entries, and again when a block came to hold half of that budget
 # (each a new random stream); the others fit in one block under every
-# size.  m = 1, γ_th = 5 dB and seed 1 unless stated; the lambda2 sweeps
+# size.  Max-min CSI common-SNR outage at non-unit gains and distances,
+# whose error variances and estimate gains differ from the ratios, was
+# pinned when the error model came to hold its three ratios alone.  m = 1, γ_th = 5 dB and seed 1 unless stated; the lambda2 sweeps
 # hold λ1 = 25 dB and λ3 = 10 dB.
 LAMBDA2 = {"lambda1_db": 25.0, "lambda3_db": 10.0}
 CSI_5PCT = {"csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05,
@@ -115,6 +117,13 @@ PASS_CONFIGS = {
     "maxmin-csi-lambda2-outage": {
         "num_users": 3, "num_relays": 4, "scheme": "maxmin", "trials": 20000,
         **CSI_5PCT, **LAMBDA2, **sweep("lambda2", 40.0, 5.0)},
+    "maxmin-csi-gains-outage": {
+        "num_users": 2, "num_relays": 3, "scheme": "maxmin", "trials": 20000,
+        "omega_h1": 1.7, "omega_h2": 0.3, "omega_f": 3.0, "d1": 1.5, "d2": 0.8,
+        "d3": 2.0, "path_loss_exp": 3.0,
+        "csi": {"error_ratio_h1": 0.05, "error_ratio_h2": 0.1,
+                "error_ratio_f": 0.2},
+        **sweep("lambda_all", 40.0, 10.0)},
 }
 
 PASS_SHA256 = {
@@ -130,6 +139,7 @@ PASS_SHA256 = {
     "random-3x4-lambda2-low-outage": "380bc3c74a1e390d5e16cbddaeed96a88c53e44701692c40795b0bde5ff0a996",
     "maxmin-low-outage": "b6581764194e15c391098929bee9e6d2232e82a46de457422f29b34896fb1a01",
     "maxmin-csi-lambda2-outage": "30aadaf53587f0186f8ccea75d01d045c0f9076268ce01693ce0e332e98dc276",
+    "maxmin-csi-gains-outage": "c0a554f9bc953fa9d2244f987591275c4c07b77d4b3c638edf53d8d1fafbebc7",
 }
 
 
