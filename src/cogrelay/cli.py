@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, montecarlo
-from .model import CsiErrorModel, LinkBudget, NetworkTopology, _flow, db_to_linear
+from .model import (CsiErrorModel, LinkBudget, NetworkTopology, _check_range,
+                    _flow, db_to_linear)
 from .selection import (
     _MAX_ASSIGNMENT_TABLE,
     RankPlacementDistribution,
@@ -74,20 +75,13 @@ class SweepSpec:
         return [self.start_db + i * self.step_db for i in range(count + 1)]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    num_users: int
-    num_relays: int
-    nakagami_m: int
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(NetworkTopology):
+    """One experiment: the network (:class:`NetworkTopology`, which checks
+    its keys) and the threshold, levels, scheme, sweep and run settings."""
+
     gamma_th_db: float
     sweep: SweepSpec
-    omega_h1: float = 1.0
-    omega_h2: float = 1.0
-    omega_f: float = 1.0
-    d1: float = 1.0
-    d2: float = 1.0
-    d3: float = 1.0
-    path_loss_exp: float = 2.0
     lambda1_db: float | None = None
     lambda3_db: float | None = None
     scheme: str = "maxmin"
@@ -98,14 +92,9 @@ class ExperimentConfig:
     output: str | None = None
 
     def topology(self) -> NetworkTopology:
-        return NetworkTopology(
-            num_users=self.num_users, num_relays=self.num_relays,
-            nakagami_m=self.nakagami_m,
-            mean_gain_hop1=self.omega_h1, mean_gain_hop2=self.omega_h2,
-            mean_gain_interf=self.omega_f,
-            dist_hop1=self.d1, dist_hop2=self.d2, dist_interf=self.d3,
-            path_loss_exp=self.path_loss_exp,
-        )
+        """The network alone, as the library's functions take it."""
+        return NetworkTopology(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(NetworkTopology)})
 
     def budget_at(self, sweep_db: float) -> LinkBudget:
         if self.sweep.variable == "lambda_all":
@@ -116,15 +105,15 @@ class ExperimentConfig:
                           db_to_linear(self.lambda3_db))
 
 
-def _field_schema(cls) -> dict[str, tuple[type, bool]]:
-    """key -> (value type, required) from the dataclass fields; an
-    optional ``X | None`` field takes an X value."""
+def _field_schema(cls) -> dict[str, tuple[type, bool, bool]]:
+    """key -> (value type, required, nullable) from the dataclass fields;
+    an optional ``X | None`` field takes an X value, or null for None."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
         kind = hints[f.name]
         kind = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
-        schema[f.name] = (kind, f.default is dataclasses.MISSING)
+        schema[f.name] = (kind, f.default is dataclasses.MISSING, f.default is None)
     return schema
 
 
@@ -141,7 +130,9 @@ def _build(cls, block: dict, where: str):
         if key not in schema:
             raise ConfigError(f"unknown {where} key: {key!r}")
     for key, value in block.items():
-        kind = schema[key][0]
+        kind, _, nullable = schema[key]
+        if value is None and nullable:
+            continue
         want = dict if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"{where} key {key!r} has invalid type "
@@ -149,7 +140,7 @@ def _build(cls, block: dict, where: str):
         # json.loads admits NaN and Infinity
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where} key {key!r} must be finite, got {value}")
-    for key, (_, required) in schema.items():
+    for key, (_, required, _) in schema.items():
         if required and key not in block:
             raise ConfigError(f"missing required {where} key: {key!r}")
     kwargs = {key: _build(schema[key][0], value, key)
@@ -169,17 +160,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return config
 
 
-def _check_range(key: str, value: float, compute, what: str):
-    """Refuse ``key`` unless ``compute()``, its ``what``, is a positive
-    float whose reciprocal is finite too: neither 0 nor subnormal
-    (:func:`model._flow`)."""
-    flow = _flow(compute)
-    if flow is not None:
-        size = "large" if flow == "over" else "small"
-        raise ConfigError(f"{key}={value} is too {size}: its {what} "
-                          f"{flow}flows a float")
-
-
 def _validate(config: ExperimentConfig):
     sweep = config.sweep
     if sweep.variable not in SWEEP_VARIABLES:
@@ -195,17 +175,13 @@ def _validate(config: ExperimentConfig):
                        ("sweep start_db", sweep.start_db),
                        ("sweep stop_db", sweep.stop_db)):
         if value is not None:
-            _check_range(key, value, lambda: db_to_linear(value), "linear value")
+            _check_range(key, value, lambda: db_to_linear(value),
+                         "linear value", ConfigError)
     # multiply rather than divide: a tiny step would overflow the count
     if sweep.stop_db - sweep.start_db >= MAX_SWEEP_POINTS * sweep.step_db:
         raise ConfigError(
             f"sweep step_db={sweep.step_db} gives more than {MAX_SWEEP_POINTS} "
             f"points from {sweep.start_db} to {sweep.stop_db} dB")
-    if config.num_relays < config.num_users:
-        raise ConfigError(
-            f"num_relays must be >= num_users, got num_relays="
-            f"{config.num_relays} and num_users={config.num_users}"
-        )
     if config.scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
     if config.mode not in MODES:
@@ -230,20 +206,6 @@ def _validate(config: ExperimentConfig):
         if sweep.variable == "lambda_all" and getattr(config, key) is not None:
             raise ConfigError(f"{key} does not apply to a lambda_all sweep, "
                               f"which sets every power level to the swept value")
-    for key, gain_key in (("d1", "omega_h1"), ("d2", "omega_h2"),
-                          ("d3", "omega_f")):
-        distance, gain = getattr(config, key), getattr(config, gain_key)
-        if not (distance > 0 and gain > 0 and config.path_loss_exp >= 0):
-            continue  # refused by name with the topology below
-        _check_range(key, distance, lambda: distance ** config.path_loss_exp,
-                     f"path loss {key}^path_loss_exp")
-        _check_range(gain_key, gain,
-                     lambda: gain / distance ** config.path_loss_exp,
-                     f"effective gain {gain_key}/{key}^path_loss_exp")
-    try:
-        topology = config.topology()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     # the closed forms divide by each hop's effective gain times its level
     # and by the interference gain times the relay level, and read hop 2's
     # interference-limited SNR scale o2·λ3/o3 in a ratio that an infinite
@@ -253,15 +215,14 @@ def _validate(config: ExperimentConfig):
     source, interference = (
         ((("lambda1_db", config.lambda1_db),), (("lambda3_db", config.lambda3_db),))
         if sweep.variable == "lambda2" else (ends, ends))
-    o1, o2, o3 = (topology.eff_gain_hop1, topology.eff_gain_hop2,
-                  topology.eff_gain_interf)
+    o1, o2, o3 = config.eff_gain_hop1, config.eff_gain_hop2, config.eff_gain_interf
     for levels, gain, gain_key, key in ((source, o1, "omega_h1", "d1"),
                                         (ends, o2, "omega_h2", "d2"),
                                         (ends, o3, "omega_f", "d3")):
         for level_key, value in levels:
             _check_range(level_key, value, lambda: gain * db_to_linear(value),
                          f"linear value times the effective gain "
-                         f"{gain_key}/{key}^path_loss_exp")
+                         f"{gain_key}/{key}^path_loss_exp", ConfigError)
     for level_key, value in interference:
         if _flow(lambda: o2 * db_to_linear(value) / o3) == "over":
             raise ConfigError(
@@ -463,13 +424,23 @@ def _mc_verdict(exact: float, est: montecarlo.McEstimate) -> tuple[str, str]:
     return "FAIL", detail
 
 
+def _floor_verdict(exact: float, floor: float, at_db: float) -> tuple[str, str]:
+    """The exact outage at ``at_db`` against its floor: PASS within 1e-3
+    relative, else FAIL, and SKIPPED at a floor of 0 (no CSI hop error, or
+    an underflow), which has no relative error."""
+    detail = f"exact@{at_db:g}dB={exact:.6g} floor={floor:.6g}"
+    if floor == 0:
+        return "SKIPPED", f"{detail}: a floor of 0 has no relative error"
+    rel = abs(exact - floor) / floor
+    return "PASS" if rel <= 1e-3 else "FAIL", f"{detail} rel={rel:.2e}"
+
+
 def run_validate(config: ExperimentConfig) -> ValidationReport:
     """Run the self-checks that apply to this configuration and report
     per-check verdicts; Monte-Carlo comparisons that cannot resolve the
     analytic value with the configured trial count come back
     INCONCLUSIVE rather than FAIL."""
     report = ValidationReport()
-    topology = config.topology()
     csi = config.csi
     pk = _rank_distribution(config)
     gamma_th = db_to_linear(config.gamma_th_db)
@@ -522,7 +493,7 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
             xs = np.array([db / 10 for db, _ in fit])
             ys = np.log10([p for _, p in fit])
             slope = np.polyfit(xs, ys, 1)[0]
-            target = -topology.nakagami_m * num_relays
+            target = -config.nakagami_m * num_relays
             status = "PASS" if abs(slope - target) <= 0.1 * abs(target) else "FAIL"
             report.add("diversity-order-slope", status,
                        f"fitted {slope:.3f}, expected {target} (+/-10%)")
@@ -534,16 +505,12 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
     if (config.sweep.variable == "lambda2" and csi is None
             and config.mode != "throughput"):
         top_db, top_exact = curve[-1]
-        floor = points[-1].asym2[0]  # user 0's relay-cap floor at the last point
-        rel = abs(top_exact - floor) / floor
-        if top_db >= 55:
-            report.add("outage-floor", "PASS" if rel <= 1e-3 else "FAIL",
-                       f"exact@{top_db:g}dB={top_exact:.6g} floor={floor:.6g} "
-                       f"rel={rel:.2e}")
-        else:
-            report.add("outage-floor", "INCONCLUSIVE",
-                       f"top sweep point {top_db:g} dB below the floor regime "
-                       f"(rel={rel:.2e})")
+        # user 0's relay-cap floor at the last point
+        status, detail = _floor_verdict(top_exact, points[-1].asym2[0], top_db)
+        if top_db < 55 and status != "SKIPPED":
+            status, detail = "INCONCLUSIVE", (
+                f"top sweep point {top_db:g} dB below the floor regime ({detail})")
+        report.add("outage-floor", status, detail)
 
     # imperfect-CSI floor
     if csi is not None and config.mode != "throughput":
@@ -551,11 +518,9 @@ def run_validate(config: ExperimentConfig) -> ValidationReport:
                                                 num_relays, pk.per_user[0])
         lam = db_to_linear(80)
         exact80 = analytic.outage_probability_imperfect(
-            gamma_th, topology, LinkBudget(lam, lam, lam), csi,
+            gamma_th, config.topology(), LinkBudget(lam, lam, lam), csi,
             pk.per_user[0])
-        rel = abs(exact80 - floor) / floor
-        report.add("imperfect-csi-floor", "PASS" if rel <= 1e-3 else "FAIL",
-                   f"exact@80dB={exact80:.6g} floor={floor:.6g} rel={rel:.2e}")
+        report.add("imperfect-csi-floor", *_floor_verdict(exact80, floor, 80))
 
     return report
 

@@ -87,27 +87,39 @@ def _flow(compute) -> str | None:
             "under" if result == 0.0 or 1 / result == math.inf else None)
 
 
+def _check_range(key: str, value: float, compute, what: str, error=ValueError):
+    """Refuse ``key`` with ``error`` unless ``compute()``, its ``what``,
+    is a positive float whose reciprocal is finite too: neither 0 nor
+    subnormal (:func:`_flow`)."""
+    flow = _flow(compute)
+    if flow is not None:
+        size = "large" if flow == "over" else "small"
+        raise error(f"{key}={value} is too {size}: its {what} "
+                    f"{flow}flows a float")
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Static layout of the secondary network.
+    """Static layout of the secondary network, under the config's keys.
 
     ``num_users`` source-destination pairs communicate through
     ``num_relays`` decode-and-forward relays (no relay is shared, hence
     num_relays >= num_users).  Squared channel gains on the first hop,
     second hop and the relay-to-primary interference path are gamma
-    distributed with integer shape ``nakagami_m`` and the given mean
-    gains; hop distances enter through ``path_loss_exp``.
+    distributed with integer shape ``nakagami_m`` and mean gains
+    ``omega_h1``, ``omega_h2`` and ``omega_f``; the hop distances ``d1``
+    to ``d3`` enter through ``path_loss_exp``.  A refusal names the key.
     """
 
     num_users: int
     num_relays: int
-    nakagami_m: int = 1
-    mean_gain_hop1: float = 1.0
-    mean_gain_hop2: float = 1.0
-    mean_gain_interf: float = 1.0
-    dist_hop1: float = 1.0
-    dist_hop2: float = 1.0
-    dist_interf: float = 1.0
+    nakagami_m: int
+    omega_h1: float = 1.0
+    omega_h2: float = 1.0
+    omega_f: float = 1.0
+    d1: float = 1.0
+    d2: float = 1.0
+    d3: float = 1.0
     path_loss_exp: float = 2.0
 
     def __post_init__(self):
@@ -115,44 +127,38 @@ class NetworkTopology:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_relays < self.num_users:
             raise ValueError(
-                f"num_relays ({self.num_relays}) must be >= num_users "
-                f"({self.num_users}); each user needs its own relay"
-            )
+                f"num_relays must be >= num_users, got num_relays="
+                f"{self.num_relays} and num_users={self.num_users}")
         if self.nakagami_m != int(self.nakagami_m) or self.nakagami_m < 1:
             raise ValueError(
                 f"nakagami_m must be an integer >= 1, got {self.nakagami_m!r}"
             )
-        for name in ("mean_gain_hop1", "mean_gain_hop2", "mean_gain_interf",
-                     "dist_hop1", "dist_hop2", "dist_interf"):
+        for name in ("omega_h1", "omega_h2", "omega_f", "d1", "d2", "d3"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.path_loss_exp >= 0:
             raise ValueError(f"path_loss_exp must be >= 0, got {self.path_loss_exp}")
-        # the parser's rule, for every topology: each path loss and
-        # effective gain, and its reciprocal, is a finite float
-        b = self.path_loss_exp
-        for hop in ("hop1", "hop2", "interf"):
-            gain, dist = getattr(self, f"mean_gain_{hop}"), getattr(self, f"dist_{hop}")
-            where = f"at mean_gain_{hop}={gain}, dist_{hop}={dist}, path_loss_exp={b}"
-            for what, flow in (
-                    (f"path loss dist_{hop}^path_loss_exp", _flow(lambda: dist ** b)),
-                    (f"effective gain mean_gain_{hop}/dist_{hop}^path_loss_exp",
-                     _flow(lambda: gain / dist ** b))):
-                if flow is not None:
-                    raise ValueError(f"{what} {flow}flows a float {where}")
+        # each path loss and effective gain, and its reciprocal, is a finite float
+        for dist_key, gain_key in (("d1", "omega_h1"), ("d2", "omega_h2"),
+                                   ("d3", "omega_f")):
+            dist, gain = getattr(self, dist_key), getattr(self, gain_key)
+            _check_range(dist_key, dist, lambda: dist ** self.path_loss_exp,
+                         f"path loss {dist_key}^path_loss_exp")
+            _check_range(gain_key, gain, lambda: gain / dist ** self.path_loss_exp,
+                         f"effective gain {gain_key}/{dist_key}^path_loss_exp")
 
     # mean gains after distance-dependent path loss
     @property
     def eff_gain_hop1(self) -> float:
-        return self.mean_gain_hop1 / self.dist_hop1 ** self.path_loss_exp
+        return self.omega_h1 / self.d1 ** self.path_loss_exp
 
     @property
     def eff_gain_hop2(self) -> float:
-        return self.mean_gain_hop2 / self.dist_hop2 ** self.path_loss_exp
+        return self.omega_h2 / self.d2 ** self.path_loss_exp
 
     @property
     def eff_gain_interf(self) -> float:
-        return self.mean_gain_interf / self.dist_interf ** self.path_loss_exp
+        return self.omega_f / self.d3 ** self.path_loss_exp
 
 
 @dataclass(frozen=True)
@@ -242,9 +248,9 @@ def sample_realization(topology: NetworkTopology, rng: np.random.Generator,
     shape = base if trials is None else (trials,) + base
     m = topology.nakagami_m
     return ChannelRealization(
-        hop1=_gamma_gains(rng, m, topology.mean_gain_hop1, shape),
-        hop2=_gamma_gains(rng, m, topology.mean_gain_hop2, shape),
-        interf=_gamma_gains(rng, m, topology.mean_gain_interf, shape),
+        hop1=_gamma_gains(rng, m, topology.omega_h1, shape),
+        hop2=_gamma_gains(rng, m, topology.omega_h2, shape),
+        interf=_gamma_gains(rng, m, topology.omega_f, shape),
     )
 
 
@@ -261,9 +267,9 @@ def _estimated(topology: NetworkTopology, err: CsiErrorModel) -> NetworkTopology
     _require_rayleigh(topology)
     return replace(
         topology,
-        mean_gain_hop1=topology.mean_gain_hop1 * (1 - err.error_ratio_h1),
-        mean_gain_hop2=topology.mean_gain_hop2 * (1 - err.error_ratio_h2),
-        mean_gain_interf=topology.mean_gain_interf * (1 - err.error_ratio_f))
+        omega_h1=topology.omega_h1 * (1 - err.error_ratio_h1),
+        omega_h2=topology.omega_h2 * (1 - err.error_ratio_h2),
+        omega_f=topology.omega_f * (1 - err.error_ratio_f))
 
 
 def sample_estimated_realization(topology: NetworkTopology, err: CsiErrorModel,
@@ -292,10 +298,10 @@ def _hop2_floor(f, budget: LinkBudget, topology: NetworkTopology, out=None):
     overflows, where the interference cap cannot bind."""
     if out is None:
         out = np.empty(np.shape(f))
-    d3b = topology.dist_interf ** topology.path_loss_exp
+    d3b = topology.d3 ** topology.path_loss_exp
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(budget.interference_snr_cap * d3b, f, out=out)
-        return np.divide(topology.dist_hop2 ** topology.path_loss_exp, out,
+        return np.divide(topology.d2 ** topology.path_loss_exp, out,
                          out=out)
 
 
@@ -312,12 +318,12 @@ def _snr(hop1, hop2, floor2, budget: LinkBudget, err: CsiErrorModel | None,
     later build reads it; never ``hop1`` or ``hop2``."""
     if out is None:
         out = np.empty(np.shape(floor2))
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    d2b = topology.d2 ** topology.path_loss_exp
     snrs = np.maximum(floor2, d2b / budget.relay_snr_cap, out=out)
     if err is not None:
-        snrs += topology.mean_gain_hop2 * err.error_ratio_h2
-    noise1 = ((0.0 if err is None else topology.mean_gain_hop1 * err.error_ratio_h1)
-              + topology.dist_hop1 ** topology.path_loss_exp / budget.source_snr)
+        snrs += topology.omega_h2 * err.error_ratio_h2
+    noise1 = ((0.0 if err is None else topology.omega_h1 * err.error_ratio_h1)
+              + topology.d1 ** topology.path_loss_exp / budget.source_snr)
     # tiles of whole rows along the leading (trials) axis
     hop1, stack = np.atleast_1d(hop1), np.atleast_1d(snrs)
     rows = max(1, _TILE // max(1, math.prod(stack.shape[1:])))

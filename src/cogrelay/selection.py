@@ -345,7 +345,6 @@ class RankPlacementDistribution:
 
     num_users: int
     num_relays: int
-    scheme: str
     method: str
     trials: int
     per_user: np.ndarray = field(repr=False)
@@ -529,8 +528,8 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
     mn = num_users * num_relays
 
     def exact(method, rows):
-        return RankPlacementDistribution(num_users, num_relays, scheme, method,
-                                         0, np.array(rows, dtype=float))
+        return RankPlacementDistribution(num_users, num_relays, method, 0,
+                                         np.array(rows, dtype=float))
 
     if scheme == "random":
         # the pick is independent of the values, so the chosen entry is
@@ -565,5 +564,5 @@ def rank_placement_probs(num_users: int, num_relays: int, scheme: str = "maxmin"
             # rank - 1: the number of entries strictly larger
             counts[u] += np.bincount((flat > eff[:, u, None]).sum(axis=1),
                                      minlength=mn)
-    return RankPlacementDistribution(num_users, num_relays, scheme, "monte-carlo",
-                                     trials, counts / float(trials))
+    return RankPlacementDistribution(num_users, num_relays, "monte-carlo", trials,
+                                     counts / float(trials))

@@ -15,6 +15,7 @@ rule, nodes and levels built before the first kernel call, and sampled
 rank placement in blocks of 65536 trials whatever the shape."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate
@@ -56,7 +57,7 @@ def relay_power_where(f_gain, budget: LinkBudget, topology: NetworkTopology):
     f = np.asarray(f_gain, dtype=float)
     if np.any(f < 0):
         raise ValueError("interference gain must be >= 0")
-    d3b = topology.dist_interf ** topology.path_loss_exp
+    d3b = topology.d3 ** topology.path_loss_exp
     with np.errstate(divide="ignore"):
         interference_limit = np.where(
             f > 0, budget.interference_snr_cap * d3b / f, np.inf
@@ -70,8 +71,7 @@ def csi_split(topology: NetworkTopology, err) -> tuple[tuple, tuple]:
     error's variance Ω·r, for the hop-1, hop-2 and interference links,
     the two triples in that order: the six values an error model once
     held, derived where the package reads them."""
-    gains = (topology.mean_gain_hop1, topology.mean_gain_hop2,
-             topology.mean_gain_interf)
+    gains = (topology.omega_h1, topology.omega_h2, topology.omega_f)
     ratios = (err.error_ratio_h1, err.error_ratio_h2, err.error_ratio_f)
     return (tuple(g * (1 - r) for g, r in zip(gains, ratios)),
             tuple(g * r for g, r in zip(gains, ratios)))
@@ -85,8 +85,8 @@ def snr_matrix_imperfect_where(estimates, err, topology: NetworkTopology,
     zero error it is ``model.snr_matrix``, the form that the package's
     one builder, hop 2's noise the larger of its cap-free part and
     d2ᵇ/λ2, must reproduce bit for bit."""
-    d1b = topology.dist_hop1 ** topology.path_loss_exp
-    d2b = topology.dist_hop2 ** topology.path_loss_exp
+    d1b = topology.d1 ** topology.path_loss_exp
+    d2b = topology.d2 ** topology.path_loss_exp
     q = np.asarray(relay_power_where(estimates.interf, budget, topology))
     err_var_hop1, err_var_hop2, _ = csi_split(topology, err)[1]
     # +inf at an infinite power, or one so large that the SNR overflows
@@ -138,9 +138,9 @@ def link_cdf_quad(x: float, topology: NetworkTopology, budget: LinkBudget,
     else:
         loss = topology.path_loss_exp
         (est1, est2, est3), (var1, var2, _) = csi_split(topology, csi)
-        o1 = est1 / topology.dist_hop1 ** loss
-        o2 = est2 / topology.dist_hop2 ** loss
-        o3 = est3 / topology.dist_interf ** loss
+        o1 = est1 / topology.d1 ** loss
+        o2 = est2 / topology.d2 ** loss
+        o3 = est3 / topology.d3 ** loss
         e1, e2 = var1 / est1, var2 / est2
     a, b, c = m * x / (o2 * l3), m / o3, l3 / l2
 
@@ -258,15 +258,7 @@ def estimate_cdf(topology: NetworkTopology, budget: LinkBudget, grid,
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted ascending")
-    single = NetworkTopology(
-        num_users=1, num_relays=1, nakagami_m=topology.nakagami_m,
-        mean_gain_hop1=topology.mean_gain_hop1,
-        mean_gain_hop2=topology.mean_gain_hop2,
-        mean_gain_interf=topology.mean_gain_interf,
-        dist_hop1=topology.dist_hop1, dist_hop2=topology.dist_hop2,
-        dist_interf=topology.dist_interf,
-        path_loss_exp=topology.path_loss_exp,
-    )
+    single = replace(topology, num_users=1, num_relays=1)
     hits = np.zeros(len(grid), dtype=np.int64)
     for index, block in _blocks(trials, single):
         rng = _block_rng(seed, index)

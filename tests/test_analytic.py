@@ -100,7 +100,7 @@ class TestCdfMinSnr:
         cases = [
             (topo(m=2), budget_db(10, 10, 10)),
             (topo(m=3), budget_db(25, 8, 10)),
-            (topo(m=1, mean_gain_hop2=2.0, mean_gain_interf=0.5),
+            (topo(m=1, omega_h2=2.0, omega_f=0.5),
              budget_db(12, 6, 0)),
         ]
         for t, b in cases:
@@ -137,7 +137,7 @@ class TestCdfMinSnr:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overflowed_argument_saturates(self, m):
         # m x / (o1 l1) overflows to inf: every Poisson term is 0, not NaN
-        t = topo(m=m, mean_gain_hop1=1e-20, mean_gain_hop2=1e-20)
+        t = topo(m=m, omega_h1=1e-20, omega_h2=1e-20)
         with np.errstate(over="ignore"):
             cdf, ccdf = _link_cdf(db_to_linear(3000), t, budget_db(10, 10, 10))
         assert (cdf, ccdf) == (1.0, 0.0)
@@ -217,9 +217,9 @@ def link_cases(draw):
     a point x over six decades around the threshold."""
     level = st.floats(-10.0, 60.0)
     gain = st.floats(0.25, 4.0)
-    t = topo(m=draw(st.integers(1, 4)), mean_gain_hop1=draw(gain),
-             mean_gain_hop2=draw(gain), mean_gain_interf=draw(gain),
-             dist_interf=draw(gain), path_loss_exp=2.0)
+    t = topo(m=draw(st.integers(1, 4)), omega_h1=draw(gain),
+             omega_h2=draw(gain), omega_f=draw(gain),
+             d3=draw(gain), path_loss_exp=2.0)
     cap = draw(st.one_of(level.map(db_to_linear), st.just(math.inf)))
     b = LinkBudget(db_to_linear(draw(level)), cap, db_to_linear(draw(level)))
     return t, b, GAMMA_TH * 10.0 ** draw(st.floats(-4.0, 2.0))
@@ -445,12 +445,12 @@ class TestGFactor:
     def test_positive(self):
         for m in (1, 2, 3, 5):
             assert g_factor(topo(m=m)) > 0
-        assert g_factor(topo(m=2, mean_gain_hop1=0.5, mean_gain_interf=2.0)) > 0
+        assert g_factor(topo(m=2, omega_h1=0.5, omega_f=2.0)) > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_factorial_form(self, m):
-        for kw in ({}, {"mean_gain_hop1": 0.5, "mean_gain_interf": 2.0},
-                   {"mean_gain_hop2": 3.0, "dist_hop2": 2.0, "dist_interf": 0.5,
+        for kw in ({}, {"omega_h1": 0.5, "omega_f": 2.0},
+                   {"omega_h2": 3.0, "d2": 2.0, "d3": 0.5,
                     "path_loss_exp": 3.7}):
             t = topo(1, 1, m, **kw)
             assert g_factor(t) == pytest.approx(g_factor_factorial(t), rel=1e-14)
@@ -838,7 +838,7 @@ class TestAverageThroughput:
         # d = o2 l3 / o3 = 1e-300 * 1e-300 rounds to 0: hop 2's SNR is 0,
         # so the integrand is 0 and no head is dropped, where log(d) of
         # the rule's first node would raise
-        t = topo(1, 2, 1, mean_gain_hop2=1e-300)
+        t = topo(1, 2, 1, omega_h2=1e-300)
         assert average_throughput(t, LinkBudget(100.0, 1e300, 1e-300),
                                   [0.5, 0.5]) == 0.0
 
@@ -881,8 +881,8 @@ def throughput_sweeps(draw):
         [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4), (4, 6)]))
     gains = draw(st.tuples(*[st.floats(0.2, 5.0)] * 6))
     t = NetworkTopology(num_users, num_relays, 1, *gains[:3],
-                        dist_hop1=gains[3], dist_hop2=gains[4],
-                        dist_interf=gains[5], path_loss_exp=2.0)
+                        d1=gains[3], d2=gains[4],
+                        d3=gains[5], path_loss_exp=2.0)
     levels = draw(st.lists(st.tuples(level_db, level_db | st.just(math.inf),
                                      level_db),
                            min_size=1, max_size=30))

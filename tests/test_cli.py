@@ -59,6 +59,31 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+# each hop's mean-gain and distance keys
+HOPS = {"hop1": ("omega_h1", "d1"), "hop2": ("omega_h2", "d2"),
+        "interf": ("omega_f", "d3")}
+
+# network values that NetworkTopology refuses, by test id: each hop's
+# path loss d^b and effective gain omega/d^b over- and underflowing, a
+# relay count below the user count, and values out of their domain
+NETWORK_REFUSALS = {
+    "relay-count": {"num_users": 4},
+    "no-user": {"num_users": 0},
+    "shape": {"nakagami_m": 0},
+    "exponent": {"path_loss_exp": -1.0},
+    **{case: bad for hop, (gain_key, dist_key) in HOPS.items()
+       for case, bad in (
+           (f"{hop}-path-loss-overflow", {dist_key: 1e200}),
+           (f"{hop}-path-loss-underflow", {dist_key: 1e-200}),
+           (f"{hop}-gain-overflow",
+            {gain_key: 1e300, dist_key: 1e-10, "path_loss_exp": 4.0}),
+           (f"{hop}-gain-underflow",
+            {gain_key: 1e-300, dist_key: 1e10, "path_loss_exp": 4.0}),
+           (f"{hop}-gain-not-positive", {gain_key: -1.0}),
+           (f"{hop}-distance-not-positive", {dist_key: 0.0}))},
+}
+
+
 class TestConfigParsing:
     def test_minimal_round_trip(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -104,7 +129,7 @@ class TestConfigParsing:
 
     def test_negative_gain_rejected(self, tmp_path):
         path = write_config(tmp_path, {"omega_h2": -1.0})
-        with pytest.raises(ConfigError, match="mean_gain_hop2"):
+        with pytest.raises(ConfigError, match="omega_h2"):
             load_config(path)
 
     def test_lambda2_sweep_needs_fixed_levels(self):
@@ -250,6 +275,46 @@ class TestConfigParsing:
         assert main(["--config", str(path)]) == 0
         assert (tmp_path / "tiny.csv").exists()
 
+    @pytest.mark.parametrize("key", ["num_users", "num_relays", "nakagami_m",
+                                     "gamma_th_db", "sweep"])
+    def test_missing_required_key_named(self, key):
+        raw = {name: value for name, value in MINIMAL.items() if name != key}
+        with pytest.raises(ConfigError) as caught:
+            parse_config(raw)
+        assert str(caught.value) == f"missing required config key: {key!r}"
+
+    def test_null_only_for_keys_that_default_to_none(self):
+        # --dump-config writes an unset optional key as null
+        config = parse_config({**MINIMAL, "lambda1_db": None, "csi": None,
+                               "output": None})
+        assert config == parse_config(MINIMAL)
+        for key in ("omega_h1", "seed", "sweep"):
+            with pytest.raises(ConfigError, match=f"{key!r} has invalid type"):
+                parse_config({**MINIMAL, key: None})
+
+    @pytest.mark.parametrize("bad", list(NETWORK_REFUSALS.values()),
+                             ids=list(NETWORK_REFUSALS))
+    def test_library_and_parser_refuse_with_one_message(self, bad):
+        # one check refuses a network value, so the library caller and the
+        # config author read the same text, which names the config key
+        network = {key: MINIMAL[key]
+                   for key in ("num_users", "num_relays", "nakagami_m")}
+        with pytest.raises(ValueError) as library:
+            NetworkTopology(**{**network, **bad})
+        with pytest.raises(ConfigError) as parser:
+            parse_config({**MINIMAL, **bad})
+        assert str(parser.value) == f"config {library.value}"
+        assert type(library.value) is ValueError
+
+    def test_topology_is_the_plain_network(self):
+        config = parse_config({**MINIMAL, "omega_f": 2.0, "d2": 3.0,
+                               "path_loss_exp": 3.0})
+        topology = config.topology()
+        assert type(topology) is NetworkTopology
+        assert topology == NetworkTopology(2, 3, 2, omega_f=2.0, d2=3.0,
+                                           path_loss_exp=3.0)
+        assert config.eff_gain_hop2 == topology.eff_gain_hop2 == 1 / 27
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -327,7 +392,7 @@ def sweep_config(**overrides):
 CSI = {"error_ratio_h1": 0.05, "error_ratio_h2": 0.05, "error_ratio_f": 0.05}
 # 66536 trials of a 2x3 sweep_config: six full blocks, three pairs on
 # two CPUs, and 1004 trials of a seventh, which runs alone
-BLOCK_2X3 = _block_trials(NetworkTopology(2, 3))
+BLOCK_2X3 = _block_trials(NetworkTopology(2, 3, 1))
 SPANNING = 6 * BLOCK_2X3 + 1004
 LAMBDA2 = {"sweep": {"variable": "lambda2", "start_db": 0.0, "stop_db": 20.0,
                      "step_db": 5.0},
@@ -588,6 +653,25 @@ class TestValidateMode:
         assert statuses[check] == "PASS"
         assert absent not in statuses
 
+    @pytest.mark.parametrize("overrides, check", [
+        # no hop estimation error: the outage falls without a floor
+        ({"nakagami_m": 1, "csi": {"error_ratio_h1": 0.0, "error_ratio_h2": 0.0,
+                                   "error_ratio_f": 0.05}},
+         "imperfect-csi-floor"),
+        # a relay-cap floor at a 1e-200 threshold underflows to 0
+        ({"nakagami_m": 1, "gamma_th_db": -2000.0, "lambda1_db": 25.0,
+          "lambda3_db": 10.0, "sweep": {"variable": "lambda2", "start_db": 0.0,
+                                        "stop_db": 60.0, "step_db": 30.0}},
+         "outage-floor"),
+    ], ids=["csi-no-hop-error", "relay-cap-underflow"])
+    def test_zero_floor_skipped(self, tmp_path, capsys, overrides, check):
+        # each divided by its floor of 0 and died with a ZeroDivisionError
+        path = write_config(tmp_path, overrides)
+        assert main(["--config", str(path), "--mode", "validate"]) == 0
+        out = capsys.readouterr().out
+        assert f"[     SKIPPED] {check}: " in out
+        assert "floor=0: a floor of 0 has no relative error" in out
+
     def test_throughput_check_has_power(self, monkeypatch):
         # fig4's closed-form throughput 10% high must fail its Monte Carlo
         # cross-check at several points (9 of 9 when this was written);
@@ -706,3 +790,13 @@ class TestRecipes:
         config = load_config(f"recipes/{name}.json")
         assert config.trials >= 1000
         assert len(config.sweep.points()) >= 2
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+    def test_dumped_recipe_loads_back(self, tmp_path, capsys, name):
+        # --dump-config writes every key, null where unset, and the dump
+        # is a config that parses to the same experiment
+        path = Path(__file__).resolve().parent.parent / "recipes" / f"{name}.json"
+        assert main(["--config", str(path), "--dump-config"]) == 0
+        dumped = tmp_path / "dumped.json"
+        dumped.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert load_config(dumped) == load_config(path)

@@ -59,22 +59,26 @@ def relay_snr(f_gain, budget, t):
     return snr_matrix(hop2_only(f_gain), t, budget)
 
 
+# each hop's mean-gain and distance keys
+HOP_KEYS = {"hop1": ("omega_h1", "d1"), "hop2": ("omega_h2", "d2"),
+            "interf": ("omega_f", "d3")}
+
+
 class TestTopologyValidation:
     def test_relay_count_constraint(self):
         with pytest.raises(ValueError, match="num_relays"):
             NetworkTopology(4, 3, 1)
 
     def test_positive_gains(self):
-        with pytest.raises(ValueError, match="mean_gain_hop2"):
-            NetworkTopology(1, 1, 1, mean_gain_hop2=-1.0)
+        with pytest.raises(ValueError, match="omega_h2"):
+            NetworkTopology(1, 1, 1, omega_h2=-1.0)
 
     def test_integer_shape(self):
         with pytest.raises(ValueError, match="nakagami_m"):
             NetworkTopology(1, 1, 0)
 
     def test_effective_gains_apply_path_loss(self):
-        t = NetworkTopology(1, 1, 1, mean_gain_hop1=2.0, dist_hop1=2.0,
-                            path_loss_exp=3.0)
+        t = NetworkTopology(1, 1, 1, omega_h1=2.0, d1=2.0, path_loss_exp=3.0)
         assert t.eff_gain_hop1 == pytest.approx(2.0 / 8.0)
 
     @pytest.mark.parametrize("hop", ["hop1", "hop2", "interf"])
@@ -84,10 +88,12 @@ class TestTopologyValidation:
     def test_path_loss_in_float_range(self, hop, dist, flow):
         # d^b at b = 2: an overflow raised a bare OverflowError from **,
         # and a 0 interference path loss gave NaN SNRs at a zero gain
+        _, dist_key = HOP_KEYS[hop]
+        size = "large" if flow == "over" else "small"
         with pytest.raises(ValueError, match=re.escape(
-                f"dist_{hop}^path_loss_exp {flow}flows a float at "
-                f"mean_gain_{hop}=1.0, dist_{hop}={dist}, path_loss_exp=2.0")):
-            NetworkTopology(1, 3, path_loss_exp=2.0, **{f"dist_{hop}": dist})
+                f"{dist_key}={dist} is too {size}: its path loss "
+                f"{dist_key}^path_loss_exp {flow}flows a float")):
+            NetworkTopology(1, 3, 1, path_loss_exp=2.0, **{dist_key: dist})
 
     @pytest.mark.parametrize("hop", ["hop1", "hop2", "interf"])
     @pytest.mark.parametrize("gain, dist, flow", [(1e300, 1e-10, "over"),
@@ -97,18 +103,19 @@ class TestTopologyValidation:
     def test_effective_gain_in_float_range(self, hop, gain, dist, flow):
         # omega / d^b at b = 4: 1e340, 1e-340 and 1e-312, while the
         # path loss itself, 1e-40, 1e40 or 1e12, is in range
+        gain_key, dist_key = HOP_KEYS[hop]
+        size = "large" if flow == "over" else "small"
         with pytest.raises(ValueError, match=re.escape(
-                f"effective gain mean_gain_{hop}/dist_{hop}^path_loss_exp "
-                f"{flow}flows a float at mean_gain_{hop}={gain}")):
-            NetworkTopology(1, 3, path_loss_exp=4.0,
-                            **{f"mean_gain_{hop}": gain, f"dist_{hop}": dist})
+                f"{gain_key}={gain} is too {size}: its effective gain "
+                f"{gain_key}/{dist_key}^path_loss_exp {flow}flows a float")):
+            NetworkTopology(1, 3, 1, path_loss_exp=4.0,
+                            **{gain_key: gain, dist_key: dist})
 
     def test_range_edges_admitted(self):
         # the smallest normal path loss and effective gain are admitted,
         # and every SNR built on them is a number, with no warning
         tiny = np.finfo(float).tiny
-        t = NetworkTopology(1, 3, path_loss_exp=1.0, dist_interf=tiny,
-                            mean_gain_hop2=tiny)
+        t = NetworkTopology(1, 3, 1, path_loss_exp=1.0, d3=tiny, omega_h2=tiny)
         draws = ChannelRealization(np.ones(3), np.ones(3),
                                    np.array([0.0, 1.0, np.inf]))
         with warnings.catch_warnings():
@@ -126,7 +133,7 @@ class TestSampling:
     def test_gamma_variance(self):
         # variance of a shape-m mean-omega gamma is omega^2 / m
         rng = np.random.default_rng(2)
-        t = topo(1, 1, 3, mean_gain_hop1=2.0)
+        t = topo(1, 1, 3, omega_h1=2.0)
         draws = sample_realization(t, rng, trials=1_000_000)
         assert draws.hop1.var() == pytest.approx(4.0 / 3.0, rel=0.03)
         assert draws.hop1.mean() == pytest.approx(2.0, rel=0.01)
@@ -214,7 +221,7 @@ class TestRelayPower:
     def test_cap_probability_matches_gamma_cdf(self):
         # P[power pinned at the cap] = F_{|f|^2}(d3^b * L3 / L2)
         m, omega = 2, 1.5
-        t = topo(1, 1, m, mean_gain_interf=omega)
+        t = topo(1, 1, m, omega_f=omega)
         rng = np.random.default_rng(5)
         trials = 1_000_000
         f = sample_realization(t, rng, trials=trials).interf.reshape(-1)
@@ -231,13 +238,13 @@ def interference_cases(draw, ndim):
     (three: trials, M, N): exponential draws mixed with +0.0, -0.0 and
     the gain d3^b I / cap at which both arms of the relay cap meet."""
     budget = LinkBudget(1.0, draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)))
-    t = topo(2, 3, dist_interf=draw(st.floats(0.1, 10.0)),
+    t = topo(2, 3, d3=draw(st.floats(0.1, 10.0)),
              path_loss_exp=draw(st.sampled_from([0.0, 2.0, 3.7])))
     shape = (draw(st.integers(1, 3)), 2, 3) if ndim == 3 else (7,) * ndim
     seed = draw(st.integers(0, 2**32 - 1))
     f = np.random.default_rng(seed).exponential(draw(st.floats(1e-3, 1e3)),
                                                 size=shape)
-    boundary = t.dist_interf ** t.path_loss_exp * budget.interference_snr_cap \
+    boundary = t.d3 ** t.path_loss_exp * budget.interference_snr_cap \
         / budget.relay_snr_cap
     kind = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
     f = np.select([kind == 1, kind == 2, kind == 3], [0.0, -0.0, boundary], f)
@@ -285,8 +292,8 @@ def split_cases(draw, ndim):
     axes: :func:`interference_cases` with exponential hop gains.  With
     :func:`knee_caps`, what the relay-cap tests run on."""
     budget, t, f = draw(interference_cases(ndim))
-    t = replace(t, dist_hop1=draw(st.floats(0.1, 10.0)),
-                dist_hop2=draw(st.floats(0.1, 10.0)))
+    t = replace(t, d1=draw(st.floats(0.1, 10.0)),
+                d2=draw(st.floats(0.1, 10.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     draws = ChannelRealization(rng.exponential(size=f.shape),
                                rng.exponential(size=f.shape), f)
@@ -299,7 +306,7 @@ def knee_caps(base, t, draws):
     """``base`` at its own relay cap, an infinite one, and, for up to
     three positive interference gains f, the knee I d3^b / f, where both
     arms of the relay power meet, and one ulp either side of it."""
-    d3b = t.dist_interf ** t.path_loss_exp
+    d3b = t.d3 ** t.path_loss_exp
     gains = np.asarray(draws.interf).reshape(-1)
     caps = [base.relay_snr_cap, math.inf]
     for gain in gains[gains > 0][:3]:
@@ -402,7 +409,7 @@ class TestOutBuffers:
     def test_imperfect_snr_tiles(self, shape):
         # the hop-1 SNR of several tiles, the last one ragged, equals the
         # where form, with and without out=
-        t = topo(2, 3, path_loss_exp=3.7, dist_hop1=1.3, dist_interf=0.7)
+        t = topo(2, 3, path_loss_exp=3.7, d1=1.3, d3=0.7)
         err = CsiErrorModel(0.05, 0.1, 0.0)
         budget = LinkBudget(10.0, 4.0, 2.0)
         rng = np.random.default_rng(9)
@@ -565,9 +572,9 @@ class TestCsiErrorModel:
             "error_ratio_h1", "error_ratio_h2", "error_ratio_f"]
 
     def test_ratio_split(self):
-        t = topo(1, 1, 1, mean_gain_hop1=2.0)
+        t = topo(1, 1, 1, omega_h1=2.0)
         err = CsiErrorModel(0.05, 0.05, 0.05)
-        assert _estimated(t, err).mean_gain_hop1 == pytest.approx(1.9)
+        assert _estimated(t, err).omega_h1 == pytest.approx(1.9)
         assert csi_split(t, err)[1][0] == pytest.approx(0.1)
 
     def test_ratio_bounds(self):
@@ -580,7 +587,7 @@ class TestCsiErrorModel:
     def test_error_rate_matches_split(self, omega):
         # r1/(1 - r1) + r2/(1 - r2) against the split's (Ω r)/(Ω (1 - r)):
         # bit for bit at a power-of-two Ω, within a few ulp otherwise
-        t = topo(1, 1, 1, mean_gain_hop1=omega, mean_gain_hop2=omega)
+        t = topo(1, 1, 1, omega_h1=omega, omega_h2=omega)
         for r1, r2 in ((0.05, 0.1), (0.1, 0.1), (0.3, 0.7)):
             err = CsiErrorModel(r1, r2, 0.0)
             (e1, e2, _), (v1, v2, _) = csi_split(t, err)
@@ -595,16 +602,16 @@ class TestCsiErrorModel:
         # the estimates are drawn at the split's estimate gains and each
         # hop's SNR takes its error variance as noise, bit for bit, at
         # unit and non-unit gains
-        t = topo(2, 3, mean_gain_hop1=gains[0], mean_gain_hop2=gains[1],
-                 mean_gain_interf=gains[2], dist_hop1=1.5, dist_hop2=0.8,
-                 dist_interf=2.0, path_loss_exp=3.0)
+        t = topo(2, 3, omega_h1=gains[0], omega_h2=gains[1],
+                 omega_f=gains[2], d1=1.5, d2=0.8,
+                 d3=2.0, path_loss_exp=3.0)
         err = CsiErrorModel(0.05, 0.1, 0.2)
         (est1, est2, est3), _ = csi_split(t, err)
         got_rng, want_rng = (np.random.default_rng(11) for _ in range(2))
         est = sample_estimated_realization(t, err, got_rng, trials=50)
         want = sample_realization(
-            replace(t, mean_gain_hop1=est1, mean_gain_hop2=est2,
-                    mean_gain_interf=est3), want_rng, trials=50)
+            replace(t, omega_h1=est1, omega_h2=est2,
+                    omega_f=est3), want_rng, trials=50)
         for name in ("hop1", "hop2", "interf"):
             assert_bits_equal(getattr(est, name), getattr(want, name))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

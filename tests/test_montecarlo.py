@@ -749,7 +749,7 @@ def knee_caps(t, l1, l3, trials, seed, picks):
     draws = model.sample_realization(t, _block_rng(seed, 0),
                                      trials=min(trials, _block_trials(t)))
     gains = draws.interf.reshape(-1)
-    d3b = t.dist_interf ** t.path_loss_exp
+    d3b = t.d3 ** t.path_loss_exp
     caps = []
     for pick in picks:
         knee = db_to_linear(l3) * d3b / gains[pick % len(gains)]
@@ -785,8 +785,8 @@ class TestSettledCarry:
     gives (off a chain, :func:`expected_stacks_every`), one per call
     (:func:`spy_assignments`)."""
 
-    T = NetworkTopology(3, 4, 1, dist_hop1=0.9, dist_hop2=1.2,
-                        dist_interf=1.3, path_loss_exp=2.7)
+    T = NetworkTopology(3, 4, 1, d1=0.9, d2=1.2,
+                        d3=1.3, path_loss_exp=2.7)
 
     def check(self, t, budgets, scheme, trials, seed, carried):
         want = estimate_throughput_unsettled(t, budgets, scheme, trials, seed)
